@@ -1,205 +1,73 @@
 #include "src/cmsisnn/cmsis_engine.hpp"
 
-#include <algorithm>
+#include <cmath>
 
 #include "src/common/error.hpp"
-#include "src/nn/qkernels_ref.hpp"
 
 namespace ataman {
 
+PackedKernels::PackedKernels(const QModel* model,
+                             const std::vector<uint8_t>* unpacked)
+    : model_(model), packed_(model->layers.size()) {
+  int ordinal = 0;
+  for (size_t l = 0; l < model->layers.size(); ++l) {
+    const QLayer& layer = model->layers[l];
+    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
+      const bool elsewhere =
+          unpacked != nullptr && (*unpacked)[static_cast<size_t>(ordinal)];
+      if (!elsewhere) {
+        packed_[l] = PackedWeights::pack(conv->weights, conv->geom.out_c,
+                                         conv->geom.patch_size());
+      }
+    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
+      packed_[l] = PackedWeights::pack(fc->weights, fc->out_dim, fc->in_dim);
+    }
+    if (describe_layer(layer).skippable) ++ordinal;
+  }
+}
+
+void PackedKernels::run_step(const ExecStep& step, const StepIO& io) const {
+  const QLayer& layer = model_->layers[static_cast<size_t>(step.layer)];
+  const PackedWeights& w = packed_[static_cast<size_t>(step.layer)];
+  if (const auto* conv = std::get_if<QConv2D>(&layer)) {
+    packed_conv2d_batch(*conv, w, io.in_a, io.out, io.batch, io.scratch);
+  } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
+    packed_depthwise_conv2d_batch(*dw, io.in_a, io.out, io.batch, io.scratch);
+  } else if (const auto* fc = std::get_if<QDense>(&layer)) {
+    packed_dense_batch(*fc, w, io.in_a, io.out, io.batch, io.scratch);
+  } else {
+    run_step_ref(layer, io);  // pools and adds: no weights to pack
+  }
+}
+
+CmsisEngine::CmsisEngine(const QModel* model, std::string design_name,
+                         const PriceList& prices)
+    : InferenceEngine(model, std::move(design_name)),
+      plan_(ExecPlan::compile(*model)),
+      kernels_(model) {
+  ModelPrice price = price_model(*model, prices);
+  total_cycles_ = price.total_cycles;
+  profile_ = std::move(price.rows);
+}
+
 CmsisEngine::CmsisEngine(const QModel* model, CortexM33CostTable costs,
                          MemoryCostTable memory)
-    : InferenceEngine(model, "cmsis-nn"),
-      costs_(costs),
-      memory_(memory),
-      plan_(plan_activations(*model)) {
-  int out_dim = 0;
-  double cycles = 0.0;
-  for (const QLayer& layer : this->model().layers) {
-    cycles += costs_.layer_dispatch;
-    profile_.push_back({"dispatch",
-                        static_cast<int64_t>(costs_.layer_dispatch), 0});
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      packed_.push_back(PackedWeights::pack(conv->weights, conv->geom.out_c,
-                                            conv->geom.patch_size()));
-      const int64_t c = packed_conv_cycles(*conv, costs_);
-      profile_.push_back({"conv", c, conv->geom.macs()});
-      cycles += static_cast<double>(c);
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      // Depthwise runs the scalar loop kernel; no packed weight stream
-      // (see packed_depthwise_conv2d).
-      const int64_t c = packed_depthwise_cycles(*dw, costs_);
-      profile_.push_back({"depthwise", c, dw->macs()});
-      cycles += static_cast<double>(c);
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      const int64_t c = pool_cycles(*pool, costs_);
-      profile_.push_back({"pool", c, 0});
-      cycles += static_cast<double>(c);
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      const int64_t c = avgpool_cycles(*pool, costs_);
-      profile_.push_back({"avgpool", c, 0});
-      cycles += static_cast<double>(c);
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      packed_.push_back(
-          PackedWeights::pack(fc->weights, fc->out_dim, fc->in_dim));
-      const int64_t c = dense_cycles(*fc, costs_);
-      profile_.push_back({"fc", c, fc->macs()});
-      cycles += static_cast<double>(c);
-      out_dim = fc->out_dim;
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      const int64_t c = qadd_cycles(*add, costs_);
-      profile_.push_back({"add", c, 0});
-      cycles += static_cast<double>(c);
-    }
-  }
-  const auto softmax_c =
-      static_cast<int64_t>(costs_.softmax_per_logit * out_dim);
-  profile_.push_back({"softmax", softmax_c, 0});
-  cycles += static_cast<double>(softmax_c);
-  total_cycles_ = static_cast<int64_t>(cycles);
+    : CmsisEngine(model, "cmsis-nn",
+                  PriceList{PriceList::Family::kPacked, costs, {}}) {
+  flash_bytes_ = packed_flash(*model, memory).total_bytes;
+  ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/true, memory);
 }
 
-std::vector<int8_t> CmsisEngine::run(std::span<const uint8_t> image) const {
-  // Slot buffers from the shared liveness plan (ping-pong on chains).
-  std::vector<std::vector<int8_t>> slots(plan_.slot_elems.size());
-  auto tensor_span = [&](int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(static_cast<size_t>(
-          plan_.slot_elems[static_cast<size_t>(info.slot)]));
-    return std::span<int8_t>(slot.data(), static_cast<size_t>(info.elems));
-  };
-  {
-    const std::vector<int8_t> in = quantize_input(image);
-    const std::span<int8_t> entry = tensor_span(0);
-    std::copy(in.begin(), in.end(), entry.begin());
-  }
-
-  const int layer_count = static_cast<int>(model().layers.size());
-  size_t packed_idx = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const std::span<const int8_t> cur = tensor_span(ins[0]);
-    const std::span<int8_t> next = tensor_span(l + 1);
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      packed_conv2d(*conv, packed_[packed_idx++], cur, next);
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      packed_depthwise_conv2d(*dw, cur, next);
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      maxpool_ref(*pool, cur, next);
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      avgpool_ref(*pool, cur, next);
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      packed_dense(*fc, packed_[packed_idx++], cur, next);
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      qadd_ref(*add, cur, tensor_span(ins[1]), next);
-    }
-  }
-  const std::span<const int8_t> out = tensor_span(layer_count);
-  return std::vector<int8_t>(out.begin(), out.end());
-}
-
-void CmsisEngine::run_batch(
-    std::span<const std::span<const uint8_t>> images,
-    std::vector<std::vector<int8_t>>& logits_out) const {
-  check_batch_nonempty(images);
-  const int batch = static_cast<int>(images.size());
-
-  // Contiguous batched activations per tensor: image b of tensor t lives
-  // at slot_base + b * elems(t). Slots come from the shared liveness
-  // plan (sized slot_elems * batch); the batched kernels fold the batch
-  // into the GEMM N dimension, pools and adds run per image on subspans.
-  std::vector<std::vector<int8_t>> slots(plan_.slot_elems.size());
-  auto tensor_batch_span = [&](int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(
-          static_cast<size_t>(plan_.slot_elems[static_cast<size_t>(
-              info.slot)]) *
-          static_cast<size_t>(batch));
-    return std::span<int8_t>(
-        slot.data(),
-        static_cast<size_t>(info.elems) * static_cast<size_t>(batch));
-  };
-  const size_t in_elems = static_cast<size_t>(
-      static_cast<int64_t>(model().in_h) * model().in_w * model().in_c);
-  {
-    const std::span<int8_t> entry = tensor_batch_span(0);
-    for (int b = 0; b < batch; ++b) {
-      const std::vector<int8_t> q =
-          quantize_input(images[static_cast<size_t>(b)]);
-      std::copy(q.begin(), q.end(),
-                entry.begin() +
-                    static_cast<std::ptrdiff_t>(static_cast<size_t>(b) *
-                                                in_elems));
-    }
-  }
-
-  const int layer_count = static_cast<int>(model().layers.size());
-  size_t packed_idx = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const size_t cur_elems =
-        static_cast<size_t>(model().tensor_elems(ins[0]));
-    const size_t out_elems =
-        static_cast<size_t>(describe_layer(layer).out_elems);
-    const std::span<const int8_t> cur = tensor_batch_span(ins[0]);
-    const std::span<int8_t> next = tensor_batch_span(l + 1);
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      packed_conv2d_batch(*conv, packed_[packed_idx++], cur, next, batch);
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      packed_depthwise_conv2d_batch(*dw, cur, next, batch);
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      for (int b = 0; b < batch; ++b) {
-        maxpool_ref(*pool,
-                    cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                    next.subspan(static_cast<size_t>(b) * out_elems,
-                                 out_elems));
-      }
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      for (int b = 0; b < batch; ++b) {
-        avgpool_ref(*pool,
-                    cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                    next.subspan(static_cast<size_t>(b) * out_elems,
-                                 out_elems));
-      }
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      packed_dense_batch(*fc, packed_[packed_idx++], cur, next, batch);
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      const std::span<const int8_t> second = tensor_batch_span(ins[1]);
-      for (int b = 0; b < batch; ++b) {
-        qadd_ref(*add,
-                 cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                 second.subspan(static_cast<size_t>(b) * cur_elems,
-                                cur_elems),
-                 next.subspan(static_cast<size_t>(b) * out_elems, out_elems));
-      }
-    }
-  }
-
-  const std::span<const int8_t> out = tensor_batch_span(layer_count);
-  const size_t final_elems =
-      static_cast<size_t>(model().tensor_elems(layer_count));
-  logits_out.assign(static_cast<size_t>(batch), {});
-  for (int b = 0; b < batch; ++b) {
-    const auto sub = out.subspan(static_cast<size_t>(b) * final_elems,
-                                 final_elems);
-    logits_out[static_cast<size_t>(b)].assign(sub.begin(), sub.end());
-  }
-}
-
-int64_t CmsisEngine::flash_bytes() const {
-  return packed_flash(model(), memory_).total_bytes;
-}
-
-int64_t CmsisEngine::ram_bytes() const {
-  return model_ram_bytes(model(), /*packed_engine=*/true, memory_);
+CmsisEngine::CmsisEngine(const QModel* model, const XCubeCostTable& xcube)
+    : CmsisEngine(model, "x-cube-ai",
+                  PriceList{PriceList::Family::kXCube, {}, xcube}) {
+  flash_bytes_ = xcube.runtime_code +
+                 static_cast<int64_t>(std::llround(
+                     xcube.weight_compression *
+                     static_cast<double>(model->weight_bytes())));
+  MemoryCostTable memory;
+  memory.runtime_reserve = xcube.ram_runtime_reserve;
+  ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/true, memory);
 }
 
 }  // namespace ataman

@@ -1,11 +1,13 @@
-// Full-model packed engine: the "exact baseline [2]" column of Table II.
+// Full-model packed engine: the "exact baseline [2]" column of Table II,
+// and — priced with the X-CUBE-AI list — its "X-CUBE-AI [8]" column.
 //
-// Executes the QModel with packed kernels (bit-exact with the reference
-// engine) and produces the MCU deployment report — cycles from the cost
-// model, flash/RAM from the memory model. The per-layer cycle profile is
-// the software analogue of the paper's kernel cycle counters (§II-A),
-// which are "deactivated during runtime": profiling here is free because
-// cycles are a pure function of the layer geometry.
+// Executes the QModel's compiled plan with packed kernels (bit-exact with
+// the reference engine) and produces the MCU deployment report — cycles
+// from the cost model's price list, flash/RAM from the memory model. The
+// per-layer cycle profile is the software analogue of the paper's kernel
+// cycle counters (§II-A), which are "deactivated during runtime":
+// profiling here is free because cycles are a pure function of the layer
+// geometry.
 #pragma once
 
 #include <span>
@@ -13,25 +15,50 @@
 
 #include "src/cmsisnn/packed_kernels.hpp"
 #include "src/core/engine_iface.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/quant/qtypes.hpp"
 
 namespace ataman {
 
+// The packed kernel table: conv and fc on offline-packed weight streams,
+// depthwise on the loop kernel, pools and adds on the reference kernels.
+// Batches stream each packed weight pair once per lane-block of
+// kBatchLanes images. `unpacked` (by approximable ordinal, 1 = executed
+// elsewhere) skips packing those conv streams — the hybrid unpacked
+// engine's fallback table.
+class PackedKernels final : public KernelTable {
+ public:
+  explicit PackedKernels(const QModel* model,
+                         const std::vector<uint8_t>* unpacked = nullptr);
+
+  void run_step(const ExecStep& step, const StepIO& io) const override;
+
+ private:
+  const QModel* model_;
+  std::vector<PackedWeights> packed_;  // by layer index; empty if unused
+};
+
 class CmsisEngine : public InferenceEngine {
  public:
   explicit CmsisEngine(const QModel* model, CortexM33CostTable costs = {},
                        MemoryCostTable memory = {});
 
-  std::vector<int8_t> run(std::span<const uint8_t> image) const override;
+  // The X-CUBE-AI comparator (registry key "xcube", design "x-cube-ai"):
+  // X-CUBE-AI is an exact int8 library, so the same packed plan and
+  // kernels give its numerics; only the price list and the flash/RAM
+  // formulas (weight compression, a smaller runtime) differ.
+  CmsisEngine(const QModel* model, const XCubeCostTable& xcube);
 
-  // Batch-amortized path: conv/fc stream each packed weight pair once per
-  // lane-block of kBatchLanes images (see packed_kernels.hpp); pools run
-  // per image (no weights to amortize). Bitwise identical to run().
-  bool supports_run_batch() const override { return true; }
+  std::vector<int8_t> run(std::span<const uint8_t> image) const override {
+    return plan_.run(image, kernels_);
+  }
   void run_batch(std::span<const std::span<const uint8_t>> images,
-                 std::vector<std::vector<int8_t>>& logits_out) const override;
+                 std::vector<std::vector<int8_t>>& logits_out) const override {
+    check_batch_nonempty(images);
+    plan_.run_batch(images, kernels_, logits_out);
+  }
 
   // Copies the offline-packed weight streams and the precomputed profile
   // instead of re-running the packing analysis.
@@ -44,19 +71,19 @@ class CmsisEngine : public InferenceEngine {
   const std::vector<LayerProfile>& layer_profile() const override {
     return profile_;
   }
-  int64_t flash_bytes() const override;
-  int64_t ram_bytes() const override;
+  int64_t flash_bytes() const override { return flash_bytes_; }
+  int64_t ram_bytes() const override { return ram_bytes_; }
 
  private:
-  CortexM33CostTable costs_;
-  MemoryCostTable memory_;
-  // Shared liveness-based activation plan (src/mcu/memory_model): slot
-  // buffers replace the old ping-pong pair so DAG models (residual adds)
-  // execute with the same peak RAM the memory model reports.
-  ActivationPlan plan_;
-  std::vector<PackedWeights> packed_;  // conv + fc, in layer order
+  CmsisEngine(const QModel* model, std::string design_name,
+              const PriceList& prices);
+
+  ExecPlan plan_;
+  PackedKernels kernels_;
   std::vector<LayerProfile> profile_;
   int64_t total_cycles_ = 0;
+  int64_t flash_bytes_ = 0;
+  int64_t ram_bytes_ = 0;
 };
 
 }  // namespace ataman

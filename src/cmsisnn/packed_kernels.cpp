@@ -1,6 +1,7 @@
 #include "src/cmsisnn/packed_kernels.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/error.hpp"
 #include "src/common/math_util.hpp"
@@ -38,149 +39,27 @@ PackedWeights PackedWeights::pack(std::span<const int8_t> weights, int out_c,
 
 namespace {
 
-// Dual-MAC dot product over one q15 column; identical accumulation order
-// to the reference kernel (int32 addition is exact, so order is moot).
-int32_t packed_dot(const PackedWeights& packed, int oc, const int16_t* col,
-                   int32_t acc) {
-  const uint32_t* wp = packed.pair_constants.data() +
-                       static_cast<size_t>(oc) * packed.pairs_per_chan;
-  for (int i = 0; i < packed.pairs_per_chan; ++i) {
-    const uint32_t apair = pack_q15_pair(col[2 * i + 1], col[2 * i]);
-    acc = smlad(wp[i], apair, acc);
-  }
-  if (packed.has_single) {
-    const uint32_t wlast = pack_q15_pair(
-        0, packed.single_weights[static_cast<size_t>(oc)]);
-    const uint32_t alast = pack_q15_pair(0, col[packed.patch - 1]);
-    acc = smlabb(wlast, alast, acc);
-  }
-  return acc;
-}
-
-}  // namespace
-
-void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
-                   std::span<const int8_t> in, std::span<int8_t> out) {
-  const ConvGeom& g = layer.geom;
-  check(packed.patch == g.patch_size() && packed.out_c == g.out_c,
-        "packed weights do not match layer");
-  const int oh = g.out_h(), ow = g.out_w();
-  std::vector<int16_t> col(static_cast<size_t>(g.patch_size()));
-
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      im2col_patch_q15(layer, in, oy, ox, col.data());
-      int8_t* orow =
-          out.data() + (static_cast<size_t>(oy) * ow + ox) * g.out_c;
-      for (int oc = 0; oc < g.out_c; ++oc) {
-        const int32_t acc = packed_dot(
-            packed, oc, col.data(), layer.bias[static_cast<size_t>(oc)]);
-        const int32_t scaled =
-            multiply_by_quantized_multiplier(
-                acc, layer.requant[static_cast<size_t>(oc)]) +
-            layer.out.zero_point;
-        orow[oc] = static_cast<int8_t>(
-            std::clamp(scaled, layer.act_min, layer.act_max));
-      }
-    }
-  }
-}
-
-void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
-                             std::span<const int8_t> in,
-                             std::span<int8_t> out) {
-  check(static_cast<int64_t>(in.size()) ==
-            static_cast<int64_t>(layer.in_h) * layer.in_w * layer.channels,
-        "depthwise input size mismatch");
-  check(static_cast<int64_t>(out.size()) ==
-            static_cast<int64_t>(layer.positions()) * layer.channels,
-        "depthwise output size mismatch");
-  const int oh = layer.out_h(), ow = layer.out_w(), c = layer.channels;
-  const int patch = layer.patch_size();
-  const int32_t zp = layer.in.zero_point;
-
-  // One q15 expansion of the receptive field per position, shared by all
-  // channels: col[tap * c + ch], matching the [k][k][c] weight order.
-  std::vector<int16_t> col(static_cast<size_t>(patch) * c);
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      int p = 0;
-      for (int ky = 0; ky < layer.kernel; ++ky) {
-        const int iy = oy * layer.stride - layer.pad + ky;
-        for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
-          const int ix = ox * layer.stride - layer.pad + kx;
-          const bool inside =
-              iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
-          const int8_t* src =
-              inside ? in.data() +
-                           (static_cast<size_t>(iy) * layer.in_w + ix) * c
-                     : nullptr;
-          int16_t* dst = col.data() + static_cast<size_t>(p) * c;
-          for (int ch = 0; ch < c; ++ch)
-            dst[ch] = static_cast<int16_t>((inside ? src[ch] : zp) - zp);
-        }
-      }
-
-      int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * c;
-      for (int ch = 0; ch < c; ++ch) {
-        int32_t acc = layer.bias[static_cast<size_t>(ch)];
-        for (int t = 0; t < patch; ++t) {
-          acc += static_cast<int32_t>(col[static_cast<size_t>(t) * c + ch]) *
-                 static_cast<int32_t>(
-                     layer.weights[static_cast<size_t>(t) * c + ch]);
-        }
-        const int32_t scaled =
-            multiply_by_quantized_multiplier(
-                acc, layer.requant[static_cast<size_t>(ch)]) +
-            layer.out.zero_point;
-        orow[ch] = static_cast<int8_t>(
-            std::clamp(scaled, layer.act_min, layer.act_max));
-      }
-    }
-  }
-}
-
-void packed_dense(const QDense& layer, const PackedWeights& packed,
-                  std::span<const int8_t> in, std::span<int8_t> out) {
-  check(packed.patch == layer.in_dim && packed.out_c == layer.out_dim,
-        "packed weights do not match layer");
-  // Expand the input once to zero-point-corrected q15 (CMSIS expands the
-  // activation vector for its q7 FC kernels the same way).
-  std::vector<int16_t> col(static_cast<size_t>(layer.in_dim));
-  for (int i = 0; i < layer.in_dim; ++i) {
-    col[static_cast<size_t>(i)] = static_cast<int16_t>(
-        static_cast<int32_t>(in[static_cast<size_t>(i)]) -
-        layer.in.zero_point);
-  }
-  for (int oc = 0; oc < layer.out_dim; ++oc) {
-    const int32_t acc =
-        packed_dot(packed, oc, col.data(), layer.bias[static_cast<size_t>(oc)]);
-    const int32_t scaled =
-        multiply_by_quantized_multiplier(acc, layer.requant) +
-        layer.out.zero_point;
-    out[static_cast<size_t>(oc)] = static_cast<int8_t>(
-        std::clamp(scaled, layer.act_min, layer.act_max));
-  }
-}
-
-namespace {
-
-// Dual-MAC dot product over a lane-block of q15 columns: every weight
-// pair constant is loaded once and multiplied into all kBatchLanes
-// accumulators before the next pair streams in. The lane loops have
-// constant trip counts (stale/padding lanes compute garbage that the
-// caller never stores — SMLAD wraparound is defined), which is what lets
-// the compiler keep the four accumulators in one vector register.
-void packed_dot_lanes(const PackedWeights& packed, int oc,
-                      const int16_t* cols, int32_t bias,
-                      int32_t acc[kBatchLanes]) {
-  for (int j = 0; j < kBatchLanes; ++j) acc[j] = bias;
+// Dual-MAC dot product over a lane-block of q15 columns, in the reference
+// kernel's accumulation order (int32 addition is exact, so order is moot
+// anyway): every weight pair constant is loaded once and multiplied into
+// all `Lanes` accumulators before the next pair streams in. The lane
+// loops have constant trip counts (stale/padding lanes compute garbage
+// that the caller never stores — SMLAD wraparound is defined), which is
+// what lets the compiler keep the four accumulators in one vector
+// register (the accumulators are locals, so no store through the weight
+// stream's pointer can alias them).
+template <int Lanes>
+std::array<int32_t, Lanes> packed_dot_lanes(const PackedWeights& packed,
+                                            int oc, const int16_t* cols,
+                                            int32_t bias) {
+  std::array<int32_t, Lanes> acc;
+  acc.fill(bias);
   const uint32_t* wp = packed.pair_constants.data() +
                        static_cast<size_t>(oc) * packed.pairs_per_chan;
   const size_t patch = static_cast<size_t>(packed.patch);
   for (int i = 0; i < packed.pairs_per_chan; ++i) {
     const uint32_t w = wp[i];
-    for (int j = 0; j < kBatchLanes; ++j) {
+    for (int j = 0; j < Lanes; ++j) {
       const int16_t* col = cols + static_cast<size_t>(j) * patch;
       acc[j] = smlad(w, pack_q15_pair(col[2 * i + 1], col[2 * i]), acc[j]);
     }
@@ -188,11 +67,12 @@ void packed_dot_lanes(const PackedWeights& packed, int oc,
   if (packed.has_single) {
     const uint32_t wlast = pack_q15_pair(
         0, packed.single_weights[static_cast<size_t>(oc)]);
-    for (int j = 0; j < kBatchLanes; ++j) {
+    for (int j = 0; j < Lanes; ++j) {
       const int16_t* col = cols + static_cast<size_t>(j) * patch;
       acc[j] = smlabb(wlast, pack_q15_pair(0, col[packed.patch - 1]), acc[j]);
     }
   }
+  return acc;
 }
 
 int32_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
@@ -202,11 +82,10 @@ int32_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
   return std::clamp(scaled, act_min, act_max);
 }
 
-}  // namespace
-
-void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
-                         std::span<const int8_t> in, std::span<int8_t> out,
-                         int batch) {
+template <int Lanes>
+void conv2d_lanes(const QConv2D& layer, const PackedWeights& packed,
+                  std::span<const int8_t> in, std::span<int8_t> out,
+                  int batch, std::span<int16_t> scratch) {
   const ConvGeom& g = layer.geom;
   check(packed.patch == g.patch_size() && packed.out_c == g.out_c,
         "packed weights do not match layer");
@@ -221,12 +100,12 @@ void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
         "batched conv output size mismatch");
   const size_t patch = static_cast<size_t>(g.patch_size());
 
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * patch);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
+  const Q15Scratch cols(scratch, static_cast<size_t>(Lanes) * patch);
+  for (int b0 = 0; b0 < batch; b0 += Lanes) {
+    const int bn = std::min(Lanes, batch - b0);
     // Padding lanes of a ragged tail keep whatever the zero-fill leaves;
     // they are computed but never stored.
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
+    if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
         for (int j = 0; j < bn; ++j) {
@@ -238,9 +117,8 @@ void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
         const size_t orow_off =
             (static_cast<size_t>(oy) * ow + ox) * g.out_c;
         for (int oc = 0; oc < g.out_c; ++oc) {
-          int32_t acc[kBatchLanes];
-          packed_dot_lanes(packed, oc, cols.data(),
-                           layer.bias[static_cast<size_t>(oc)], acc);
+          const auto acc = packed_dot_lanes<Lanes>(
+              packed, oc, cols.data(), layer.bias[static_cast<size_t>(oc)]);
           for (int j = 0; j < bn; ++j) {
             out[static_cast<size_t>(b0 + j) * out_elems + orow_off + oc] =
                 static_cast<int8_t>(requant_clamp(
@@ -253,9 +131,10 @@ void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
   }
 }
 
-void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
-                                   std::span<const int8_t> in,
-                                   std::span<int8_t> out, int batch) {
+template <int Lanes>
+void depthwise_lanes(const QDepthwiseConv2D& layer,
+                     std::span<const int8_t> in, std::span<int8_t> out,
+                     int batch, std::span<int16_t> scratch) {
   check(batch >= 1, "packed_depthwise_conv2d_batch: batch must be >= 1");
   const size_t in_elems =
       static_cast<size_t>(layer.in_h) * layer.in_w * layer.channels;
@@ -270,13 +149,16 @@ void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
   const int32_t zp = layer.in.zero_point;
   const size_t lane_stride = static_cast<size_t>(patch) * c;
 
-  // Lane-major blocks of the shared per-position q15 expansion:
-  // cols[j * patch * c + tap * c + ch] for image b0 + j. Each filter
-  // weight is then loaded once per tap and multiplied into all lanes.
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * lane_stride);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
+  // Lane-major blocks of the q15 expansion of the receptive field, one
+  // per position shared by all channels: cols[j * patch * c + tap * c +
+  // ch] for image b0 + j, matching the [k][k][c] weight order. Each
+  // filter weight is then loaded once per tap and multiplied into all
+  // lanes.
+  const Q15Scratch cols(scratch,
+                        static_cast<size_t>(Lanes) * lane_stride);
+  for (int b0 = 0; b0 < batch; b0 += Lanes) {
+    const int bn = std::min(Lanes, batch - b0);
+    if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
         for (int j = 0; j < bn; ++j) {
@@ -302,13 +184,13 @@ void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
         }
         const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * c;
         for (int ch = 0; ch < c; ++ch) {
-          int32_t acc[kBatchLanes];
-          for (int j = 0; j < kBatchLanes; ++j)
+          int32_t acc[Lanes];
+          for (int j = 0; j < Lanes; ++j)
             acc[j] = layer.bias[static_cast<size_t>(ch)];
           for (int t = 0; t < patch; ++t) {
             const int32_t w = layer.weights[static_cast<size_t>(t) * c + ch];
             const size_t tap_off = static_cast<size_t>(t) * c + ch;
-            for (int j = 0; j < kBatchLanes; ++j) {
+            for (int j = 0; j < Lanes; ++j) {
               acc[j] += static_cast<int32_t>(
                             cols[static_cast<size_t>(j) * lane_stride +
                                  tap_off]) *
@@ -327,9 +209,10 @@ void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
   }
 }
 
-void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
-                        std::span<const int8_t> in, std::span<int8_t> out,
-                        int batch) {
+template <int Lanes>
+void dense_lanes(const QDense& layer, const PackedWeights& packed,
+                 std::span<const int8_t> in, std::span<int8_t> out, int batch,
+                 std::span<int16_t> scratch) {
   check(packed.patch == layer.in_dim && packed.out_c == layer.out_dim,
         "packed weights do not match layer");
   check(batch >= 1, "packed_dense_batch: batch must be >= 1");
@@ -340,10 +223,12 @@ void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
   check(out.size() == out_elems * static_cast<size_t>(batch),
         "batched dense output size mismatch");
 
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * in_elems);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
+  // Expand each input once to zero-point-corrected q15 (CMSIS expands the
+  // activation vector for its q7 FC kernels the same way).
+  const Q15Scratch cols(scratch, static_cast<size_t>(Lanes) * in_elems);
+  for (int b0 = 0; b0 < batch; b0 += Lanes) {
+    const int bn = std::min(Lanes, batch - b0);
+    if (bn < Lanes) cols.zero();
     for (int j = 0; j < bn; ++j) {
       const int8_t* img = in.data() + static_cast<size_t>(b0 + j) * in_elems;
       int16_t* lane = cols.data() + static_cast<size_t>(j) * in_elems;
@@ -353,9 +238,8 @@ void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
       }
     }
     for (int oc = 0; oc < layer.out_dim; ++oc) {
-      int32_t acc[kBatchLanes];
-      packed_dot_lanes(packed, oc, cols.data(),
-                       layer.bias[static_cast<size_t>(oc)], acc);
+      const auto acc = packed_dot_lanes<Lanes>(
+          packed, oc, cols.data(), layer.bias[static_cast<size_t>(oc)]);
       for (int j = 0; j < bn; ++j) {
         out[static_cast<size_t>(b0 + j) * out_elems + oc] =
             static_cast<int8_t>(requant_clamp(acc[j], layer.requant,
@@ -364,6 +248,48 @@ void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
       }
     }
   }
+}
+
+}  // namespace
+
+void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
+                   std::span<const int8_t> in, std::span<int8_t> out,
+                   std::span<int16_t> scratch) {
+  conv2d_lanes<1>(layer, packed, in, out, 1, scratch);
+}
+
+void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
+                             std::span<const int8_t> in, std::span<int8_t> out,
+                             std::span<int16_t> scratch) {
+  depthwise_lanes<1>(layer, in, out, 1, scratch);
+}
+
+void packed_dense(const QDense& layer, const PackedWeights& packed,
+                  std::span<const int8_t> in, std::span<int8_t> out,
+                  std::span<int16_t> scratch) {
+  dense_lanes<1>(layer, packed, in, out, 1, scratch);
+}
+
+void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
+                         std::span<const int8_t> in, std::span<int8_t> out,
+                         int batch, std::span<int16_t> scratch) {
+  if (batch == 1) return packed_conv2d(layer, packed, in, out, scratch);
+  conv2d_lanes<kBatchLanes>(layer, packed, in, out, batch, scratch);
+}
+
+void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
+                                   std::span<const int8_t> in,
+                                   std::span<int8_t> out, int batch,
+                                   std::span<int16_t> scratch) {
+  if (batch == 1) return packed_depthwise_conv2d(layer, in, out, scratch);
+  depthwise_lanes<kBatchLanes>(layer, in, out, batch, scratch);
+}
+
+void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
+                        std::span<const int8_t> in, std::span<int8_t> out,
+                        int batch, std::span<int16_t> scratch) {
+  if (batch == 1) return packed_dense(layer, packed, in, out, scratch);
+  dense_lanes<kBatchLanes>(layer, packed, in, out, batch, scratch);
 }
 
 }  // namespace ataman

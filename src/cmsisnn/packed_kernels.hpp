@@ -7,6 +7,7 @@
 // instruction stream differs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -31,8 +32,33 @@ struct PackedWeights {
                             int patch);
 };
 
+// q15 working buffer of one kernel call: the caller's `scratch` when it
+// holds `n` elements (the plan walker passes arena scratch, so warm runs
+// never allocate), else an owned buffer. Contents are unspecified on
+// entry; every kernel writes what it reads.
+class Q15Scratch {
+ public:
+  Q15Scratch(std::span<int16_t> scratch, size_t n)
+      : owned_(scratch.size() < n ? n : 0),
+        buf_(scratch.size() < n ? std::span<int16_t>(owned_)
+                                : scratch.first(n)) {}
+  Q15Scratch(const Q15Scratch&) = delete;
+  Q15Scratch& operator=(const Q15Scratch&) = delete;
+
+  int16_t* data() const { return buf_.data(); }
+  int16_t& operator[](size_t i) const { return buf_[i]; }
+  void zero() const { std::fill(buf_.begin(), buf_.end(), int16_t{0}); }
+
+ private:
+  std::vector<int16_t> owned_;
+  std::span<int16_t> buf_;
+};
+
+// Every kernel below takes an optional `scratch` for its q15 working set
+// (see Q15Scratch); results never depend on it.
 void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
-                   std::span<const int8_t> in, std::span<int8_t> out);
+                   std::span<const int8_t> in, std::span<int8_t> out,
+                   std::span<int16_t> scratch = {});
 
 // Depthwise loop kernel in the arm_depthwise_conv_s8 shape: one shared
 // zero-point-corrected q15 patch expansion per output position (taps x
@@ -44,11 +70,12 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
 // (CortexM33CostTable::packed_depthwise_per_mac). Bit-exact with
 // depthwise_conv2d_ref.
 void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
-                             std::span<const int8_t> in,
-                             std::span<int8_t> out);
+                             std::span<const int8_t> in, std::span<int8_t> out,
+                             std::span<int16_t> scratch = {});
 
 void packed_dense(const QDense& layer, const PackedWeights& packed,
-                  std::span<const int8_t> in, std::span<int8_t> out);
+                  std::span<const int8_t> in, std::span<int8_t> out,
+                  std::span<int16_t> scratch = {});
 
 // ---- Batched variants -------------------------------------------------
 //
@@ -62,7 +89,8 @@ void packed_dense(const QDense& layer, const PackedWeights& packed,
 // width), and the requantize epilogue runs per lane-block. Ragged tails
 // are handled by computing all kBatchLanes lanes over a zero-padded
 // column block and storing only the live ones, so every inner loop has a
-// constant trip count.
+// constant trip count. Both forms are one kernel instantiated per lane
+// count: a per-image call (or a batch of one) runs a single lane.
 
 // Images per accumulator block: four int32 accumulators span one 128-bit
 // SSE/NEON register, so the fixed-trip-count lane loops auto-vectorize.
@@ -70,14 +98,15 @@ inline constexpr int kBatchLanes = 4;
 
 void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
                          std::span<const int8_t> in, std::span<int8_t> out,
-                         int batch);
+                         int batch, std::span<int16_t> scratch = {});
 
 void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
                                    std::span<const int8_t> in,
-                                   std::span<int8_t> out, int batch);
+                                   std::span<int8_t> out, int batch,
+                                   std::span<int16_t> scratch = {});
 
 void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
                         std::span<const int8_t> in, std::span<int8_t> out,
-                        int batch);
+                        int batch, std::span<int16_t> scratch = {});
 
 }  // namespace ataman

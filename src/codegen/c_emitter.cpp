@@ -336,10 +336,8 @@ std::string emit_model_c(const QModel& model, const SkipMask* mask,
     const QLayer& layer = model.layers[static_cast<size_t>(l)];
     const int64_t out_size = describe_layer(layer).out_elems;
     const uint8_t* skip = nullptr;
-    if (describe_layer(layer).skippable && mask != nullptr &&
-        approx_i < static_cast<int>(mask->masks.size()) &&
-        !mask->masks[static_cast<size_t>(approx_i)].empty())
-      skip = mask->masks[static_cast<size_t>(approx_i)].data();
+    if (describe_layer(layer).skippable && mask != nullptr)
+      skip = mask->row(approx_i);
     std::string fn;
     if (const auto* conv = std::get_if<QConv2D>(&layer)) {
       const UnpackedConv u = UnpackedConv::build(*conv, skip);

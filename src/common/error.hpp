@@ -31,6 +31,15 @@ inline void check(bool cond, const std::string& message,
   if (!cond) detail::throw_error(message, loc);
 }
 
+// Literal-message overload: a passing check builds no std::string, so
+// checks on per-pixel and per-step paths cost one branch. Messages that
+// need concatenation belong behind `if (!cond) fail(...)` on hot paths.
+inline void check(bool cond, const char* message,
+                  const std::source_location loc =
+                      std::source_location::current()) {
+  if (!cond) detail::throw_error(message, loc);
+}
+
 [[noreturn]] inline void fail(
     const std::string& message,
     const std::source_location loc = std::source_location::current()) {

@@ -47,15 +47,16 @@ constexpr int conv_out_extent(int in, int kernel, int stride, int pad) {
 // all enforce this instead.
 inline void validate_pool_geometry(int in_h, int in_w, int kernel, int stride,
                                    const char* what) {
-  check(kernel >= 1 && stride >= 1,
-        std::string(what) + ": pool kernel/stride must be positive");
-  check(in_h >= kernel && in_w >= kernel,
-        std::string(what) + ": pool window exceeds the input extent");
-  check((in_h - kernel) % stride == 0 && (in_w - kernel) % stride == 0,
-        std::string(what) +
-            ": pool window does not tile the input exactly "
-            "((extent - kernel) % stride != 0); pick a covering geometry "
-            "so no engine has to invent edge-pixel semantics");
+  // Runs on every pool execution: no message is built unless it fails.
+  if (kernel < 1 || stride < 1)
+    fail(std::string(what) + ": pool kernel/stride must be positive");
+  if (in_h < kernel || in_w < kernel)
+    fail(std::string(what) + ": pool window exceeds the input extent");
+  if ((in_h - kernel) % stride != 0 || (in_w - kernel) % stride != 0)
+    fail(std::string(what) +
+         ": pool window does not tile the input exactly "
+         "((extent - kernel) % stride != 0); pick a covering geometry "
+         "so no engine has to invent edge-pixel semantics");
 }
 
 }  // namespace ataman

@@ -16,12 +16,13 @@
 #include <vector>
 
 #include "src/codegen/c_emitter.hpp"
+#include "src/core/engine_iface.hpp"
 #include "src/data/synth_cifar.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/mcu/board.hpp"
+#include "src/mcu/cost_model.hpp"
 #include "src/quant/quantizer.hpp"
 #include "src/train/model_zoo.hpp"
-#include "src/xcube/xcube_engine.hpp"
 
 namespace ataman {
 

@@ -4,23 +4,17 @@
 #include "src/core/eval.hpp"
 #include "src/nn/engine.hpp"
 #include "src/unpack/unpacked_engine.hpp"
-#include "src/xcube/xcube_engine.hpp"
 
 namespace ataman {
 
 std::vector<int8_t> InferenceEngine::quantize_input(
     std::span<const uint8_t> image) const {
   const QModel& m = model();
-  const int64_t expected =
-      static_cast<int64_t>(m.in_h) * m.in_w * m.in_c;
-  check(static_cast<int64_t>(image.size()) == expected,
+  check(static_cast<int64_t>(image.size()) ==
+            static_cast<int64_t>(m.in_h) * m.in_w * m.in_c,
         "input image size mismatch");
   std::vector<int8_t> q(image.size());
-  for (size_t i = 0; i < image.size(); ++i) {
-    // input scale is 1/255 with zero_point -128: q = pixel - 128 exactly.
-    const float real = static_cast<float>(image[i]) / 255.0f;
-    q[i] = m.input.quantize(real);
-  }
+  quantize_pixels(m.input, image, q);
   return q;
 }
 
@@ -52,9 +46,9 @@ int InferenceEngine::classify(std::span<const uint8_t> image) const {
 }
 
 double InferenceEngine::score(std::span<const uint8_t> image) const {
-  check(model().head == TaskHead::kScore,
-        "score() on engine '" + design_name_ +
-            "': model '" + model().name + "' has an argmax head");
+  if (model().head != TaskHead::kScore)
+    fail("score() on engine '" + design_name_ + "': model '" + model().name +
+         "' has an argmax head");
   return reconstruction_score(model(), quantize_input(image), run(image));
 }
 
@@ -122,7 +116,7 @@ EngineRegistry::EngineRegistry() {
                                             cfg.memory, cfg.unpack_selection);
   };
   factories_["xcube"] = [](const EngineConfig& cfg) {
-    return std::make_unique<XCubeEngine>(
+    return std::make_unique<CmsisEngine>(
         cfg.model, cfg.xcube != nullptr ? *cfg.xcube : XCubeCostTable{});
   };
 }

@@ -1,9 +1,9 @@
 // The one inference-engine seam of the repo.
 //
 // Every backend — the golden reference kernels (`src/nn`), the packed
-// CMSIS-NN-style baseline (`src/cmsisnn`), the paper's unpacked
-// approximate engine (`src/unpack`) and the X-CUBE-AI comparator
-// (`src/xcube`) — implements `InferenceEngine` and registers a factory
+// CMSIS-NN-style baseline and the X-CUBE-AI comparator priced over it
+// (`src/cmsisnn`), and the paper's unpacked approximate engine
+// (`src/unpack`) — implements `InferenceEngine` and registers a factory
 // with `EngineRegistry`. Evaluation loops (the DSE, the Table II bench,
 // the CLI) only ever talk to this interface, so adding a backend is a
 // single registration, not a new wiring job per call site.
@@ -34,7 +34,6 @@
 namespace ataman {
 
 struct SkipMask;
-struct XCubeCostTable;
 
 // Lowest-index-wins argmax over int8 logits. Ties between logits are
 // common at int8 precision; every `classify` implementation (and any
@@ -114,13 +113,6 @@ class InferenceEngine {
   // Full inference; returns the final layer's int8 logits.
   virtual std::vector<int8_t> run(std::span<const uint8_t> image) const = 0;
 
-  // Whether run_batch has a real batch-amortized implementation (weights /
-  // unpacked programs streamed once per batch, wide accumulators) rather
-  // than the default per-image fallback loop. Either way run_batch is
-  // callable on every backend; this flag only reports whether batching
-  // buys throughput.
-  virtual bool supports_run_batch() const { return false; }
-
   // Batched inference: one logits vector per input image, bitwise
   // identical to calling run() on each image in isolation — batch size,
   // batch composition (including duplicate images) and ragged final
@@ -129,11 +121,11 @@ class InferenceEngine {
   // hard error.
   //
   // The default implementation loops run() per image, so out-of-tree
-  // backends keep working unchanged. NOTE for subclassers of in-tree
-  // engines: a batch-amortized override executes kernels directly and
-  // does NOT call run() per image — an engine that intercepts execution
-  // by overriding run() must override run_batch too (tests/test_serve.cpp
-  // GateEngine is the in-tree example).
+  // backends keep working unchanged. The in-tree engines walk their
+  // compiled plan over the whole batch instead (src/core/exec_plan.hpp)
+  // and do NOT call run() per image — a subclass that intercepts
+  // execution by overriding run() must override run_batch too
+  // (tests/test_serve.cpp GateEngine is the in-tree example).
   virtual void run_batch(std::span<const std::span<const uint8_t>> images,
                          std::vector<std::vector<int8_t>>& logits_out) const;
 
@@ -245,8 +237,9 @@ class InferenceEngine {
   // everywhere (a silent zero-output success would hide scheduler bugs).
   void check_batch_nonempty(
       std::span<const std::span<const uint8_t>> images) const {
-    check(!images.empty(), "run_batch on engine '" + design_name_ +
-                               "': batch must contain at least one image");
+    if (images.empty())
+      fail("run_batch on engine '" + design_name_ +
+           "': batch must contain at least one image");
   }
 
  private:

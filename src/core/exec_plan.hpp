@@ -1,0 +1,95 @@
+// Compiled execution plan: the layer DAG of a QModel resolved once, when
+// an engine is built, into a flat step list over one activation arena —
+// model-structure handling moved offline, as the paper's customized
+// runtime does (§II-A). Every engine (ref, cmsis, unpacked, xcube) runs
+// the same plan through the same walker; an engine only contributes its
+// kernel table, i.e. how it executes one step.
+//
+// Arena layout: tensor ids follow QModel (0 = network input, l+1 = the
+// output of layer l). Each tensor lives in its liveness slot from the
+// shared activation plan (src/mcu/memory_model), and slots are laid out
+// back to back, so one image needs `arena_elems` int8 elements — the
+// peak-RAM placement the memory model reports. A batch of B images
+// scales every slot by B: tensor t occupies [offset*B, (offset+elems)*B)
+// with image b at offset*B + b*elems, which is the contiguous batched
+// layout the batched kernels expect.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "src/quant/qtypes.hpp"
+
+namespace ataman {
+
+// One tensor's place in the arena, in single-image units.
+struct PlanTensor {
+  int id = -1;         // QModel tensor id; -1 = no such operand
+  int64_t offset = 0;  // start of its liveness slot
+  int64_t elems = 0;
+};
+
+struct ExecStep {
+  OpKind kind = OpKind::kConv;
+  int layer = 0;            // index into QModel::layers
+  int approx_ordinal = -1;  // approximable-layer ordinal; -1 if none
+  PlanTensor in[2];         // in[1].id == -1 except for QAdd
+  PlanTensor out;           // out.elems is the step's out_elems
+};
+
+// A step's operands over a batch, as the walker hands them to a kernel.
+struct StepIO {
+  std::span<const int8_t> in_a, in_b;  // in_b is empty unless QAdd
+  std::span<int8_t> out;
+  int batch = 1;
+  std::span<int16_t> scratch;  // q15 kernel working memory (Q15Scratch)
+
+  // The same operands restricted to image `b` of the batch.
+  StepIO image(int b) const;
+};
+
+// One engine's kernels: executes `step` over the batch in `io`.
+class KernelTable {
+ public:
+  virtual void run_step(const ExecStep& step, const StepIO& io) const = 0;
+
+ protected:
+  ~KernelTable() = default;
+};
+
+// Runs `layer` through the reference kernels one image at a time; `skip`
+// applies to approximable layers.
+void run_step_ref(const QLayer& layer, const StepIO& io,
+                  const uint8_t* skip = nullptr);
+
+struct ExecPlan {
+  std::vector<ExecStep> steps;      // one per layer, in stored order
+  std::vector<PlanTensor> tensors;  // by tensor id
+  int64_t arena_elems = 0;          // one image's activations
+  int64_t scratch_elems = 0;        // largest per-image q15 working set
+  QuantParams input;
+
+  static ExecPlan compile(const QModel& model);
+
+  // The walker. Each call allocates one arena for its batch (plus the
+  // kernels' q15 scratch, in the same allocation), quantizes the images
+  // straight into tensor 0 and runs the steps in order. Nothing outside
+  // the call is written, so one const engine serves any number of
+  // threads.
+  std::vector<int8_t> run(std::span<const uint8_t> image,
+                          const KernelTable& kernels) const;
+  // `logits_out` is resized to the batch; its entries are overwritten in
+  // place, so a correctly sized buffer costs no further allocation.
+  void run_batch(std::span<const std::span<const uint8_t>> images,
+                 const KernelTable& kernels,
+                 std::vector<std::vector<int8_t>>& logits_out) const;
+  // Resume at a layer boundary: `activations` is tensor `first_step`,
+  // and steps [first_step, end) run. The caller guarantees the boundary
+  // is linear (QModel::linear_boundary).
+  std::vector<int8_t> run_from(int first_step,
+                               std::span<const int8_t> activations,
+                               const KernelTable& kernels) const;
+};
+
+}  // namespace ataman

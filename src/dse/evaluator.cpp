@@ -15,11 +15,7 @@ UnpackStats compute_unpack_stats(const QModel& model, const SkipMask& mask) {
   for (const QLayer& layer : model.layers) {
     const OpDescriptor d = describe_layer(layer);
     if (!d.skippable) continue;
-    const uint8_t* m = nullptr;
-    if (ordinal < static_cast<int>(mask.masks.size()) &&
-        !mask.masks[static_cast<size_t>(ordinal)].empty()) {
-      m = mask.masks[static_cast<size_t>(ordinal)].data();
-    }
+    const uint8_t* m = mask.row(ordinal);
     int64_t pairs = 0, singles = 0, retained_static = 0;
     for (int ch = 0; ch < d.channels; ++ch) {
       int retained = 0;
@@ -115,71 +111,31 @@ DseResult ConfigEvaluator::static_metrics(const ApproxConfig& config,
   // conv/depthwise position terms scale to the splice plan's recomputed
   // positions (the plan is pure geometry, shared across configs) plus
   // the band copy; everything else recomputes in full.
-  const bool streaming = stream_stride_ > 0;
-  double cycles = 0.0;
-  double stream_cycles = 0.0;
-  int ordinal = 0;
-  int out_dim = 0;
-  for (size_t l = 0; l < model_->layers.size(); ++l) {
-    const QLayer& layer = model_->layers[l];
-    const StreamLayerPlan* lp =
-        streaming ? &stream_plan_.layers[l] : nullptr;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      cycles += static_cast<double>(unpacked_conv_cycles(
-          *conv, stats.static_pairs[static_cast<size_t>(ordinal)],
-          stats.static_singles[static_cast<size_t>(ordinal)], costs_));
-      if (streaming) {
-        stream_cycles += static_cast<double>(unpacked_conv_stream_cycles(
-            *conv, stats.static_pairs[static_cast<size_t>(ordinal)],
-            stats.static_singles[static_cast<size_t>(ordinal)],
-            lp->recomputed_positions, costs_));
+  const PriceList prices{PriceList::Family::kUnpacked, costs_, {}};
+  const ModelPrice price = price_model(*model_, prices, stats.static_pairs,
+                                       stats.static_singles);
+  r.cycles = price.total_cycles;
+  if (stream_stride_ > 0) {
+    double stream_cycles = 0.0;
+    int ordinal = 0;
+    for (size_t l = 0; l < model_->layers.size(); ++l) {
+      const QLayer& layer = model_->layers[l];
+      const StreamLayerPlan& lp = stream_plan_.layers[l];
+      int64_t pairs = -1, singles = 0;
+      if (describe_layer(layer).skippable) {
+        pairs = stats.static_pairs[static_cast<size_t>(ordinal)];
+        singles = stats.static_singles[static_cast<size_t>(ordinal)];
+        ++ordinal;
       }
-      ++ordinal;
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      cycles += static_cast<double>(unpacked_depthwise_cycles(
-          *dw, stats.static_pairs[static_cast<size_t>(ordinal)],
-          stats.static_singles[static_cast<size_t>(ordinal)], costs_));
-      if (streaming) {
-        stream_cycles += static_cast<double>(unpacked_depthwise_stream_cycles(
-            *dw, stats.static_pairs[static_cast<size_t>(ordinal)],
-            stats.static_singles[static_cast<size_t>(ordinal)],
-            lp->recomputed_positions, costs_));
+      add_step_cycles(stream_cycles, layer, prices, pairs, singles,
+                      lp.recomputed_positions);
+      if (lp.spliced) {
+        stream_cycles += costs_.stream_splice_per_elem *
+                         static_cast<double>(lp.splice_hi - lp.splice_lo) *
+                         static_cast<double>(lp.out_rows) * lp.out_ch;
       }
-      ++ordinal;
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      cycles += costs_.layer_dispatch +
-                static_cast<double>(pool_cycles(*pool, costs_));
-      stream_cycles += costs_.layer_dispatch +
-                       static_cast<double>(pool_cycles(*pool, costs_));
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      cycles += costs_.layer_dispatch +
-                static_cast<double>(avgpool_cycles(*pool, costs_));
-      stream_cycles += costs_.layer_dispatch +
-                       static_cast<double>(avgpool_cycles(*pool, costs_));
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      cycles += costs_.layer_dispatch +
-                static_cast<double>(dense_cycles(*fc, costs_));
-      stream_cycles += costs_.layer_dispatch +
-                       static_cast<double>(dense_cycles(*fc, costs_));
-      out_dim = fc->out_dim;
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      // Residual adds are never unpacked or approximated: same
-      // requantize-and-add cost as the deploying engine charges.
-      cycles += costs_.layer_dispatch +
-                static_cast<double>(qadd_cycles(*add, costs_));
-      stream_cycles += costs_.layer_dispatch +
-                       static_cast<double>(qadd_cycles(*add, costs_));
     }
-    if (streaming && lp->spliced) {
-      stream_cycles += costs_.stream_splice_per_elem *
-                       static_cast<double>(lp->splice_hi - lp->splice_lo) *
-                       static_cast<double>(lp->out_rows) * lp->out_ch;
-    }
-  }
-  cycles += costs_.softmax_per_logit * out_dim;
-  stream_cycles += costs_.softmax_per_logit * out_dim;
-  r.cycles = static_cast<int64_t>(cycles);
-  if (streaming) {
+    stream_cycles += price.softmax;
     r.stream_cycles_per_frame = static_cast<int64_t>(stream_cycles);
     r.stream_energy_mj_per_frame =
         BoardSpec{}.energy_mj(r.stream_cycles_per_frame);

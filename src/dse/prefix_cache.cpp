@@ -164,12 +164,11 @@ void PrefixCache::run_range(int begin, int end,
     }
     const std::vector<int> ins = model_->inputs_of(l);
     std::vector<int8_t>& dst = local[static_cast<size_t>(l - begin)];
-    if (const auto* add = std::get_if<QAdd>(layer)) {
-      dst.assign(static_cast<size_t>(add->elems()), 0);
-      qadd_ref(*add, tensor_of(ins[0]), tensor_of(ins[1]), dst);
-    } else {
-      run_layer_ref(*layer, tensor_of(ins[0]), dst, nullptr);
-    }
+    dst.assign(static_cast<size_t>(describe_layer(*layer).out_elems), 0);
+    run_layer_ref(*layer, tensor_of(ins[0]),
+                  ins.size() > 1 ? std::span<const int8_t>(tensor_of(ins[1]))
+                                 : std::span<const int8_t>(),
+                  dst);
   }
   out = std::move(local.back());
 }

@@ -11,6 +11,29 @@ bool packed_conv_uses_fast_path(const QConv2D& layer) {
   return layer.geom.in_c % 4 == 0 && layer.geom.out_c % 2 == 0;
 }
 
+namespace {
+
+// An unpacked conv/depthwise program (`d`: its channel and position
+// counts) replayed at `recomputed` of its output positions: setup, then
+// the retained pairs/singles and the per-channel epilogue per position.
+int64_t unpacked_program_cycles(const OpDescriptor& d, int64_t static_pairs,
+                                int64_t static_singles, int64_t recomputed,
+                                const CortexM33CostTable& t) {
+  check(static_pairs >= 0 && static_singles >= 0,
+        "negative retained op counts");
+  check(recomputed >= 0 && recomputed <= d.positions,
+        "recomputed positions out of range");
+  double cycles = t.unpacked_layer_setup;
+  cycles += t.unpacked_per_pair * static_cast<double>(static_pairs * recomputed);
+  cycles +=
+      t.unpacked_per_single * static_cast<double>(static_singles * recomputed);
+  cycles +=
+      t.unpacked_chan_epilogue * static_cast<double>(recomputed * d.channels);
+  return static_cast<int64_t>(std::llround(cycles));
+}
+
+}  // namespace
+
 int64_t packed_conv_cycles(const QConv2D& layer, const CortexM33CostTable& t) {
   const ConvGeom& g = layer.geom;
   const int64_t positions = g.positions();
@@ -39,16 +62,8 @@ int64_t packed_conv_cycles(const QConv2D& layer, const CortexM33CostTable& t) {
 int64_t unpacked_conv_cycles(const QConv2D& layer, int64_t static_pairs,
                              int64_t static_singles,
                              const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  const int64_t positions = layer.geom.positions();
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair * static_cast<double>(static_pairs * positions);
-  cycles +=
-      t.unpacked_per_single * static_cast<double>(static_singles * positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(positions * layer.geom.out_c);
-  return static_cast<int64_t>(std::llround(cycles));
+  return unpacked_conv_stream_cycles(layer, static_pairs, static_singles,
+                                     layer.geom.positions(), t);
 }
 
 int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
@@ -64,16 +79,8 @@ int64_t unpacked_depthwise_cycles(const QDepthwiseConv2D& layer,
                                   int64_t static_pairs,
                                   int64_t static_singles,
                                   const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  const int64_t positions = layer.positions();
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair * static_cast<double>(static_pairs * positions);
-  cycles +=
-      t.unpacked_per_single * static_cast<double>(static_singles * positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(positions * layer.channels);
-  return static_cast<int64_t>(std::llround(cycles));
+  return unpacked_depthwise_stream_cycles(layer, static_pairs, static_singles,
+                                          layer.positions(), t);
 }
 
 int64_t dense_cycles(const QDense& layer, const CortexM33CostTable& t) {
@@ -110,28 +117,151 @@ int64_t qadd_cycles(const QAdd& layer, const CortexM33CostTable& t) {
       std::llround(t.qadd_per_elem * static_cast<double>(layer.elems())));
 }
 
-int64_t packed_model_cycles(const QModel& model, const CortexM33CostTable& t) {
-  double total = 0.0;
-  int out_dim = 0;
-  for (const QLayer& layer : model.layers) {
-    total += t.layer_dispatch;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      total += static_cast<double>(packed_conv_cycles(*conv, t));
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      total += static_cast<double>(packed_depthwise_cycles(*dw, t));
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      total += static_cast<double>(pool_cycles(*pool, t));
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      total += static_cast<double>(avgpool_cycles(*pool, t));
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      total += static_cast<double>(dense_cycles(*fc, t));
-      out_dim = fc->out_dim;
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      total += static_cast<double>(qadd_cycles(*add, t));
+namespace {
+
+// Packed (CMSIS-style) kernel cycles of one layer, dispatch excluded.
+int64_t packed_kernel_cycles(const QLayer& layer,
+                             const CortexM33CostTable& t) {
+  if (const auto* conv = std::get_if<QConv2D>(&layer))
+    return packed_conv_cycles(*conv, t);
+  if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer))
+    return packed_depthwise_cycles(*dw, t);
+  if (const auto* pool = std::get_if<QMaxPool>(&layer))
+    return pool_cycles(*pool, t);
+  if (const auto* pool = std::get_if<QAvgPool>(&layer))
+    return avgpool_cycles(*pool, t);
+  if (const auto* fc = std::get_if<QDense>(&layer))
+    return dense_cycles(*fc, t);
+  return qadd_cycles(std::get<QAdd>(layer), t);
+}
+
+// X-CUBE-AI: dispatch plus the fused-kernel terms, each added to `total`
+// unrounded and in order.
+void add_xcube_cycles(double& total, const QLayer& layer,
+                      const XCubeCostTable& x) {
+  total += x.layer_dispatch;
+  if (const auto* conv = std::get_if<QConv2D>(&layer)) {
+    const ConvGeom& g = conv->geom;
+    total += x.im2col_per_elem * static_cast<double>(g.positions()) *
+             g.patch_size();
+    if (packed_conv_uses_fast_path(*conv)) {
+      total += x.fast_per_pair * static_cast<double>(g.positions()) *
+               g.out_c * (g.patch_size() / 2);
+      total += x.basic_per_mac * static_cast<double>(g.positions()) *
+               g.out_c * (g.patch_size() % 2);
+    } else {
+      total += x.basic_per_mac * static_cast<double>(g.macs());
     }
+    total += x.chan_epilogue * static_cast<double>(g.positions()) * g.out_c;
+  } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
+    // Depthwise stays on the non-SIMD path (per-channel filters cannot
+    // feed the fused dual-MAC kernel), with the fused epilogue.
+    total += x.basic_per_mac * static_cast<double>(dw->macs());
+    total += x.chan_epilogue * static_cast<double>(dw->positions()) *
+             dw->channels;
+  } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
+    total += x.pool_per_output_elem_per_tap *
+             static_cast<double>(pool->out_h()) * pool->out_w() *
+             pool->channels * pool->kernel * pool->kernel;
+  } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
+    total += x.pool_per_output_elem_per_tap *
+             static_cast<double>(pool->out_h()) * pool->out_w() *
+             pool->channels * (pool->kernel * pool->kernel + 2);
+  } else if (const auto* fc = std::get_if<QDense>(&layer)) {
+    total += x.fc_per_pair * static_cast<double>(fc->out_dim) *
+             (fc->in_dim / 2);
+    total += x.fc_out_epilogue * static_cast<double>(fc->out_dim);
+  } else if (const auto* add = std::get_if<QAdd>(&layer)) {
+    total += x.qadd_per_elem * static_cast<double>(add->elems());
   }
-  total += t.softmax_per_logit * out_dim;
-  return static_cast<int64_t>(std::llround(total));
+}
+
+// Profile label of one step: the op, and on the unpacked list which form
+// an approximable layer took.
+const char* step_label(OpKind kind, PriceList::Family family,
+                       bool unpacked) {
+  const bool split = family == PriceList::Family::kUnpacked;
+  switch (kind) {
+    case OpKind::kConv:
+      return !split ? "conv" : unpacked ? "conv(unpacked)" : "conv(packed)";
+    case OpKind::kDepthwise:
+      return !split     ? "depthwise"
+             : unpacked ? "depthwise(unpacked)"
+                        : "depthwise(packed)";
+    case OpKind::kMaxPool: return "pool";
+    case OpKind::kAvgPool: return "avgpool";
+    case OpKind::kDense: return "fc";
+    case OpKind::kAdd: return "add";
+  }
+  return "?";
+}
+
+}  // namespace
+
+double add_step_cycles(double& total, const QLayer& layer,
+                       const PriceList& prices, int64_t static_pairs,
+                       int64_t static_singles,
+                       int64_t recomputed_positions) {
+  const double before = total;
+  const CortexM33CostTable& t = prices.m33;
+  if (prices.family == PriceList::Family::kXCube) {
+    add_xcube_cycles(total, layer, prices.xcube);
+  } else if (prices.family == PriceList::Family::kUnpacked &&
+             static_pairs >= 0 && describe_layer(layer).skippable) {
+    // The unpacked program's setup replaces the runtime dispatch.
+    const OpDescriptor d = describe_layer(layer);
+    total += static_cast<double>(unpacked_program_cycles(
+        d, static_pairs, static_singles,
+        recomputed_positions >= 0 ? recomputed_positions : d.positions, t));
+  } else {
+    total += t.layer_dispatch +
+             static_cast<double>(packed_kernel_cycles(layer, t));
+  }
+  return total - before;
+}
+
+ModelPrice price_model(const QModel& model, const PriceList& prices,
+                       const std::vector<int64_t>& static_pairs,
+                       const std::vector<int64_t>& static_singles) {
+  check(static_pairs.size() == static_singles.size(),
+        "pair/single vectors must align");
+  ModelPrice r;
+  int ordinal = 0;
+  int logits = 0;
+  for (const QLayer& layer : model.layers) {
+    const OpDescriptor d = describe_layer(layer);
+    int64_t pairs = -1, singles = 0;
+    if (d.skippable) {
+      if (ordinal < static_cast<int>(static_pairs.size())) {
+        pairs = static_pairs[static_cast<size_t>(ordinal)];
+        singles = static_singles[static_cast<size_t>(ordinal)];
+      }
+      ++ordinal;
+    }
+    const bool unpacked = prices.family == PriceList::Family::kUnpacked &&
+                          d.skippable && pairs >= 0;
+    const double c = add_step_cycles(r.cycles, layer, prices, pairs, singles);
+    const int64_t macs =
+        unpacked ? (2 * pairs + singles) * d.positions : d.macs;
+    r.macs += macs;
+    r.rows.push_back({step_label(d.kind, prices.family, unpacked),
+                      static_cast<int64_t>(c), macs});
+    if (d.kind == OpKind::kDense) logits = d.out_dim;
+  }
+  const bool xcube = prices.family == PriceList::Family::kXCube;
+  r.softmax = (xcube ? prices.xcube.softmax_per_logit
+                     : prices.m33.softmax_per_logit) *
+              logits;
+  r.cycles += r.softmax;
+  r.rows.push_back({"softmax", static_cast<int64_t>(r.softmax), 0});
+  r.total_cycles = xcube ? static_cast<int64_t>(std::llround(r.cycles))
+                         : static_cast<int64_t>(r.cycles);
+  return r;
+}
+
+int64_t packed_model_cycles(const QModel& model, const CortexM33CostTable& t) {
+  return static_cast<int64_t>(std::llround(
+      price_model(model, PriceList{PriceList::Family::kPacked, t}).cycles));
 }
 
 BatchedCycleRow batched_packed_model_cycles(const QModel& model, int batch,
@@ -169,28 +299,18 @@ StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
   for (size_t l = 0; l < model.layers.size(); ++l) {
     const QLayer& layer = model.layers[l];
     const StreamLayerPlan& lp = plan.layers[l];
+    const OpDescriptor d = describe_layer(layer);
     total += t.layer_dispatch;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      // Every packed-conv term (im2col, MACs, epilogue) is proportional
-      // to output positions, so the streamed layer scales by the
-      // recomputed fraction of the plan.
-      total += static_cast<double>(packed_conv_cycles(*conv, t)) *
-               static_cast<double>(lp.recomputed_positions) /
-               static_cast<double>(lp.total_positions);
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      total += static_cast<double>(packed_depthwise_cycles(*dw, t)) *
-               static_cast<double>(lp.recomputed_positions) /
-               static_cast<double>(lp.total_positions);
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      total += static_cast<double>(pool_cycles(*pool, t));
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      total += static_cast<double>(avgpool_cycles(*pool, t));
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      total += static_cast<double>(dense_cycles(*fc, t));
-      out_dim = fc->out_dim;
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      total += static_cast<double>(qadd_cycles(*add, t));
+    double c = static_cast<double>(packed_kernel_cycles(layer, t));
+    // Every packed conv/depthwise term (im2col, MACs, epilogue) is
+    // proportional to output positions, so the streamed layer scales by
+    // the recomputed fraction of the plan.
+    if (d.skippable) {
+      c = c * static_cast<double>(lp.recomputed_positions) /
+          static_cast<double>(lp.total_positions);
     }
+    total += c;
+    if (d.kind == OpKind::kDense) out_dim = d.out_dim;
     if (lp.spliced) {
       total += t.stream_splice_per_elem *
                static_cast<double>(lp.splice_hi - lp.splice_lo) *
@@ -206,19 +326,8 @@ int64_t unpacked_conv_stream_cycles(const QConv2D& layer, int64_t static_pairs,
                                     int64_t static_singles,
                                     int64_t recomputed_positions,
                                     const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  check(recomputed_positions >= 0 &&
-            recomputed_positions <= layer.geom.positions(),
-        "recomputed positions out of range");
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair *
-            static_cast<double>(static_pairs * recomputed_positions);
-  cycles += t.unpacked_per_single *
-            static_cast<double>(static_singles * recomputed_positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(recomputed_positions * layer.geom.out_c);
-  return static_cast<int64_t>(std::llround(cycles));
+  return unpacked_program_cycles(describe_layer(layer), static_pairs,
+                                 static_singles, recomputed_positions, t);
 }
 
 int64_t unpacked_depthwise_stream_cycles(const QDepthwiseConv2D& layer,
@@ -226,19 +335,8 @@ int64_t unpacked_depthwise_stream_cycles(const QDepthwiseConv2D& layer,
                                          int64_t static_singles,
                                          int64_t recomputed_positions,
                                          const CortexM33CostTable& t) {
-  check(static_pairs >= 0 && static_singles >= 0,
-        "negative retained op counts");
-  check(recomputed_positions >= 0 &&
-            recomputed_positions <= layer.positions(),
-        "recomputed positions out of range");
-  double cycles = t.unpacked_layer_setup;
-  cycles += t.unpacked_per_pair *
-            static_cast<double>(static_pairs * recomputed_positions);
-  cycles += t.unpacked_per_single *
-            static_cast<double>(static_singles * recomputed_positions);
-  cycles += t.unpacked_chan_epilogue *
-            static_cast<double>(recomputed_positions * layer.channels);
-  return static_cast<int64_t>(std::llround(cycles));
+  return unpacked_program_cycles(describe_layer(layer), static_pairs,
+                                 static_singles, recomputed_positions, t);
 }
 
 void attach_streaming_row(DeployReport& report, const QModel& model,

@@ -10,25 +10,32 @@ namespace ataman {
 
 namespace {
 
-// Span-out dispatch of one layer through its reference kernel. `in_b` is
-// the second QAdd operand (unused for every other kind).
-void run_layer_into(const QLayer& layer, std::span<const int8_t> in_a,
-                    std::span<const int8_t> in_b, std::span<int8_t> out,
-                    const uint8_t* skip) {
-  if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-    conv2d_ref(*conv, in_a, out, skip);
-  } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-    depthwise_conv2d_ref(*dw, in_a, out, skip);
-  } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-    maxpool_ref(*pool, in_a, out);
-  } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-    avgpool_ref(*pool, in_a, out);
-  } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-    dense_ref(*fc, in_a, out);
-  } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-    qadd_ref(*add, in_a, in_b, out);
+// Reference kernel table: every step through the reference kernels,
+// image by image, under `mask` (the skip row looked up by approximable
+// ordinal at run time) and with the optional conv-input tap.
+class RefKernels final : public KernelTable {
+ public:
+  RefKernels(const QModel& model, const SkipMask* mask, const ConvTap* tap)
+      : model_(model), mask_(mask), tap_(tap) {}
+
+  void run_step(const ExecStep& step, const StepIO& io) const override {
+    const QLayer& layer = model_.layers[static_cast<size_t>(step.layer)];
+    const uint8_t* skip = nullptr;
+    if (step.approx_ordinal >= 0) {
+      if (tap_ != nullptr && *tap_) {
+        for (int b = 0; b < io.batch; ++b)
+          (*tap_)(step.approx_ordinal, layer, io.image(b).in_a);
+      }
+      if (mask_ != nullptr) skip = mask_->row(step.approx_ordinal);
+    }
+    run_step_ref(layer, io, skip);
   }
-}
+
+ private:
+  const QModel& model_;
+  const SkipMask* mask_;
+  const ConvTap* tap_;
+};
 
 // Executed (non-skipped) MACs per output position of an approximable
 // layer under `skip` — the mask-aware analogue of op.macs / positions.
@@ -44,20 +51,17 @@ int64_t retained_macs_per_position(const OpDescriptor& op,
 }  // namespace
 
 RefEngine::RefEngine(const QModel* model)
-    : InferenceEngine(model, "ref"), plan_(plan_activations(*model)) {}
+    : InferenceEngine(model, "ref"), plan_(ExecPlan::compile(*model)) {}
 
 std::vector<int8_t> RefEngine::run(std::span<const uint8_t> image) const {
   return run(image, default_mask_);
 }
 
-int RefEngine::classify(std::span<const uint8_t> image) const {
-  return classify(image, default_mask_);
-}
-
 std::vector<int8_t> RefEngine::run(std::span<const uint8_t> image,
                                    const SkipMask* mask,
                                    const ConvTap& tap) const {
-  return run_layers(0, quantize_input(image), mask, tap);
+  if (mask != nullptr) mask->validate(model());
+  return plan_.run(image, RefKernels(model(), mask, &tap));
 }
 
 std::vector<int8_t> RefEngine::run_from(
@@ -69,72 +73,15 @@ std::vector<int8_t> RefEngine::run_from(int layer_begin,
                                         std::span<const int8_t> activations,
                                         const SkipMask* mask,
                                         const ConvTap& tap) const {
-  return run_layers(layer_begin,
-                    std::vector<int8_t>(activations.begin(), activations.end()),
-                    mask, tap);
-}
-
-std::vector<int8_t> RefEngine::run_layers(int layer_begin,
-                                          std::vector<int8_t> act,
-                                          const SkipMask* mask,
-                                          const ConvTap& tap) const {
   const int layer_count = static_cast<int>(model().layers.size());
   check(layer_begin >= 0 && layer_begin <= layer_count,
         "run_from layer index out of range");
-  check(model().linear_boundary(layer_begin),
-        "run_from must resume at a linear boundary of the DAG (layer " +
-            std::to_string(layer_begin) + " is crossed by a skip edge)");
+  if (!model().linear_boundary(layer_begin))
+    fail("run_from must resume at a linear boundary of the DAG (layer " +
+         std::to_string(layer_begin) + " is crossed by a skip edge)");
   if (mask != nullptr) mask->validate(model());
-  check(static_cast<int64_t>(act.size()) ==
-            model().tensor_elems(layer_begin),
-        "run_from activation size mismatch at layer " +
-            std::to_string(layer_begin));
-
-  // Slot-backed tensor storage from the shared liveness plan: tensor t
-  // occupies its assigned slot during [def, last_use], and the plan
-  // guarantees a step's output slot never aliases a live input. On a
-  // chain this is exactly the historical two-buffer ping-pong.
-  std::vector<std::vector<int8_t>> slots(plan_.slot_elems.size());
-  auto tensor_span = [&](int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(static_cast<size_t>(
-          plan_.slot_elems[static_cast<size_t>(info.slot)]));
-    return std::span<int8_t>(slot.data(), static_cast<size_t>(info.elems));
-  };
-  {
-    const std::span<int8_t> entry = tensor_span(layer_begin);
-    std::copy(act.begin(), act.end(), entry.begin());
-  }
-
-  int approx_ordinal = 0;
-  for (int l = 0; l < layer_begin; ++l) {
-    if (describe_layer(model().layers[static_cast<size_t>(l)]).skippable)
-      ++approx_ordinal;
-  }
-  for (int l = layer_begin; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const std::span<const int8_t> in_a = tensor_span(ins[0]);
-    const std::span<const int8_t> in_b =
-        ins.size() > 1 ? std::span<const int8_t>(tensor_span(ins[1]))
-                       : std::span<const int8_t>();
-    const uint8_t* skip = nullptr;
-    if (describe_layer(layer).skippable) {
-      if (tap) tap(approx_ordinal, layer, in_a);
-      if (mask != nullptr &&
-          approx_ordinal < static_cast<int>(mask->masks.size()) &&
-          !mask->masks[static_cast<size_t>(approx_ordinal)].empty()) {
-        skip = mask->masks[static_cast<size_t>(approx_ordinal)].data();
-      }
-      ++approx_ordinal;
-    }
-    run_layer_into(layer, in_a, in_b, tensor_span(l + 1), skip);
-  }
-  const std::span<const int8_t> out = tensor_span(layer_count);
-  return std::vector<int8_t>(out.begin(), out.end());
+  return plan_.run_from(layer_begin, activations,
+                        RefKernels(model(), mask, &tap));
 }
 
 std::vector<int8_t> RefEngine::run_incremental(
@@ -174,12 +121,10 @@ std::vector<int8_t> RefEngine::run_incremental(
       std::copy(prev + static_cast<size_t>(s) * m.in_c,
                 prev + static_cast<size_t>(m.in_w) * m.in_c, row);
     }
-    const uint8_t* src =
-        new_columns.data() + static_cast<size_t>(y) * s * m.in_c;
-    for (int i = 0; i < s * m.in_c; ++i) {
-      const float real = static_cast<float>(src[i]) / 255.0f;
-      row[keep * m.in_c + i] = m.input.quantize(real);
-    }
+    const size_t fresh = static_cast<size_t>(s) * m.in_c;
+    quantize_pixels(m.input,
+                    new_columns.subspan(static_cast<size_t>(y) * fresh, fresh),
+                    std::span<int8_t>(row + keep * m.in_c, fresh));
   }
 
   // The splice plan for this frame: newest-first stride history capped
@@ -214,11 +159,7 @@ std::vector<int8_t> RefEngine::run_incremental(
             : std::span<const int8_t>();
     const uint8_t* skip = nullptr;
     if (op.skippable) {
-      if (mask != nullptr &&
-          approx_ordinal < static_cast<int>(mask->masks.size()) &&
-          !mask->masks[static_cast<size_t>(approx_ordinal)].empty()) {
-        skip = mask->masks[static_cast<size_t>(approx_ordinal)].data();
-      }
+      if (mask != nullptr) skip = mask->row(approx_ordinal);
       ++approx_ordinal;
     }
 
@@ -254,7 +195,7 @@ std::vector<int8_t> RefEngine::run_incremental(
       }
       spliced += static_cast<int64_t>(band_elems) * lp.out_rows;
     } else {
-      run_layer_into(layer, in_a, in_b, std::span<int8_t>(out), skip);
+      run_layer_ref(layer, in_a, in_b, out, skip);
     }
     if (op.macs > 0) {
       // Executed-MAC accounting, mask-aware: conv/depthwise scale with
@@ -285,63 +226,9 @@ void RefEngine::run_batch(
     std::span<const std::span<const uint8_t>> images,
     std::vector<std::vector<int8_t>>& logits_out) const {
   check_batch_nonempty(images);
-  const SkipMask* mask = default_mask_;
-  if (mask != nullptr) mask->validate(model());
-  const size_t batch = images.size();
-
-  // Per-image activation buffers, advanced layer-major: layer l runs over
-  // every image before layer l+1 starts. Each image's arithmetic is the
-  // untouched per-image reference kernel, so batched logits are bitwise
-  // identical to run() by construction; the batch only changes the order
-  // in which (layer, image) pairs execute, keeping each layer's weights
-  // hot across the whole batch.
-  // Per-image slot sets from the shared liveness plan (layer-major, so
-  // every image's DAG state advances in lock step).
-  const size_t slot_count = plan_.slot_elems.size();
-  std::vector<std::vector<std::vector<int8_t>>> slots(batch);
-  auto tensor_span = [&](size_t b, int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[b][static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(static_cast<size_t>(
-          plan_.slot_elems[static_cast<size_t>(info.slot)]));
-    return std::span<int8_t>(slot.data(), static_cast<size_t>(info.elems));
-  };
-  for (size_t b = 0; b < batch; ++b) {
-    slots[b].resize(slot_count);
-    const std::vector<int8_t> in = quantize_input(images[b]);
-    const std::span<int8_t> entry = tensor_span(b, 0);
-    std::copy(in.begin(), in.end(), entry.begin());
-  }
-
-  int approx_ordinal = 0;
-  const int layer_count = static_cast<int>(model().layers.size());
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const uint8_t* skip = nullptr;
-    if (describe_layer(layer).skippable) {
-      if (mask != nullptr &&
-          approx_ordinal < static_cast<int>(mask->masks.size()) &&
-          !mask->masks[static_cast<size_t>(approx_ordinal)].empty()) {
-        skip = mask->masks[static_cast<size_t>(approx_ordinal)].data();
-      }
-      ++approx_ordinal;
-    }
-    for (size_t b = 0; b < batch; ++b) {
-      const std::span<const int8_t> in_a = tensor_span(b, ins[0]);
-      const std::span<const int8_t> in_b =
-          ins.size() > 1 ? std::span<const int8_t>(tensor_span(b, ins[1]))
-                         : std::span<const int8_t>();
-      run_layer_into(layer, in_a, in_b, tensor_span(b, l + 1), skip);
-    }
-  }
-  logits_out.assign(batch, {});
-  for (size_t b = 0; b < batch; ++b) {
-    const std::span<const int8_t> out = tensor_span(b, layer_count);
-    logits_out[b].assign(out.begin(), out.end());
-  }
+  if (default_mask_ != nullptr) default_mask_->validate(model());
+  plan_.run_batch(images, RefKernels(model(), default_mask_, nullptr),
+                  logits_out);
 }
 
 int RefEngine::classify(std::span<const uint8_t> image,

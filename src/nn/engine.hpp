@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "src/core/engine_iface.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/data/dataset.hpp"
-#include "src/mcu/memory_model.hpp"
 #include "src/nn/skip_mask.hpp"
 #include "src/quant/qtypes.hpp"
 
@@ -52,12 +52,11 @@ class RefEngine : public InferenceEngine {
 
   // InferenceEngine: exact (or bound-mask) inference.
   std::vector<int8_t> run(std::span<const uint8_t> image) const override;
-  int classify(std::span<const uint8_t> image) const override;
+  using InferenceEngine::classify;
 
-  // Layer-major batched walk under the bound mask: each layer runs over
-  // the whole batch before the next one starts, so its weights stay hot
-  // across all images instead of being re-streamed per image.
-  bool supports_run_batch() const override { return true; }
+  // The plan walk over the whole batch under the bound mask: each layer
+  // runs over every image before the next one starts, so its weights
+  // stay hot across the batch instead of being re-streamed per image.
   void run_batch(std::span<const std::span<const uint8_t>> images,
                  std::vector<std::vector<int8_t>>& logits_out) const override;
 
@@ -100,18 +99,8 @@ class RefEngine : public InferenceEngine {
   int classify(std::span<const uint8_t> image, const SkipMask* mask) const;
 
  private:
-  // Shared DAG walker: executes layers [layer_begin, end) in topological
-  // (stored) order over slot buffers from the liveness plan. `act` is
-  // tensor `layer_begin`, so layer_begin must be a linear boundary
-  // (QModel::linear_boundary) — trivially true everywhere on chains.
-  std::vector<int8_t> run_layers(int layer_begin, std::vector<int8_t> act,
-                                 const SkipMask* mask,
-                                 const ConvTap& tap) const;
-
-  // Liveness-based activation-buffer plan (src/mcu/memory_model),
-  // computed once per model: slot assignment degenerates to the old
-  // ping-pong pair on chains.
-  ActivationPlan plan_;
+  // The compiled plan every entry point but run_incremental walks.
+  ExecPlan plan_;
   const SkipMask* default_mask_ = nullptr;
 };
 

@@ -241,35 +241,22 @@ void qadd_ref(const QAdd& layer, std::span<const int8_t> in_a,
   }
 }
 
-void run_layer_ref(const QLayer& layer, std::span<const int8_t> in,
-                   std::vector<int8_t>& out, const uint8_t* skip) {
-  check(!std::holds_alternative<QAdd>(layer),
-        "QAdd reads two tensors — dispatch through run_layer_ref_multi");
-  out.assign(static_cast<size_t>(describe_layer(layer).out_elems), 0);
+void run_layer_ref(const QLayer& layer, std::span<const int8_t> in_a,
+                   std::span<const int8_t> in_b, std::span<int8_t> out,
+                   const uint8_t* skip) {
   if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-    conv2d_ref(*conv, in, out, skip);
+    conv2d_ref(*conv, in_a, out, skip);
   } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-    depthwise_conv2d_ref(*dw, in, out, skip);
+    depthwise_conv2d_ref(*dw, in_a, out, skip);
   } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-    maxpool_ref(*pool, in, out);
+    maxpool_ref(*pool, in_a, out);
   } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-    avgpool_ref(*pool, in, out);
+    avgpool_ref(*pool, in_a, out);
   } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-    dense_ref(*fc, in, out);
+    dense_ref(*fc, in_a, out);
+  } else if (const auto* add = std::get_if<QAdd>(&layer)) {
+    qadd_ref(*add, in_a, in_b, out);
   }
-}
-
-void run_layer_ref_multi(const QLayer& layer,
-                         const std::vector<std::span<const int8_t>>& inputs,
-                         std::vector<int8_t>& out, const uint8_t* skip) {
-  check(!inputs.empty(), "layer needs at least one input tensor");
-  if (const auto* add = std::get_if<QAdd>(&layer)) {
-    check(inputs.size() == 2, "QAdd reads exactly two tensors");
-    out.assign(static_cast<size_t>(add->elems()), 0);
-    qadd_ref(*add, inputs[0], inputs[1], out);
-    return;
-  }
-  run_layer_ref(layer, inputs[0], out, skip);
 }
 
 }  // namespace ataman

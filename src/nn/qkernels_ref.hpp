@@ -65,19 +65,14 @@ int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
                                  std::span<const int8_t> in, int oy, int ox,
                                  int ch, const uint8_t* skip);
 
-// Dispatch any QLayer through its reference kernel: sizes `out` from the
-// layer descriptor and runs the matching *_ref above (`skip` applies to
-// approximable layers only). The one layer-walk helper every generic
-// executor (RefEngine, the DSE prefix cache, engine constructors) shares.
-void run_layer_ref(const QLayer& layer, std::span<const int8_t> in,
-                   std::vector<int8_t>& out, const uint8_t* skip = nullptr);
-
-// DAG-aware dispatch: same contract but takes the full operand list in
-// QModel::inputs_of order (QAdd reads two tensors; every other layer
-// uses inputs[0]). run_layer_ref is the single-input shorthand.
-void run_layer_ref_multi(const QLayer& layer,
-                         const std::vector<std::span<const int8_t>>& inputs,
-                         std::vector<int8_t>& out,
-                         const uint8_t* skip = nullptr);
+// Dispatch any QLayer through its reference kernel into `out` (sized
+// describe_layer(layer).out_elems by the caller). `in_b` is the second
+// QAdd operand, unused by every other kind; `skip` applies to
+// approximable layers only. The one reference dispatcher: the reference
+// engine's kernel table, its streaming walk and the DSE prefix cache all
+// execute layers through it.
+void run_layer_ref(const QLayer& layer, std::span<const int8_t> in_a,
+                   std::span<const int8_t> in_b, std::span<int8_t> out,
+                   const uint8_t* skip = nullptr);
 
 }  // namespace ataman

@@ -48,10 +48,11 @@ void SkipMask::validate(const QModel& model) const {
     if (!d.skippable) continue;
     if (ordinal < static_cast<int>(masks.size())) {
       const auto& m = masks[static_cast<size_t>(ordinal)];
-      check(m.empty() || static_cast<int64_t>(m.size()) ==
-                             d.skippable_operand_count(),
-            "skip mask size mismatch on approximable layer " +
-                std::to_string(ordinal));
+      // Validated on every masked run: no message is built unless it fails.
+      if (!m.empty() &&
+          static_cast<int64_t>(m.size()) != d.skippable_operand_count())
+        fail("skip mask size mismatch on approximable layer " +
+             std::to_string(ordinal));
     }
     ++ordinal;
   }

@@ -28,6 +28,14 @@ struct SkipMask {
   std::vector<std::vector<uint8_t>> masks;
 
   bool empty() const;
+  // Skip row of approximable layer `ordinal`: nullptr when the mask
+  // leaves that layer untouched (absent or empty per-layer vector).
+  const uint8_t* row(int ordinal) const {
+    return ordinal < static_cast<int>(masks.size()) &&
+                   !masks[static_cast<size_t>(ordinal)].empty()
+               ? masks[static_cast<size_t>(ordinal)].data()
+               : nullptr;
+  }
   // Total number of skipped static operands.
   int64_t skipped_static_operands() const;
 

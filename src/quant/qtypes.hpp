@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -34,6 +35,12 @@ struct QuantParams {
   int8_t quantize(float real) const;
   float dequantize(int8_t q) const;
 };
+
+// The one input-quantization routine: u8 pixels (real = pixel / 255) to
+// int8 under `input`, written into `out` (same size). Engines, the plan
+// walker and the streaming column splice all quantize through here.
+void quantize_pixels(const QuantParams& input, std::span<const uint8_t> pixels,
+                     std::span<int8_t> out);
 
 struct QConv2D {
   ConvGeom geom;

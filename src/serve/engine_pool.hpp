@@ -1,10 +1,11 @@
 // Per-worker engine instances for the serve runtime.
 //
 // Rule: an engine instance is only ever executed by the worker that owns
-// it. Engine run() paths are const, but the pool does not bet
-// correctness on every present and future backend staying internally
-// stateless (see the clone/concurrency note on XCubeEngine) — isolation
-// per worker makes a data race impossible by construction.
+// it. Engine run() paths are const, and the in-tree engines keep no
+// mutable state (each call walks its compiled plan over a call-local
+// arena, src/core/exec_plan.hpp), but the pool does not bet correctness
+// on every present and future backend staying that way — isolation per
+// worker makes a data race impossible by construction.
 //
 // Construction is two-tier so warmup stays cheap:
 //   * The first request for a (backend, mask) key builds a shared
@@ -39,7 +40,7 @@
 #include <vector>
 
 #include "src/core/engine_iface.hpp"
-#include "src/xcube/xcube_engine.hpp"  // XCubeCostTable (by value in the pool)
+#include "src/mcu/cost_model.hpp"  // XCubeCostTable (by value in the pool)
 
 namespace ataman::serve {
 

@@ -37,11 +37,12 @@ InferFuture InferenceServer::submit(InferRequest request) {
   // Fail on the caller's thread, before anything is queued.
   const QModel& m = *model_;
   const int64_t expected = static_cast<int64_t>(m.in_h) * m.in_w * m.in_c;
-  check(static_cast<int64_t>(request.image.size()) == expected,
-        "submit: image size " + std::to_string(request.image.size()) +
-            " does not match model input " + std::to_string(expected));
-  check(EngineRegistry::instance().contains(request.engine),
-        "submit: unknown engine '" + request.engine + "'");
+  // Runs on every request: no message is built unless a check fails.
+  if (static_cast<int64_t>(request.image.size()) != expected)
+    fail("submit: image size " + std::to_string(request.image.size()) +
+         " does not match model input " + std::to_string(expected));
+  if (!EngineRegistry::instance().contains(request.engine))
+    fail("submit: unknown engine '" + request.engine + "'");
   if (request.mask != nullptr) request.mask->validate(m);
 
   QueuedJob job;

@@ -24,29 +24,29 @@ StreamSessionStats StreamSession::stats() const {
 void StreamSession::validate_push(size_t column_bytes) {
   const QModel& m = *model_;
   const int64_t col_elems = static_cast<int64_t>(m.in_h) * m.in_c;
-  check(column_bytes > 0 &&
-            static_cast<int64_t>(column_bytes) % col_elems == 0,
-        "push_frame: frame must be whole [h][s][c] columns (column is " +
-            std::to_string(col_elems) + " bytes)");
+  // Runs on every frame: no message is built unless a check fails.
+  if (column_bytes == 0 || static_cast<int64_t>(column_bytes) % col_elems != 0)
+    fail("push_frame: frame must be whole [h][s][c] columns (column is " +
+         std::to_string(col_elems) + " bytes)");
   const int s = static_cast<int>(static_cast<int64_t>(column_bytes) /
                                  col_elems);
-  check(s <= m.in_w,
-        "push_frame: " + std::to_string(s) +
-            " columns exceed the input width " + std::to_string(m.in_w));
+  if (s > m.in_w)
+    fail("push_frame: " + std::to_string(s) +
+         " columns exceed the input width " + std::to_string(m.in_w));
   const std::lock_guard<std::mutex> lock(push_mutex_);
-  check(pushed_ > 0 || s == m.in_w,
-        "push_frame: a session's first frame must be a full window (" +
-            std::to_string(m.in_w) + " columns)");
+  if (pushed_ == 0 && s != m.in_w)
+    fail("push_frame: a session's first frame must be a full window (" +
+         std::to_string(m.in_w) + " columns)");
   ++pushed_;
 }
 
 InferResult StreamSession::execute_frame(InferenceEngine& engine,
                                          std::span<const uint8_t> columns) {
-  check(!poisoned_,
-        "stream session " + std::to_string(id_) +
-            " is poisoned by an earlier frame error (the failed frame was "
-            "never applied, so the window is out of sync): " +
-            poison_error_);
+  if (poisoned_)
+    fail("stream session " + std::to_string(id_) +
+         " is poisoned by an earlier frame error (the failed frame was "
+         "never applied, so the window is out of sync): " +
+         poison_error_);
 
   InferResult r;
   bool incremental = false;

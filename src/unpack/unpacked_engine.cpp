@@ -1,296 +1,78 @@
 #include "src/unpack/unpacked_engine.hpp"
 
-#include <algorithm>
-
 #include "src/common/error.hpp"
-#include "src/nn/qkernels_ref.hpp"
 
 namespace ataman {
+
+namespace {
+
+// The hybrid selection, validated, or "unpack everything" when absent.
+std::vector<uint8_t> checked_selection(const QModel& model,
+                                       const std::vector<uint8_t>* selection) {
+  const size_t approx = static_cast<size_t>(model.approx_layer_count());
+  if (selection == nullptr) return std::vector<uint8_t>(approx, 1);
+  check(selection->size() == approx,
+        "unpack selection size must match approximable layer count");
+  return *selection;
+}
+
+}  // namespace
 
 UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
                                CortexM33CostTable costs,
                                MemoryCostTable memory,
                                const std::vector<uint8_t>* unpack_selection)
     : InferenceEngine(model, "ataman"),
-      costs_(costs),
       memory_(memory),
-      plan_(plan_activations(*model)) {
+      plan_(ExecPlan::compile(*model)),
+      unpacked_(checked_selection(*model, unpack_selection)),
+      programs_(unpacked_.size()),
+      packed_(model, &unpacked_),
+      static_pairs_(unpacked_.size(), -1),
+      static_singles_(unpacked_.size(), 0) {
   if (mask != nullptr) mask->validate(this->model());
-  if (unpack_selection != nullptr) {
-    check(static_cast<int>(unpack_selection->size()) ==
-              this->model().approx_layer_count(),
-          "unpack selection size must match approximable layer count");
-  }
-
-  int ordinal = 0;
-  int out_dim = 0;
-  double cycles = 0.0;
-  for (const QLayer& layer : this->model().layers) {
-    const auto* conv = std::get_if<QConv2D>(&layer);
-    const auto* dw = std::get_if<QDepthwiseConv2D>(&layer);
-    if (conv != nullptr || dw != nullptr) {
-      const bool unpack =
-          unpack_selection == nullptr ||
-          (*unpack_selection)[static_cast<size_t>(ordinal)] != 0;
-      ApproxExec exec;
-      exec.is_unpacked = unpack;
-      const uint8_t* skip = nullptr;
-      if (mask != nullptr &&
-          ordinal < static_cast<int>(mask->masks.size()) &&
-          !mask->masks[static_cast<size_t>(ordinal)].empty()) {
-        skip = mask->masks[static_cast<size_t>(ordinal)].data();
-      }
-      if (unpack && conv != nullptr) {
-        UnpackedConv u = UnpackedConv::build(*conv, skip);
-        const int64_t c = unpacked_conv_cycles(*conv, u.static_pairs(),
-                                               u.static_singles(), costs_);
-        profile_.push_back({"conv(unpacked)", c, u.retained_macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += u.retained_macs();
-        exec.unpacked = std::move(u);
-      } else if (unpack && dw != nullptr) {
-        UnpackedDepthwise u = UnpackedDepthwise::build(*dw, skip);
-        const int64_t c = unpacked_depthwise_cycles(
-            *dw, u.static_pairs(), u.static_singles(), costs_);
-        profile_.push_back({"depthwise(unpacked)", c, u.retained_macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += u.retained_macs();
-        exec.unpacked_dw = std::move(u);
-      } else if (conv != nullptr) {
-        // Packed layers execute exactly: static skips cannot remove work
-        // from loop kernels (the paper's argument for unpacking).
-        exec.packed = PackedWeights::pack(conv->weights, conv->geom.out_c,
-                                          conv->geom.patch_size());
-        const int64_t c = packed_conv_cycles(*conv, costs_);
-        cycles += costs_.layer_dispatch;
-        profile_.push_back({"conv(packed)",
-                            c + static_cast<int64_t>(costs_.layer_dispatch),
-                            conv->geom.macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += conv->geom.macs();
-      } else {
-        // Packed depthwise fallback: the loop kernel needs no prepacked
-        // stream (see packed_depthwise_conv2d).
-        const int64_t c = packed_depthwise_cycles(*dw, costs_);
-        cycles += costs_.layer_dispatch;
-        profile_.push_back({"depthwise(packed)",
-                            c + static_cast<int64_t>(costs_.layer_dispatch),
-                            dw->macs()});
-        cycles += static_cast<double>(c);
-        executed_macs_ += dw->macs();
-      }
-      convs_.push_back(std::move(exec));
-      ++ordinal;
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      cycles += costs_.layer_dispatch;
-      const int64_t c = pool_cycles(*pool, costs_);
-      profile_.push_back({"pool", c, 0});
-      cycles += static_cast<double>(c);
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      cycles += costs_.layer_dispatch;
-      const int64_t c = avgpool_cycles(*pool, costs_);
-      profile_.push_back({"avgpool", c, 0});
-      cycles += static_cast<double>(c);
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      cycles += costs_.layer_dispatch;
-      packed_fc_.push_back(
-          PackedWeights::pack(fc->weights, fc->out_dim, fc->in_dim));
-      const int64_t c = dense_cycles(*fc, costs_);
-      profile_.push_back({"fc", c, fc->macs()});
-      cycles += static_cast<double>(c);
-      executed_macs_ += fc->macs();
-      out_dim = fc->out_dim;
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      // Residual adds run the same requantize-and-add stream on every
-      // engine: nothing to unpack, never approximated.
-      cycles += costs_.layer_dispatch;
-      const int64_t c = qadd_cycles(*add, costs_);
-      profile_.push_back({"add", c, 0});
-      cycles += static_cast<double>(c);
+  for (const ExecStep& step : plan_.steps) {
+    const int ordinal = step.approx_ordinal;
+    // Packed layers execute exactly: static skips cannot remove work
+    // from loop kernels (the paper's argument for unpacking).
+    if (ordinal < 0 || !unpacked_[static_cast<size_t>(ordinal)]) continue;
+    const size_t o = static_cast<size_t>(ordinal);
+    const uint8_t* skip = mask != nullptr ? mask->row(ordinal) : nullptr;
+    const QLayer& layer = model->layers[static_cast<size_t>(step.layer)];
+    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
+      const UnpackedConv& u =
+          programs_[o].conv.emplace(UnpackedConv::build(*conv, skip));
+      static_pairs_[o] = u.static_pairs();
+      static_singles_[o] = u.static_singles();
+    } else {
+      const UnpackedDepthwise& u = programs_[o].dw.emplace(
+          UnpackedDepthwise::build(std::get<QDepthwiseConv2D>(layer), skip));
+      static_pairs_[o] = u.static_pairs();
+      static_singles_[o] = u.static_singles();
     }
   }
-  cycles += costs_.softmax_per_logit * out_dim;
-  profile_.push_back(
-      {"softmax", static_cast<int64_t>(costs_.softmax_per_logit * out_dim),
-       0});
-  total_cycles_ = static_cast<int64_t>(cycles);
+  ModelPrice price =
+      price_model(*model, PriceList{PriceList::Family::kUnpacked, costs, {}},
+                  static_pairs_, static_singles_);
+  total_cycles_ = price.total_cycles;
+  executed_macs_ = price.macs;
+  profile_ = std::move(price.rows);
 }
 
 int UnpackedEngine::unpacked_conv_count() const {
   int n = 0;
-  for (const ApproxExec& e : convs_) n += e.is_unpacked ? 1 : 0;
+  for (const uint8_t u : unpacked_) n += u != 0 ? 1 : 0;
   return n;
 }
 
-std::vector<int8_t> UnpackedEngine::run(std::span<const uint8_t> image) const {
-  // Slot buffers from the shared liveness plan (ping-pong on chains).
-  std::vector<std::vector<int8_t>> slots(plan_.slot_elems.size());
-  auto tensor_span = [&](int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(static_cast<size_t>(
-          plan_.slot_elems[static_cast<size_t>(info.slot)]));
-    return std::span<int8_t>(slot.data(), static_cast<size_t>(info.elems));
-  };
-  {
-    const std::vector<int8_t> in = quantize_input(image);
-    const std::span<int8_t> entry = tensor_span(0);
-    std::copy(in.begin(), in.end(), entry.begin());
+void UnpackedEngine::run_step(const ExecStep& step,
+                              const StepIO& io) const {
+  if (step.approx_ordinal >= 0) {
+    const Program& p = programs_[static_cast<size_t>(step.approx_ordinal)];
+    if (p.conv) return p.conv->run_batch(io.in_a, io.out, io.batch, io.scratch);
+    if (p.dw) return p.dw->run_batch(io.in_a, io.out, io.batch, io.scratch);
   }
-
-  const int layer_count = static_cast<int>(model().layers.size());
-  size_t approx_idx = 0, fc_idx = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const std::span<const int8_t> cur = tensor_span(ins[0]);
-    const std::span<int8_t> next = tensor_span(l + 1);
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked->run(cur, next);
-      } else {
-        packed_conv2d(*conv, *exec.packed, cur, next);
-      }
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked_dw->run(cur, next);
-      } else {
-        packed_depthwise_conv2d(*dw, cur, next);
-      }
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      maxpool_ref(*pool, cur, next);
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      avgpool_ref(*pool, cur, next);
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      packed_dense(*fc, packed_fc_[fc_idx++], cur, next);
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      qadd_ref(*add, cur, tensor_span(ins[1]), next);
-    }
-  }
-  const std::span<const int8_t> out = tensor_span(layer_count);
-  return std::vector<int8_t>(out.begin(), out.end());
-}
-
-void UnpackedEngine::run_batch(
-    std::span<const std::span<const uint8_t>> images,
-    std::vector<std::vector<int8_t>>& logits_out) const {
-  check_batch_nonempty(images);
-  const int batch = static_cast<int>(images.size());
-
-  // Contiguous batched activations per tensor over liveness-plan slots
-  // (image b of tensor t at slot_base + b * elems(t)); see CmsisEngine.
-  std::vector<std::vector<int8_t>> slots(plan_.slot_elems.size());
-  auto tensor_batch_span = [&](int t) -> std::span<int8_t> {
-    const ActivationPlan::Tensor& info =
-        plan_.tensors[static_cast<size_t>(t)];
-    std::vector<int8_t>& slot = slots[static_cast<size_t>(info.slot)];
-    if (slot.empty())
-      slot.resize(
-          static_cast<size_t>(plan_.slot_elems[static_cast<size_t>(
-              info.slot)]) *
-          static_cast<size_t>(batch));
-    return std::span<int8_t>(
-        slot.data(),
-        static_cast<size_t>(info.elems) * static_cast<size_t>(batch));
-  };
-  const size_t in_elems = static_cast<size_t>(
-      static_cast<int64_t>(model().in_h) * model().in_w * model().in_c);
-  {
-    const std::span<int8_t> entry = tensor_batch_span(0);
-    for (int b = 0; b < batch; ++b) {
-      const std::vector<int8_t> q =
-          quantize_input(images[static_cast<size_t>(b)]);
-      std::copy(q.begin(), q.end(),
-                entry.begin() +
-                    static_cast<std::ptrdiff_t>(static_cast<size_t>(b) *
-                                                in_elems));
-    }
-  }
-
-  const int layer_count = static_cast<int>(model().layers.size());
-  size_t approx_idx = 0, fc_idx = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = model().layers[static_cast<size_t>(l)];
-    const std::vector<int> ins = model().inputs_of(l);
-    const size_t cur_elems =
-        static_cast<size_t>(model().tensor_elems(ins[0]));
-    const size_t out_elems =
-        static_cast<size_t>(describe_layer(layer).out_elems);
-    const std::span<const int8_t> cur = tensor_batch_span(ins[0]);
-    const std::span<int8_t> next = tensor_batch_span(l + 1);
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked->run_batch(cur, next, batch);
-      } else {
-        packed_conv2d_batch(*conv, *exec.packed, cur, next, batch);
-      }
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      const ApproxExec& exec = convs_[approx_idx++];
-      if (exec.is_unpacked) {
-        exec.unpacked_dw->run_batch(cur, next, batch);
-      } else {
-        packed_depthwise_conv2d_batch(*dw, cur, next, batch);
-      }
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      for (int b = 0; b < batch; ++b) {
-        maxpool_ref(*pool,
-                    cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                    next.subspan(static_cast<size_t>(b) * out_elems,
-                                 out_elems));
-      }
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      for (int b = 0; b < batch; ++b) {
-        avgpool_ref(*pool,
-                    cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                    next.subspan(static_cast<size_t>(b) * out_elems,
-                                 out_elems));
-      }
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      packed_dense_batch(*fc, packed_fc_[fc_idx++], cur, next, batch);
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      const std::span<const int8_t> second = tensor_batch_span(ins[1]);
-      for (int b = 0; b < batch; ++b) {
-        qadd_ref(*add,
-                 cur.subspan(static_cast<size_t>(b) * cur_elems, cur_elems),
-                 second.subspan(static_cast<size_t>(b) * cur_elems,
-                                cur_elems),
-                 next.subspan(static_cast<size_t>(b) * out_elems, out_elems));
-      }
-    }
-  }
-
-  const std::span<const int8_t> out = tensor_batch_span(layer_count);
-  const size_t final_elems =
-      static_cast<size_t>(model().tensor_elems(layer_count));
-  logits_out.assign(static_cast<size_t>(batch), {});
-  for (int b = 0; b < batch; ++b) {
-    const auto sub = out.subspan(static_cast<size_t>(b) * final_elems,
-                                 final_elems);
-    logits_out[static_cast<size_t>(b)].assign(sub.begin(), sub.end());
-  }
-}
-
-FlashReport UnpackedEngine::flash(const MemoryCostTable& t) const {
-  std::vector<int64_t> pairs, singles;
-  pairs.reserve(convs_.size());
-  for (const ApproxExec& e : convs_) {
-    if (e.is_unpacked) {
-      const bool is_dw = e.unpacked_dw.has_value();
-      pairs.push_back(is_dw ? e.unpacked_dw->static_pairs()
-                            : e.unpacked->static_pairs());
-      singles.push_back(is_dw ? e.unpacked_dw->static_singles()
-                              : e.unpacked->static_singles());
-    } else {
-      pairs.push_back(-1);  // memory_model: layer stays packed
-      singles.push_back(0);
-    }
-  }
-  return unpacked_flash(model(), pairs, singles, t);
+  packed_.run_step(step, io);
 }
 
 int64_t UnpackedEngine::ram_bytes() const {

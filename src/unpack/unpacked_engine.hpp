@@ -15,8 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "src/cmsisnn/packed_kernels.hpp"
+#include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/core/engine_iface.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/nn/skip_mask.hpp"
@@ -25,7 +26,7 @@
 
 namespace ataman {
 
-class UnpackedEngine : public InferenceEngine {
+class UnpackedEngine : public InferenceEngine, private KernelTable {
  public:
   // `mask` == nullptr -> exact unpacking (no skips).
   // `unpack_selection` == nullptr -> every approximable layer (conv +
@@ -35,15 +36,17 @@ class UnpackedEngine : public InferenceEngine {
                  CortexM33CostTable costs = {}, MemoryCostTable memory = {},
                  const std::vector<uint8_t>* unpack_selection = nullptr);
 
-  std::vector<int8_t> run(std::span<const uint8_t> image) const override;
-
-  // Batch-amortized path: unpacked channel programs and packed FC weight
-  // streams execute once per lane-block of kBatchLanes images (hybrid
-  // packed-conv fallbacks use the batched packed kernels). Bitwise
-  // identical to run().
-  bool supports_run_batch() const override { return true; }
+  // Batches of more than one image stream each unpacked channel program
+  // and packed FC weight stream once per lane-block of kBatchLanes
+  // images. Bitwise identical to run() either way.
+  std::vector<int8_t> run(std::span<const uint8_t> image) const override {
+    return plan_.run(image, *this);
+  }
   void run_batch(std::span<const std::span<const uint8_t>> images,
-                 std::vector<std::vector<int8_t>>& logits_out) const override;
+                 std::vector<std::vector<int8_t>>& logits_out) const override {
+    check_batch_nonempty(images);
+    plan_.run_batch(images, *this, logits_out);
+  }
 
   // Copies the unpacked channel programs / packed FC streams verbatim —
   // much cheaper than re-unpacking, which is why serve pools clone a
@@ -63,7 +66,9 @@ class UnpackedEngine : public InferenceEngine {
   }
   int unpacked_conv_count() const;  // unpacked approximable layers
 
-  FlashReport flash(const MemoryCostTable& t = {}) const;
+  FlashReport flash(const MemoryCostTable& t = {}) const {
+    return unpacked_flash(model(), static_pairs_, static_singles_, t);
+  }
   int64_t flash_bytes() const override { return flash(memory_).total_bytes; }
   int64_t ram_bytes() const override;
 
@@ -74,25 +79,26 @@ class UnpackedEngine : public InferenceEngine {
                       const std::string& design_name) const;
 
  private:
-  // Per approximable-layer ordinal: exactly one execution form is
-  // engaged — an unpacked program (conv or depthwise) or the packed
-  // fallback (PackedWeights stream for conv; the depthwise loop kernel
-  // needs no prepacked state).
-  struct ApproxExec {
-    bool is_unpacked = true;
-    std::optional<UnpackedConv> unpacked;
-    std::optional<UnpackedDepthwise> unpacked_dw;
-    std::optional<PackedWeights> packed;
+  // Kernel table: unpacked programs where they exist, the packed kernels
+  // (FC, pools, adds, hybrid packed fallbacks) everywhere else.
+  void run_step(const ExecStep& step, const StepIO& io) const override;
+
+  // The unpacked program of one approximable ordinal; neither is set
+  // when the hybrid selection keeps the layer packed.
+  struct Program {
+    std::optional<UnpackedConv> conv;
+    std::optional<UnpackedDepthwise> dw;
   };
 
-  CortexM33CostTable costs_;
   MemoryCostTable memory_;
-  // Shared liveness-based activation plan (src/mcu/memory_model): slot
-  // buffers replace ping-pong so DAG (residual) models execute with the
-  // peak RAM the memory model reports.
-  ActivationPlan plan_;
-  std::vector<ApproxExec> convs_;          // by approximable ordinal
-  std::vector<PackedWeights> packed_fc_;   // by fc ordinal
+  ExecPlan plan_;
+  // By approximable ordinal: 1 = the layer runs its unpacked program.
+  std::vector<uint8_t> unpacked_;
+  std::vector<Program> programs_;  // by approximable ordinal
+  PackedKernels packed_;
+  // Retained static operands per approximable ordinal (-1 = packed), as
+  // the cost and flash models read them.
+  std::vector<int64_t> static_pairs_, static_singles_;
   std::vector<LayerProfile> profile_;
   int64_t total_cycles_ = 0;
   int64_t executed_macs_ = 0;

@@ -4,7 +4,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/math_util.hpp"
-#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes
+#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes, Q15Scratch
 #include "src/cmsisnn/smlad.hpp"
 
 namespace ataman {
@@ -87,70 +87,10 @@ UnpackedConv UnpackedConv::build(const QConv2D& layer, const uint8_t* skip) {
   return u;
 }
 
-void UnpackedConv::run(std::span<const int8_t> in,
-                       std::span<int8_t> out) const {
-  check(static_cast<int64_t>(in.size()) ==
-            static_cast<int64_t>(geom.in_h) * geom.in_w * geom.in_c,
-        "unpacked conv input size mismatch");
-  check(static_cast<int64_t>(out.size()) ==
-            static_cast<int64_t>(geom.positions()) * geom.out_c,
-        "unpacked conv output size mismatch");
-
-  const int oh = geom.out_h(), ow = geom.out_w();
-  const int patch = geom.patch_size();
-  const int32_t zp = in_q.zero_point;
-
-  // The host interpreter materializes the zero-point-corrected patch once
-  // per position purely as a host-speed optimization; the *priced*
-  // instruction stream (cost_model::unpacked_conv_cycles) models direct
-  // activation loads with no such buffer, and the numerics are identical.
-  std::vector<int16_t> col(static_cast<size_t>(patch));
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      int idx = 0;
-      for (int ky = 0; ky < geom.kernel; ++ky) {
-        const int iy = oy * geom.stride - geom.pad + ky;
-        for (int kx = 0; kx < geom.kernel; ++kx) {
-          const int ix = ox * geom.stride - geom.pad + kx;
-          const bool inside =
-              iy >= 0 && iy < geom.in_h && ix >= 0 && ix < geom.in_w;
-          const int8_t* src =
-              inside
-                  ? in.data() + (static_cast<size_t>(iy) * geom.in_w + ix) *
-                                    geom.in_c
-                  : nullptr;
-          for (int c = 0; c < geom.in_c; ++c, ++idx)
-            col[static_cast<size_t>(idx)] =
-                static_cast<int16_t>((inside ? src[c] : zp) - zp);
-        }
-      }
-
-      int8_t* orow =
-          out.data() + (static_cast<size_t>(oy) * ow + ox) * geom.out_c;
-      for (int oc = 0; oc < geom.out_c; ++oc) {
-        const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
-        int32_t acc = prog.bias;
-        for (const MacPairOp& op : prog.pairs) {
-          const uint32_t apair =
-              pack_q15_pair(col[op.operand_b], col[op.operand_a]);
-          acc = smlad(op.weight_const, apair, acc);
-        }
-        if (prog.has_single) {
-          acc = smlabb(pack_q15_pair(0, prog.single.weight),
-                       pack_q15_pair(0, col[prog.single.operand]), acc);
-        }
-        const int32_t scaled = multiply_by_quantized_multiplier(
-                                   acc, prog.requant) +
-                               out_q.zero_point;
-        orow[oc] =
-            static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-      }
-    }
-  }
-}
-
-void UnpackedConv::run_batch(std::span<const int8_t> in,
-                             std::span<int8_t> out, int batch) const {
+template <int Lanes>
+void UnpackedConv::run_lanes(std::span<const int8_t> in,
+                              std::span<int8_t> out, int batch,
+                              std::span<int16_t> scratch) const {
   check(batch >= 1, "UnpackedConv::run_batch: batch must be >= 1");
   const size_t in_elems =
       static_cast<size_t>(geom.in_h) * geom.in_w * geom.in_c;
@@ -165,15 +105,19 @@ void UnpackedConv::run_batch(std::span<const int8_t> in,
   const size_t patch = static_cast<size_t>(geom.patch_size());
   const int32_t zp = in_q.zero_point;
 
+  // The host interpreter materializes the zero-point-corrected patch once
+  // per position purely as a host-speed optimization; the *priced*
+  // instruction stream (cost_model::unpacked_conv_cycles) models direct
+  // activation loads with no such buffer, and the numerics are identical.
   // Lane-major column blocks (cols[j * patch + operand]): each program's
   // hardwired weight constant is fetched once and multiplied into
-  // kBatchLanes accumulators. Lane loops run all kBatchLanes lanes at a
+  // `Lanes` accumulators. Lane loops run all `Lanes` lanes at a
   // constant trip count; ragged tails compute over the zero-filled
   // padding lanes and discard them (SMLAD wraparound is defined).
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * patch);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
+  const Q15Scratch cols(scratch, static_cast<size_t>(Lanes) * patch);
+  for (int b0 = 0; b0 < batch; b0 += Lanes) {
+    const int bn = std::min(Lanes, batch - b0);
+    if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
         for (int j = 0; j < bn; ++j) {
@@ -201,10 +145,10 @@ void UnpackedConv::run_batch(std::span<const int8_t> in,
             (static_cast<size_t>(oy) * ow + ox) * geom.out_c;
         for (int oc = 0; oc < geom.out_c; ++oc) {
           const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
-          int32_t acc[kBatchLanes];
-          for (int j = 0; j < kBatchLanes; ++j) acc[j] = prog.bias;
+          int32_t acc[Lanes];
+          for (int j = 0; j < Lanes; ++j) acc[j] = prog.bias;
           for (const MacPairOp& op : prog.pairs) {
-            for (int j = 0; j < kBatchLanes; ++j) {
+            for (int j = 0; j < Lanes; ++j) {
               const int16_t* lane =
                   cols.data() + static_cast<size_t>(j) * patch;
               acc[j] = smlad(op.weight_const,
@@ -215,7 +159,7 @@ void UnpackedConv::run_batch(std::span<const int8_t> in,
           }
           if (prog.has_single) {
             const uint32_t wlast = pack_q15_pair(0, prog.single.weight);
-            for (int j = 0; j < kBatchLanes; ++j) {
+            for (int j = 0; j < Lanes; ++j) {
               const int16_t* lane =
                   cols.data() + static_cast<size_t>(j) * patch;
               acc[j] = smlabb(
@@ -233,6 +177,18 @@ void UnpackedConv::run_batch(std::span<const int8_t> in,
       }
     }
   }
+}
+
+void UnpackedConv::run(std::span<const int8_t> in, std::span<int8_t> out,
+                       std::span<int16_t> scratch) const {
+  run_lanes<1>(in, out, 1, scratch);
+}
+
+void UnpackedConv::run_batch(std::span<const int8_t> in,
+                             std::span<int8_t> out, int batch,
+                             std::span<int16_t> scratch) const {
+  if (batch == 1) return run(in, out, scratch);
+  run_lanes<kBatchLanes>(in, out, batch, scratch);
 }
 
 int64_t UnpackedDepthwise::static_pairs() const {
@@ -284,68 +240,10 @@ UnpackedDepthwise UnpackedDepthwise::build(const QDepthwiseConv2D& layer,
   return u;
 }
 
-void UnpackedDepthwise::run(std::span<const int8_t> in,
-                            std::span<int8_t> out) const {
-  const int c = channel_count;
-  check(static_cast<int64_t>(in.size()) ==
-            static_cast<int64_t>(in_h) * in_w * c,
-        "unpacked depthwise input size mismatch");
-  check(static_cast<int64_t>(out.size()) == positions() * c,
-        "unpacked depthwise output size mismatch");
-
-  const int oh = out_h(), ow = out_w();
-  const int patch = kernel * kernel;
-  const int32_t zp = in_q.zero_point;
-
-  // Shared zero-point-corrected expansion per position (col[tap][ch]);
-  // the priced instruction stream models direct loads, as for conv.
-  std::vector<int16_t> col(static_cast<size_t>(patch) * c);
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      int p = 0;
-      for (int ky = 0; ky < kernel; ++ky) {
-        const int iy = oy * stride - pad + ky;
-        for (int kx = 0; kx < kernel; ++kx, ++p) {
-          const int ix = ox * stride - pad + kx;
-          const bool inside = iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
-          const int8_t* src =
-              inside ? in.data() + (static_cast<size_t>(iy) * in_w + ix) * c
-                     : nullptr;
-          int16_t* dst = col.data() + static_cast<size_t>(p) * c;
-          for (int i = 0; i < c; ++i)
-            dst[i] = static_cast<int16_t>((inside ? src[i] : zp) - zp);
-        }
-      }
-
-      int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * c;
-      for (int ch = 0; ch < c; ++ch) {
-        const ChannelProgram& prog = channels[static_cast<size_t>(ch)];
-        int32_t acc = prog.bias;
-        for (const MacPairOp& op : prog.pairs) {
-          const uint32_t apair = pack_q15_pair(
-              col[static_cast<size_t>(op.operand_b) * c + ch],
-              col[static_cast<size_t>(op.operand_a) * c + ch]);
-          acc = smlad(op.weight_const, apair, acc);
-        }
-        if (prog.has_single) {
-          acc = smlabb(
-              pack_q15_pair(0, prog.single.weight),
-              pack_q15_pair(
-                  0, col[static_cast<size_t>(prog.single.operand) * c + ch]),
-              acc);
-        }
-        const int32_t scaled = multiply_by_quantized_multiplier(
-                                   acc, prog.requant) +
-                               out_q.zero_point;
-        orow[ch] =
-            static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-      }
-    }
-  }
-}
-
-void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
-                                  std::span<int8_t> out, int batch) const {
+template <int Lanes>
+void UnpackedDepthwise::run_lanes(std::span<const int8_t> in,
+                              std::span<int8_t> out, int batch,
+                              std::span<int16_t> scratch) const {
   check(batch >= 1, "UnpackedDepthwise::run_batch: batch must be >= 1");
   const int c = channel_count;
   const size_t in_elems = static_cast<size_t>(in_h) * in_w * c;
@@ -360,12 +258,15 @@ void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
   const int32_t zp = in_q.zero_point;
   const size_t lane_stride = static_cast<size_t>(patch) * c;
 
-  // cols[j * patch * c + tap * c + ch]: shared per-position expansion per
-  // lane; each channel program then streams once across all lanes.
-  std::vector<int16_t> cols(static_cast<size_t>(kBatchLanes) * lane_stride);
-  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
-    const int bn = std::min(kBatchLanes, batch - b0);
-    if (bn < kBatchLanes) std::fill(cols.begin(), cols.end(), int16_t{0});
+  // cols[j * patch * c + tap * c + ch]: shared zero-point-corrected
+  // expansion per position and lane (the priced instruction stream models
+  // direct loads, as for conv); each channel program then streams once
+  // across all lanes.
+  const Q15Scratch cols(scratch,
+                        static_cast<size_t>(Lanes) * lane_stride);
+  for (int b0 = 0; b0 < batch; b0 += Lanes) {
+    const int bn = std::min(Lanes, batch - b0);
+    if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = 0; ox < ow; ++ox) {
         for (int j = 0; j < bn; ++j) {
@@ -391,14 +292,14 @@ void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
         const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * c;
         for (int ch = 0; ch < c; ++ch) {
           const ChannelProgram& prog = channels[static_cast<size_t>(ch)];
-          int32_t acc[kBatchLanes];
-          for (int j = 0; j < kBatchLanes; ++j) acc[j] = prog.bias;
+          int32_t acc[Lanes];
+          for (int j = 0; j < Lanes; ++j) acc[j] = prog.bias;
           for (const MacPairOp& op : prog.pairs) {
             const size_t off_a =
                 static_cast<size_t>(op.operand_a) * c + ch;
             const size_t off_b =
                 static_cast<size_t>(op.operand_b) * c + ch;
-            for (int j = 0; j < kBatchLanes; ++j) {
+            for (int j = 0; j < Lanes; ++j) {
               const int16_t* lane =
                   cols.data() + static_cast<size_t>(j) * lane_stride;
               acc[j] = smlad(op.weight_const,
@@ -410,7 +311,7 @@ void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
             const uint32_t wlast = pack_q15_pair(0, prog.single.weight);
             const size_t off =
                 static_cast<size_t>(prog.single.operand) * c + ch;
-            for (int j = 0; j < kBatchLanes; ++j) {
+            for (int j = 0; j < Lanes; ++j) {
               const int16_t* lane =
                   cols.data() + static_cast<size_t>(j) * lane_stride;
               acc[j] = smlabb(wlast, pack_q15_pair(0, lane[off]), acc[j]);
@@ -427,6 +328,18 @@ void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
       }
     }
   }
+}
+
+void UnpackedDepthwise::run(std::span<const int8_t> in, std::span<int8_t> out,
+                       std::span<int16_t> scratch) const {
+  run_lanes<1>(in, out, 1, scratch);
+}
+
+void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
+                             std::span<int8_t> out, int batch,
+                             std::span<int16_t> scratch) const {
+  if (batch == 1) return run(in, out, scratch);
+  run_lanes<kBatchLanes>(in, out, batch, scratch);
 }
 
 }  // namespace ataman

@@ -68,8 +68,10 @@ struct UnpackedConv {
                             const uint8_t* skip = nullptr);
 
   // Execute for one input feature map. Bit-exact with conv2d_ref under
-  // the same skip mask (tests assert this).
-  void run(std::span<const int8_t> in, std::span<int8_t> out) const;
+  // the same skip mask (tests assert this). `scratch` as for the packed
+  // kernels (Q15Scratch).
+  void run(std::span<const int8_t> in, std::span<int8_t> out,
+           std::span<int16_t> scratch = {}) const;
 
   // Batched execution: `in`/`out` are contiguous batches (image b at
   // b * in_elems / b * out_elems). Each channel program is streamed once
@@ -77,7 +79,14 @@ struct UnpackedConv {
   // multiply into one accumulator per lane) instead of once per image.
   // Bitwise identical to per-image run().
   void run_batch(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch) const;
+                 int batch, std::span<int16_t> scratch = {}) const;
+
+ private:
+  // The one body of run/run_batch, instantiated per lane count (a single
+  // image runs one lane).
+  template <int Lanes>
+  void run_lanes(std::span<const int8_t> in, std::span<int8_t> out,
+                 int batch, std::span<int16_t> scratch) const;
 };
 
 // Unpacked depthwise convolution: one straight-line program per channel
@@ -108,11 +117,19 @@ struct UnpackedDepthwise {
                                  const uint8_t* skip = nullptr);
 
   // Bit-exact with depthwise_conv2d_ref under the same skip mask.
-  void run(std::span<const int8_t> in, std::span<int8_t> out) const;
+  void run(std::span<const int8_t> in, std::span<int8_t> out,
+           std::span<int16_t> scratch = {}) const;
 
   // Batched execution over contiguous batches; see UnpackedConv::run_batch.
   void run_batch(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch) const;
+                 int batch, std::span<int16_t> scratch = {}) const;
+
+ private:
+  // The one body of run/run_batch, instantiated per lane count (a single
+  // image runs one lane).
+  template <int Lanes>
+  void run_lanes(std::span<const int8_t> in, std::span<int8_t> out,
+                 int batch, std::span<int16_t> scratch) const;
 };
 
 }  // namespace ataman

@@ -8,6 +8,7 @@
 #include "src/cmsisnn/smlad.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
+#include "src/unpack/unpacked_engine.hpp"
 #include "tests/test_util.hpp"
 
 namespace ataman {
@@ -131,14 +132,23 @@ TEST(CmsisEngine, BitExactVsReferenceEngine) {
   }
 }
 
+// Sum of a profile's cycles; the contract is one row per plan step (its
+// dispatch included) plus one softmax row.
+int64_t profile_sum(const InferenceEngine& engine) {
+  EXPECT_EQ(engine.layer_profile().size(), engine.model().layers.size() + 1)
+      << engine.design_name();
+  EXPECT_EQ(engine.layer_profile().back().kind, "softmax");
+  int64_t sum = 0;
+  for (const LayerProfile& p : engine.layer_profile()) sum += p.cycles;
+  return sum;
+}
+
 TEST(CmsisEngine, CycleProfileCoversAllLayers) {
   const QModel m = make_tiny_qmodel(10);
   CmsisEngine engine(&m);
   EXPECT_GT(engine.total_cycles(), 0);
   int convs = 0, pools = 0, fcs = 0;
-  int64_t sum = 0;
   for (const LayerProfile& p : engine.layer_profile()) {
-    sum += p.cycles;
     if (p.kind == "conv") ++convs;
     if (p.kind == "pool") ++pools;
     if (p.kind == "fc") ++fcs;
@@ -146,7 +156,27 @@ TEST(CmsisEngine, CycleProfileCoversAllLayers) {
   EXPECT_EQ(convs, 2);
   EXPECT_EQ(pools, 1);
   EXPECT_EQ(fcs, 1);
-  EXPECT_EQ(sum, engine.total_cycles());
+  EXPECT_EQ(profile_sum(engine), engine.total_cycles());
+
+  // The same contract on the unpacked engine over every layer kind
+  // (conv, depthwise, pools, add, fc), with all approximable layers
+  // unpacked and with a hybrid selection that keeps some packed.
+  for (const QModel& model :
+       {make_tiny_qmodel(12), testing::make_residual_qmodel(13),
+        testing::make_tiny_vww_qmodel(14)}) {
+    std::vector<uint8_t> hybrid(
+        static_cast<size_t>(model.approx_layer_count()));
+    for (size_t i = 0; i < hybrid.size(); ++i) hybrid[i] = i % 2 == 0;
+    EXPECT_EQ(profile_sum(CmsisEngine(&model)),
+              CmsisEngine(&model).total_cycles());
+    for (const std::vector<uint8_t>* selection :
+         {static_cast<const std::vector<uint8_t>*>(nullptr),
+          static_cast<const std::vector<uint8_t>*>(&hybrid)}) {
+      const UnpackedEngine unpacked(&model, nullptr, {}, {}, selection);
+      EXPECT_EQ(profile_sum(unpacked), unpacked.total_cycles())
+          << model.name << (selection != nullptr ? " hybrid" : "");
+    }
+  }
 }
 
 TEST(CmsisEngine, DeployReportIsConsistent) {

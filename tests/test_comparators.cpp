@@ -1,10 +1,11 @@
-// X-CUBE-AI comparator and the qualitative baseline models.
+// X-CUBE-AI comparator (the packed plan under the X-CUBE-AI price list)
+// and the qualitative baseline models.
 #include <gtest/gtest.h>
 
 #include "src/baselines/qualitative.hpp"
 #include "src/cmsisnn/cmsis_engine.hpp"
+#include "src/mcu/cost_model.hpp"
 #include "src/nn/engine.hpp"
-#include "src/xcube/xcube_engine.hpp"
 #include "tests/test_util.hpp"
 
 namespace ataman {
@@ -14,7 +15,7 @@ using testing::make_tiny_qmodel;
 
 TEST(XCube, ExactNumericsMatchReference) {
   const QModel m = make_tiny_qmodel(90);
-  XCubeEngine xcube(&m);
+  const CmsisEngine xcube(&m, XCubeCostTable{});
   RefEngine ref(&m);
   for (int i = 0; i < 20; ++i) {
     const auto img = testing::make_random_image(12 * 12 * 3, 910 + i);
@@ -26,21 +27,21 @@ TEST(XCube, FasterThanCmsisOnFastPathModels) {
   // X-CUBE-AI beats CMSIS on both paper networks; our cost profile must
   // reproduce that ordering on comparable models.
   const QModel m = make_tiny_qmodel(91);
-  XCubeEngine xcube(&m);
+  const CmsisEngine xcube(&m, XCubeCostTable{});
   CmsisEngine cmsis(&m);
   EXPECT_LT(xcube.total_cycles(), cmsis.total_cycles());
 }
 
 TEST(XCube, SmallerFlashThanCmsis) {
   const QModel m = make_tiny_qmodel(92);
-  XCubeEngine xcube(&m);
+  const CmsisEngine xcube(&m, XCubeCostTable{});
   const FlashReport cmsis = packed_flash(m);
   EXPECT_LT(xcube.flash_bytes(), cmsis.total_bytes);
 }
 
 TEST(XCube, DeployReportShape) {
   const QModel m = make_tiny_qmodel(93);
-  XCubeEngine xcube(&m);
+  const CmsisEngine xcube(&m, XCubeCostTable{});
   Dataset eval(ImageShape{12, 12, 3}, 10);
   Rng rng(94);
   for (int i = 0; i < 30; ++i) {

@@ -1,0 +1,192 @@
+// Cost goldens: every modeled deployment number of every in-tree engine,
+// pinned bit for bit.
+//
+// For ref / cmsis / unpacked / xcube over four fixture shapes (chain,
+// residual DAG, depthwise, scored head) and three configurations (exact,
+// a random skip mask, that mask plus a hybrid packed/unpacked selection),
+// total_cycles, mac_ops, flash_bytes and ram_bytes must equal the values
+// recorded below. Any refactor of the cost tallies, the execution plan
+// or the rounding must leave these untouched; re-pricing the model is a
+// deliberate act that updates the table.
+//
+// The DSE evaluator prices configurations without building an engine;
+// its static cycles and flash must equal the unpacked engine built for
+// the same mask on every config of a small sweep.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.hpp"
+#include "src/core/engine_iface.hpp"
+#include "src/dse/evaluator.hpp"
+#include "src/nn/skip_mask.hpp"
+#include "src/sig/act_stats.hpp"
+#include "src/sig/significance.hpp"
+#include "src/sig/skip_plan.hpp"
+#include "src/unpack/unpacked_engine.hpp"
+#include "tests/test_util.hpp"
+
+namespace ataman {
+namespace {
+
+struct Costs {
+  int64_t cycles, macs, flash, ram;
+};
+
+// Recorded from the engines as they price these fixtures today.
+const std::map<std::string, Costs>& golden() {
+  static const std::map<std::string, Costs> table = {
+      {"tiny/ref/exact", {0, 41760, 0, 0}},
+      {"tiny/ref/masked", {0, 29016, 0, 0}},
+      {"tiny/ref/hybrid", {0, 29016, 0, 0}},
+      {"tiny/cmsis/exact", {289552, 41760, 61298, 173544}},
+      {"tiny/cmsis/masked", {289552, 41760, 61298, 173544}},
+      {"tiny/cmsis/hybrid", {289552, 41760, 61298, 173544}},
+      {"tiny/unpacked/exact", {142920, 41760, 48440, 173328}},
+      {"tiny/unpacked/masked", {107604, 29016, 47292, 173328}},
+      {"tiny/unpacked/hybrid", {177853, 33984, 45660, 173328}},
+      {"tiny/xcube/exact", {204776, 41760, 43281, 155112}},
+      {"tiny/xcube/masked", {204776, 41760, 43281, 155112}},
+      {"tiny/xcube/hybrid", {204776, 41760, 43281, 155112}},
+      {"residual/ref/exact", {0, 30208, 0, 0}},
+      {"residual/ref/masked", {0, 22464, 0, 0}},
+      {"residual/ref/hybrid", {0, 22464, 0, 0}},
+      {"residual/cmsis/exact", {95185, 30208, 61000, 172944}},
+      {"residual/cmsis/masked", {95185, 30208, 61000, 172944}},
+      {"residual/cmsis/hybrid", {95185, 30208, 61000, 172944}},
+      {"residual/unpacked/exact", {105184, 30208, 47448, 172800}},
+      {"residual/unpacked/masked", {84224, 22464, 46736, 172800}},
+      {"residual/unpacked/hybrid", {88539, 25280, 46052, 172800}},
+      {"residual/xcube/exact", {74544, 30208, 42962, 154512}},
+      {"residual/xcube/masked", {74544, 30208, 42962, 154512}},
+      {"residual/xcube/hybrid", {74544, 30208, 42962, 154512}},
+      {"depthwise/ref/exact", {0, 14016, 0, 0}},
+      {"depthwise/ref/masked", {0, 9344, 0, 0}},
+      {"depthwise/ref/hybrid", {0, 9344, 0, 0}},
+      {"depthwise/cmsis/exact", {110804, 14016, 58192, 172908}},
+      {"depthwise/cmsis/masked", {110804, 14016, 58192, 172908}},
+      {"depthwise/cmsis/hybrid", {110804, 14016, 58192, 172908}},
+      {"depthwise/unpacked/exact", {60062, 14016, 43424, 172800}},
+      {"depthwise/unpacked/masked", {46878, 9344, 42972, 172800}},
+      {"depthwise/unpacked/hybrid", {61049, 10560, 42554, 172800}},
+      {"depthwise/xcube/exact", {79338, 14016, 41262, 154476}},
+      {"depthwise/xcube/masked", {79338, 14016, 41262, 154476}},
+      {"depthwise/xcube/hybrid", {79338, 14016, 41262, 154476}},
+      {"scored/ref/exact", {0, 1536, 0, 0}},
+      {"scored/ref/masked", {0, 1536, 0, 0}},
+      {"scored/ref/hybrid", {0, 1536, 0, 0}},
+      {"scored/cmsis/exact", {6388, 1536, 59328, 172096}},
+      {"scored/cmsis/masked", {6388, 1536, 59328, 172096}},
+      {"scored/cmsis/hybrid", {6388, 1536, 59328, 172096}},
+      {"scored/unpacked/exact", {6388, 1536, 42944, 172096}},
+      {"scored/unpacked/masked", {6388, 1536, 42944, 172096}},
+      {"scored/unpacked/hybrid", {6388, 1536, 42944, 172096}},
+      {"scored/xcube/exact", {5077, 1536, 42125, 153664}},
+      {"scored/xcube/masked", {5077, 1536, 42125, 153664}},
+      {"scored/xcube/hybrid", {5077, 1536, 42125, 153664}},
+  };
+  return table;
+}
+
+std::vector<std::pair<std::string, QModel>> fixtures() {
+  std::vector<std::pair<std::string, QModel>> out;
+  out.emplace_back("tiny", testing::make_tiny_qmodel(1201));
+  out.emplace_back("residual", testing::make_residual_qmodel(1202));
+  out.emplace_back("depthwise", testing::make_tiny_vww_qmodel(1203));
+  out.emplace_back("scored", testing::make_tiny_scored_qmodel(1204));
+  return out;
+}
+
+// Deterministic random mask skipping ~30% of every approximable layer's
+// static operands.
+SkipMask random_mask(const QModel& m, uint64_t seed) {
+  SkipMask mask = SkipMask::none(m);
+  Rng rng(seed);
+  for (auto& layer : mask.masks)
+    for (auto& s : layer) s = rng.next_bool(0.3) ? 1 : 0;
+  return mask;
+}
+
+TEST(CostGolden, EveryEngineModelAndConfigMatchesTheRecordedCosts) {
+  int checked = 0;
+  for (const auto& [model_name, m] : fixtures()) {
+    const SkipMask mask = random_mask(m, 1300 + m.layers.size());
+    std::vector<uint8_t> hybrid(static_cast<size_t>(m.approx_layer_count()));
+    for (size_t i = 0; i < hybrid.size(); ++i) hybrid[i] = i % 2 == 0;
+    for (const char* engine : {"ref", "cmsis", "unpacked", "xcube"}) {
+      for (const char* variant : {"exact", "masked", "hybrid"}) {
+        EngineConfig cfg;
+        cfg.model = &m;
+        if (std::string(variant) != "exact") cfg.mask = &mask;
+        if (std::string(variant) == "hybrid") cfg.unpack_selection = &hybrid;
+        const auto e = EngineRegistry::instance().create(engine, cfg);
+        const Costs got{e->total_cycles(), e->mac_ops(), e->flash_bytes(),
+                        e->ram_bytes()};
+        const std::string key =
+            model_name + "/" + engine + "/" + variant;
+        const auto it = golden().find(key);
+        if (it == golden().end()) {
+          ADD_FAILURE() << "no golden row; recorded now: {\"" << key
+                        << "\", {" << got.cycles << ", " << got.macs << ", "
+                        << got.flash << ", " << got.ram << "}},";
+          continue;
+        }
+        EXPECT_EQ(got.cycles, it->second.cycles) << key;
+        EXPECT_EQ(got.macs, it->second.macs) << key;
+        EXPECT_EQ(got.flash, it->second.flash) << key;
+        EXPECT_EQ(got.ram, it->second.ram) << key;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4 * 4 * 3);
+}
+
+TEST(CostGolden, EvaluatorStaticMetricsEqualTheUnpackedEngine) {
+  for (const auto& [model_name, m] : fixtures()) {
+    const int approx = m.approx_layer_count();
+    Dataset eval(ImageShape{m.in_h, m.in_w, m.in_c}, 10);
+    Rng rng(1400);
+    for (int i = 0; i < 24; ++i) {
+      std::vector<uint8_t> img(static_cast<size_t>(m.in_h) * m.in_w * m.in_c);
+      for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
+      eval.add(img, rng.next_int(0, 9));
+    }
+    const std::vector<LayerSignificance> sig = compute_model_significance(
+        m, capture_activation_stats(m, eval, 24));
+    const ConfigEvaluator ev(&m, &sig, &eval, -1);
+
+    std::vector<ApproxConfig> configs = {ApproxConfig::exact(approx)};
+    for (const double tau : {0.001, 0.01, 0.05, 0.2})
+      configs.push_back(ApproxConfig::uniform(approx, tau));
+    if (approx > 1) {
+      ApproxConfig mixed = ApproxConfig::exact(approx);
+      mixed.tau[0] = 0.05;
+      configs.push_back(mixed);
+    }
+    std::set<int64_t> distinct_cycles;
+    for (const ApproxConfig& c : configs) {
+      const SkipMask mask = make_skip_mask(m, sig, c);
+      const UnpackedEngine engine(&m, &mask);
+      const DseResult r = ev.evaluate_static(c);
+      EXPECT_EQ(r.cycles, engine.total_cycles())
+          << model_name << " " << c.to_string();
+      EXPECT_EQ(r.flash_bytes, engine.flash_bytes())
+          << model_name << " " << c.to_string();
+      EXPECT_EQ(r.executed_macs, engine.mac_ops())
+          << model_name << " " << c.to_string();
+      distinct_cycles.insert(r.cycles);
+    }
+    // The sweep must actually skip something wherever there is something
+    // to skip.
+    if (approx > 0) {
+      EXPECT_GT(distinct_cycles.size(), 1u) << model_name;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ataman

@@ -354,9 +354,8 @@ TEST(EngineDiffFuzz, ExactParityMaskedParityAndCostMonotonicity) {
 
 // Batch-parity dimension: for random models, random tau-derived skip
 // masks and batch sizes {1, 2, 3, 7, 16}, run_batch logits must be
-// bitwise equal to per-image run() on every backend — the engines with a
-// real batch-amortized path (supports_run_batch()) and the fallback-loop
-// engines alike. Batches draw from a small image pool, so they contain
+// bitwise equal to per-image run() on every backend. Batches draw from
+// a small image pool, so they contain
 // duplicate images, and the non-multiple-of-kBatchLanes sizes exercise
 // ragged final lane-blocks.
 TEST(EngineDiffFuzz, BatchParityAcrossEnginesAndBatchSizes) {

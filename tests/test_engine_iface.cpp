@@ -11,7 +11,6 @@
 #include "src/core/eval.hpp"
 #include "src/nn/engine.hpp"
 #include "src/unpack/unpacked_engine.hpp"
-#include "src/xcube/xcube_engine.hpp"
 #include "tests/test_util.hpp"
 
 namespace ataman {

@@ -71,7 +71,6 @@ class CountingEngine : public InferenceEngine {
 TEST(RunBatchContract, DefaultFallbackLoopsRunPerImage) {
   const QModel m = make_tiny_qmodel(910);
   const CountingEngine engine(&m);
-  EXPECT_FALSE(engine.supports_run_batch());
 
   std::vector<std::vector<uint8_t>> images;
   for (int i = 0; i < 5; ++i)
@@ -87,21 +86,35 @@ TEST(RunBatchContract, DefaultFallbackLoopsRunPerImage) {
     EXPECT_EQ(logits[i], oracle.run(images[i])) << "image " << i;
 }
 
-TEST(RunBatchContract, InTreeEnginesReportBatchSupport) {
+TEST(RunBatchContract, EveryRegisteredEngineBatchesBitwiseLikeRun) {
   const QModel m = make_tiny_qmodel(920);
-  EngineConfig cfg;
-  cfg.model = &m;
-  // ref, cmsis, unpacked carry real batch-amortized paths; xcube stays on
-  // the fallback loop (its RefEngine delegate makes batching a wash), so
-  // the serve layer keeps exercising both sides of the seam.
-  for (const char* name : {"ref", "cmsis", "unpacked"}) {
-    EXPECT_TRUE(EngineRegistry::instance()
-                    .create(name, cfg)
-                    ->supports_run_batch())
-        << name;
+  SkipMask mask = SkipMask::none(m);
+  Rng rng(921);
+  for (auto& layer : mask.masks)
+    for (auto& s : layer) s = rng.next_bool(0.1) ? 1 : 0;
+  // Six images with a duplicate: one full lane-block plus a ragged tail.
+  std::vector<std::vector<uint8_t>> images;
+  for (int i = 0; i < 5; ++i)
+    images.push_back(make_random_image(kImagePixels, 922 + i));
+  images.push_back(images[1]);
+
+  for (const std::string& name : EngineRegistry::instance().names()) {
+    for (const SkipMask* bound : {static_cast<const SkipMask*>(nullptr),
+                                  static_cast<const SkipMask*>(&mask)}) {
+      EngineConfig cfg;
+      cfg.model = &m;
+      cfg.mask = bound;
+      const auto engine = EngineRegistry::instance().create(name, cfg);
+      std::vector<std::vector<int8_t>> logits;
+      engine->run_batch(as_spans(images), logits);
+      ASSERT_EQ(logits.size(), images.size()) << name;
+      for (size_t i = 0; i < images.size(); ++i) {
+        EXPECT_EQ(logits[i], engine->run(images[i]))
+            << name << (bound != nullptr ? " masked" : " exact") << " image "
+            << i;
+      }
+    }
   }
-  EXPECT_FALSE(
-      EngineRegistry::instance().create("xcube", cfg)->supports_run_batch());
 }
 
 TEST(RunBatchContract, EmptyBatchIsAHardErrorOnEveryBackend) {

@@ -1,9 +1,8 @@
 // The serve runtime (src/serve): bitwise determinism under concurrent,
 // mixed-configuration load; micro-batch coalescing policy and fairness;
 // shutdown-with-pending-requests semantics; engine-pool reuse accounting;
-// and the XCubeEngine clone/worker-isolation audit (the engine holds a
-// RefEngine delegate — see the clone/concurrency note in
-// src/xcube/xcube_engine.hpp).
+// and the xcube clone/worker-isolation audit (one const engine shared
+// across threads — every call walks its plan over a call-local arena).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "src/nn/engine.hpp"
 #include "src/nn/skip_mask.hpp"
 #include "src/serve/server.hpp"
-#include "src/xcube/xcube_engine.hpp"
 #include "tests/test_util.hpp"
 
 namespace ataman {
@@ -472,7 +470,7 @@ TEST(ServePool, RebindableRefCollapsesMasksNonRebindableKeysPerMask) {
 }
 
 // ---------------------------------------------------------------------------
-// XCubeEngine clone / worker isolation audit (ISSUE 4 satellite)
+// xcube clone / worker isolation audit
 // ---------------------------------------------------------------------------
 
 TEST(ServeXCube, CloneIsCheapEquivalentAndSafeAcrossWorkers) {
@@ -491,8 +489,8 @@ TEST(ServeXCube, CloneIsCheapEquivalentAndSafeAcrossWorkers) {
   // Stateless-after-construction audit: hammer BOTH the original and its
   // clone from concurrent threads; every logit vector must match the
   // serial reference. (The pool never shares instances across workers —
-  // this pins down that even sharing would be safe today, so the
-  // RefEngine delegate inside XCubeEngine is not load-bearing state.)
+  // this pins down that even sharing would be safe today: the engine
+  // holds no mutable state.)
   const RefEngine oracle(&m);
   constexpr int kThreads = 4, kImagesPerThread = 10;
   std::vector<std::vector<std::vector<int8_t>>> got(
