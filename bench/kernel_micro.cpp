@@ -87,7 +87,7 @@ void BM_ConvPackedCmsisBatch(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
                           conv.geom.out_c * static_cast<size_t>(batch));
   for (auto _ : state) {
-    packed_conv2d_batch(conv, packed, in, out, batch);
+    packed_conv2d(conv, packed, in, out, batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -107,7 +107,7 @@ void BM_ConvUnpackedBatch(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
                           conv.geom.out_c * static_cast<size_t>(batch));
   for (auto _ : state) {
-    u.run_batch(in, out, batch);
+    u.run(in, out, batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -124,7 +124,7 @@ void BM_DenseBatch(benchmark::State& state) {
   std::vector<int8_t> out(static_cast<size_t>(fc.out_dim) *
                           static_cast<size_t>(batch));
   for (auto _ : state) {
-    packed_dense_batch(fc, packed, in, out, batch);
+    packed_dense(fc, packed, in, out, batch);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);

@@ -30,11 +30,12 @@ void PackedKernels::run_step(const ExecStep& step, const StepIO& io) const {
   const QLayer& layer = model_->layers[static_cast<size_t>(step.layer)];
   const PackedWeights& w = packed_[static_cast<size_t>(step.layer)];
   if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-    packed_conv2d_batch(*conv, w, io.in_a, io.out, io.batch, io.scratch);
+    packed_conv2d(*conv, w, io.in_a, io.out, io.batch, io.scratch, io.cols);
   } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-    packed_depthwise_conv2d_batch(*dw, io.in_a, io.out, io.batch, io.scratch);
+    packed_depthwise_conv2d(*dw, io.in_a, io.out, io.batch, io.scratch,
+                            io.cols);
   } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-    packed_dense_batch(*fc, w, io.in_a, io.out, io.batch, io.scratch);
+    packed_dense(*fc, w, io.in_a, io.out, io.batch, io.scratch);
   } else {
     run_step_ref(layer, io);  // pools and adds: no weights to pack
   }

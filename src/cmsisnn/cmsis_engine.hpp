@@ -59,6 +59,10 @@ class CmsisEngine : public InferenceEngine {
     check_batch_nonempty(images);
     plan_.run_batch(images, kernels_, logits_out);
   }
+  std::vector<int8_t> run_incremental(
+      StreamState& state, std::span<const uint8_t> new_columns) const override {
+    return plan_.run_incremental(state, new_columns, kernels_);
+  }
 
   // Copies the offline-packed weight streams and the precomputed profile
   // instead of re-running the packing analysis.

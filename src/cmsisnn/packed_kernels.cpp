@@ -85,11 +85,11 @@ int32_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
 template <int Lanes>
 void conv2d_lanes(const QConv2D& layer, const PackedWeights& packed,
                   std::span<const int8_t> in, std::span<int8_t> out,
-                  int batch, std::span<int16_t> scratch) {
+                  int batch, std::span<int16_t> scratch, ColumnRange range) {
   const ConvGeom& g = layer.geom;
   check(packed.patch == g.patch_size() && packed.out_c == g.out_c,
         "packed weights do not match layer");
-  check(batch >= 1, "packed_conv2d_batch: batch must be >= 1");
+  check(batch >= 1, "packed_conv2d: batch must be >= 1");
   const size_t in_elems =
       static_cast<size_t>(g.in_h) * g.in_w * g.in_c;
   const int oh = g.out_h(), ow = g.out_w();
@@ -99,6 +99,7 @@ void conv2d_lanes(const QConv2D& layer, const PackedWeights& packed,
   check(out.size() == out_elems * static_cast<size_t>(batch),
         "batched conv output size mismatch");
   const size_t patch = static_cast<size_t>(g.patch_size());
+  const int ox_end = range.end_within(ow);
 
   const Q15Scratch cols(scratch, static_cast<size_t>(Lanes) * patch);
   for (int b0 = 0; b0 < batch; b0 += Lanes) {
@@ -107,7 +108,7 @@ void conv2d_lanes(const QConv2D& layer, const PackedWeights& packed,
     // they are computed but never stored.
     if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
+      for (int ox = range.begin; ox < ox_end; ++ox) {
         for (int j = 0; j < bn; ++j) {
           im2col_patch_q15(
               layer,
@@ -134,8 +135,8 @@ void conv2d_lanes(const QConv2D& layer, const PackedWeights& packed,
 template <int Lanes>
 void depthwise_lanes(const QDepthwiseConv2D& layer,
                      std::span<const int8_t> in, std::span<int8_t> out,
-                     int batch, std::span<int16_t> scratch) {
-  check(batch >= 1, "packed_depthwise_conv2d_batch: batch must be >= 1");
+                     int batch, std::span<int16_t> scratch, ColumnRange range) {
+  check(batch >= 1, "packed_depthwise_conv2d: batch must be >= 1");
   const size_t in_elems =
       static_cast<size_t>(layer.in_h) * layer.in_w * layer.channels;
   const int oh = layer.out_h(), ow = layer.out_w(), c = layer.channels;
@@ -148,6 +149,7 @@ void depthwise_lanes(const QDepthwiseConv2D& layer,
   const int patch = layer.patch_size();
   const int32_t zp = layer.in.zero_point;
   const size_t lane_stride = static_cast<size_t>(patch) * c;
+  const int ox_end = range.end_within(ow);
 
   // Lane-major blocks of the q15 expansion of the receptive field, one
   // per position shared by all channels: cols[j * patch * c + tap * c +
@@ -160,7 +162,7 @@ void depthwise_lanes(const QDepthwiseConv2D& layer,
     const int bn = std::min(Lanes, batch - b0);
     if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
+      for (int ox = range.begin; ox < ox_end; ++ox) {
         for (int j = 0; j < bn; ++j) {
           const int8_t* img =
               in.data() + static_cast<size_t>(b0 + j) * in_elems;
@@ -215,7 +217,7 @@ void dense_lanes(const QDense& layer, const PackedWeights& packed,
                  std::span<int16_t> scratch) {
   check(packed.patch == layer.in_dim && packed.out_c == layer.out_dim,
         "packed weights do not match layer");
-  check(batch >= 1, "packed_dense_batch: batch must be >= 1");
+  check(batch >= 1, "packed_dense: batch must be >= 1");
   const size_t in_elems = static_cast<size_t>(layer.in_dim);
   const size_t out_elems = static_cast<size_t>(layer.out_dim);
   check(in.size() == in_elems * static_cast<size_t>(batch),
@@ -254,41 +256,24 @@ void dense_lanes(const QDense& layer, const PackedWeights& packed,
 
 void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
                    std::span<const int8_t> in, std::span<int8_t> out,
-                   std::span<int16_t> scratch) {
-  conv2d_lanes<1>(layer, packed, in, out, 1, scratch);
+                   int batch, std::span<int16_t> scratch, ColumnRange range) {
+  if (batch == 1)
+    return conv2d_lanes<1>(layer, packed, in, out, 1, scratch, range);
+  conv2d_lanes<kBatchLanes>(layer, packed, in, out, batch, scratch, range);
 }
 
 void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
                              std::span<const int8_t> in, std::span<int8_t> out,
-                             std::span<int16_t> scratch) {
-  depthwise_lanes<1>(layer, in, out, 1, scratch);
+                             int batch, std::span<int16_t> scratch,
+                             ColumnRange range) {
+  if (batch == 1) return depthwise_lanes<1>(layer, in, out, 1, scratch, range);
+  depthwise_lanes<kBatchLanes>(layer, in, out, batch, scratch, range);
 }
 
 void packed_dense(const QDense& layer, const PackedWeights& packed,
                   std::span<const int8_t> in, std::span<int8_t> out,
-                  std::span<int16_t> scratch) {
-  dense_lanes<1>(layer, packed, in, out, 1, scratch);
-}
-
-void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
-                         std::span<const int8_t> in, std::span<int8_t> out,
-                         int batch, std::span<int16_t> scratch) {
-  if (batch == 1) return packed_conv2d(layer, packed, in, out, scratch);
-  conv2d_lanes<kBatchLanes>(layer, packed, in, out, batch, scratch);
-}
-
-void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
-                                   std::span<const int8_t> in,
-                                   std::span<int8_t> out, int batch,
-                                   std::span<int16_t> scratch) {
-  if (batch == 1) return packed_depthwise_conv2d(layer, in, out, scratch);
-  depthwise_lanes<kBatchLanes>(layer, in, out, batch, scratch);
-}
-
-void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
-                        std::span<const int8_t> in, std::span<int8_t> out,
-                        int batch, std::span<int16_t> scratch) {
-  if (batch == 1) return packed_dense(layer, packed, in, out, scratch);
+                  int batch, std::span<int16_t> scratch) {
+  if (batch == 1) return dense_lanes<1>(layer, packed, in, out, 1, scratch);
   dense_lanes<kBatchLanes>(layer, packed, in, out, batch, scratch);
 }
 

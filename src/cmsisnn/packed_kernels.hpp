@@ -54,11 +54,28 @@ class Q15Scratch {
   std::span<int16_t> buf_;
 };
 
-// Every kernel below takes an optional `scratch` for its q15 working set
-// (see Q15Scratch); results never depend on it.
+// Images per accumulator block: four int32 accumulators span one 128-bit
+// SSE/NEON register, so the fixed-trip-count lane loops auto-vectorize.
+inline constexpr int kBatchLanes = 4;
+
+// Every kernel below runs a contiguous batch of `batch` images: image b
+// lives at in + b * in_elems and out + b * out_elems. Numerics are
+// bitwise identical to running each image alone (int32 accumulation is
+// exact, so only the operand walk order changes): the batch is folded
+// into the GEMM N dimension in lane-blocks of kBatchLanes images, each
+// weight pair constant is loaded once and multiplied into kBatchLanes
+// independent accumulators (the SMLAD dual-MAC idiom widened to SSE/NEON
+// register width), and the requantize epilogue runs per lane-block.
+// Ragged tails are handled by computing all kBatchLanes lanes over a
+// zero-padded column block and storing only the live ones, so every
+// inner loop has a constant trip count; a single image runs one lane.
+// `scratch` is optional q15 working memory (see Q15Scratch; results never
+// depend on it). The conv and depthwise kernels compute only the output
+// columns in `range`.
 void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
                    std::span<const int8_t> in, std::span<int8_t> out,
-                   std::span<int16_t> scratch = {});
+                   int batch = 1, std::span<int16_t> scratch = {},
+                   ColumnRange range = {});
 
 // Depthwise loop kernel in the arm_depthwise_conv_s8 shape: one shared
 // zero-point-corrected q15 patch expansion per output position (taps x
@@ -71,42 +88,11 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
 // depthwise_conv2d_ref.
 void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
                              std::span<const int8_t> in, std::span<int8_t> out,
-                             std::span<int16_t> scratch = {});
+                             int batch = 1, std::span<int16_t> scratch = {},
+                             ColumnRange range = {});
 
 void packed_dense(const QDense& layer, const PackedWeights& packed,
                   std::span<const int8_t> in, std::span<int8_t> out,
-                  std::span<int16_t> scratch = {});
-
-// ---- Batched variants -------------------------------------------------
-//
-// `in`/`out` are contiguous batches: image b lives at in + b * in_elems
-// and out + b * out_elems. Numerics are bitwise identical to running the
-// per-image kernel on each image (int32 accumulation is exact, so only
-// the operand walk order changes): the batch is folded into the GEMM N
-// dimension in lane-blocks of kBatchLanes images, each weight pair
-// constant is loaded once and multiplied into kBatchLanes independent
-// accumulators (the SMLAD dual-MAC idiom widened to SSE/NEON register
-// width), and the requantize epilogue runs per lane-block. Ragged tails
-// are handled by computing all kBatchLanes lanes over a zero-padded
-// column block and storing only the live ones, so every inner loop has a
-// constant trip count. Both forms are one kernel instantiated per lane
-// count: a per-image call (or a batch of one) runs a single lane.
-
-// Images per accumulator block: four int32 accumulators span one 128-bit
-// SSE/NEON register, so the fixed-trip-count lane loops auto-vectorize.
-inline constexpr int kBatchLanes = 4;
-
-void packed_conv2d_batch(const QConv2D& layer, const PackedWeights& packed,
-                         std::span<const int8_t> in, std::span<int8_t> out,
-                         int batch, std::span<int16_t> scratch = {});
-
-void packed_depthwise_conv2d_batch(const QDepthwiseConv2D& layer,
-                                   std::span<const int8_t> in,
-                                   std::span<int8_t> out, int batch,
-                                   std::span<int16_t> scratch = {});
-
-void packed_dense_batch(const QDense& layer, const PackedWeights& packed,
-                        std::span<const int8_t> in, std::span<int8_t> out,
-                        int batch, std::span<int16_t> scratch = {});
+                  int batch = 1, std::span<int16_t> scratch = {});
 
 }  // namespace ataman

@@ -52,25 +52,23 @@ double InferenceEngine::score(std::span<const uint8_t> image) const {
   return reconstruction_score(model(), quantize_input(image), run(image));
 }
 
-void InferenceEngine::decline_capability(const char* api,
-                                         const char* gate) const {
-  fail("engine '" + design_name_ + "' does not support " + api + " (check " +
-       gate + "() before calling; callers without a fallback should pick a "
-       "capable backend)");
+void InferenceEngine::decline_capability(const char* api) const {
+  fail("engine '" + design_name_ + "' does not support " + api +
+       " (callers without a fallback should pick a capable backend)");
 }
 
 std::vector<int8_t> InferenceEngine::run_from(
     int layer_begin, std::span<const int8_t> activations) const {
   (void)layer_begin;
   (void)activations;
-  decline_capability("run_from", "supports_run_from");
+  decline_capability("run_from");
 }
 
 std::vector<int8_t> InferenceEngine::run_incremental(
     StreamState& state, std::span<const uint8_t> new_columns) const {
   (void)state;
   (void)new_columns;
-  decline_capability("run_incremental", "supports_run_incremental");
+  decline_capability("run_incremental");
 }
 
 void InferenceEngine::run_batch(
@@ -83,7 +81,7 @@ void InferenceEngine::run_batch(
 
 void InferenceEngine::rebind_mask(const SkipMask* mask) {
   (void)mask;
-  decline_capability("rebind_mask", "supports_mask_rebind");
+  decline_capability("rebind_mask");
 }
 
 const std::vector<LayerProfile>& InferenceEngine::layer_profile() const {

@@ -14,7 +14,7 @@
 // all three; report consumers treat zeros as "not modeled".
 #pragma once
 
-#include <deque>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,6 +29,7 @@
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/deploy_report.hpp"
 #include "src/mcu/memory_model.hpp"
+#include "src/mcu/stream_plan.hpp"
 #include "src/quant/qtypes.hpp"
 
 namespace ataman {
@@ -69,22 +70,34 @@ inline int scored_class(const QModel& model, double score) {
 }
 
 // Cross-frame state of one streaming session (docs/SERVING.md
-// "Streaming sessions"). Engine-independent data: a short ring of the
-// previous frames' full per-tensor int8 activations — past[d-1][t] is
-// tensor t of frame n-d (tensor 0 = the quantized input, tensor l+1 =
-// the output of layer l) — plus the column stride each retained frame
-// was pushed with and the reuse counters. Owned by the caller
-// (serve::StreamSession or a bench loop); engines only read and advance
-// it inside run_incremental. Not thread-safe on its own: the serve
-// queue guarantees at most one in-flight frame per session.
+// "Streaming sessions"): a ring of kMaxStreamLookback + 1 whole frames in
+// the plan's unaliased frame layout (ExecPlan::frame_offsets) — the
+// newest `fill` slots are the retained past frames, the next one is
+// where the current frame runs — plus the stride history and the reuse
+// counters. The ring and the kernels' q15
+// scratch share one allocation, made by the session's first frame; a
+// state is bound to that frame's layout and rejects a model whose
+// layout differs. Owned by the caller (serve::StreamSession or a bench
+// loop); engines read and advance it only inside run_incremental. Not
+// thread-safe on its own: the serve queue guarantees at most one
+// in-flight frame per session.
 struct StreamState {
-  std::deque<std::vector<std::vector<int8_t>>> past;  // newest first
-  std::vector<int> past_strides;  // columns pushed, aligned with `past`
-  int frames = 0;                 // frames executed so far
+  std::vector<int16_t> words;   // q15 scratch, then the ring of frames
+  std::vector<int64_t> layout;  // the bound frame layout
+  int head = 0;                 // ring slot of the newest retained frame
+  int fill = 0;                 // retained past frames
+  // Newest-first strides the last frame was planned against (zero past
+  // its ring fill).
+  std::array<int, kMaxStreamLookback> past_strides{};
+  // The last splice plan: it depends only on the stride history and the
+  // ring fill, so a steady stride plans once.
+  StreamPlan plan;
+  int frames = 0;  // frames executed so far
   // Mask identity of the session's first frame: a streaming session is
   // one fixed configuration — splicing activations produced under a
-  // different mask would splice different arithmetic. Engines reject a
-  // mid-session mask change.
+  // different mask would splice different arithmetic. The reference
+  // engine rejects a mid-session mask change (the other engines bake
+  // their mask in at construction).
   const SkipMask* bound_mask = nullptr;
 
   // Reuse accounting, maintained by run_incremental.
@@ -129,13 +142,6 @@ class InferenceEngine {
   virtual void run_batch(std::span<const std::span<const uint8_t>> images,
                          std::vector<std::vector<int8_t>>& logits_out) const;
 
-  // Whether this backend can resume inference at a layer boundary via
-  // run_from. Engines that model per-layer deployment state (packed
-  // pipelines, code-generated streams) generally cannot; the reference
-  // oracle can, which is what the DSE's layer-prefix activation cache
-  // (src/dse/prefix_cache) builds on.
-  virtual bool supports_run_from() const { return false; }
-
   // Resume inference at a layer boundary: `activations` is tensor
   // `layer_begin` (the int8 output of layer layer_begin-1; the network
   // input for 0), and the call runs layers [layer_begin, layers.size())
@@ -144,18 +150,11 @@ class InferenceEngine {
   // `activations` unchanged. On DAG models `layer_begin` must be a
   // *linear boundary* (QModel::linear_boundary — no skip edge crosses
   // it), since a single tensor must carry the whole activation frontier;
-  // every boundary of a chain qualifies. Throws unless
-  // supports_run_from().
+  // every boundary of a chain qualifies. The reference oracle implements
+  // it (the DSE's layer-prefix activation cache, src/dse/prefix_cache,
+  // builds on it); the base class declines.
   virtual std::vector<int8_t> run_from(
       int layer_begin, std::span<const int8_t> activations) const;
-
-  // Whether this backend executes streaming frames incrementally via
-  // run_incremental. Only the reference engine does today: column
-  // splicing needs per-column access to fully materialized activation
-  // tensors, which the packed/unpacked deployment pipelines do not
-  // expose. Non-incremental backends serve streaming sessions through
-  // full run() fallback (serve::StreamSession arranges that).
-  virtual bool supports_run_incremental() const { return false; }
 
   // Streaming-frame inference with temporal activation reuse.
   // `new_columns` holds the `s` newest input columns in [h][s][c] u8
@@ -164,8 +163,10 @@ class InferenceEngine {
   // int8 logits, bitwise identical to run() on the full assembled
   // window — src/mcu/stream_plan.hpp derives why splicing is exact.
   // Advances `state` (ring of past activations, strides, reuse
-  // counters). Throws unless supports_run_incremental(), and on a
-  // mid-session mask rebind (state.bound_mask is pinned by frame 0).
+  // counters) only when the frame succeeds. Every in-tree engine
+  // forwards to its compiled plan (ExecPlan::run_incremental); the base
+  // class declines, so an out-of-tree backend without a plan fails on a
+  // session's first frame.
   virtual std::vector<int8_t> run_incremental(
       StreamState& state, std::span<const uint8_t> new_columns) const;
 
@@ -227,11 +228,9 @@ class InferenceEngine {
 
   // Uniform refusal for the optional capabilities (run_from,
   // run_incremental, rebind_mask): every decline throws the same
-  // message shape, naming the engine, the declined API and the
-  // capability gate the caller should have checked. Pinned by the
-  // contract test in tests/test_streaming.cpp.
-  [[noreturn]] void decline_capability(const char* api,
-                                       const char* gate) const;
+  // message shape, naming the engine and the declined API. Pinned by
+  // the contract test in tests/test_streaming.cpp.
+  [[noreturn]] void decline_capability(const char* api) const;
 
   // Shared run_batch entry validation: empty batches are a hard error
   // everywhere (a silent zero-output success would hide scheduler bugs).

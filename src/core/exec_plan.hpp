@@ -2,7 +2,7 @@
 // an engine is built, into a flat step list over one activation arena —
 // model-structure handling moved offline, as the paper's customized
 // runtime does (§II-A). Every engine (ref, cmsis, unpacked, xcube) runs
-// the same plan through the same walker; an engine only contributes its
+// the same plan through the same walkers; an engine only contributes its
 // kernel table, i.e. how it executes one step.
 //
 // Arena layout: tensor ids follow QModel (0 = network input, l+1 = the
@@ -13,6 +13,10 @@
 // scales every slot by B: tensor t occupies [offset*B, (offset+elems)*B)
 // with image b at offset*B + b*elems, which is the contiguous batched
 // layout the batched kernels expect.
+//
+// Streaming frames use a second, unaliased layout: splice sources read
+// tensors of past frames, so every tensor of a frame keeps its own range
+// (`frame_offsets`) in one ring slot of the session's StreamState.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,8 @@
 #include "src/quant/qtypes.hpp"
 
 namespace ataman {
+
+struct StreamState;
 
 // One tensor's place in the arena, in single-image units.
 struct PlanTensor {
@@ -34,6 +40,7 @@ struct ExecStep {
   OpKind kind = OpKind::kConv;
   int layer = 0;            // index into QModel::layers
   int approx_ordinal = -1;  // approximable-layer ordinal; -1 if none
+  int64_t macs = 0;         // unmasked MACs per image
   PlanTensor in[2];         // in[1].id == -1 except for QAdd
   PlanTensor out;           // out.elems is the step's out_elems
 };
@@ -44,6 +51,9 @@ struct StepIO {
   std::span<int8_t> out;
   int batch = 1;
   std::span<int16_t> scratch;  // q15 kernel working memory (Q15Scratch)
+  // Output columns to compute. Conv and depthwise kernels honour it;
+  // every other kind always computes its whole output.
+  ColumnRange cols;
 
   // The same operands restricted to image `b` of the batch.
   StepIO image(int b) const;
@@ -53,6 +63,12 @@ struct StepIO {
 class KernelTable {
  public:
   virtual void run_step(const ExecStep& step, const StepIO& io) const = 0;
+
+  // MACs one image of `step` executes in full; the streaming walker
+  // scales it by the recomputed fraction. Mask-aware tables override.
+  virtual int64_t executed_macs(const ExecStep& step) const {
+    return step.macs;
+  }
 
  protected:
   ~KernelTable() = default;
@@ -64,12 +80,16 @@ void run_step_ref(const QLayer& layer, const StepIO& io,
                   const uint8_t* skip = nullptr);
 
 struct ExecPlan {
+  const QModel* model = nullptr;
   std::vector<ExecStep> steps;      // one per layer, in stored order
   std::vector<PlanTensor> tensors;  // by tensor id
   int64_t arena_elems = 0;          // one image's activations
   int64_t scratch_elems = 0;        // largest per-image q15 working set
-  QuantParams input;
+  // Unaliased frame layout: tensor t at [frame_offsets[t],
+  // frame_offsets[t + 1]); the last entry is one frame's elements.
+  std::vector<int64_t> frame_offsets;
 
+  // `model` must outlive the plan.
   static ExecPlan compile(const QModel& model);
 
   // The walker. Each call allocates one arena for its batch (plus the
@@ -90,6 +110,14 @@ struct ExecPlan {
   std::vector<int8_t> run_from(int first_step,
                                std::span<const int8_t> activations,
                                const KernelTable& kernels) const;
+  // One streaming frame (InferenceEngine::run_incremental): shifts the
+  // previous input by the pushed columns, then runs every step into the
+  // ring's free slot — a spliced step copies its proven-equal band from
+  // a past frame and computes only the two halo column ranges. `state`
+  // is committed only after the last step succeeds.
+  std::vector<int8_t> run_incremental(StreamState& state,
+                                      std::span<const uint8_t> new_columns,
+                                      const KernelTable& kernels) const;
 };
 
 }  // namespace ataman

@@ -8,10 +8,11 @@
 // column j + shift/stride wherever its receptive field reads only
 // shifted-equal data — the same int32 MAC sequence, so splicing the old
 // column is *bitwise* identical to recomputing it. This header derives
-// those splice bands once, from pure layer geometry; the reference
-// engine executes them (RefEngine::run_incremental) and the MCU cost
-// model prices them (steady_state_stream_cost), so execution and
-// costing can never disagree about what is recomputed.
+// those splice bands once, from pure layer geometry; every engine
+// executes them through the plan's streaming walker
+// (ExecPlan::run_incremental) and the MCU cost model prices them
+// (steady_state_stream_cost), so execution and costing can never
+// disagree about what is recomputed.
 //
 // Band propagation rules, per layer (window stride st, pad p, kernel k):
 //   * The input tensor at lookback d is valid on columns [0, w - shift_d)
@@ -52,10 +53,11 @@
 
 namespace ataman {
 
-// Ring depth of streaming state: the deepest lookback the planner
-// considers (and StreamState retains). Covers stride products up to 4
-// at any frame stride — enough for every in-tree zoo model; deeper
-// pyramids would only add RAM for bands the halo has already eroded.
+// Deepest lookback the planner considers, and the past frames a
+// StreamState retains (its ring has one more slot, for the frame being
+// computed). Covers stride products up to 4 at any frame stride — enough
+// for every in-tree zoo model; deeper pyramids would only add RAM for
+// bands the halo has already eroded.
 constexpr int kMaxStreamLookback = 4;
 
 // Validity band of one tensor versus one lookback depth: columns j in

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "src/core/eval.hpp"
-#include "src/mcu/stream_plan.hpp"
-#include "src/nn/qkernels_ref.hpp"
 
 namespace ataman {
 
@@ -31,22 +29,25 @@ class RefKernels final : public KernelTable {
     run_step_ref(layer, io, skip);
   }
 
+  // Each skipped operand saves one MAC per output position.
+  int64_t executed_macs(const ExecStep& step) const override {
+    const uint8_t* skip = mask_ != nullptr && step.approx_ordinal >= 0
+                              ? mask_->row(step.approx_ordinal)
+                              : nullptr;
+    if (skip == nullptr) return step.macs;
+    const OpDescriptor op =
+        describe_layer(model_.layers[static_cast<size_t>(step.layer)]);
+    return step.macs - std::count_if(skip,
+                                     skip + op.skippable_operand_count(),
+                                     [](uint8_t v) { return v != 0; }) *
+                           op.positions;
+  }
+
  private:
   const QModel& model_;
   const SkipMask* mask_;
   const ConvTap* tap_;
 };
-
-// Executed (non-skipped) MACs per output position of an approximable
-// layer under `skip` — the mask-aware analogue of op.macs / positions.
-int64_t retained_macs_per_position(const OpDescriptor& op,
-                                   const uint8_t* skip) {
-  const int64_t per_pos = static_cast<int64_t>(op.channels) * op.patch;
-  if (skip == nullptr) return per_pos;
-  int64_t skipped = 0;
-  for (int64_t i = 0; i < per_pos; ++i) skipped += skip[i] != 0;
-  return per_pos - skipped;
-}
 
 }  // namespace
 
@@ -86,140 +87,13 @@ std::vector<int8_t> RefEngine::run_from(int layer_begin,
 
 std::vector<int8_t> RefEngine::run_incremental(
     StreamState& state, std::span<const uint8_t> new_columns) const {
-  const QModel& m = model();
-  const SkipMask* mask = default_mask_;
-  if (mask != nullptr) mask->validate(m);
-  if (!state.started()) {
-    state.bound_mask = mask;
-  } else {
-    check(state.bound_mask == mask,
-          "run_incremental: mask changed mid-session — a streaming session "
-          "is one fixed configuration (open a new session to switch)");
-  }
-
-  const int64_t col_elems = static_cast<int64_t>(m.in_h) * m.in_c;
-  check(!new_columns.empty() &&
-            static_cast<int64_t>(new_columns.size()) % col_elems == 0,
-        "run_incremental: new_columns must be whole [h][s][c] columns");
-  const int s =
-      static_cast<int>(static_cast<int64_t>(new_columns.size()) / col_elems);
-  check(s <= m.in_w,
-        "run_incremental: more new columns than the input width");
-  check(state.started() || s == m.in_w,
-        "run_incremental: a session's first frame must push a full window");
-
-  // Assemble the quantized input tensor: the previous frame's input
-  // shifted left by s columns, the pushed columns quantized (q = pixel -
-  // 128, exactly as quantize_input) into the tail.
-  std::vector<int8_t> q_in(static_cast<size_t>(m.in_h) * m.in_w * m.in_c);
-  const int keep = m.in_w - s;  // columns carried over from frame n-1
-  for (int y = 0; y < m.in_h; ++y) {
-    int8_t* row = q_in.data() + static_cast<size_t>(y) * m.in_w * m.in_c;
-    if (keep > 0) {
-      const int8_t* prev = state.past.front()[0].data() +
-                           static_cast<size_t>(y) * m.in_w * m.in_c;
-      std::copy(prev + static_cast<size_t>(s) * m.in_c,
-                prev + static_cast<size_t>(m.in_w) * m.in_c, row);
-    }
-    const size_t fresh = static_cast<size_t>(s) * m.in_c;
-    quantize_pixels(m.input,
-                    new_columns.subspan(static_cast<size_t>(y) * fresh, fresh),
-                    std::span<int8_t>(row + keep * m.in_c, fresh));
-  }
-
-  // The splice plan for this frame: newest-first stride history capped
-  // by the ring fill (frame 0 plans a full recompute of every layer).
-  std::vector<int> strides;
-  strides.reserve(state.past_strides.size() + 1);
-  strides.push_back(s);
-  strides.insert(strides.end(), state.past_strides.begin(),
-                 state.past_strides.end());
-  const StreamPlan plan =
-      plan_stream(m, strides, static_cast<int>(state.past.size()));
-
-  // Full per-tensor materialization (no slot aliasing): every tensor of
-  // this frame joins the ring, and splice sources read the past frames'
-  // tensors directly.
-  const int layer_count = static_cast<int>(m.layers.size());
-  std::vector<std::vector<int8_t>> tensors(
-      static_cast<size_t>(layer_count) + 1);
-  tensors[0] = std::move(q_in);
-
-  int approx_ordinal = 0;
-  int64_t recomputed = 0, spliced = 0;
-  for (int l = 0; l < layer_count; ++l) {
-    const QLayer& layer = m.layers[static_cast<size_t>(l)];
-    const StreamLayerPlan& lp = plan.layers[static_cast<size_t>(l)];
-    const OpDescriptor op = describe_layer(layer);
-    const std::vector<int> ins = m.inputs_of(l);
-    const std::span<const int8_t> in_a = tensors[static_cast<size_t>(ins[0])];
-    const std::span<const int8_t> in_b =
-        ins.size() > 1
-            ? std::span<const int8_t>(tensors[static_cast<size_t>(ins[1])])
-            : std::span<const int8_t>();
-    const uint8_t* skip = nullptr;
-    if (op.skippable) {
-      if (mask != nullptr) skip = mask->row(approx_ordinal);
-      ++approx_ordinal;
-    }
-
-    std::vector<int8_t>& out = tensors[static_cast<size_t>(l) + 1];
-    out.assign(static_cast<size_t>(op.out_elems), 0);
-    if (lp.spliced) {
-      // Copy the proven-equal band row by row from frame n - lookback
-      // (source column = dest column + shift), then recompute only the
-      // halo columns on either side.
-      const std::vector<int8_t>& src =
-          state.past[static_cast<size_t>(lp.lookback - 1)]
-                    [static_cast<size_t>(l) + 1];
-      const size_t row_elems =
-          static_cast<size_t>(lp.out_cols) * lp.out_ch;
-      const size_t band_elems =
-          static_cast<size_t>(lp.splice_hi - lp.splice_lo) * lp.out_ch;
-      for (int y = 0; y < lp.out_rows; ++y) {
-        std::copy_n(
-            src.data() + static_cast<size_t>(y) * row_elems +
-                static_cast<size_t>(lp.splice_lo + lp.splice_shift) *
-                    lp.out_ch,
-            band_elems,
-            out.data() + static_cast<size_t>(y) * row_elems +
-                static_cast<size_t>(lp.splice_lo) * lp.out_ch);
-      }
-      if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-        conv2d_ref_cols(*conv, in_a, out, 0, lp.splice_lo, skip);
-        conv2d_ref_cols(*conv, in_a, out, lp.splice_hi, lp.out_cols, skip);
-      } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-        depthwise_conv2d_ref_cols(*dw, in_a, out, 0, lp.splice_lo, skip);
-        depthwise_conv2d_ref_cols(*dw, in_a, out, lp.splice_hi, lp.out_cols,
-                                  skip);
-      }
-      spliced += static_cast<int64_t>(band_elems) * lp.out_rows;
-    } else {
-      run_layer_ref(layer, in_a, in_b, out, skip);
-    }
-    if (op.macs > 0) {
-      // Executed-MAC accounting, mask-aware: conv/depthwise scale with
-      // recomputed positions; dense tails always recompute in full.
-      recomputed += op.skippable ? retained_macs_per_position(op, skip) *
-                                       lp.recomputed_positions
-                                 : op.macs;
-    }
-  }
-
-  state.last_recomputed_macs = recomputed;
-  state.last_spliced_elems = spliced;
-  state.total_recomputed_macs += recomputed;
-  state.total_full_macs += mac_ops();
-  ++state.frames;
-
-  std::vector<int8_t> logits = tensors[static_cast<size_t>(layer_count)];
-  state.past.push_front(std::move(tensors));
-  state.past_strides.insert(state.past_strides.begin(), s);
-  while (static_cast<int>(state.past.size()) > kMaxStreamLookback) {
-    state.past.pop_back();
-    state.past_strides.pop_back();
-  }
-  return logits;
+  if (default_mask_ != nullptr) default_mask_->validate(model());
+  check(!state.started() || state.bound_mask == default_mask_,
+        "run_incremental: mask changed mid-session — a streaming session "
+        "is one fixed configuration (open a new session to switch)");
+  state.bound_mask = default_mask_;
+  return plan_.run_incremental(state, new_columns,
+                               RefKernels(model(), default_mask_, nullptr));
 }
 
 void RefEngine::run_batch(

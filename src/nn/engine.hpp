@@ -45,7 +45,7 @@ class RefEngine : public InferenceEngine {
   bool supports_mask_rebind() const override { return true; }
   void rebind_mask(const SkipMask* mask) override { bind_mask(mask); }
 
-  // Trivially cheap: the engine is a model pointer plus a mask pointer.
+  // Copies the compiled plan; the model and mask stay shared.
   std::unique_ptr<InferenceEngine> clone() const override {
     return std::make_unique<RefEngine>(*this);
   }
@@ -68,18 +68,12 @@ class RefEngine : public InferenceEngine {
   // Layer-boundary resume (the DSE's prefix cache enters here): run
   // layers [layer_begin, end) on the given int8 activations under the
   // bound mask. See InferenceEngine::run_from for the contract.
-  bool supports_run_from() const override { return true; }
   std::vector<int8_t> run_from(
       int layer_begin, std::span<const int8_t> activations) const override;
 
-  // Streaming-frame execution with temporal column reuse (the temporal
-  // analogue of run_from's cross-config prefix reuse). Splices the
-  // per-layer output columns that src/mcu/stream_plan.hpp proves
-  // bitwise-equal to a retained past frame, recomputes the rest through
-  // the column-restricted reference kernels, and advances the ring in
-  // `state`. Runs under the bound mask; the mask identity is pinned by
-  // the session's first frame. See InferenceEngine::run_incremental.
-  bool supports_run_incremental() const override { return true; }
+  // Streaming frames through the plan's streaming walker under the bound
+  // mask; the mask identity is pinned by the session's first frame. See
+  // InferenceEngine::run_incremental.
   std::vector<int8_t> run_incremental(
       StreamState& state,
       std::span<const uint8_t> new_columns) const override;
@@ -99,7 +93,7 @@ class RefEngine : public InferenceEngine {
   int classify(std::span<const uint8_t> image, const SkipMask* mask) const;
 
  private:
-  // The compiled plan every entry point but run_incremental walks.
+  // The compiled plan every entry point walks.
   ExecPlan plan_;
   const SkipMask* default_mask_ = nullptr;
 };

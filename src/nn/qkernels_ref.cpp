@@ -35,13 +35,7 @@ int32_t conv_accumulate_ref(const QConv2D& layer, std::span<const int8_t> in,
 }
 
 void conv2d_ref(const QConv2D& layer, std::span<const int8_t> in,
-                std::span<int8_t> out, const uint8_t* skip) {
-  conv2d_ref_cols(layer, in, out, 0, layer.geom.out_w(), skip);
-}
-
-void conv2d_ref_cols(const QConv2D& layer, std::span<const int8_t> in,
-                     std::span<int8_t> out, int ox_begin, int ox_end,
-                     const uint8_t* skip) {
+                std::span<int8_t> out, const uint8_t* skip, ColumnRange cols) {
   const ConvGeom& g = layer.geom;
   check(static_cast<int64_t>(in.size()) ==
             static_cast<int64_t>(g.in_h) * g.in_w * g.in_c,
@@ -49,12 +43,12 @@ void conv2d_ref_cols(const QConv2D& layer, std::span<const int8_t> in,
   check(static_cast<int64_t>(out.size()) ==
             static_cast<int64_t>(g.positions()) * g.out_c,
         "conv output size mismatch");
-  check(ox_begin >= 0 && ox_end <= g.out_w() && ox_begin <= ox_end,
+  const int oh = g.out_h(), ow = g.out_w(), ox_end = cols.end_within(ow);
+  check(cols.begin >= 0 && cols.begin <= ox_end,
         "conv column range out of bounds");
 
-  const int oh = g.out_h(), ow = g.out_w();
   for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = ox_begin; ox < ox_end; ++ox) {
+    for (int ox = cols.begin; ox < ox_end; ++ox) {
       int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * g.out_c;
       for (int oc = 0; oc < g.out_c; ++oc) {
         const int32_t acc = conv_accumulate_ref(layer, in, oy, ox, oc, skip);
@@ -101,26 +95,20 @@ int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
 
 void depthwise_conv2d_ref(const QDepthwiseConv2D& layer,
                           std::span<const int8_t> in, std::span<int8_t> out,
-                          const uint8_t* skip) {
-  depthwise_conv2d_ref_cols(layer, in, out, 0, layer.out_w(), skip);
-}
-
-void depthwise_conv2d_ref_cols(const QDepthwiseConv2D& layer,
-                               std::span<const int8_t> in,
-                               std::span<int8_t> out, int ox_begin, int ox_end,
-                               const uint8_t* skip) {
+                          const uint8_t* skip, ColumnRange cols) {
   check(static_cast<int64_t>(in.size()) ==
             static_cast<int64_t>(layer.in_h) * layer.in_w * layer.channels,
         "depthwise input size mismatch");
   check(static_cast<int64_t>(out.size()) ==
             static_cast<int64_t>(layer.positions()) * layer.channels,
         "depthwise output size mismatch");
-  check(ox_begin >= 0 && ox_end <= layer.out_w() && ox_begin <= ox_end,
+  const int oh = layer.out_h(), ow = layer.out_w();
+  const int ox_end = cols.end_within(ow);
+  check(cols.begin >= 0 && cols.begin <= ox_end,
         "depthwise column range out of bounds");
 
-  const int oh = layer.out_h(), ow = layer.out_w();
   for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = ox_begin; ox < ox_end; ++ox) {
+    for (int ox = cols.begin; ox < ox_end; ++ox) {
       int8_t* orow =
           out.data() + (static_cast<size_t>(oy) * ow + ox) * layer.channels;
       for (int ch = 0; ch < layer.channels; ++ch) {
@@ -243,11 +231,11 @@ void qadd_ref(const QAdd& layer, std::span<const int8_t> in_a,
 
 void run_layer_ref(const QLayer& layer, std::span<const int8_t> in_a,
                    std::span<const int8_t> in_b, std::span<int8_t> out,
-                   const uint8_t* skip) {
+                   const uint8_t* skip, ColumnRange cols) {
   if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-    conv2d_ref(*conv, in_a, out, skip);
+    conv2d_ref(*conv, in_a, out, skip, cols);
   } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-    depthwise_conv2d_ref(*dw, in_a, out, skip);
+    depthwise_conv2d_ref(*dw, in_a, out, skip, cols);
   } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
     maxpool_ref(*pool, in_a, out);
   } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {

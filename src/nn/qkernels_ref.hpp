@@ -14,29 +14,20 @@
 namespace ataman {
 
 // out[pos][oc]; `skip` is nullptr or [out_c * patch] (1 = skip operand).
+// Only the output columns in `cols` are computed, the rest of `out` is
+// left untouched (`in`/`out` are still the full tensors): the streaming
+// walker recomputes just the halo columns its splice plan says changed.
 void conv2d_ref(const QConv2D& layer, std::span<const int8_t> in,
-                std::span<int8_t> out, const uint8_t* skip = nullptr);
-
-// Column-restricted conv: fills output columns [ox_begin, ox_end) of
-// every row, leaving the rest of `out` untouched. `in`/`out` are still
-// the full tensors. The streaming executor (RefEngine::run_incremental)
-// uses this to recompute only the columns its splice plan says changed;
-// conv2d_ref is the [0, out_w) special case.
-void conv2d_ref_cols(const QConv2D& layer, std::span<const int8_t> in,
-                     std::span<int8_t> out, int ox_begin, int ox_end,
-                     const uint8_t* skip = nullptr);
+                std::span<int8_t> out, const uint8_t* skip = nullptr,
+                ColumnRange cols = {});
 
 // out[pos][ch]; `skip` is nullptr or [channels * k*k] indexed
 // channel * patch + (ky*k + kx) — SkipMask's depthwise operand order.
+// `cols` as for conv2d_ref.
 void depthwise_conv2d_ref(const QDepthwiseConv2D& layer,
                           std::span<const int8_t> in, std::span<int8_t> out,
-                          const uint8_t* skip = nullptr);
-
-// Column-restricted depthwise; contract mirrors conv2d_ref_cols.
-void depthwise_conv2d_ref_cols(const QDepthwiseConv2D& layer,
-                               std::span<const int8_t> in,
-                               std::span<int8_t> out, int ox_begin, int ox_end,
-                               const uint8_t* skip = nullptr);
+                          const uint8_t* skip = nullptr,
+                          ColumnRange cols = {});
 
 void maxpool_ref(const QMaxPool& layer, std::span<const int8_t> in,
                  std::span<int8_t> out);
@@ -67,12 +58,11 @@ int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
 
 // Dispatch any QLayer through its reference kernel into `out` (sized
 // describe_layer(layer).out_elems by the caller). `in_b` is the second
-// QAdd operand, unused by every other kind; `skip` applies to
+// QAdd operand, unused by every other kind; `skip` and `cols` apply to
 // approximable layers only. The one reference dispatcher: the reference
-// engine's kernel table, its streaming walk and the DSE prefix cache all
-// execute layers through it.
+// kernel table and the DSE prefix cache execute layers through it.
 void run_layer_ref(const QLayer& layer, std::span<const int8_t> in_a,
                    std::span<const int8_t> in_b, std::span<int8_t> out,
-                   const uint8_t* skip = nullptr);
+                   const uint8_t* skip = nullptr, ColumnRange cols = {});
 
 }  // namespace ataman

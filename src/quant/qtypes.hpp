@@ -16,7 +16,9 @@
 // indexing used by the significance analysis and codegen.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <variant>
@@ -41,6 +43,16 @@ struct QuantParams {
 // walker and the streaming column splice all quantize through here.
 void quantize_pixels(const QuantParams& input, std::span<const uint8_t> pixels,
                      std::span<int8_t> out);
+
+// Output columns [begin, end) a conv/depthwise kernel computes; the other
+// columns of `out` are left untouched. The default is every column (the
+// streaming walker recomputes only a frame's halo columns through it).
+struct ColumnRange {
+  int begin = 0;
+  int end = std::numeric_limits<int>::max();
+
+  int end_within(int out_w) const { return std::min(end, out_w); }
+};
 
 struct QConv2D {
   ConvGeom geom;

@@ -166,7 +166,7 @@ void InferenceServer::worker_main(int worker_id) {
           r.run_ms = ms_between(start, end);
           r.worker = worker_id;
           r.batch_size = static_cast<int>(batch.size());
-          if (engine->supports_run_incremental()) ++incremental;
+          if (session->last_frame_spliced()) ++incremental;
           job.state->complete(std::move(r));
         } catch (const std::exception& e) {
           job.state->fail_with(e.what(), /*was_cancelled=*/false);

@@ -62,7 +62,7 @@ struct ServeStats {
   int64_t max_batch_seen = 0;  // largest micro-batch executed
   int64_t sessions = 0;            // streaming sessions opened
   int64_t session_frames = 0;      // frames executed across all sessions
-  int64_t incremental_frames = 0;  // of those, via run_incremental
+  int64_t incremental_frames = 0;  // of those, spliced at least one element
   EnginePoolStats pool{};
   std::vector<int64_t> per_worker;  // requests executed per worker
 };

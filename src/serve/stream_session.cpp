@@ -1,7 +1,5 @@
 #include "src/serve/stream_session.hpp"
 
-#include <algorithm>
-
 #include "src/common/error.hpp"
 
 namespace ataman::serve {
@@ -49,38 +47,8 @@ InferResult StreamSession::execute_frame(InferenceEngine& engine,
          poison_error_);
 
   InferResult r;
-  bool incremental = false;
-  int64_t recomputed = 0, spliced = 0;
-  const int64_t full = engine.mac_ops();
   try {
-    if (engine.supports_run_incremental()) {
-      r.logits = engine.run_incremental(state_, columns);
-      incremental = true;
-      recomputed = state_.last_recomputed_macs;
-      spliced = state_.last_spliced_elems;
-    } else {
-      // Fallback: maintain the rolling u8 window and recompute in full.
-      const QModel& m = *model_;
-      const size_t row_bytes = static_cast<size_t>(m.in_w) * m.in_c;
-      const size_t col_bytes = static_cast<size_t>(m.in_c);
-      const int s = static_cast<int>(columns.size() /
-                                     (static_cast<size_t>(m.in_h) * m.in_c));
-      if (window_.empty()) {
-        window_.assign(columns.begin(), columns.end());
-      } else {
-        for (int y = 0; y < m.in_h; ++y) {
-          uint8_t* row = window_.data() + static_cast<size_t>(y) * row_bytes;
-          std::copy(row + static_cast<size_t>(s) * col_bytes,
-                    row + row_bytes, row);
-          std::copy_n(columns.data() +
-                          static_cast<size_t>(y) * s * col_bytes,
-                      static_cast<size_t>(s) * col_bytes,
-                      row + static_cast<size_t>(m.in_w - s) * col_bytes);
-        }
-      }
-      r.logits = engine.run(window_);
-      recomputed = full;
-    }
+    r.logits = engine.run_incremental(state_, columns);
   } catch (const std::exception& e) {
     poisoned_ = true;
     poison_error_ = e.what();
@@ -91,14 +59,14 @@ InferResult StreamSession::execute_frame(InferenceEngine& engine,
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.frames;
-    if (incremental) {
+    if (last_frame_spliced()) {
       ++stats_.incremental_frames;
     } else {
       ++stats_.fallback_frames;
     }
-    stats_.recomputed_macs += recomputed;
-    stats_.full_macs += full;
-    stats_.spliced_elems += spliced;
+    stats_.recomputed_macs += state_.last_recomputed_macs;
+    stats_.full_macs += engine.mac_ops();
+    stats_.spliced_elems += state_.last_spliced_elems;
   }
   return r;
 }

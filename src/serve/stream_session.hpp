@@ -11,16 +11,12 @@
 // its own — memory visibility between the workers that take turns on a
 // session is the queue mutex handoff.
 //
-// Execution path per frame:
-//   * engine supports_run_incremental() (the reference backend) —
-//     InferenceEngine::run_incremental splices the activation columns
-//     that src/mcu/stream_plan.hpp proves bitwise-equal to a retained
-//     past frame and recomputes the rest;
-//   * otherwise — the session maintains a rolling u8 window and falls
-//     back to full run(), same logits, no reuse.
-// Either way each frame's logits are bitwise identical to running the
-// full assembled window through the engine from scratch (the parity
-// contract, pinned by tests/test_streaming.cpp).
+// Every frame runs through InferenceEngine::run_incremental, which
+// splices the activation columns that src/mcu/stream_plan.hpp proves
+// bitwise-equal to a retained past frame and recomputes the rest. Each
+// frame's logits are bitwise identical to running the full assembled
+// window through the engine from scratch (the parity contract, pinned
+// by tests/test_streaming.cpp).
 //
 // A frame that throws poisons the session: the frame was never applied,
 // so later pushes would silently mean a different window — they fail
@@ -47,8 +43,9 @@ struct StreamSessionOptions {
 // Counter snapshot; all values monotone over the session's life.
 struct StreamSessionStats {
   int64_t frames = 0;              // frames executed (ok)
-  int64_t incremental_frames = 0;  // via run_incremental
-  int64_t fallback_frames = 0;     // via full run() (engine declined)
+  int64_t incremental_frames = 0;  // spliced at least one element
+  int64_t fallback_frames = 0;     // recomputed in full: the first frame,
+                                   // or a push no layer could splice
   int64_t recomputed_macs = 0;     // executed MACs across all frames
   int64_t full_macs = 0;           // what reuse-off would have executed
   int64_t spliced_elems = 0;       // int8 elements copied, not computed
@@ -85,6 +82,7 @@ class StreamSession {
   // (and poisons the session so later frames fail fast).
   InferResult execute_frame(InferenceEngine& engine,
                             std::span<const uint8_t> columns);
+  bool last_frame_spliced() const { return state_.last_spliced_elems > 0; }
 
   const uint64_t id_;
   const QModel* model_;
@@ -95,7 +93,6 @@ class StreamSession {
 
   // Worker-side state (see class comment for why it is lock-free).
   StreamState state_;
-  std::vector<uint8_t> window_;  // rolling u8 window, fallback path only
   bool poisoned_ = false;
   std::string poison_error_;
 

@@ -69,8 +69,9 @@ void UnpackedEngine::run_step(const ExecStep& step,
                               const StepIO& io) const {
   if (step.approx_ordinal >= 0) {
     const Program& p = programs_[static_cast<size_t>(step.approx_ordinal)];
-    if (p.conv) return p.conv->run_batch(io.in_a, io.out, io.batch, io.scratch);
-    if (p.dw) return p.dw->run_batch(io.in_a, io.out, io.batch, io.scratch);
+    if (p.conv)
+      return p.conv->run(io.in_a, io.out, io.batch, io.scratch, io.cols);
+    if (p.dw) return p.dw->run(io.in_a, io.out, io.batch, io.scratch, io.cols);
   }
   packed_.run_step(step, io);
 }

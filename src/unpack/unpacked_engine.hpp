@@ -47,6 +47,10 @@ class UnpackedEngine : public InferenceEngine, private KernelTable {
     check_batch_nonempty(images);
     plan_.run_batch(images, *this, logits_out);
   }
+  std::vector<int8_t> run_incremental(
+      StreamState& state, std::span<const uint8_t> new_columns) const override {
+    return plan_.run_incremental(state, new_columns, *this);
+  }
 
   // Copies the unpacked channel programs / packed FC streams verbatim —
   // much cheaper than re-unpacking, which is why serve pools clone a
@@ -82,6 +86,10 @@ class UnpackedEngine : public InferenceEngine, private KernelTable {
   // Kernel table: unpacked programs where they exist, the packed kernels
   // (FC, pools, adds, hybrid packed fallbacks) everywhere else.
   void run_step(const ExecStep& step, const StepIO& io) const override;
+  // The profile row's MACs: retained operands on unpacked layers.
+  int64_t executed_macs(const ExecStep& step) const override {
+    return profile_[static_cast<size_t>(step.layer)].macs;
+  }
 
   // The unpacked program of one approximable ordinal; neither is set
   // when the hybrid selection keeps the layer packed.

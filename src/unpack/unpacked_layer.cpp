@@ -90,8 +90,9 @@ UnpackedConv UnpackedConv::build(const QConv2D& layer, const uint8_t* skip) {
 template <int Lanes>
 void UnpackedConv::run_lanes(std::span<const int8_t> in,
                               std::span<int8_t> out, int batch,
-                              std::span<int16_t> scratch) const {
-  check(batch >= 1, "UnpackedConv::run_batch: batch must be >= 1");
+                              std::span<int16_t> scratch,
+                              ColumnRange range) const {
+  check(batch >= 1, "UnpackedConv::run: batch must be >= 1");
   const size_t in_elems =
       static_cast<size_t>(geom.in_h) * geom.in_w * geom.in_c;
   const size_t out_elems =
@@ -102,6 +103,7 @@ void UnpackedConv::run_lanes(std::span<const int8_t> in,
         "unpacked conv batched output size mismatch");
 
   const int oh = geom.out_h(), ow = geom.out_w();
+  const int ox_end = range.end_within(ow);
   const size_t patch = static_cast<size_t>(geom.patch_size());
   const int32_t zp = in_q.zero_point;
 
@@ -119,7 +121,7 @@ void UnpackedConv::run_lanes(std::span<const int8_t> in,
     const int bn = std::min(Lanes, batch - b0);
     if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
+      for (int ox = range.begin; ox < ox_end; ++ox) {
         for (int j = 0; j < bn; ++j) {
           const int8_t* img =
               in.data() + static_cast<size_t>(b0 + j) * in_elems;
@@ -180,15 +182,10 @@ void UnpackedConv::run_lanes(std::span<const int8_t> in,
 }
 
 void UnpackedConv::run(std::span<const int8_t> in, std::span<int8_t> out,
-                       std::span<int16_t> scratch) const {
-  run_lanes<1>(in, out, 1, scratch);
-}
-
-void UnpackedConv::run_batch(std::span<const int8_t> in,
-                             std::span<int8_t> out, int batch,
-                             std::span<int16_t> scratch) const {
-  if (batch == 1) return run(in, out, scratch);
-  run_lanes<kBatchLanes>(in, out, batch, scratch);
+                       int batch, std::span<int16_t> scratch,
+                       ColumnRange range) const {
+  if (batch == 1) return run_lanes<1>(in, out, 1, scratch, range);
+  run_lanes<kBatchLanes>(in, out, batch, scratch, range);
 }
 
 int64_t UnpackedDepthwise::static_pairs() const {
@@ -243,8 +240,9 @@ UnpackedDepthwise UnpackedDepthwise::build(const QDepthwiseConv2D& layer,
 template <int Lanes>
 void UnpackedDepthwise::run_lanes(std::span<const int8_t> in,
                               std::span<int8_t> out, int batch,
-                              std::span<int16_t> scratch) const {
-  check(batch >= 1, "UnpackedDepthwise::run_batch: batch must be >= 1");
+                              std::span<int16_t> scratch,
+                              ColumnRange range) const {
+  check(batch >= 1, "UnpackedDepthwise::run: batch must be >= 1");
   const int c = channel_count;
   const size_t in_elems = static_cast<size_t>(in_h) * in_w * c;
   const size_t out_elems = static_cast<size_t>(positions()) * c;
@@ -254,6 +252,7 @@ void UnpackedDepthwise::run_lanes(std::span<const int8_t> in,
         "unpacked depthwise batched output size mismatch");
 
   const int oh = out_h(), ow = out_w();
+  const int ox_end = range.end_within(ow);
   const int patch = kernel * kernel;
   const int32_t zp = in_q.zero_point;
   const size_t lane_stride = static_cast<size_t>(patch) * c;
@@ -268,7 +267,7 @@ void UnpackedDepthwise::run_lanes(std::span<const int8_t> in,
     const int bn = std::min(Lanes, batch - b0);
     if (bn < Lanes) cols.zero();
     for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox) {
+      for (int ox = range.begin; ox < ox_end; ++ox) {
         for (int j = 0; j < bn; ++j) {
           const int8_t* img =
               in.data() + static_cast<size_t>(b0 + j) * in_elems;
@@ -331,15 +330,10 @@ void UnpackedDepthwise::run_lanes(std::span<const int8_t> in,
 }
 
 void UnpackedDepthwise::run(std::span<const int8_t> in, std::span<int8_t> out,
-                       std::span<int16_t> scratch) const {
-  run_lanes<1>(in, out, 1, scratch);
-}
-
-void UnpackedDepthwise::run_batch(std::span<const int8_t> in,
-                             std::span<int8_t> out, int batch,
-                             std::span<int16_t> scratch) const {
-  if (batch == 1) return run(in, out, scratch);
-  run_lanes<kBatchLanes>(in, out, batch, scratch);
+                       int batch, std::span<int16_t> scratch,
+                       ColumnRange range) const {
+  if (batch == 1) return run_lanes<1>(in, out, 1, scratch, range);
+  run_lanes<kBatchLanes>(in, out, batch, scratch, range);
 }
 
 }  // namespace ataman

@@ -67,26 +67,23 @@ struct UnpackedConv {
   static UnpackedConv build(const QConv2D& layer,
                             const uint8_t* skip = nullptr);
 
-  // Execute for one input feature map. Bit-exact with conv2d_ref under
-  // the same skip mask (tests assert this). `scratch` as for the packed
-  // kernels (Q15Scratch).
-  void run(std::span<const int8_t> in, std::span<int8_t> out,
-           std::span<int16_t> scratch = {}) const;
-
-  // Batched execution: `in`/`out` are contiguous batches (image b at
-  // b * in_elems / b * out_elems). Each channel program is streamed once
-  // per lane-block of kBatchLanes images (its hardwired weight constants
-  // multiply into one accumulator per lane) instead of once per image.
-  // Bitwise identical to per-image run().
-  void run_batch(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch, std::span<int16_t> scratch = {}) const;
+  // Execute on a contiguous batch of `batch` input feature maps (image b
+  // at b * in_elems / b * out_elems). Bit-exact with conv2d_ref under the
+  // same skip mask (tests assert this). Each channel program is streamed
+  // once per lane-block of kBatchLanes images (its hardwired weight
+  // constants multiply into one accumulator per lane) instead of once per
+  // image. `scratch` as for the packed kernels (Q15Scratch); only the
+  // output columns in `range` are computed.
+  void run(std::span<const int8_t> in, std::span<int8_t> out, int batch = 1,
+           std::span<int16_t> scratch = {}, ColumnRange range = {}) const;
 
  private:
-  // The one body of run/run_batch, instantiated per lane count (a single
-  // image runs one lane).
+  // The one body of run, instantiated per lane count (a single image runs
+  // one lane).
   template <int Lanes>
   void run_lanes(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch, std::span<int16_t> scratch) const;
+                 int batch, std::span<int16_t> scratch,
+                 ColumnRange range) const;
 };
 
 // Unpacked depthwise convolution: one straight-line program per channel
@@ -116,20 +113,18 @@ struct UnpackedDepthwise {
   static UnpackedDepthwise build(const QDepthwiseConv2D& layer,
                                  const uint8_t* skip = nullptr);
 
-  // Bit-exact with depthwise_conv2d_ref under the same skip mask.
-  void run(std::span<const int8_t> in, std::span<int8_t> out,
-           std::span<int16_t> scratch = {}) const;
-
-  // Batched execution over contiguous batches; see UnpackedConv::run_batch.
-  void run_batch(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch, std::span<int16_t> scratch = {}) const;
+  // Bit-exact with depthwise_conv2d_ref under the same skip mask; the
+  // parameters are UnpackedConv::run's.
+  void run(std::span<const int8_t> in, std::span<int8_t> out, int batch = 1,
+           std::span<int16_t> scratch = {}, ColumnRange range = {}) const;
 
  private:
-  // The one body of run/run_batch, instantiated per lane count (a single
-  // image runs one lane).
+  // The one body of run, instantiated per lane count (a single image runs
+  // one lane).
   template <int Lanes>
   void run_lanes(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch, std::span<int16_t> scratch) const;
+                 int batch, std::span<int16_t> scratch,
+                 ColumnRange range) const;
 };
 
 }  // namespace ataman

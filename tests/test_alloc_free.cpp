@@ -4,7 +4,8 @@
 // This binary replaces the global operator new with a per-thread
 // counter. A warm run() may allocate the call's arena and the returned
 // logits and nothing else; a run_batch() into a correctly sized
-// `logits_out` may allocate only the arena. Every in-tree backend is
+// `logits_out` may allocate only the arena; a steady-state streaming
+// frame may allocate only its logits. Every in-tree backend is
 // checked on the chain, residual-DAG, depthwise and scored fixtures,
 // exact, masked and hybrid. The engines keep no mutable state, so the
 // last test runs one shared const engine per backend from four
@@ -20,6 +21,7 @@
 
 #include "src/common/rng.hpp"
 #include "src/core/engine_iface.hpp"
+#include "src/data/frame_stream.hpp"
 #include "src/nn/skip_mask.hpp"
 #include "tests/test_util.hpp"
 
@@ -118,6 +120,32 @@ TEST(AllocFree, WarmRunAllocatesArenaAndLogitsOnly) {
       EXPECT_LE(t_allocs - before, 1)
           << c.name << " " << engine->design_name() << " run_batch()";
       EXPECT_EQ(logits[1], out);
+    }
+  }
+}
+
+// A steady-state streaming frame runs in the session's ring: it may
+// allocate only the returned logits.
+TEST(AllocFree, SteadyStateStreamingFrameAllocatesLogitsOnly) {
+  for (const Case& c : cases()) {
+    FrameStreamSpec spec;
+    spec.shape = {c.model.in_h, c.model.in_w, c.model.in_c};
+    spec.frames = 8;  // past the ring's warmup at a constant stride
+    spec.stride_cols = 2;
+    const FrameStream stream(spec);
+    std::vector<std::vector<uint8_t>> columns;
+    for (int i = 0; i < spec.frames; ++i)
+      columns.push_back(stream.new_columns(i));
+    for (const auto& engine : engines_for(c)) {
+      StreamState state;
+      for (int i = 0; i + 1 < spec.frames; ++i)
+        engine->run_incremental(state, columns[static_cast<size_t>(i)]);
+      const int64_t before = t_allocs;
+      const std::vector<int8_t> out =
+          engine->run_incremental(state, columns.back());
+      EXPECT_LE(t_allocs - before, 1)
+          << c.name << " " << engine->design_name() << " run_incremental()";
+      EXPECT_EQ(out, engine->run(stream.frame(spec.frames - 1)));
     }
   }
 }

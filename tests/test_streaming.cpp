@@ -1,22 +1,27 @@
 // Streaming sessions with temporal activation reuse: the splice-plan
-// geometry (hand-computed bands + invariants), RefEngine::run_incremental
-// bitwise parity with from-scratch execution, the uniform
-// capability-decline error, session execution through the serve runtime
-// (parity, stats, queue fairness next to one-shot traffic), and the
-// steady-state cost-model / DeployReport / DSE-selector row.
+// geometry (hand-computed bands + invariants), run_incremental bitwise
+// parity with from-scratch execution on every engine, failure-atomic and
+// model-bound frame state, the uniform capability-decline error, session
+// execution through the serve runtime (parity, stats, queue fairness
+// next to one-shot traffic), and the steady-state cost-model /
+// DeployReport / DSE-selector row.
 //
 // This suite carries the `serve-smoke` ctest label: the TSan CI job
 // race-checks session workers sharing the queue with one-shot jobs.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "src/cmsisnn/cmsis_engine.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/data/frame_stream.hpp"
 #include "src/dse/dse_io.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/dse/evaluator.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/stream_plan.hpp"
+#include "src/nn/engine.hpp"
 #include "src/serve/server.hpp"
 #include "src/sig/act_stats.hpp"
 #include "tests/test_util.hpp"
@@ -191,111 +196,219 @@ TEST(StreamPlanTest, AccountingInvariantsAcrossStrides) {
   for (const StreamLayerPlan& lp : fresh.layers) EXPECT_FALSE(lp.spliced);
 }
 
-// --- run_incremental: bitwise parity -------------------------------------
+// --- run_incremental: bitwise parity on every engine ---------------------
 
-TEST(RunIncremental, BitwiseParityWithFromScratchAcrossStrides) {
-  const QModel m = make_tiny_qmodel(23);
-  EngineConfig cfg;
-  cfg.model = &m;
-  const auto engine = EngineRegistry::instance().create("ref", cfg);
-  ASSERT_TRUE(engine->supports_run_incremental());
+// A streaming fixture: its model, a random skip mask over it and a hybrid
+// selection that keeps every other approximable layer packed.
+struct StreamFixture {
+  std::string name;
+  QModel model;
+  SkipMask mask;
+  std::vector<uint8_t> hybrid;
+};
 
-  for (int stride : {1, 2, 3, 5}) {
-    FrameStreamSpec spec;
-    spec.shape = {m.in_h, m.in_w, m.in_c};
-    spec.frames = 8;
-    spec.stride_cols = stride;
-    spec.seed = 100 + static_cast<uint64_t>(stride);
-    const FrameStream stream(spec);
-
-    StreamState state;
-    for (int i = 0; i < spec.frames; ++i) {
-      const auto logits = engine->run_incremental(state, stream.new_columns(i));
-      EXPECT_EQ(logits, engine->run(window_of(stream, i)))
-          << "stride " << stride << " frame " << i;
-    }
-    EXPECT_EQ(state.frames, spec.frames);
+std::vector<StreamFixture> stream_fixtures() {
+  std::vector<StreamFixture> out;
+  out.push_back({"chain", make_tiny_qmodel(23), {}, {}});
+  out.push_back({"dag", testing::make_residual_qmodel(24), {}, {}});
+  out.push_back({"depthwise", testing::make_tiny_vww_qmodel(25), {}, {}});
+  for (StreamFixture& f : out) {
+    f.mask = SkipMask::none(f.model);
+    Rng rng(31);
+    for (auto& layer : f.mask.masks)
+      for (auto& skip : layer) skip = rng.next_bool(0.4) ? 1 : 0;
+    f.hybrid.resize(static_cast<size_t>(f.model.approx_layer_count()));
+    for (size_t i = 0; i < f.hybrid.size(); ++i) f.hybrid[i] = i % 2 == 0;
   }
+  return out;
 }
 
-TEST(RunIncremental, BitwiseParityUnderSkipMask) {
-  const QModel m = make_tiny_qmodel(29);
-  SkipMask mask;
-  mask.masks.push_back(testing::make_random_skip(
-      std::get<QConv2D>(m.layers[0]).geom, 0.4, 31));
-  mask.masks.push_back(testing::make_random_skip(
-      std::get<QConv2D>(m.layers[2]).geom, 0.4, 32));
-  EngineConfig cfg;
-  cfg.model = &m;
-  cfg.mask = &mask;
-  const auto engine = EngineRegistry::instance().create("ref", cfg);
+// Every registry configuration a session can stream on.
+struct Variant {
+  const char* engine;
+  bool masked;
+  bool hybrid;
+};
+constexpr Variant kVariants[] = {
+    {"ref", false, false},      {"ref", true, false},
+    {"cmsis", false, false},    {"xcube", false, false},
+    {"unpacked", false, false}, {"unpacked", true, false},
+    {"unpacked", true, true},
+};
 
+std::unique_ptr<InferenceEngine> make_engine(const StreamFixture& f,
+                                             const Variant& v) {
+  EngineConfig cfg;
+  cfg.model = &f.model;
+  if (v.masked) cfg.mask = &f.mask;
+  if (v.hybrid) cfg.unpack_selection = &f.hybrid;
+  return EngineRegistry::instance().create(v.engine, cfg);
+}
+
+std::string label(const StreamFixture& f, const Variant& v) {
+  return f.name + " " + v.engine + (v.masked ? " masked" : "") +
+         (v.hybrid ? " hybrid" : "");
+}
+
+FrameStream stream_for(const QModel& m, int stride, int frames,
+                       uint64_t seed) {
   FrameStreamSpec spec;
   spec.shape = {m.in_h, m.in_w, m.in_c};
-  spec.frames = 6;
-  spec.stride_cols = 2;
-  const FrameStream stream(spec);
+  spec.frames = frames;
+  spec.stride_cols = stride;
+  spec.seed = seed;
+  return FrameStream(spec);
+}
 
-  StreamState state;
-  for (int i = 0; i < spec.frames; ++i) {
-    const auto logits = engine->run_incremental(state, stream.new_columns(i));
-    EXPECT_EQ(logits, engine->run(window_of(stream, i))) << "frame " << i;
+TEST(RunIncremental, BitwiseParityOnEveryEngineStrideAndFixture) {
+  for (const StreamFixture& f : stream_fixtures()) {
+    for (const Variant& v : kVariants) {
+      const auto engine = make_engine(f, v);
+      for (int stride : {1, 2, 3, 5}) {
+        const FrameStream stream =
+            stream_for(f.model, stride, 8, 100 + static_cast<uint64_t>(stride));
+        StreamState state;
+        for (int i = 0; i < 8; ++i) {
+          const auto logits =
+              engine->run_incremental(state, stream.new_columns(i));
+          EXPECT_EQ(logits, engine->run(window_of(stream, i)))
+              << label(f, v) << " stride " << stride << " frame " << i;
+        }
+        EXPECT_EQ(state.frames, 8);
+        // The counters follow the engine's own executed MACs.
+        EXPECT_EQ(state.total_full_macs, 8 * engine->mac_ops())
+            << label(f, v);
+        EXPECT_LE(state.total_recomputed_macs, state.total_full_macs);
+      }
+    }
   }
 }
 
 TEST(RunIncremental, SteadyStateCounterMatchesSplicePlan) {
   const QModel m = make_tiny_qmodel(37);
+  const StreamPlan plan = plan_stream_steady(m, 2);
   EngineConfig cfg;
   cfg.model = &m;
-  const auto engine = EngineRegistry::instance().create("ref", cfg);
-
-  FrameStreamSpec spec;
-  spec.shape = {m.in_h, m.in_w, m.in_c};
-  spec.frames = 8;  // past the kMaxStreamLookback warmup ramp
-  spec.stride_cols = 2;
-  const FrameStream stream(spec);
-
-  StreamState state;
-  for (int i = 0; i < spec.frames; ++i)
-    engine->run_incremental(state, stream.new_columns(i));
-
-  const StreamPlan plan = plan_stream_steady(m, spec.stride_cols);
-  EXPECT_EQ(state.last_recomputed_macs, plan.frame_macs);
-  EXPECT_EQ(state.last_spliced_elems, plan.spliced_elems);
-  // First frame has no history: it recomputed everything.
-  EXPECT_EQ(state.total_full_macs, spec.frames * m.mac_count());
-  EXPECT_GT(state.total_full_macs, state.total_recomputed_macs);
+  for (const char* name : {"ref", "cmsis", "unpacked", "xcube"}) {
+    const auto engine = EngineRegistry::instance().create(name, cfg);
+    const FrameStream stream = stream_for(m, 2, 8, 1);  // past the warmup
+    StreamState state;
+    for (int i = 0; i < 8; ++i)
+      engine->run_incremental(state, stream.new_columns(i));
+    EXPECT_EQ(state.last_recomputed_macs, plan.frame_macs) << name;
+    EXPECT_EQ(state.last_spliced_elems, plan.spliced_elems) << name;
+    // First frame has no history: it recomputed everything.
+    EXPECT_EQ(state.total_full_macs, 8 * m.mac_count()) << name;
+    EXPECT_GT(state.total_full_macs, state.total_recomputed_macs) << name;
+  }
 }
 
-TEST(RunIncremental, RejectsMalformedPushes) {
-  const QModel m = make_tiny_qmodel(41);
-  EngineConfig cfg;
-  cfg.model = &m;
-  const auto engine = EngineRegistry::instance().create("ref", cfg);
-  FrameStreamSpec spec;
-  spec.shape = {m.in_h, m.in_w, m.in_c};
-  const FrameStream stream(spec);
+TEST(RunIncremental, RejectsMalformedPushesWithoutTouchingTheState) {
+  const std::vector<StreamFixture> fixtures = stream_fixtures();
+  const StreamFixture& f = fixtures[0];
+  for (const Variant& v : kVariants) {
+    const auto engine = make_engine(f, v);
+    const FrameStream stream = stream_for(f.model, 2, 6, 41);
+    const QModel& m = f.model;
+
+    StreamState state;
+    // First frame must be a full window.
+    EXPECT_THROW(engine->run_incremental(state, stream.new_columns(1)), Error);
+    ASSERT_EQ(state.frames, 0);
+    for (int i = 0; i < 6; ++i) {
+      if (i == 3) {
+        // Partial columns and over-wide pushes are rejected mid-session,
+        // and the frames after them keep bitwise parity.
+        const std::vector<uint8_t> ragged(
+            static_cast<size_t>(m.in_h * m.in_c) + 1);
+        EXPECT_THROW(engine->run_incremental(state, ragged), Error);
+        const std::vector<uint8_t> wide(
+            static_cast<size_t>(m.in_h) * (m.in_w + 1) * m.in_c);
+        EXPECT_THROW(engine->run_incremental(state, wide), Error);
+        EXPECT_EQ(state.frames, 3);
+      }
+      EXPECT_EQ(engine->run_incremental(state, stream.new_columns(i)),
+                engine->run(window_of(stream, i)))
+          << label(f, v) << " frame " << i;
+    }
+  }
+}
+
+// Fails at one layer, after the earlier steps have written the ring.
+class FailingKernels final : public KernelTable {
+ public:
+  FailingKernels(const KernelTable& inner, int layer)
+      : inner_(inner), layer_(layer) {}
+  void run_step(const ExecStep& step, const StepIO& io) const override {
+    if (step.layer == layer_) fail("injected kernel failure");
+    inner_.run_step(step, io);
+  }
+
+ private:
+  const KernelTable& inner_;
+  int layer_;
+};
+
+TEST(RunIncremental, FailedFrameLeavesTheStateUntouched) {
+  const QModel m = make_tiny_qmodel(43);
+  const ExecPlan plan = ExecPlan::compile(m);
+  const PackedKernels packed(&m);
+  const FailingKernels failing(packed, static_cast<int>(m.layers.size()) - 1);
+  const CmsisEngine oracle(&m);
+  const FrameStream stream = stream_for(m, 2, 8, 44);
 
   StreamState state;
-  // First frame must be a full window.
-  EXPECT_THROW(engine->run_incremental(state, stream.new_columns(1)), Error);
-  ASSERT_EQ(state.frames, 0);
-  engine->run_incremental(state, stream.new_columns(0));
-  // Partial columns are rejected.
-  std::vector<uint8_t> ragged(static_cast<size_t>(m.in_h * m.in_c) + 1);
-  EXPECT_THROW(engine->run_incremental(state, ragged), Error);
+  for (int i = 0; i < 8; ++i) {
+    if (i == 4) {
+      EXPECT_THROW(plan.run_incremental(state, stream.new_columns(i), failing),
+                   Error);
+      EXPECT_EQ(state.frames, 4);
+    }
+    EXPECT_EQ(plan.run_incremental(state, stream.new_columns(i), packed),
+              oracle.run(window_of(stream, i)))
+        << "frame " << i;
+  }
+}
+
+TEST(RunIncremental, StateIsBoundToItsModelsFrameLayout) {
+  const QModel chain = make_tiny_qmodel(47);
+  const QModel dag = testing::make_residual_qmodel(48);
+  const RefEngine chain_engine(&chain);
+  const RefEngine dag_engine(&dag);
+
+  StreamState state;
+  chain_engine.run_incremental(state,
+                               stream_for(chain, 2, 1, 49).new_columns(0));
+  const FrameStream dag_stream = stream_for(dag, 2, 2, 50);
+  EXPECT_THROW(dag_engine.run_incremental(state, dag_stream.new_columns(1)),
+               Error);
+  EXPECT_EQ(state.frames, 1);
+  // A fresh state binds to the other model.
+  StreamState fresh;
+  EXPECT_EQ(dag_engine.run_incremental(fresh, dag_stream.new_columns(0)),
+            dag_engine.run(window_of(dag_stream, 0)));
 }
 
 // --- capability declines: one uniform message ----------------------------
 
+// An out-of-tree backend: it implements only the mandatory seams and has
+// no compiled plan.
+class PlanlessEngine final : public InferenceEngine {
+ public:
+  explicit PlanlessEngine(const QModel* model)
+      : InferenceEngine(model, "planless"), ref_(model) {}
+  std::vector<int8_t> run(std::span<const uint8_t> image) const override {
+    return ref_.run(image);
+  }
+  int64_t total_cycles() const override { return 0; }
+
+ private:
+  RefEngine ref_;
+};
+
 TEST(CapabilityDecline, DeclinedSeamsShareTheBaseClassError) {
   const QModel m = make_tiny_qmodel(43);
-  EngineConfig cfg;
-  cfg.model = &m;
-  // The CMSIS-style packed backend overrides none of the optional seams.
-  const auto engine = EngineRegistry::instance().create("cmsis", cfg);
-  ASSERT_FALSE(engine->supports_run_incremental());
-  ASSERT_FALSE(engine->supports_run_from());
+  PlanlessEngine engine(&m);
 
   StreamState state;
   const auto expect_decline = [&](auto&& call, const std::string& api) {
@@ -304,18 +417,19 @@ TEST(CapabilityDecline, DeclinedSeamsShareTheBaseClassError) {
       FAIL() << api << " should have been declined";
     } catch (const Error& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find("does not support " + api), std::string::npos)
-          << what;
-      EXPECT_NE(what.find("supports_" + api + "()"), std::string::npos)
+      EXPECT_NE(what.find("engine 'planless' does not support " + api),
+                std::string::npos)
           << what;
     }
   };
   const auto input =
       testing::make_random_image(m.in_h * m.in_w * m.in_c, 44);
   expect_decline(
-      [&] { (void)engine->run_incremental(state, input); },
+      [&] { (void)engine.run_incremental(state, input); },
       "run_incremental");
-  expect_decline([&] { (void)engine->run_from(0, {}); }, "run_from");
+  expect_decline([&] { (void)engine.run_from(0, {}); }, "run_from");
+  expect_decline([&] { engine.rebind_mask(nullptr); }, "rebind_mask");
+  EXPECT_EQ(state.frames, 0);
 }
 
 // --- streaming sessions through the serve runtime ------------------------
@@ -351,48 +465,74 @@ TEST(StreamSessionServe, IncrementalParityAndStats) {
 
   const auto session_stats = session->stats();
   EXPECT_EQ(session_stats.frames, spec.frames);
-  EXPECT_EQ(session_stats.incremental_frames, spec.frames);
-  EXPECT_EQ(session_stats.fallback_frames, 0);
+  // Every frame but the first splices.
+  EXPECT_EQ(session_stats.incremental_frames, spec.frames - 1);
+  EXPECT_EQ(session_stats.fallback_frames, 1);
   EXPECT_GT(session_stats.reuse_ratio(), 1.0);
   EXPECT_EQ(session_stats.full_macs, spec.frames * m.mac_count());
 
   const auto stats = server.stats();
   EXPECT_EQ(stats.sessions, 1);
   EXPECT_EQ(stats.session_frames, spec.frames);
-  EXPECT_EQ(stats.incremental_frames, spec.frames);
+  EXPECT_EQ(stats.incremental_frames, spec.frames - 1);
 }
 
-TEST(StreamSessionServe, FallbackBackendKeepsParityWithoutReuse) {
+TEST(StreamSessionServe, PackedAndUnpackedSessionsSpliceWithParity) {
   const QModel m = make_tiny_qmodel(59);
   EngineConfig cfg;
   cfg.model = &m;
-  const auto oracle = EngineRegistry::instance().create("cmsis", cfg);
+  const FrameStream stream = stream_for(m, 2, 6, 60);
 
-  FrameStreamSpec spec;
-  spec.shape = {m.in_h, m.in_w, m.in_c};
-  spec.frames = 6;
-  spec.stride_cols = 3;
-  const FrameStream stream(spec);
+  for (const char* name : {"cmsis", "unpacked"}) {
+    const auto oracle = EngineRegistry::instance().create(name, cfg);
+    InferenceServer server(&m, {});
+    StreamSessionOptions session_options;
+    session_options.engine = name;
+    const auto session = server.open_session(session_options);
 
+    std::vector<InferFuture> futures;
+    for (int i = 0; i < 6; ++i)
+      futures.push_back(server.push_frame(session, stream.new_columns(i)));
+    server.drain();
+
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(futures[static_cast<size_t>(i)].get().logits,
+                oracle->run(window_of(stream, i)))
+          << name << " frame " << i;
+    }
+    const auto session_stats = session->stats();
+    EXPECT_EQ(session_stats.incremental_frames, 5) << name;
+    EXPECT_EQ(session_stats.fallback_frames, 1) << name;
+    EXPECT_GT(session_stats.reuse_ratio(), 1.0) << name;
+  }
+}
+
+// A backend without a plan fails a session on its first frame with the
+// uniform decline, and the session stays poisoned.
+TEST(StreamSessionServe, PlanlessBackendDeclinesOnTheFirstFrame) {
+  const QModel m = make_tiny_qmodel(61);
+  EngineRegistry::instance().register_engine(
+      "planless-test", [](const EngineConfig& cfg) {
+        return std::make_unique<PlanlessEngine>(cfg.model);
+      });
   InferenceServer server(&m, {});
   StreamSessionOptions session_options;
-  session_options.engine = "cmsis";  // declines run_incremental
+  session_options.engine = "planless-test";
   const auto session = server.open_session(session_options);
-
-  std::vector<InferFuture> futures;
-  for (int i = 0; i < spec.frames; ++i)
-    futures.push_back(server.push_frame(session, stream.new_columns(i)));
+  const FrameStream stream = stream_for(m, 2, 2, 62);
+  InferFuture first = server.push_frame(session, stream.new_columns(0));
+  InferFuture second = server.push_frame(session, stream.new_columns(1));
   server.drain();
-
-  for (int i = 0; i < spec.frames; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get().logits,
-              oracle->run(window_of(stream, i)))
-        << "frame " << i;
+  try {
+    first.get();
+    FAIL() << "the first frame should have been declined";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not support run_incremental"),
+              std::string::npos)
+        << e.what();
   }
-  const auto session_stats = session->stats();
-  EXPECT_EQ(session_stats.fallback_frames, spec.frames);
-  EXPECT_EQ(session_stats.incremental_frames, 0);
-  EXPECT_DOUBLE_EQ(session_stats.reuse_ratio(), 1.0);
+  EXPECT_THROW(second.get(), Error);
+  EXPECT_EQ(session->stats().frames, 0);
 }
 
 // A long-lived session sharing the queue with one-shot traffic: neither
