@@ -12,6 +12,10 @@
 // The DSE evaluator prices configurations without building an engine;
 // its static cycles and flash must equal the unpacked engine built for
 // the same mask on every config of a small sweep.
+//
+// Streamed frames are pinned the same way: the packed steady-state row
+// (steady_state_stream_cost) per fixture and frame stride, and the
+// evaluator's unpacked streaming row per config of that sweep.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,6 +26,7 @@
 #include "src/common/rng.hpp"
 #include "src/core/engine_iface.hpp"
 #include "src/dse/evaluator.hpp"
+#include "src/mcu/cost_model.hpp"
 #include "src/nn/skip_mask.hpp"
 #include "src/sig/act_stats.hpp"
 #include "src/sig/significance.hpp"
@@ -145,31 +150,44 @@ TEST(CostGolden, EveryEngineModelAndConfigMatchesTheRecordedCosts) {
   EXPECT_EQ(checked, 4 * 4 * 3);
 }
 
+// The small evaluator sweep: an exact config, four uniform taus and, with
+// more than one approximable layer, a first-layer-only config, scored
+// with significance captured on 24 random images.
+struct Sweep {
+  Dataset eval;
+  std::vector<LayerSignificance> sig;
+  std::vector<ApproxConfig> configs;
+};
+
+Sweep small_sweep(const QModel& m) {
+  const int approx = m.approx_layer_count();
+  Sweep s{Dataset(ImageShape{m.in_h, m.in_w, m.in_c}, 10), {}, {}};
+  Rng rng(1400);
+  for (int i = 0; i < 24; ++i) {
+    std::vector<uint8_t> img(static_cast<size_t>(m.in_h) * m.in_w * m.in_c);
+    for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
+    s.eval.add(img, rng.next_int(0, 9));
+  }
+  s.sig =
+      compute_model_significance(m, capture_activation_stats(m, s.eval, 24));
+  s.configs = {ApproxConfig::exact(approx)};
+  for (const double tau : {0.001, 0.01, 0.05, 0.2})
+    s.configs.push_back(ApproxConfig::uniform(approx, tau));
+  if (approx > 1) {
+    ApproxConfig mixed = ApproxConfig::exact(approx);
+    mixed.tau[0] = 0.05;
+    s.configs.push_back(mixed);
+  }
+  return s;
+}
+
 TEST(CostGolden, EvaluatorStaticMetricsEqualTheUnpackedEngine) {
   for (const auto& [model_name, m] : fixtures()) {
-    const int approx = m.approx_layer_count();
-    Dataset eval(ImageShape{m.in_h, m.in_w, m.in_c}, 10);
-    Rng rng(1400);
-    for (int i = 0; i < 24; ++i) {
-      std::vector<uint8_t> img(static_cast<size_t>(m.in_h) * m.in_w * m.in_c);
-      for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
-      eval.add(img, rng.next_int(0, 9));
-    }
-    const std::vector<LayerSignificance> sig = compute_model_significance(
-        m, capture_activation_stats(m, eval, 24));
-    const ConfigEvaluator ev(&m, &sig, &eval, -1);
-
-    std::vector<ApproxConfig> configs = {ApproxConfig::exact(approx)};
-    for (const double tau : {0.001, 0.01, 0.05, 0.2})
-      configs.push_back(ApproxConfig::uniform(approx, tau));
-    if (approx > 1) {
-      ApproxConfig mixed = ApproxConfig::exact(approx);
-      mixed.tau[0] = 0.05;
-      configs.push_back(mixed);
-    }
+    const Sweep sweep = small_sweep(m);
+    const ConfigEvaluator ev(&m, &sweep.sig, &sweep.eval, -1);
     std::set<int64_t> distinct_cycles;
-    for (const ApproxConfig& c : configs) {
-      const SkipMask mask = make_skip_mask(m, sig, c);
+    for (const ApproxConfig& c : sweep.configs) {
+      const SkipMask mask = make_skip_mask(m, sweep.sig, c);
       const UnpackedEngine engine(&m, &mask);
       const DseResult r = ev.evaluate_static(c);
       EXPECT_EQ(r.cycles, engine.total_cycles())
@@ -182,10 +200,75 @@ TEST(CostGolden, EvaluatorStaticMetricsEqualTheUnpackedEngine) {
     }
     // The sweep must actually skip something wherever there is something
     // to skip.
-    if (approx > 0) {
+    if (m.approx_layer_count() > 0) {
       EXPECT_GT(distinct_cycles.size(), 1u) << model_name;
     }
   }
+}
+
+// Packed steady-state streaming frame per fixture and frame stride:
+// {cycles_per_frame, spliced_elems}.
+TEST(CostGolden, SteadyStateStreamCostMatchesTheRecordedRows) {
+  static const std::map<std::string, std::pair<int64_t, int64_t>> table = {
+      {"tiny/1", {140851, 696}},      {"tiny/2", {155409, 624}},
+      {"tiny/3", {187643, 504}},      {"residual/1", {67384, 256}},
+      {"residual/2", {74334, 192}},   {"residual/3", {81284, 128}},
+      {"depthwise/1", {51303, 384}},  {"depthwise/2", {64667, 288}},
+      {"depthwise/3", {78030, 192}},  {"scored/1", {6388, 0}},
+      {"scored/2", {6388, 0}},        {"scored/3", {6388, 0}},
+  };
+  int checked = 0;
+  for (const auto& [model_name, m] : fixtures()) {
+    for (const int stride : {1, 2, 3}) {
+      const StreamingCostRow row = steady_state_stream_cost(m, stride);
+      const std::string key = model_name + "/" + std::to_string(stride);
+      const auto it = table.find(key);
+      if (it == table.end()) {
+        ADD_FAILURE() << "no golden row; recorded now: {\"" << key << "\", {"
+                      << row.cycles_per_frame << ", " << row.spliced_elems
+                      << "}},";
+        continue;
+      }
+      EXPECT_EQ(row.cycles_per_frame, it->second.first) << key;
+      EXPECT_EQ(row.spliced_elems, it->second.second) << key;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 4 * 3);
+}
+
+// The evaluator's unpacked streaming row at frame stride 2, per config of
+// the small sweep (keyed by fixture and config index).
+TEST(CostGolden, EvaluatorStreamCyclesMatchTheRecordedRows) {
+  static const std::map<std::string, int64_t> table = {
+      {"tiny/0", 77990},      {"tiny/1", 76760},      {"tiny/2", 72629},
+      {"tiny/3", 64103},      {"tiny/4", 48767},      {"tiny/5", 75998},
+      {"residual/0", 81683},  {"residual/1", 80923},  {"residual/2", 77307},
+      {"residual/3", 64443},  {"residual/4", 46843},  {"residual/5", 80371},
+      {"depthwise/0", 36474}, {"depthwise/1", 36474}, {"depthwise/2", 36474},
+      {"depthwise/3", 34610}, {"depthwise/4", 30426}, {"depthwise/5", 34778},
+      {"scored/0", 6388},     {"scored/1", 6388},     {"scored/2", 6388},
+      {"scored/3", 6388},     {"scored/4", 6388},
+  };
+  int checked = 0;
+  for (const auto& [model_name, m] : fixtures()) {
+    const Sweep sweep = small_sweep(m);
+    ConfigEvaluator ev(&m, &sweep.sig, &sweep.eval, -1);
+    ev.set_stream_stride(2);
+    for (size_t i = 0; i < sweep.configs.size(); ++i) {
+      const DseResult r = ev.evaluate_static(sweep.configs[i]);
+      const std::string key = model_name + "/" + std::to_string(i);
+      const auto it = table.find(key);
+      if (it == table.end()) {
+        ADD_FAILURE() << "no golden row; recorded now: {\"" << key << "\", "
+                      << r.stream_cycles_per_frame << "},";
+        continue;
+      }
+      EXPECT_EQ(r.stream_cycles_per_frame, it->second) << key;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, static_cast<int>(table.size()));
 }
 
 }  // namespace

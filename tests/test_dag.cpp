@@ -23,6 +23,7 @@
 #include "src/dse/config_space.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/dse/evaluator.hpp"
+#include "src/dse/prefix_cache.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
@@ -402,6 +403,23 @@ TEST_F(DagDseFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
   // boundary 0/1 prefixes), it just reuses less than a chain would —
   // docs/DSE.md documents the hit-rate drop.
   EXPECT_GT(fast.cache_hits, 0);
+}
+
+// One full exact pass over the residual fixture's sweep: the prefix
+// cache's segment counters, recorded. Stages round resumes down to the
+// dominating boundary, so fewer segments are reused than on a chain.
+TEST_F(DagDseFixture, PrefixCacheStatsOfOneFullPassArePinned) {
+  DseOptions grid;
+  grid.tau_step = 0.02;
+  const auto configs = generate_configs(model_->approx_layer_count(), grid);
+  const PrefixCache cache(model_, sig_, eval_, configs, -1);
+  const std::vector<uint8_t> alive(configs.size(), 1);
+  std::vector<uint8_t> hits(configs.size() *
+                            static_cast<size_t>(cache.eval_images()));
+  const PrefixCacheStats stats =
+      cache.evaluate_images(0, cache.eval_images(), alive, hits);
+  EXPECT_EQ(stats.segments_run, 7020);
+  EXPECT_EQ(stats.segments_reused, 3300);
 }
 
 TEST_F(DagDseFixture, AdaptiveSweepDeterministicAcrossThreadCounts) {

@@ -129,15 +129,17 @@ TEST(WilsonBound, BracketsTheSampleProportion) {
 
 // --- prefix-cached exact sweep: bitwise parity --------------------------
 
-TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
-  const ConfigEvaluator ev(model_, sig_, eval_, -1);
-  const auto configs = sweep_configs();
-
+// Runs the exact prefix-cached sweep over `configs` and checks every
+// result bitwise against one ConfigEvaluator::evaluate per config (the
+// pre-prefix-cache sweep).
+void expect_exact_sweep_matches_legacy(
+    const QModel& model, const std::vector<LayerSignificance>& sig,
+    const Dataset& eval, const std::vector<ApproxConfig>& configs) {
+  const ConfigEvaluator ev(&model, &sig, &eval, -1);
   DseOptions o;
   o.exact_sweep = true;
   const DseOutcome fast = run_dse(ev, configs, o);
 
-  // The pre-prefix-cache sweep: one ConfigEvaluator::evaluate per config.
   std::vector<DseResult> legacy(configs.size());
   for (size_t i = 0; i < configs.size(); ++i)
     legacy[i] = ev.evaluate(configs[i]);
@@ -165,8 +167,56 @@ TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
   // Exact mode: full image budget for everyone, reuse accounted.
   EXPECT_EQ(fast.early_exits, 0);
   EXPECT_EQ(fast.images_evaluated,
-            static_cast<int64_t>(configs.size()) * eval_->size());
+            static_cast<int64_t>(configs.size()) * eval.size());
   EXPECT_GT(fast.cache_hits, 0);
+}
+
+TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
+  {
+    SCOPED_TRACE("chain");
+    expect_exact_sweep_matches_legacy(*model_, *sig_, *eval_,
+                                      sweep_configs());
+  }
+  // Depthwise: conv -> depthwise -> avgpool -> fc, so the cache's
+  // zeroed-weight variants cover a depthwise layer too.
+  SCOPED_TRACE("depthwise");
+  const QModel dw = testing::make_tiny_vww_qmodel(101);
+  Dataset eval(ImageShape{dw.in_h, dw.in_w, dw.in_c}, 2);
+  Rng rng(94);
+  for (int i = 0; i < 60; ++i) {
+    std::vector<uint8_t> img(static_cast<size_t>(dw.in_h) * dw.in_w * dw.in_c);
+    for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
+    eval.add(img, rng.next_int(0, 1));
+  }
+  const std::vector<LayerSignificance> sig = compute_model_significance(
+      dw, capture_activation_stats(dw, eval, 24));
+  const auto configs = sweep_configs();
+  expect_exact_sweep_matches_legacy(dw, sig, eval, configs);
+  // Skipping depthwise operands (ordinal 1) with the conv exact must
+  // change some accuracy, or the parity is vacuous for the depthwise
+  // variants. (Seed 101 keeps this fixture's two logits unsaturated.)
+  const ConfigEvaluator ev(&dw, &sig, &eval, -1);
+  const double exact_accuracy = ev.evaluate(configs[0]).accuracy;
+  bool depthwise_matters = false;
+  for (const ApproxConfig& c : configs) {
+    if (c.tau[0] < 0.0 && ev.evaluate(c).accuracy != exact_accuracy)
+      depthwise_matters = true;
+  }
+  EXPECT_TRUE(depthwise_matters);
+}
+
+// One full exact pass over the chain fixture's sweep: the prefix cache's
+// segment counters, recorded.
+TEST_F(DseFastFixture, PrefixCacheStatsOfOneFullPassArePinned) {
+  const auto configs = sweep_configs();
+  const PrefixCache cache(model_, sig_, eval_, configs, -1);
+  const std::vector<uint8_t> alive(configs.size(), 1);
+  std::vector<uint8_t> hits(configs.size() *
+                            static_cast<size_t>(cache.eval_images()));
+  const PrefixCacheStats stats =
+      cache.evaluate_images(0, cache.eval_images(), alive, hits);
+  EXPECT_EQ(stats.segments_run, 4800);
+  EXPECT_EQ(stats.segments_reused, 2040);
 }
 
 // --- adaptive early exit ------------------------------------------------
