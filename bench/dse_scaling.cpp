@@ -3,14 +3,18 @@
 // LeNet pipeline three ways per thread count:
 //
 //   legacy    one ConfigEvaluator::evaluate per config (the
-//             pre-prefix-cache sweep, kept as the speedup baseline)
+//             pre-prefix-cache sweep, kept as the speedup baseline and
+//             as the parity oracle)
 //   exact     prefix-cached, full image budget (bitwise identical
 //             results; DseOptions::exact_sweep = true)
 //   adaptive  prefix-cached + Wilson early exit (the default sweep)
 //
 // and reports the speedups plus the projected wall time of the
-// paper-scale sweep. The PR that introduced the cache targets >=3x on
-// the adaptive column.
+// paper-scale sweep. The cache targets >=3x on the adaptive column.
+//
+// Once per run (at one thread) every config's exact-sweep accuracy is
+// compared bitwise with its legacy accuracy; the mismatch count is
+// printed and any mismatch makes the exit status non-zero.
 #include "bench/bench_common.hpp"
 #include "src/common/parallel.hpp"
 #include "src/dse/evaluator.hpp"
@@ -42,9 +46,9 @@ int main(int argc, char** argv) {
 
   // The pre-prefix-cache sweep: parallel over configs, each config runs
   // its whole image budget from the input.
-  const auto legacy_sweep = [&]() {
+  const auto legacy_sweep = [&](std::vector<DseResult>& results) {
     Stopwatch watch;
-    std::vector<DseResult> results(configs.size());
+    results.assign(configs.size(), {});
     parallel_for(0, static_cast<int64_t>(configs.size()), [&](int64_t i) {
       results[static_cast<size_t>(i)] =
           evaluator.evaluate(configs[static_cast<size_t>(i)]);
@@ -63,10 +67,16 @@ int main(int argc, char** argv) {
   bool hit_target = false;
   double exact_cps = 0.0;
   int exact_cps_threads = 0;
+  int mismatches = 0;
   for (int threads = 1; threads <= hw; threads *= 2) {
     set_num_threads(threads);
-    const double t_legacy = legacy_sweep();
+    std::vector<DseResult> legacy;
+    const double t_legacy = legacy_sweep(legacy);
     const DseOutcome exact_outcome = run_dse(evaluator, configs, exact);
+    if (threads == 1) {
+      for (size_t i = 0; i < configs.size(); ++i)
+        mismatches += exact_outcome.results[i].accuracy != legacy[i].accuracy;
+    }
     const DseOutcome adaptive_outcome =
         run_dse(evaluator, configs, opts.dse);
     set_num_threads(0);
@@ -123,6 +133,9 @@ int main(int argc, char** argv) {
   }
   std::printf("  >=3x adaptive speedup target: %s\n",
               hit_target ? "MET" : "NOT met");
+  std::printf("  prefix-cache parity: %d/%zu exact-sweep accuracies differ "
+              "from the legacy sweep\n",
+              mismatches, configs.size());
   std::printf("CSV: %s/dse_scaling.csv\n", results_dir().c_str());
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "src/common/error.hpp"
-#include "src/mcu/memory_model.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/unpack/unpacked_layer.hpp"
 
 namespace ataman {
@@ -319,88 +319,62 @@ std::string emit_model_c(const QModel& model, const SkipMask* mask,
   const std::string p = options.symbol_prefix;
   emit_prelude(os, p);
 
-  // Layer functions. Each step records the tensor ids it reads and the
-  // tensor it defines (tensor 0 = network input, tensor l+1 = output of
-  // layer l); the runner maps tensors to arena slots via the same
-  // liveness plan the engines use.
-  struct Step {
-    std::string fn;
-    std::vector<int> inputs;  // tensor ids
-    int out_tensor = 0;
-    int64_t out_size = 0;
+  // Layer functions, one per plan step and numbered per kind, and the
+  // runner's call of each. The runner's activations are one static arena
+  // of arena_elems with every tensor at its plan offset, so peak RAM
+  // matches the engines' liveness placement (ping-pong on chains,
+  // interval coloring on DAGs).
+  const ExecPlan plan = ExecPlan::compile(model);
+  check(!plan.steps.empty(), "model has no layers to emit");
+  const auto at = [&p](const PlanTensor& t) {
+    return p + "_arena + " + std::to_string(t.offset);
   };
-  std::vector<Step> steps;
+  std::ostringstream calls;
   int conv_i = 0, dw_i = 0, pool_i = 0, avgpool_i = 0, fc_i = 0, add_i = 0;
-  int approx_i = 0;  // skip-mask ordinal (conv + depthwise)
-  for (int l = 0; l < static_cast<int>(model.layers.size()); ++l) {
-    const QLayer& layer = model.layers[static_cast<size_t>(l)];
-    const int64_t out_size = describe_layer(layer).out_elems;
-    const uint8_t* skip = nullptr;
-    if (describe_layer(layer).skippable && mask != nullptr)
-      skip = mask->row(approx_i);
+  for (const ExecStep& step : plan.steps) {
+    const QLayer& layer = model.layers[static_cast<size_t>(step.layer)];
+    const uint8_t* skip = mask != nullptr && step.approx_ordinal >= 0
+                              ? mask->row(step.approx_ordinal)
+                              : nullptr;
     std::string fn;
     if (const auto* conv = std::get_if<QConv2D>(&layer)) {
       const UnpackedConv u = UnpackedConv::build(*conv, skip);
       emit_unpacked_conv(os, u, conv_i, options);
-      fn = p + "_conv" + std::to_string(conv_i);
-      ++conv_i;
-      ++approx_i;
+      fn = p + "_conv" + std::to_string(conv_i++);
     } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
       const UnpackedDepthwise u = UnpackedDepthwise::build(*dw, skip);
       emit_unpacked_depthwise(os, u, dw_i, options);
-      fn = p + "_dw" + std::to_string(dw_i);
-      ++dw_i;
-      ++approx_i;
+      fn = p + "_dw" + std::to_string(dw_i++);
     } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
       emit_pool(os, *pool, pool_i, options);
-      fn = p + "_pool" + std::to_string(pool_i);
-      ++pool_i;
+      fn = p + "_pool" + std::to_string(pool_i++);
     } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
       emit_avgpool(os, *pool, avgpool_i, options);
-      fn = p + "_avgpool" + std::to_string(avgpool_i);
-      ++avgpool_i;
+      fn = p + "_avgpool" + std::to_string(avgpool_i++);
     } else if (const auto* fc = std::get_if<QDense>(&layer)) {
       emit_dense(os, *fc, fc_i, options);
-      fn = p + "_fc" + std::to_string(fc_i);
-      ++fc_i;
+      fn = p + "_fc" + std::to_string(fc_i++);
     } else if (const auto* add = std::get_if<QAdd>(&layer)) {
       emit_qadd(os, *add, add_i, options);
-      fn = p + "_add" + std::to_string(add_i);
-      ++add_i;
+      fn = p + "_add" + std::to_string(add_i++);
     }
-    steps.push_back({fn, model.inputs_of(l), l + 1, out_size});
+    calls << "  " << fn << "(";
+    for (const PlanTensor& in : step.in)
+      if (in.id >= 0) calls << at(in) << ", ";
+    calls << at(step.out) << ");\n";
   }
-  check(!steps.empty(), "model has no layers to emit");
 
-  // Runner over the liveness-planned activation arena: one static buffer
-  // per plan slot, tensors mapped to slots so peak RAM matches the
-  // engines' ActivationPlan (ping-pong on chains, interval coloring on
-  // DAGs).
-  const ActivationPlan plan = plan_activations(model);
-  const auto buf_of = [&plan, &p](int tensor) {
-    return p + "_arena" +
-           std::to_string(plan.tensors[static_cast<size_t>(tensor)].slot);
-  };
-  os << "const int " << p << "_num_classes = "
-     << steps.back().out_size << ";\n\n"
-     << "void " << p
-     << "_run(const uint8_t* image, int8_t* logits) {\n";
-  for (int s = 0; s < plan.slot_count(); ++s) {
-    os << "  static int8_t " << p << "_arena" << s << "["
-       << plan.slot_elems[static_cast<size_t>(s)] << "];\n";
-  }
-  os << "  for (int i = 0; i < "
-     << static_cast<int64_t>(model.in_h) * model.in_w * model.in_c
-     << "; ++i)\n"
-     << "    " << buf_of(0) << "[i] = (int8_t)((int32_t)image[i] + ("
-     << model.input.zero_point << "));\n";
-  for (const Step& step : steps) {
-    os << "  " << step.fn << "(";
-    for (int t : step.inputs) os << buf_of(t) << ", ";
-    os << buf_of(step.out_tensor) << ");\n";
-  }
-  os << "  memcpy(logits, " << buf_of(steps.back().out_tensor) << ", "
-     << steps.back().out_size << ");\n"
+  const PlanTensor& input = plan.tensors.front();
+  const PlanTensor& output = plan.tensors.back();
+  os << "const int " << p << "_num_classes = " << output.elems << ";\n\n"
+     << "void " << p << "_run(const uint8_t* image, int8_t* logits) {\n"
+     << "  static int8_t " << p << "_arena[" << plan.arena_elems << "];\n"
+     << "  for (int i = 0; i < " << input.elems << "; ++i)\n"
+     << "    " << p << "_arena[" << input.offset
+     << " + i] = (int8_t)((int32_t)image[i] + (" << model.input.zero_point
+     << "));\n"
+     << calls.str() << "  memcpy(logits, " << at(output) << ", "
+     << output.elems << ");\n"
      << "}\n";
 
   if (model.head == TaskHead::kScore) {

@@ -6,10 +6,10 @@
 // instruction stream (no weight arrays, no im2col), FC layers stay
 // packed-loop kernels over const weight tables, and the requantization
 // helpers replicate the fixed-point pipeline bit-exactly. Residual QAdd
-// layers emit a two-input requantize-and-add kernel, and the runner's
-// static activation buffers come from the engines' shared liveness plan
-// (plan_activations), one buffer per slot, so DAG models get the same
-// peak RAM as the on-device memory model predicts.
+// layers emit a two-input requantize-and-add kernel. The runner walks the
+// engines' compiled ExecPlan: one static activation arena of
+// arena_elems bytes with every tensor at its plan offset, so DAG models
+// get the same peak RAM as the on-device memory model predicts.
 //
 // On a Cortex-M33 build (-D__ARM_FEATURE_DSP) the SMLAD/SMLABB shims
 // compile to the native intrinsics; on any other host they compile to

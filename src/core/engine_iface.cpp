@@ -57,13 +57,6 @@ void InferenceEngine::decline_capability(const char* api) const {
        " (callers without a fallback should pick a capable backend)");
 }
 
-std::vector<int8_t> InferenceEngine::run_from(
-    int layer_begin, std::span<const int8_t> activations) const {
-  (void)layer_begin;
-  (void)activations;
-  decline_capability("run_from");
-}
-
 std::vector<int8_t> InferenceEngine::run_incremental(
     StreamState& state, std::span<const uint8_t> new_columns) const {
   (void)state;

@@ -142,20 +142,6 @@ class InferenceEngine {
   virtual void run_batch(std::span<const std::span<const uint8_t>> images,
                          std::vector<std::vector<int8_t>>& logits_out) const;
 
-  // Resume inference at a layer boundary: `activations` is tensor
-  // `layer_begin` (the int8 output of layer layer_begin-1; the network
-  // input for 0), and the call runs layers [layer_begin, layers.size())
-  // to the final logits. `layer_begin == 0` is equivalent to run() minus
-  // input quantization; `layer_begin == layers.size()` returns
-  // `activations` unchanged. On DAG models `layer_begin` must be a
-  // *linear boundary* (QModel::linear_boundary — no skip edge crosses
-  // it), since a single tensor must carry the whole activation frontier;
-  // every boundary of a chain qualifies. The reference oracle implements
-  // it (the DSE's layer-prefix activation cache, src/dse/prefix_cache,
-  // builds on it); the base class declines.
-  virtual std::vector<int8_t> run_from(
-      int layer_begin, std::span<const int8_t> activations) const;
-
   // Streaming-frame inference with temporal activation reuse.
   // `new_columns` holds the `s` newest input columns in [h][s][c] u8
   // layout (s = new_columns.size() / (in_h * in_c)); the first frame of
@@ -226,10 +212,10 @@ class InferenceEngine {
     check(!model->layers.empty(), "model has no layers");
   }
 
-  // Uniform refusal for the optional capabilities (run_from,
-  // run_incremental, rebind_mask): every decline throws the same
-  // message shape, naming the engine and the declined API. Pinned by
-  // the contract test in tests/test_streaming.cpp.
+  // Uniform refusal for the optional capabilities (run_incremental,
+  // rebind_mask): every decline throws the same message shape, naming
+  // the engine and the declined API. Pinned by the contract test in
+  // tests/test_streaming.cpp.
   [[noreturn]] void decline_capability(const char* api) const;
 
   // Shared run_batch entry validation: empty batches are a hard error

@@ -54,10 +54,9 @@ class Arena {
   size_t batch_;
 };
 
-void run_steps(const ExecPlan& plan, Arena& arena, int batch, int first,
+void run_steps(std::span<const ExecStep> steps, Arena& arena, int batch,
                const KernelTable& kernels) {
-  for (size_t i = static_cast<size_t>(first); i < plan.steps.size(); ++i) {
-    const ExecStep& s = plan.steps[i];
+  for (const ExecStep& s : steps) {
     StepIO io;
     io.in_a = arena.tensor(s.in[0]);
     if (s.in[1].id >= 0) io.in_b = arena.tensor(s.in[1]);
@@ -143,7 +142,7 @@ std::vector<int8_t> ExecPlan::run(std::span<const uint8_t> image,
         "input image size mismatch");
   Arena arena(*this, 1);
   quantize_pixels(model->input, image, arena.tensor(tensors[0]));
-  run_steps(*this, arena, 1, 0, kernels);
+  run_steps(steps, arena, 1, kernels);
   const std::span<const int8_t> out = arena.tensor(tensors.back());
   return {out.begin(), out.end()};
 }
@@ -160,7 +159,7 @@ void ExecPlan::run_batch(std::span<const std::span<const uint8_t>> images,
     quantize_pixels(model->input, images[b],
                     in.subspan(b * in_elems, in_elems));
   }
-  run_steps(*this, arena, batch, 0, kernels);
+  run_steps(steps, arena, batch, kernels);
   const size_t out_elems = static_cast<size_t>(tensors.back().elems);
   const std::span<const int8_t> out = arena.tensor(tensors.back());
   logits_out.resize(images.size());
@@ -170,20 +169,23 @@ void ExecPlan::run_batch(std::span<const std::span<const uint8_t>> images,
   }
 }
 
-std::vector<int8_t> ExecPlan::run_from(int first_step,
-                                       std::span<const int8_t> activations,
-                                       const KernelTable& kernels) const {
-  check(first_step >= 0 && first_step <= static_cast<int>(steps.size()),
-        "run_from layer index out of range");
-  const PlanTensor& entry = tensors[static_cast<size_t>(first_step)];
+std::vector<int8_t> ExecPlan::run_range(int first, int end,
+                                        std::span<const int8_t> activations,
+                                        const KernelTable& kernels) const {
+  check(first >= 0 && first <= end && end <= static_cast<int>(steps.size()),
+        "run_range step range out of bounds");
+  const PlanTensor& entry = tensors[static_cast<size_t>(first)];
   if (static_cast<int64_t>(activations.size()) != entry.elems)
-    fail("run_from activation size mismatch at layer " +
-         std::to_string(first_step));
+    fail("run_range activation size mismatch at layer " +
+         std::to_string(first));
   Arena arena(*this, 1);
   std::copy(activations.begin(), activations.end(),
             arena.tensor(entry).begin());
-  run_steps(*this, arena, 1, first_step, kernels);
-  const std::span<const int8_t> out = arena.tensor(tensors.back());
+  run_steps(std::span(steps).subspan(static_cast<size_t>(first),
+                                     static_cast<size_t>(end - first)),
+            arena, 1, kernels);
+  const std::span<const int8_t> out =
+      arena.tensor(tensors[static_cast<size_t>(end)]);
   return {out.begin(), out.end()};
 }
 

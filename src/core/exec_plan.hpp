@@ -3,7 +3,9 @@
 // model-structure handling moved offline, as the paper's customized
 // runtime does (§II-A). Every engine (ref, cmsis, unpacked, xcube) runs
 // the same plan through the same walkers; an engine only contributes its
-// kernel table, i.e. how it executes one step.
+// kernel table, i.e. how it executes one step. The DSE prefix cache runs
+// step ranges of it (run_range) and the C emitter generates its steps
+// and arena as code.
 //
 // Arena layout: tensor ids follow QModel (0 = network input, l+1 = the
 // output of layer l). Each tensor lives in its liveness slot from the
@@ -104,12 +106,13 @@ struct ExecPlan {
   void run_batch(std::span<const std::span<const uint8_t>> images,
                  const KernelTable& kernels,
                  std::vector<std::vector<int8_t>>& logits_out) const;
-  // Resume at a layer boundary: `activations` is tensor `first_step`,
-  // and steps [first_step, end) run. The caller guarantees the boundary
-  // is linear (QModel::linear_boundary).
-  std::vector<int8_t> run_from(int first_step,
-                               std::span<const int8_t> activations,
-                               const KernelTable& kernels) const;
+  // A step range: `activations` is tensor `first`, steps [first, end)
+  // run and tensor `end` is returned (`first == end` returns the input).
+  // The caller guarantees `first` is a linear boundary
+  // (QModel::linear_boundary), so one tensor carries the whole frontier.
+  std::vector<int8_t> run_range(int first, int end,
+                                std::span<const int8_t> activations,
+                                const KernelTable& kernels) const;
   // One streaming frame (InferenceEngine::run_incremental): shifts the
   // previous input by the pushed columns, then runs every step into the
   // ring's free slot — a spliced step copies its proven-equal band from

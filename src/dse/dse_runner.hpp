@@ -41,11 +41,11 @@ using DseProgress = std::function<void(int done, int total)>;
 
 // Sweep an explicit config list. The sweep runs through the layer-prefix
 // activation cache with adaptive early exit by default when the
-// evaluator's accuracy backend is the resumable reference engine;
-// options.exact_sweep = true keeps the cache but evaluates every config
-// on the full image budget (bitwise identical to per-config
-// ConfigEvaluator::evaluate). Non-resumable accuracy backends fall back
-// to the legacy per-config sweep.
+// evaluator's accuracy backend is the reference engine, whose kernels
+// the cache replays; options.exact_sweep = true keeps the cache but
+// evaluates every config on the full image budget (bitwise identical to
+// per-config ConfigEvaluator::evaluate). Other accuracy backends fall
+// back to the legacy per-config sweep.
 DseOutcome run_dse(const ConfigEvaluator& evaluator,
                    const std::vector<ApproxConfig>& configs,
                    const DseOptions& options,

@@ -106,37 +106,18 @@ DseResult ConfigEvaluator::static_metrics(const ApproxConfig& config,
           : 0.0;
 
   // Unpacked deployment cycles: unpacked conv/depthwise + packed
-  // FC/pool/softmax. When a stream stride is set, a second accumulator
-  // prices the same deployment's steady-state streaming frame: the
-  // conv/depthwise position terms scale to the splice plan's recomputed
-  // positions (the plan is pure geometry, shared across configs) plus
-  // the band copy; everything else recomputes in full.
+  // FC/pool/softmax. When a stream stride is set, the same deployment's
+  // steady-state streaming frame is priced over the splice plan (pure
+  // geometry, shared across configs).
   const PriceList prices{PriceList::Family::kUnpacked, costs_, {}};
-  const ModelPrice price = price_model(*model_, prices, stats.static_pairs,
-                                       stats.static_singles);
-  r.cycles = price.total_cycles;
+  r.cycles = price_model(*model_, prices, stats.static_pairs,
+                         stats.static_singles)
+                 .total_cycles;
   if (stream_stride_ > 0) {
-    double stream_cycles = 0.0;
-    int ordinal = 0;
-    for (size_t l = 0; l < model_->layers.size(); ++l) {
-      const QLayer& layer = model_->layers[l];
-      const StreamLayerPlan& lp = stream_plan_.layers[l];
-      int64_t pairs = -1, singles = 0;
-      if (describe_layer(layer).skippable) {
-        pairs = stats.static_pairs[static_cast<size_t>(ordinal)];
-        singles = stats.static_singles[static_cast<size_t>(ordinal)];
-        ++ordinal;
-      }
-      add_step_cycles(stream_cycles, layer, prices, pairs, singles,
-                      lp.recomputed_positions);
-      if (lp.spliced) {
-        stream_cycles += costs_.stream_splice_per_elem *
-                         static_cast<double>(lp.splice_hi - lp.splice_lo) *
-                         static_cast<double>(lp.out_rows) * lp.out_ch;
-      }
-    }
-    stream_cycles += price.softmax;
-    r.stream_cycles_per_frame = static_cast<int64_t>(stream_cycles);
+    r.stream_cycles_per_frame =
+        price_model(*model_, prices, stats.static_pairs,
+                    stats.static_singles, &stream_plan_)
+            .total_cycles;
     r.stream_energy_mj_per_frame =
         BoardSpec{}.energy_mj(r.stream_cycles_per_frame);
   }

@@ -7,16 +7,45 @@
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 #include "src/core/eval.hpp"
-#include "src/nn/qkernels_ref.hpp"
 
 namespace ataman {
+
+namespace {
+
+// The cache's kernel table: every step through the reference kernels,
+// an approximable step on the zeroed-weight variant its config row
+// names (`slots` == nullptr, or slot -1: the model's own layer).
+class VariantKernels final : public KernelTable {
+ public:
+  VariantKernels(const QModel& model,
+                 const std::vector<std::vector<QLayer>>& masked,
+                 const std::vector<int>* slots)
+      : model_(model), masked_(masked), slots_(slots) {}
+
+  void run_step(const ExecStep& step, const StepIO& io) const override {
+    const QLayer* layer = &model_.layers[static_cast<size_t>(step.layer)];
+    if (slots_ != nullptr && step.approx_ordinal >= 0) {
+      const auto k = static_cast<size_t>(step.approx_ordinal);
+      const int slot = (*slots_)[k];
+      if (slot >= 0) layer = &masked_[k][static_cast<size_t>(slot)];
+    }
+    run_step_ref(*layer, io);
+  }
+
+ private:
+  const QModel& model_;
+  const std::vector<std::vector<QLayer>>& masked_;
+  const std::vector<int>* slots_;
+};
+
+}  // namespace
 
 PrefixCache::PrefixCache(const QModel* model,
                          const std::vector<LayerSignificance>* significance,
                          const Dataset* eval,
                          const std::vector<ApproxConfig>& configs,
                          int eval_images)
-    : model_(model), eval_(eval), ref_(model) {
+    : model_(model), eval_(eval) {
   check(model != nullptr && significance != nullptr && eval != nullptr,
         "prefix cache needs model, significance and eval set");
   check(!configs.empty(), "prefix cache needs at least one config");
@@ -25,6 +54,7 @@ PrefixCache::PrefixCache(const QModel* model,
         "prefix cache needs at least one approximable layer");
   check(static_cast<int>(significance->size()) == approx_count_,
         "significance does not match model");
+  plan_ = ExecPlan::compile(*model_);
   n_images_ = clamp_eval_limit(eval_images, eval_->size());
   // Golden-ratio stride (bumped to the next value coprime with the image
   // count) so position prefixes sample the eval subset evenly; see
@@ -35,13 +65,6 @@ PrefixCache::PrefixCache(const QModel* model,
   approx_pos_.resize(static_cast<size_t>(approx_count_));
   for (int k = 0; k < approx_count_; ++k)
     approx_pos_[static_cast<size_t>(k)] = model_->approx_layer_index(k);
-  // Exact tail: first linear boundary behind the last approximable layer
-  // (trailing residual adds join the last stage so run_from stays valid).
-  const int layer_count = static_cast<int>(model_->layers.size());
-  tail_begin_ = approx_pos_.back() + 1;
-  while (tail_begin_ < layer_count && !model_->linear_boundary(tail_begin_))
-    ++tail_begin_;
-
   // Stage partition (header comment): ordinal k opens a new stage when
   // the deepest linear boundary at or before its layer — the dominating
   // boundary — falls behind ordinal k-1's layer, i.e. the model can be
@@ -58,6 +81,9 @@ PrefixCache::PrefixCache(const QModel* model,
       stage_first_ordinal_.push_back(k);
     }
   }
+  // The last stage runs to the end of the model: the exact tail is part
+  // of its range.
+  stage_begin_.push_back(static_cast<int>(model_->layers.size()));
 
   const int n_cfg = static_cast<int>(configs.size());
   masked_.resize(static_cast<size_t>(approx_count_));
@@ -137,42 +163,6 @@ PrefixCache::PrefixCache(const QModel* model,
   }
 }
 
-void PrefixCache::run_range(int begin, int end,
-                            const std::vector<int>* slot_row,
-                            int first_ordinal,
-                            const std::vector<int8_t>& in,
-                            std::vector<int8_t>& out) const {
-  check(end > begin, "run_range needs at least one layer");
-  // DAG-local tensor walk: every tensor id a layer in [begin, end) reads
-  // lies in [begin, end] (begin is a linear boundary, layers are
-  // topologically ordered), so `in` plus end-begin local outputs cover
-  // the whole range.
-  std::vector<std::vector<int8_t>> local(static_cast<size_t>(end - begin));
-  auto tensor_of = [&](int t) -> const std::vector<int8_t>& {
-    return t == begin ? in : local[static_cast<size_t>(t - begin - 1)];
-  };
-  int ordinal = first_ordinal;
-  for (int l = begin; l < end; ++l) {
-    const QLayer* layer = &model_->layers[static_cast<size_t>(l)];
-    if (describe_layer(*layer).skippable) {
-      const int slot =
-          slot_row != nullptr ? (*slot_row)[static_cast<size_t>(ordinal)] : -1;
-      if (slot >= 0)
-        layer = &masked_[static_cast<size_t>(ordinal)]
-                        [static_cast<size_t>(slot)];
-      ++ordinal;
-    }
-    const std::vector<int> ins = model_->inputs_of(l);
-    std::vector<int8_t>& dst = local[static_cast<size_t>(l - begin)];
-    dst.assign(static_cast<size_t>(describe_layer(*layer).out_elems), 0);
-    run_layer_ref(*layer, tensor_of(ins[0]),
-                  ins.size() > 1 ? std::span<const int8_t>(tensor_of(ins[1]))
-                                 : std::span<const int8_t>(),
-                  dst);
-  }
-  out = std::move(local.back());
-}
-
 int PrefixCache::stage_for_depth(int depth) const {
   int s = 0;
   while (s + 1 < static_cast<int>(stage_first_ordinal_.size()) &&
@@ -201,34 +191,28 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
   }
   if (lo_img >= hi_img) return {};
 
-  const int n_stages = static_cast<int>(stage_begin_.size());
+  const int n_stages = static_cast<int>(stage_first_ordinal_.size());
+  const bool scored = model_->head == TaskHead::kScore;
   std::atomic<int64_t> run_total{0}, reuse_total{0};
   parallel_for_chunked(lo_img, hi_img, [&](int64_t lo, int64_t hi) {
     // boundary[s] holds tensor stage_begin_[s] (the single-tensor linear
     // cut opening stage s) for the current image; boundary[n_stages] the
-    // input of the exact tail.
+    // logits.
     std::vector<std::vector<int8_t>> boundary(
         static_cast<size_t>(n_stages) + 1);
+    std::vector<int8_t> q_input;
     int64_t run = 0, reuse = 0;
     for (int64_t img = lo; img < hi; ++img) {
       const int i = static_cast<int>(img);  // position; hits row offset
       const int image_index = image_at(i);  // dataset image it samples
       const int label = eval_->label(image_index);
-      std::vector<int8_t> act =
-          ref_.quantize_input(eval_->image(image_index));
-      // Scored heads compare the reconstruction against the quantized
-      // input at the tail, so keep a copy before `act` is consumed by
-      // the boundary buffers below.
-      const bool scored = ref_.model().head == TaskHead::kScore;
-      std::vector<int8_t> q_input;
-      if (scored) q_input = act;
+      const std::span<const uint8_t> image = eval_->image(image_index);
+      q_input.resize(image.size());
+      quantize_pixels(model_->input, image, q_input);
       // Layers before the first stage (normally none) hold no
       // approximable layer; run them once into the depth-0 boundary.
-      if (stage_begin_.front() > 0) {
-        run_range(0, stage_begin_.front(), nullptr, 0, act, boundary[0]);
-      } else {
-        boundary[0] = std::move(act);
-      }
+      boundary[0] = plan_.run_range(0, stage_begin_[0], q_input,
+                                    VariantKernels(*model_, masked_, nullptr));
 
       // One trie walk per image over every config whose range covers it.
       // The resume depth over a gap of skipped configs is the min of the
@@ -254,22 +238,19 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
           const int s0 = stage_for_depth(depth);
           const int resume_ordinal =
               stage_first_ordinal_[static_cast<size_t>(s0)];
-          for (int s = s0; s < n_stages; ++s) {
-            const int end = s + 1 < n_stages
-                                ? stage_begin_[static_cast<size_t>(s + 1)]
-                                : tail_begin_;
-            run_range(stage_begin_[static_cast<size_t>(s)], end,
-                      &slots_[static_cast<size_t>(c)],
-                      stage_first_ordinal_[static_cast<size_t>(s)],
-                      boundary[static_cast<size_t>(s)],
-                      boundary[static_cast<size_t>(s) + 1]);
+          const VariantKernels kernels(*model_, masked_,
+                                       &slots_[static_cast<size_t>(c)]);
+          for (size_t s = static_cast<size_t>(s0);
+               s < static_cast<size_t>(n_stages); ++s) {
+            boundary[s + 1] = plan_.run_range(stage_begin_[s],
+                                              stage_begin_[s + 1],
+                                              boundary[s], kernels);
           }
-          const std::vector<int8_t> logits = ref_.run_from(
-              tail_begin_, boundary[static_cast<size_t>(n_stages)]);
+          const std::vector<int8_t>& logits =
+              boundary[static_cast<size_t>(n_stages)];
           const int pred =
-              scored ? scored_class(ref_.model(),
-                                    reconstruction_score(ref_.model(),
-                                                         q_input, logits))
+              scored ? scored_class(*model_, reconstruction_score(
+                                                 *model_, q_input, logits))
                      : argmax_lowest_index(logits);
           hit = pred == label ? 1 : 0;
           reuse += resume_ordinal;

@@ -23,9 +23,12 @@
 //    apply_skip_mask uses), so segment execution runs the identical
 //    kernels on identical weights as the legacy path.
 //
-// The exact tail behind the last approximable layer (pool/dense/softmax
-// — never approximated) is executed through RefEngine::run_from, the
-// InferenceEngine seam's layer-boundary resume entry point.
+// Execution is the model's compiled ExecPlan: each stage (below) is one
+// step range (ExecPlan::run_range) through a kernel table that swaps in
+// the config's variant for each approximable step. The last stage runs
+// to the end of the model, so the exact tail behind the last
+// approximable layer (pool/dense — never approximated) is part of its
+// range.
 //
 // DAG models (residual QAdd edges): a cached boundary is a single
 // tensor, so the trie can only cut the model at *linear boundaries* —
@@ -47,8 +50,8 @@
 #include <map>
 #include <vector>
 
+#include "src/core/exec_plan.hpp"
 #include "src/data/dataset.hpp"
-#include "src/nn/engine.hpp"
 #include "src/sig/skip_plan.hpp"
 
 namespace ataman {
@@ -117,16 +120,6 @@ class PrefixCache {
                                    std::vector<uint8_t>& hits) const;
 
  private:
-  // Execute layers [begin, end) — `begin` must be a linear boundary and
-  // `in` tensor `begin` — with a DAG-local tensor walk, substituting the
-  // masked variant slots_[.] for each approximable layer (`slot_row` ==
-  // nullptr runs everything exact; `first_ordinal` is the approximable
-  // ordinal of the first skippable layer at or after `begin`). Leaves
-  // tensor `end` in `out`.
-  void run_range(int begin, int end, const std::vector<int>* slot_row,
-                 int first_ordinal, const std::vector<int8_t>& in,
-                 std::vector<int8_t>& out) const;
-
   // Deepest stage whose first ordinal is <= `depth` — the dominating
   // resume point for a trie lcp of `depth` ordinals.
   int stage_for_depth(int depth) const;
@@ -138,17 +131,14 @@ class PrefixCache {
   int approx_count_ = 0;
   std::vector<int> approx_pos_;  // layer index of each approx ordinal
   // Stage partition of the approximable region (header comment): stage s
-  // covers layers [stage_begin_[s], stage_begin_[s+1]) — the last stage
-  // ends at tail_begin_ — and owns the approximable ordinals
-  // [stage_first_ordinal_[s], stage_first_ordinal_[s+1]). Every
-  // stage_begin_ is a linear boundary; on chains each ordinal is its own
-  // stage.
+  // covers layers [stage_begin_[s], stage_begin_[s+1]) — the last entry
+  // is the layer count, so the last stage includes the exact tail — and
+  // owns the approximable ordinals [stage_first_ordinal_[s],
+  // stage_first_ordinal_[s+1]). Every stage_begin_ is a linear boundary;
+  // on chains each ordinal is its own stage.
   std::vector<int> stage_begin_;
   std::vector<int> stage_first_ordinal_;
-  // First linear boundary behind the last approximable layer (== last
-  // approximable layer + 1 on chains): where the exact tail resumes.
-  int tail_begin_ = 0;
-  RefEngine ref_;  // exact engine: input quantization + tail
+  ExecPlan plan_;  // the model's compiled plan every stage walks
 
   // Per approximable ordinal: zeroed-weight variants of the layer (conv
   // or depthwise), one per distinct non-empty skip set seen in the

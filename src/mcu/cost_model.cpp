@@ -62,8 +62,9 @@ int64_t packed_conv_cycles(const QConv2D& layer, const CortexM33CostTable& t) {
 int64_t unpacked_conv_cycles(const QConv2D& layer, int64_t static_pairs,
                              int64_t static_singles,
                              const CortexM33CostTable& t) {
-  return unpacked_conv_stream_cycles(layer, static_pairs, static_singles,
-                                     layer.geom.positions(), t);
+  const OpDescriptor d = describe_layer(layer);
+  return unpacked_program_cycles(d, static_pairs, static_singles, d.positions,
+                                 t);
 }
 
 int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
@@ -79,8 +80,9 @@ int64_t unpacked_depthwise_cycles(const QDepthwiseConv2D& layer,
                                   int64_t static_pairs,
                                   int64_t static_singles,
                                   const CortexM33CostTable& t) {
-  return unpacked_depthwise_stream_cycles(layer, static_pairs, static_singles,
-                                          layer.positions(), t);
+  const OpDescriptor d = describe_layer(layer);
+  return unpacked_program_cycles(d, static_pairs, static_singles, d.positions,
+                                 t);
 }
 
 int64_t dense_cycles(const QDense& layer, const CortexM33CostTable& t) {
@@ -213,6 +215,19 @@ double add_step_cycles(double& total, const QLayer& layer,
     total += static_cast<double>(unpacked_program_cycles(
         d, static_pairs, static_singles,
         recomputed_positions >= 0 ? recomputed_positions : d.positions, t));
+  } else if (prices.family == PriceList::Family::kPacked &&
+             recomputed_positions >= 0) {
+    // A streamed packed step: every packed conv/depthwise term (im2col,
+    // MACs, epilogue) is proportional to output positions, so the kernel
+    // scales by the recomputed fraction.
+    const OpDescriptor d = describe_layer(layer);
+    double kernel = static_cast<double>(packed_kernel_cycles(layer, t));
+    if (d.skippable) {
+      kernel = kernel * static_cast<double>(recomputed_positions) /
+               static_cast<double>(d.positions);
+    }
+    total += t.layer_dispatch;
+    total += kernel;
   } else {
     total += t.layer_dispatch +
              static_cast<double>(packed_kernel_cycles(layer, t));
@@ -222,14 +237,20 @@ double add_step_cycles(double& total, const QLayer& layer,
 
 ModelPrice price_model(const QModel& model, const PriceList& prices,
                        const std::vector<int64_t>& static_pairs,
-                       const std::vector<int64_t>& static_singles) {
+                       const std::vector<int64_t>& static_singles,
+                       const StreamPlan* stream) {
   check(static_pairs.size() == static_singles.size(),
         "pair/single vectors must align");
+  check(stream == nullptr || stream->layers.size() == model.layers.size(),
+        "stream plan does not match model");
   ModelPrice r;
   int ordinal = 0;
   int logits = 0;
-  for (const QLayer& layer : model.layers) {
+  for (size_t l = 0; l < model.layers.size(); ++l) {
+    const QLayer& layer = model.layers[l];
     const OpDescriptor d = describe_layer(layer);
+    const StreamLayerPlan* lp =
+        stream != nullptr ? &stream->layers[l] : nullptr;
     int64_t pairs = -1, singles = 0;
     if (d.skippable) {
       if (ordinal < static_cast<int>(static_pairs.size())) {
@@ -240,7 +261,15 @@ ModelPrice price_model(const QModel& model, const PriceList& prices,
     }
     const bool unpacked = prices.family == PriceList::Family::kUnpacked &&
                           d.skippable && pairs >= 0;
-    const double c = add_step_cycles(r.cycles, layer, prices, pairs, singles);
+    double c = add_step_cycles(r.cycles, layer, prices, pairs, singles,
+                               lp != nullptr ? lp->recomputed_positions : -1);
+    if (lp != nullptr && lp->spliced) {
+      const double copy = prices.m33.stream_splice_per_elem *
+                          static_cast<double>(lp->splice_hi - lp->splice_lo) *
+                          static_cast<double>(lp->out_rows) * lp->out_ch;
+      r.cycles += copy;
+      c += copy;
+    }
     const int64_t macs =
         unpacked ? (2 * pairs + singles) * d.positions : d.macs;
     r.macs += macs;
@@ -249,11 +278,11 @@ ModelPrice price_model(const QModel& model, const PriceList& prices,
     if (d.kind == OpKind::kDense) logits = d.out_dim;
   }
   const bool xcube = prices.family == PriceList::Family::kXCube;
-  r.softmax = (xcube ? prices.xcube.softmax_per_logit
-                     : prices.m33.softmax_per_logit) *
-              logits;
-  r.cycles += r.softmax;
-  r.rows.push_back({"softmax", static_cast<int64_t>(r.softmax), 0});
+  const double softmax = (xcube ? prices.xcube.softmax_per_logit
+                                : prices.m33.softmax_per_logit) *
+                         logits;
+  r.cycles += softmax;
+  r.rows.push_back({"softmax", static_cast<int64_t>(softmax), 0});
   r.total_cycles = xcube ? static_cast<int64_t>(std::llround(r.cycles))
                          : static_cast<int64_t>(r.cycles);
   return r;
@@ -293,50 +322,11 @@ StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
   row.full_macs = plan.full_macs;
   row.spliced_elems = plan.spliced_elems;
   row.reuse_ratio = plan.reuse_ratio();
-
-  double total = 0.0;
-  int out_dim = 0;
-  for (size_t l = 0; l < model.layers.size(); ++l) {
-    const QLayer& layer = model.layers[l];
-    const StreamLayerPlan& lp = plan.layers[l];
-    const OpDescriptor d = describe_layer(layer);
-    total += t.layer_dispatch;
-    double c = static_cast<double>(packed_kernel_cycles(layer, t));
-    // Every packed conv/depthwise term (im2col, MACs, epilogue) is
-    // proportional to output positions, so the streamed layer scales by
-    // the recomputed fraction of the plan.
-    if (d.skippable) {
-      c = c * static_cast<double>(lp.recomputed_positions) /
-          static_cast<double>(lp.total_positions);
-    }
-    total += c;
-    if (d.kind == OpKind::kDense) out_dim = d.out_dim;
-    if (lp.spliced) {
-      total += t.stream_splice_per_elem *
-               static_cast<double>(lp.splice_hi - lp.splice_lo) *
-               static_cast<double>(lp.out_rows) * lp.out_ch;
-    }
-  }
-  total += t.softmax_per_logit * out_dim;
-  row.cycles_per_frame = static_cast<int64_t>(std::llround(total));
+  row.cycles_per_frame = static_cast<int64_t>(std::llround(
+      price_model(model, PriceList{PriceList::Family::kPacked, t}, {}, {},
+                  &plan)
+          .cycles));
   return row;
-}
-
-int64_t unpacked_conv_stream_cycles(const QConv2D& layer, int64_t static_pairs,
-                                    int64_t static_singles,
-                                    int64_t recomputed_positions,
-                                    const CortexM33CostTable& t) {
-  return unpacked_program_cycles(describe_layer(layer), static_pairs,
-                                 static_singles, recomputed_positions, t);
-}
-
-int64_t unpacked_depthwise_stream_cycles(const QDepthwiseConv2D& layer,
-                                         int64_t static_pairs,
-                                         int64_t static_singles,
-                                         int64_t recomputed_positions,
-                                         const CortexM33CostTable& t) {
-  return unpacked_program_cycles(describe_layer(layer), static_pairs,
-                                 static_singles, recomputed_positions, t);
 }
 
 void attach_streaming_row(DeployReport& report, const QModel& model,

@@ -47,6 +47,8 @@
 
 namespace ataman {
 
+struct StreamPlan;
+
 struct CortexM33CostTable {
   // -- shared --
   double layer_dispatch = 400.0;     // runtime per-layer call/setup
@@ -196,7 +198,11 @@ struct PriceList {
 // the retained operands of an approximable layer's unpacked program
 // (static_pairs < 0: the layer stays packed; read by kUnpacked only).
 // `recomputed_positions` >= 0 prices a streamed frame that recomputes
-// only that many output positions of the unpacked program.
+// only that many output positions: an unpacked program pays its
+// per-position terms for those positions only, and on kPacked a
+// conv/depthwise kernel scales by the recomputed fraction (its im2col,
+// MAC and epilogue terms are all per position). Other steps, and packed
+// steps on the other lists, recompute in full.
 double add_step_cycles(double& total, const QLayer& layer,
                        const PriceList& prices, int64_t static_pairs = -1,
                        int64_t static_singles = 0,
@@ -206,10 +212,12 @@ double add_step_cycles(double& total, const QLayer& layer,
 // profile row per layer (kind label, its cycles including dispatch,
 // executed MACs) plus a softmax row, and the executed MACs. `pairs` /
 // `singles` are indexed by approximable-layer ordinal as in
-// unpacked_flash (missing or -1 entries stay packed).
+// unpacked_flash (missing or -1 entries stay packed). With a `stream`
+// plan (src/mcu/stream_plan.hpp) the cycles price one streamed frame:
+// each step at the plan's recomputed positions (add_step_cycles), plus
+// stream_splice_per_elem per spliced element; MACs stay per full frame.
 struct ModelPrice {
   double cycles = 0.0;
-  double softmax = 0.0;  // the softmax share of `cycles`
   int64_t total_cycles = 0;  // `cycles` rounded per the price list
   int64_t macs = 0;
   std::vector<LayerProfile> rows;
@@ -217,7 +225,8 @@ struct ModelPrice {
 
 ModelPrice price_model(const QModel& model, const PriceList& prices,
                        const std::vector<int64_t>& static_pairs = {},
-                       const std::vector<int64_t>& static_singles = {});
+                       const std::vector<int64_t>& static_singles = {},
+                       const StreamPlan* stream = nullptr);
 
 // Whole-model cycles for the packed (exact CMSIS-like) engine, including
 // per-layer dispatch and the final softmax.
@@ -245,10 +254,12 @@ BatchedCycleRow batched_packed_model_cycles(const QModel& model, int batch,
 // Streaming (temporal reuse) ---------------------------------------------
 //
 // Steady-state per-frame cost of serving overlapping windows that
-// advance `stride_cols` input columns per frame, with the splice plan of
-// src/mcu/stream_plan.hpp applied: conv/depthwise position-proportional
-// terms scale to the recomputed positions, spliced elements pay the copy
-// rate, and pools / dense / QAdd / dispatch / softmax recompute in full.
+// advance `stride_cols` input columns per frame: the packed list priced
+// by price_model over the steady-state splice plan of
+// src/mcu/stream_plan.hpp (conv/depthwise kernels scale to the
+// recomputed positions, spliced elements pay the copy rate, and pools /
+// dense / QAdd / dispatch / softmax recompute in full), rounded to
+// nearest.
 
 struct StreamingCostRow {
   int stride_cols = 0;
@@ -262,22 +273,6 @@ struct StreamingCostRow {
 
 StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
                                           const CortexM33CostTable& t = {});
-
-// Streaming variants of the unpacked kernels (per-config DSE pricing):
-// the position-proportional pair/single/epilogue terms scale to
-// `recomputed_positions` of the steady-state plan; the per-layer setup
-// is paid in full every frame. Splice copy cycles are charged separately
-// by the caller (they depend on the plan's band, not the mask).
-int64_t unpacked_conv_stream_cycles(const QConv2D& layer, int64_t static_pairs,
-                                    int64_t static_singles,
-                                    int64_t recomputed_positions,
-                                    const CortexM33CostTable& t = {});
-
-int64_t unpacked_depthwise_stream_cycles(const QDepthwiseConv2D& layer,
-                                         int64_t static_pairs,
-                                         int64_t static_singles,
-                                         int64_t recomputed_positions,
-                                         const CortexM33CostTable& t = {});
 
 // Fill the DeployReport steady-state streaming row (stride, cycles,
 // latency, energy-per-frame from `board`, reuse ratio) for `model`

@@ -67,22 +67,15 @@ std::vector<int8_t> RefEngine::run(std::span<const uint8_t> image,
 
 std::vector<int8_t> RefEngine::run_from(
     int layer_begin, std::span<const int8_t> activations) const {
-  return run_from(layer_begin, activations, default_mask_);
-}
-
-std::vector<int8_t> RefEngine::run_from(int layer_begin,
-                                        std::span<const int8_t> activations,
-                                        const SkipMask* mask,
-                                        const ConvTap& tap) const {
   const int layer_count = static_cast<int>(model().layers.size());
   check(layer_begin >= 0 && layer_begin <= layer_count,
         "run_from layer index out of range");
   if (!model().linear_boundary(layer_begin))
     fail("run_from must resume at a linear boundary of the DAG (layer " +
          std::to_string(layer_begin) + " is crossed by a skip edge)");
-  if (mask != nullptr) mask->validate(model());
-  return plan_.run_from(layer_begin, activations,
-                        RefKernels(model(), mask, &tap));
+  if (default_mask_ != nullptr) default_mask_->validate(model());
+  return plan_.run_range(layer_begin, layer_count, activations,
+                         RefKernels(model(), default_mask_, nullptr));
 }
 
 std::vector<int8_t> RefEngine::run_incremental(

@@ -65,11 +65,14 @@ class RefEngine : public InferenceEngine {
   int64_t flash_bytes() const override { return 0; }
   int64_t ram_bytes() const override { return 0; }
 
-  // Layer-boundary resume (the DSE's prefix cache enters here): run
-  // layers [layer_begin, end) on the given int8 activations under the
-  // bound mask. See InferenceEngine::run_from for the contract.
-  std::vector<int8_t> run_from(
-      int layer_begin, std::span<const int8_t> activations) const override;
+  // Layer-boundary resume: `activations` is tensor `layer_begin` (the
+  // int8 output of layer layer_begin-1; the network input for 0), and
+  // layers [layer_begin, layers.size()) run under the bound mask to the
+  // final logits; `layer_begin == layers.size()` returns `activations`.
+  // `layer_begin` must be a linear boundary (QModel::linear_boundary),
+  // since one tensor must carry the whole activation frontier.
+  std::vector<int8_t> run_from(int layer_begin,
+                               std::span<const int8_t> activations) const;
 
   // Streaming frames through the plan's streaming walker under the bound
   // mask; the mask identity is pinned by the session's first frame. See
@@ -82,13 +85,6 @@ class RefEngine : public InferenceEngine {
   std::vector<int8_t> run(std::span<const uint8_t> image,
                           const SkipMask* mask,
                           const ConvTap& tap = nullptr) const;
-
-  // run_from with an explicit mask/tap (the override above forwards here
-  // with the bound mask).
-  std::vector<int8_t> run_from(int layer_begin,
-                               std::span<const int8_t> activations,
-                               const SkipMask* mask,
-                               const ConvTap& tap = nullptr) const;
 
   int classify(std::span<const uint8_t> image, const SkipMask* mask) const;
 

@@ -9,6 +9,7 @@
 
 #include "src/codegen/c_emitter.hpp"
 #include "src/common/error.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/unpack/unpacked_engine.hpp"
 #include "tests/test_util.hpp"
 
@@ -55,6 +56,24 @@ TEST(Codegen, CustomPrefix) {
   const std::string code = emit_model_c(m, nullptr, opt);
   EXPECT_NE(code.find("void mynet_run"), std::string::npos);
   EXPECT_EQ(code.find("void ataman_run"), std::string::npos);
+}
+
+// The runner's only mutable static storage is one activation arena of
+// the plan's arena_elems bytes, on chains and on residual DAGs alike.
+TEST(Codegen, StaticActivationBytesEqualThePlanArena) {
+  for (const QModel& m : {make_tiny_qmodel(84),
+                          testing::make_residual_qmodel(85)}) {
+    const std::string code = emit_model_c(m);
+    const std::string arena = "static int8_t ataman_arena[" +
+                              std::to_string(ExecPlan::compile(m).arena_elems) +
+                              "];";
+    EXPECT_NE(code.find(arena), std::string::npos) << m.name;
+    size_t buffers = 0;
+    for (size_t at = code.find("static int8_t "); at != std::string::npos;
+         at = code.find("static int8_t ", at + 1))
+      ++buffers;
+    EXPECT_EQ(buffers, 1u) << m.name;
+  }
 }
 
 TEST(Codegen, WriteTextFileCreatesDirectories) {

@@ -1,5 +1,6 @@
-// Fast DSE path: the run_from layer-boundary resume seam, bitwise parity
-// of the prefix-cached exact sweep with the per-config evaluator, the
+// Fast DSE path: RefEngine::run_from layer-boundary resume, bitwise
+// parity of the prefix-cached exact sweep with the per-config evaluator
+// (chain and depthwise fixtures), the prefix cache's segment counters, the
 // adaptive early-exit invariants (all-exact config and every Pareto
 // member fully evaluated), determinism across thread counts, and the
 // dse_io format-version-3 round trip with version-1 backward compat.
@@ -8,7 +9,6 @@
 // fast-vs-exact sweep CI runs in the OMP_NUM_THREADS={1,4} matrix.
 #include <gtest/gtest.h>
 
-#include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 #include "src/dse/adaptive_eval.hpp"
@@ -65,7 +65,7 @@ QModel* DseFastFixture::model_ = nullptr;
 Dataset* DseFastFixture::eval_ = nullptr;
 std::vector<LayerSignificance>* DseFastFixture::sig_ = nullptr;
 
-// --- the run_from seam --------------------------------------------------
+// --- RefEngine::run_from -------------------------------------------------
 
 TEST_F(DseFastFixture, RunFromResumesAtEveryConvBoundary) {
   const RefEngine ref(model_);
@@ -100,12 +100,6 @@ TEST_F(DseFastFixture, RunFromValidatesInput) {
   EXPECT_THROW(
       ref.run_from(static_cast<int>(model_->layers.size()) + 1, wrong),
       Error);
-}
-
-TEST_F(DseFastFixture, NonResumableEnginesDeclineRunFrom) {
-  const CmsisEngine cmsis(model_);
-  const std::vector<int8_t> acts(static_cast<size_t>(12) * 12 * 3, 0);
-  EXPECT_THROW(cmsis.run_from(0, acts), Error);
 }
 
 // --- Wilson bounds ------------------------------------------------------

@@ -427,7 +427,6 @@ TEST(CapabilityDecline, DeclinedSeamsShareTheBaseClassError) {
   expect_decline(
       [&] { (void)engine.run_incremental(state, input); },
       "run_incremental");
-  expect_decline([&] { (void)engine.run_from(0, {}); }, "run_from");
   expect_decline([&] { engine.rebind_mask(nullptr); }, "rebind_mask");
   EXPECT_EQ(state.frames, 0);
 }
@@ -658,15 +657,20 @@ TEST(StreamingCost, UnpackedStreamCyclesScalePositionTermsOnly) {
   const auto& conv = std::get<QConv2D>(m.layers[0]);
   const int64_t positions = describe_layer(m.layers[0]).positions;
   const int64_t pairs = 40, singles = 3;
+  const PriceList unpacked{PriceList::Family::kUnpacked, {}, {}};
+  const auto stream_cycles = [&](int64_t recomputed) {
+    double total = 0.0;
+    return static_cast<int64_t>(add_step_cycles(total, m.layers[0], unpacked,
+                                                pairs, singles, recomputed));
+  };
   // All positions recomputed == the non-streaming unpacked kernel.
-  EXPECT_EQ(unpacked_conv_stream_cycles(conv, pairs, singles, positions),
+  EXPECT_EQ(stream_cycles(positions),
             unpacked_conv_cycles(conv, pairs, singles));
   // Zero recomputed positions still pays the per-layer setup.
-  const int64_t setup_only = unpacked_conv_stream_cycles(conv, pairs, singles, 0);
+  const int64_t setup_only = stream_cycles(0);
   EXPECT_GT(setup_only, 0);
   EXPECT_LT(setup_only, unpacked_conv_cycles(conv, pairs, singles));
-  EXPECT_THROW(
-      unpacked_conv_stream_cycles(conv, pairs, singles, positions + 1), Error);
+  EXPECT_THROW(stream_cycles(positions + 1), Error);
 }
 
 TEST(StreamingDse, EvaluatorRowAndSelectorConstraint) {
