@@ -2,6 +2,8 @@
 // static instruction counts, flash/cycle monotonicity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/cmsisnn/smlad.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
@@ -16,45 +18,110 @@ namespace {
 
 using testing::make_random_input;
 using testing::make_random_qconv;
-using testing::make_random_skip;
+using testing::make_random_qdw;
 using testing::make_tiny_qmodel;
 
+// One approximable layer: conv (out_c filters over in_c channels) or
+// depthwise (in_c channels; out_c unused).
 struct UnpackCase {
+  OpKind kind;
   int in_h, in_w, in_c, out_c, kernel, stride, pad;
   double skip_density;
 };
+
+QLayer make_case_layer(const UnpackCase& c) {
+  if (c.kind == OpKind::kDepthwise)
+    return make_random_qdw(c.in_h, c.in_w, c.in_c, c.kernel, c.stride, c.pad,
+                           17 * c.in_c + c.kernel);
+  ConvGeom g;
+  g.in_h = c.in_h; g.in_w = c.in_w; g.in_c = c.in_c;
+  g.out_c = c.out_c; g.kernel = c.kernel; g.stride = c.stride; g.pad = c.pad;
+  return make_random_qconv(g, 17 * c.out_c + c.kernel);
+}
+
+// The layer's unpacked program run over a batch of images and the output
+// columns in `range`.
+void run_unpacked(const QLayer& layer, const uint8_t* skip,
+                  std::span<const int8_t> in, std::span<int8_t> out,
+                  int batch, ColumnRange range = {}) {
+  if (const auto* conv = std::get_if<QConv2D>(&layer))
+    return UnpackedConv::build(*conv, skip).run(in, out, batch, {}, range);
+  UnpackedDepthwise::build(std::get<QDepthwiseConv2D>(layer), skip)
+      .run(in, out, batch, {}, range);
+}
 
 class UnpackShapes : public ::testing::TestWithParam<UnpackCase> {};
 
 TEST_P(UnpackShapes, BitExactVsMaskedReference) {
   const UnpackCase& c = GetParam();
-  ConvGeom g;
-  g.in_h = c.in_h; g.in_w = c.in_w; g.in_c = c.in_c;
-  g.out_c = c.out_c; g.kernel = c.kernel; g.stride = c.stride; g.pad = c.pad;
-  const QConv2D conv = make_random_qconv(g, 17 * c.out_c + c.kernel);
-  const auto skip = make_random_skip(g, c.skip_density, 600);
+  const QLayer layer = make_case_layer(c);
+  const OpDescriptor d = describe_layer(layer);
+  Rng skip_rng(600);
+  std::vector<uint8_t> skip(
+      static_cast<size_t>(d.skippable_operand_count()));
+  for (auto& s : skip) s = skip_rng.next_bool(c.skip_density) ? 1 : 0;
   const uint8_t* skip_ptr = c.skip_density > 0.0 ? skip.data() : nullptr;
 
-  const UnpackedConv u = UnpackedConv::build(conv, skip_ptr);
-  const auto in = make_random_input(
-      static_cast<int64_t>(g.in_h) * g.in_w * g.in_c, 601);
+  // Five images: one full lane block and a ragged tail of one.
+  constexpr int kBatch = 5;
+  const size_t in_elems = static_cast<size_t>(d.in_elems);
+  const size_t out_elems = static_cast<size_t>(d.out_elems);
+  const auto in = make_random_input(static_cast<int64_t>(in_elems) * kBatch,
+                                    601);
+  std::vector<int8_t> want(out_elems * kBatch);
+  for (int b = 0; b < kBatch; ++b) {
+    run_layer_ref(layer, std::span(in).subspan(b * in_elems, in_elems), {},
+                  std::span(want).subspan(b * out_elems, out_elems),
+                  skip_ptr);
+  }
 
-  std::vector<int8_t> want(static_cast<size_t>(g.positions()) * g.out_c);
-  std::vector<int8_t> got(want.size());
-  conv2d_ref(conv, in, want, skip_ptr);
-  u.run(in, got);
-  EXPECT_EQ(want, got);
+  // The middle output columns, the rest pre-filled with a sentinel.
+  const int ow = c.kind == OpKind::kDepthwise
+                     ? std::get<QDepthwiseConv2D>(layer).out_w()
+                     : std::get<QConv2D>(layer).geom.out_w();
+  const int out_ch = static_cast<int>(d.out_elems / d.positions);
+  const ColumnRange middle{ow / 3, ow - ow / 3};
+  constexpr int8_t kSentinel = 0x5A;
+
+  for (const int batch : {1, kBatch}) {
+    const auto in_b = std::span(in).first(batch * in_elems);
+    const auto want_b = std::span(want).first(batch * out_elems);
+    std::vector<int8_t> got(want_b.size());
+    run_unpacked(layer, skip_ptr, in_b, got, batch);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want_b.begin()))
+        << "batch " << batch;
+
+    std::fill(got.begin(), got.end(), kSentinel);
+    run_unpacked(layer, skip_ptr, in_b, got, batch, middle);
+    for (size_t i = 0; i < got.size(); ++i) {
+      const int ox = static_cast<int>((i / out_ch) % ow);
+      const bool inside = ox >= middle.begin && ox < middle.end;
+      ASSERT_EQ(got[i], inside ? want_b[i] : kSentinel)
+          << "batch " << batch << " element " << i << " column " << ox;
+    }
+  }
 }
+
+constexpr OpKind kConv = OpKind::kConv;
+constexpr OpKind kDw = OpKind::kDepthwise;
 
 INSTANTIATE_TEST_SUITE_P(
     ShapesAndDensities, UnpackShapes,
-    ::testing::Values(UnpackCase{8, 8, 3, 4, 3, 1, 1, 0.0},
-                      UnpackCase{8, 8, 3, 4, 3, 1, 1, 0.3},
-                      UnpackCase{8, 8, 4, 6, 3, 1, 1, 0.5},
-                      UnpackCase{10, 10, 2, 3, 5, 1, 2, 0.7},
-                      UnpackCase{9, 7, 5, 4, 3, 2, 0, 0.25},
-                      UnpackCase{6, 6, 1, 8, 1, 1, 0, 0.9},
-                      UnpackCase{6, 6, 2, 2, 3, 1, 1, 1.0}));
+    ::testing::Values(UnpackCase{kConv, 8, 8, 3, 4, 3, 1, 1, 0.0},
+                      UnpackCase{kConv, 8, 8, 3, 4, 3, 1, 1, 0.3},
+                      UnpackCase{kConv, 8, 8, 4, 6, 3, 1, 1, 0.5},
+                      UnpackCase{kConv, 10, 10, 2, 3, 5, 1, 2, 0.7},
+                      UnpackCase{kConv, 9, 7, 5, 4, 3, 2, 0, 0.25},
+                      UnpackCase{kConv, 6, 6, 1, 8, 1, 1, 0, 0.9},
+                      UnpackCase{kConv, 6, 6, 2, 2, 3, 1, 1, 1.0},
+                      UnpackCase{kDw, 8, 8, 4, 0, 3, 1, 1, 0.0},
+                      UnpackCase{kDw, 9, 9, 5, 0, 3, 2, 0, 0.3},
+                      UnpackCase{kDw, 10, 10, 3, 0, 5, 1, 2, 0.5},
+                      UnpackCase{kDw, 11, 9, 6, 0, 5, 2, 2, 0.7},
+                      UnpackCase{kDw, 7, 7, 5, 0, 3, 1, 2, 0.45},
+                      UnpackCase{kDw, 6, 6, 8, 0, 1, 1, 0, 0.25},
+                      UnpackCase{kDw, 7, 7, 3, 0, 1, 2, 0, 0.9},
+                      UnpackCase{kDw, 8, 6, 2, 0, 3, 2, 1, 1.0}));
 
 TEST(UnpackedConv, ExactBuildCountsEveryWeight) {
   ConvGeom g;
