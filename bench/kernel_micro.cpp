@@ -58,7 +58,7 @@ void BM_ConvUnpacked(benchmark::State& state) {
   const QConv2D conv = bench_conv();
   const auto skip = ataman::testing::make_random_skip(
       conv.geom, state.range(0) / 100.0, 77);
-  const UnpackedConv u = UnpackedConv::build(
+  const UnpackedLayer u = UnpackedLayer::build(
       conv, state.range(0) > 0 ? skip.data() : nullptr);
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 3);
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
@@ -67,8 +67,10 @@ void BM_ConvUnpacked(benchmark::State& state) {
     u.run(in, out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.counters["modeled_mcu_cycles"] = static_cast<double>(
-      unpacked_conv_cycles(conv, u.static_pairs(), u.static_singles()));
+  double cycles = 0.0;
+  add_step_cycles(cycles, conv, PriceList{PriceList::Family::kUnpacked},
+                  u.static_pairs(), u.static_singles());
+  state.counters["modeled_mcu_cycles"] = cycles;
   state.counters["retained_macs"] = static_cast<double>(u.retained_macs());
 }
 BENCHMARK(BM_ConvUnpacked)->Arg(0)->Arg(25)->Arg(50)->Arg(75);
@@ -101,7 +103,7 @@ void BM_ConvUnpackedBatch(benchmark::State& state) {
   // batch amortization axis from the skip axis of BM_ConvUnpacked.
   const QConv2D conv = bench_conv();
   const int batch = static_cast<int>(state.range(0));
-  const UnpackedConv u = UnpackedConv::build(conv);
+  const UnpackedLayer u = UnpackedLayer::build(conv);
   const auto in = ataman::testing::make_random_input(
       static_cast<int64_t>(16 * 16 * 16) * batch, 3);
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
@@ -167,7 +169,7 @@ void BM_DepthwiseUnpacked(benchmark::State& state) {
   Rng rng(177);
   std::vector<uint8_t> skip(static_cast<size_t>(dw.weight_count()));
   for (auto& m : skip) m = rng.next_bool(state.range(0) / 100.0) ? 1 : 0;
-  const UnpackedDepthwise u = UnpackedDepthwise::build(
+  const UnpackedLayer u = UnpackedLayer::build(
       dw, state.range(0) > 0 ? skip.data() : nullptr);
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 13);
   std::vector<int8_t> out(static_cast<size_t>(dw.positions()) * dw.channels);
@@ -175,8 +177,10 @@ void BM_DepthwiseUnpacked(benchmark::State& state) {
     u.run(in, out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.counters["modeled_mcu_cycles"] = static_cast<double>(
-      unpacked_depthwise_cycles(dw, u.static_pairs(), u.static_singles()));
+  double cycles = 0.0;
+  add_step_cycles(cycles, dw, PriceList{PriceList::Family::kUnpacked},
+                  u.static_pairs(), u.static_singles());
+  state.counters["modeled_mcu_cycles"] = cycles;
   state.counters["retained_macs"] = static_cast<double>(u.retained_macs());
 }
 BENCHMARK(BM_DepthwiseUnpacked)->Arg(0)->Arg(25)->Arg(50)->Arg(75);
@@ -205,7 +209,8 @@ void BM_Im2ColQ15(benchmark::State& state) {
   std::vector<int16_t> col(static_cast<size_t>(conv.geom.patch_size()));
   int pos = 0;
   for (auto _ : state) {
-    im2col_patch_q15(conv, in, pos % 16, (pos / 16) % 16, col.data());
+    im2col_patch_q15(conv.geom, conv.in.zero_point, in, pos % 16,
+                     (pos / 16) % 16, col.data());
     benchmark::DoNotOptimize(col.data());
     ++pos;
   }
@@ -235,7 +240,7 @@ void BM_UnpackedBuild(benchmark::State& state) {
   const QConv2D conv = bench_conv();
   const auto skip = ataman::testing::make_random_skip(conv.geom, 0.5, 99);
   for (auto _ : state) {
-    UnpackedConv u = UnpackedConv::build(conv, skip.data());
+    UnpackedLayer u = UnpackedLayer::build(conv, skip.data());
     benchmark::DoNotOptimize(u.channels.data());
   }
 }

@@ -111,7 +111,7 @@ void conv2d_lanes(const QConv2D& layer, const PackedWeights& packed,
       for (int ox = range.begin; ox < ox_end; ++ox) {
         for (int j = 0; j < bn; ++j) {
           im2col_patch_q15(
-              layer,
+              g, layer.in.zero_point,
               in.subspan(static_cast<size_t>(b0 + j) * in_elems, in_elems),
               oy, ox, cols.data() + static_cast<size_t>(j) * patch);
         }
@@ -147,7 +147,7 @@ void depthwise_lanes(const QDepthwiseConv2D& layer,
   check(out.size() == out_elems * static_cast<size_t>(batch),
         "batched depthwise output size mismatch");
   const int patch = layer.patch_size();
-  const int32_t zp = layer.in.zero_point;
+  const ConvGeom g = layer.expansion_geom();
   const size_t lane_stride = static_cast<size_t>(patch) * c;
   const int ox_end = range.end_within(ow);
 
@@ -164,25 +164,10 @@ void depthwise_lanes(const QDepthwiseConv2D& layer,
     for (int oy = 0; oy < oh; ++oy) {
       for (int ox = range.begin; ox < ox_end; ++ox) {
         for (int j = 0; j < bn; ++j) {
-          const int8_t* img =
-              in.data() + static_cast<size_t>(b0 + j) * in_elems;
-          int16_t* lane = cols.data() + static_cast<size_t>(j) * lane_stride;
-          int p = 0;
-          for (int ky = 0; ky < layer.kernel; ++ky) {
-            const int iy = oy * layer.stride - layer.pad + ky;
-            for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
-              const int ix = ox * layer.stride - layer.pad + kx;
-              const bool inside =
-                  iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
-              const int8_t* src =
-                  inside
-                      ? img + (static_cast<size_t>(iy) * layer.in_w + ix) * c
-                      : nullptr;
-              int16_t* dst = lane + static_cast<size_t>(p) * c;
-              for (int ch = 0; ch < c; ++ch)
-                dst[ch] = static_cast<int16_t>((inside ? src[ch] : zp) - zp);
-            }
-          }
+          im2col_patch_q15(
+              g, layer.in.zero_point,
+              in.subspan(static_cast<size_t>(b0 + j) * in_elems, in_elems),
+              oy, ox, cols.data() + static_cast<size_t>(j) * lane_stride);
         }
         const size_t orow_off = (static_cast<size_t>(oy) * ow + ox) * c;
         for (int ch = 0; ch < c; ++ch) {

@@ -78,9 +78,11 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
                    ColumnRange range = {});
 
 // Depthwise loop kernel in the arm_depthwise_conv_s8 shape: one shared
-// zero-point-corrected q15 patch expansion per output position (taps x
-// channels, channel innermost — the [k][k][c] weight order), then a
-// scalar per-channel tap loop. Per-channel filters cannot feed the
+// zero-point-corrected q15 patch expansion per output position, then a
+// scalar per-channel tap loop. The expansion is the conv one
+// (im2col_patch_q15) over expansion_geom(): taps x channels, channel
+// innermost, so channel ch of tap t sits at t * channels + ch — the
+// [k][k][c] weight order. Per-channel filters cannot feed the
 // dual-MAC path (two weights of one SMLAD would hit two different
 // accumulators), which is why no PackedWeights stream exists for it —
 // exactly CMSIS-NN's structure, and priced accordingly

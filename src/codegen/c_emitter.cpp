@@ -72,16 +72,21 @@ void emit_prelude(std::ostringstream& os, const std::string& prefix) {
      << "}\n\n";
 }
 
-void emit_unpacked_conv(std::ostringstream& os, const UnpackedConv& u,
-                        int index, const CodegenOptions& opt) {
+// One unpacked conv or depthwise layer as `<prefix>_<name>`: one
+// zero-point-corrected expansion of the receptive field per position,
+// shared by every channel program, which reads its baked operand offsets
+// (`operands`: the layer's skippable operand count).
+void emit_unpacked(std::ostringstream& os, const UnpackedLayer& u,
+                   const std::string& name, int64_t operands,
+                   const CodegenOptions& opt) {
   const ConvGeom& g = u.geom;
-  const std::string fn = opt.symbol_prefix + "_conv" + std::to_string(index);
+  const std::string fn = opt.symbol_prefix + "_" + name;
   if (opt.comments) {
-    os << "/* conv" << index << ": " << g.in_h << "x" << g.in_w << "x"
+    os << "/* " << name << ": " << g.in_h << "x" << g.in_w << "x"
        << g.in_c << " -> " << g.out_h() << "x" << g.out_w() << "x" << g.out_c
        << ", k=" << g.kernel << " s=" << g.stride << " p=" << g.pad
        << "; retained static ops: " << u.static_pairs() * 2 + u.static_singles()
-       << "/" << g.weight_count() << " (weights hardwired, re-paired after"
+       << "/" << operands << " (weights hardwired, re-paired after"
        << " skipping) */\n";
   }
   os << "static void " << fn
@@ -122,69 +127,6 @@ void emit_unpacked_conv(std::ostringstream& os, const UnpackedConv& u,
          << prog.single.operand << "]), acc);\n";
     }
     os << "      orow[" << oc << "] = " << p << "_clamp8(" << p
-       << "_requant(acc, " << prog.requant.mult << ", " << prog.requant.shift
-       << ") + (" << u.out_q.zero_point << "), " << u.act_min << ", "
-       << u.act_max << ");\n";
-  }
-  os << "    }\n  }\n}\n\n";
-}
-
-void emit_unpacked_depthwise(std::ostringstream& os,
-                             const UnpackedDepthwise& u, int index,
-                             const CodegenOptions& opt) {
-  const int c = u.channel_count;
-  const std::string fn = opt.symbol_prefix + "_dw" + std::to_string(index);
-  if (opt.comments) {
-    os << "/* dw" << index << ": " << u.in_h << "x" << u.in_w << "x" << c
-       << " -> " << u.out_h() << "x" << u.out_w() << "x" << c
-       << ", k=" << u.kernel << " s=" << u.stride << " p=" << u.pad
-       << "; retained static ops: "
-       << u.static_pairs() * 2 + u.static_singles() << "/"
-       << static_cast<int64_t>(c) * u.kernel * u.kernel
-       << " (per-channel taps hardwired, re-paired after skipping) */\n";
-  }
-  // col[tap][ch]: one zero-point-corrected expansion of the receptive
-  // field per position, shared by every channel program.
-  os << "static void " << fn
-     << "(const int8_t* in, int8_t* out) {\n"
-     << "  int16_t col[" << u.kernel * u.kernel * c << "];\n"
-     << "  for (int oy = 0; oy < " << u.out_h() << "; ++oy) {\n"
-     << "    for (int ox = 0; ox < " << u.out_w() << "; ++ox) {\n"
-     << "      int p = 0;\n"
-     << "      for (int ky = 0; ky < " << u.kernel << "; ++ky) {\n"
-     << "        int iy = oy * " << u.stride << " - " << u.pad << " + ky;\n"
-     << "        for (int kx = 0; kx < " << u.kernel << "; ++kx, ++p) {\n"
-     << "          int ix = ox * " << u.stride << " - " << u.pad << " + kx;\n"
-     << "          int inside = iy >= 0 && iy < " << u.in_h
-     << " && ix >= 0 && ix < " << u.in_w << ";\n"
-     << "          for (int ch = 0; ch < " << c << "; ++ch)\n"
-     << "            col[p * " << c << " + ch] = inside ? "
-     << "(int16_t)((int32_t)in[(iy * " << u.in_w << " + ix) * " << c
-     << " + ch] - (" << u.in_q.zero_point << ")) : 0;\n"
-     << "        }\n"
-     << "      }\n"
-     << "      int8_t* orow = out + (oy * " << u.out_w() << " + ox) * " << c
-     << ";\n"
-     << "      int32_t acc;\n";
-
-  const std::string p = opt.symbol_prefix;
-  for (int ch = 0; ch < c; ++ch) {
-    const ChannelProgram& prog = u.channels[static_cast<size_t>(ch)];
-    if (opt.comments) os << "      /* channel " << ch << " */\n";
-    os << "      acc = " << prog.bias << ";\n";
-    for (const MacPairOp& op : prog.pairs) {
-      os << "      acc = " << p << "_smlad(0x" << std::hex << op.weight_const
-         << std::dec << "u, " << p << "_pack(col[" << op.operand_b << " * "
-         << c << " + " << ch << "], col[" << op.operand_a << " * " << c
-         << " + " << ch << "]), acc);\n";
-    }
-    if (prog.has_single) {
-      os << "      acc = " << p << "_smlabb(" << p << "_pack(0, "
-         << prog.single.weight << "), " << p << "_pack(0, col["
-         << prog.single.operand << " * " << c << " + " << ch
-         << "]), acc);\n";
-    }
-    os << "      orow[" << ch << "] = " << p << "_clamp8(" << p
        << "_requant(acc, " << prog.requant.mult << ", " << prog.requant.shift
        << ") + (" << u.out_q.zero_point << "), " << u.act_min << ", "
        << u.act_max << ");\n";
@@ -337,14 +279,14 @@ std::string emit_model_c(const QModel& model, const SkipMask* mask,
                               ? mask->row(step.approx_ordinal)
                               : nullptr;
     std::string fn;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      const UnpackedConv u = UnpackedConv::build(*conv, skip);
-      emit_unpacked_conv(os, u, conv_i, options);
-      fn = p + "_conv" + std::to_string(conv_i++);
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      const UnpackedDepthwise u = UnpackedDepthwise::build(*dw, skip);
-      emit_unpacked_depthwise(os, u, dw_i, options);
-      fn = p + "_dw" + std::to_string(dw_i++);
+    const OpDescriptor d = describe_layer(layer);
+    if (d.skippable) {
+      const std::string name = d.kind == OpKind::kDepthwise
+                                   ? "dw" + std::to_string(dw_i++)
+                                   : "conv" + std::to_string(conv_i++);
+      emit_unpacked(os, UnpackedLayer::build(layer, skip), name,
+                    d.skippable_operand_count(), options);
+      fn = p + "_" + name;
     } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
       emit_pool(os, *pool, pool_i, options);
       fn = p + "_pool" + std::to_string(pool_i++);

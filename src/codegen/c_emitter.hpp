@@ -1,9 +1,9 @@
 // C code generator — framework step 4 ("Approximate CNN deployment").
 //
 // Emits a self-contained C99 translation unit implementing the
-// approximate model: every conv layer becomes straight-line per-channel
-// MAC sequences with the packed weight constants hardwired into the
-// instruction stream (no weight arrays, no im2col), FC layers stay
+// approximate model: every conv and depthwise layer becomes straight-line
+// per-channel MAC sequences with the packed weight constants hardwired
+// into the instruction stream (no weight arrays), FC layers stay
 // packed-loop kernels over const weight tables, and the requantization
 // helpers replicate the fixed-point pipeline bit-exactly. Residual QAdd
 // layers emit a two-input requantize-and-add kernel. The runner walks the

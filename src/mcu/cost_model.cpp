@@ -59,14 +59,6 @@ int64_t packed_conv_cycles(const QConv2D& layer, const CortexM33CostTable& t) {
   return static_cast<int64_t>(std::llround(cycles));
 }
 
-int64_t unpacked_conv_cycles(const QConv2D& layer, int64_t static_pairs,
-                             int64_t static_singles,
-                             const CortexM33CostTable& t) {
-  const OpDescriptor d = describe_layer(layer);
-  return unpacked_program_cycles(d, static_pairs, static_singles, d.positions,
-                                 t);
-}
-
 int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
                                 const CortexM33CostTable& t) {
   double cycles =
@@ -74,15 +66,6 @@ int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
   cycles += t.packed_chan_epilogue *
             static_cast<double>(layer.positions()) * layer.channels;
   return static_cast<int64_t>(std::llround(cycles));
-}
-
-int64_t unpacked_depthwise_cycles(const QDepthwiseConv2D& layer,
-                                  int64_t static_pairs,
-                                  int64_t static_singles,
-                                  const CortexM33CostTable& t) {
-  const OpDescriptor d = describe_layer(layer);
-  return unpacked_program_cycles(d, static_pairs, static_singles, d.positions,
-                                 t);
 }
 
 int64_t dense_cycles(const QDense& layer, const CortexM33CostTable& t) {

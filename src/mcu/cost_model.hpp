@@ -143,24 +143,9 @@ bool packed_conv_uses_fast_path(const QConv2D& layer);
 int64_t packed_conv_cycles(const QConv2D& layer,
                            const CortexM33CostTable& t = {});
 
-// `static_pairs`/`static_singles`: retained SMLAD pairs / leftover single
-// MACs summed over all output channels of this layer (static code, reused
-// at every output position).
-int64_t unpacked_conv_cycles(const QConv2D& layer, int64_t static_pairs,
-                             int64_t static_singles,
-                             const CortexM33CostTable& t = {});
-
 // Packed (loop-kernel) depthwise convolution.
 int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
                                 const CortexM33CostTable& t = {});
-
-// Unpacked depthwise convolution: per-channel straight-line tap programs
-// (same instruction shape as unpacked conv; operand pairs come from one
-// channel's k*k taps).
-int64_t unpacked_depthwise_cycles(const QDepthwiseConv2D& layer,
-                                  int64_t static_pairs,
-                                  int64_t static_singles,
-                                  const CortexM33CostTable& t = {});
 
 int64_t dense_cycles(const QDense& layer, const CortexM33CostTable& t = {});
 

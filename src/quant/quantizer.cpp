@@ -463,6 +463,23 @@ void save_qmodel(const QModel& m, const std::string& path) {
   w.close();
 }
 
+namespace {
+
+// A weight or bias vector read from `path` must hold exactly the product
+// of its layer's shape fields; a negative field or an overflowing
+// product (a corrupt header) never matches.
+void check_tensor_length(size_t length, std::initializer_list<int32_t> dims,
+                         const char* what, const std::string& path) {
+  int64_t want = 1;
+  bool ok = true;
+  for (const int32_t d : dims)
+    ok = ok && d >= 0 && !__builtin_mul_overflow(want, int64_t{d}, &want);
+  check(ok && static_cast<uint64_t>(want) == length,
+        std::string(what) + " length does not match its layer in " + path);
+}
+
+}  // namespace
+
 QModel load_qmodel(const std::string& path) {
   BinaryReader r(path, kQModelMagic);
   QModel m;
@@ -487,6 +504,11 @@ QModel load_qmodel(const std::string& path) {
       conv.geom.pad = r.i32();
       conv.weights = r.vec<int8_t>();
       conv.bias = r.vec<int32_t>();
+      const ConvGeom& g = conv.geom;
+      check_tensor_length(conv.weights.size(),
+                          {g.out_c, g.kernel, g.kernel, g.in_c},
+                          "conv weight", path);
+      check_tensor_length(conv.bias.size(), {g.out_c}, "conv bias", path);
       conv.in.scale = r.f32();
       conv.in.zero_point = r.i32();
       conv.out.scale = r.f32();
@@ -518,6 +540,9 @@ QModel load_qmodel(const std::string& path) {
       fc.out_dim = r.i32();
       fc.weights = r.vec<int8_t>();
       fc.bias = r.vec<int32_t>();
+      check_tensor_length(fc.weights.size(), {fc.out_dim, fc.in_dim},
+                          "dense weight", path);
+      check_tensor_length(fc.bias.size(), {fc.out_dim}, "dense bias", path);
       fc.in.scale = r.f32();
       fc.in.zero_point = r.i32();
       fc.out.scale = r.f32();
@@ -538,6 +563,11 @@ QModel load_qmodel(const std::string& path) {
       dw.pad = r.i32();
       dw.weights = r.vec<int8_t>();
       dw.bias = r.vec<int32_t>();
+      check_tensor_length(dw.weights.size(),
+                          {dw.kernel, dw.kernel, dw.channels},
+                          "depthwise weight", path);
+      check_tensor_length(dw.bias.size(), {dw.channels}, "depthwise bias",
+                          path);
       dw.in.scale = r.f32();
       dw.in.zero_point = r.i32();
       dw.out.scale = r.f32();

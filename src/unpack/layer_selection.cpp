@@ -39,6 +39,8 @@ HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
                                  const CortexM33CostTable& costs,
                                  const MemoryCostTable& memory) {
   const UnpackStats stats = compute_unpack_stats(model, mask);
+  const PriceList packed{PriceList::Family::kPacked, costs, {}};
+  const PriceList unpacked{PriceList::Family::kUnpacked, costs, {}};
   HybridPlan plan;
   int ordinal = 0;
   for (const QLayer& layer : model.layers) {
@@ -48,17 +50,10 @@ HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
     const int64_t singles =
         stats.static_singles[static_cast<size_t>(ordinal)];
     LayerDeployChoice c;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      c.packed_cycles = static_cast<int64_t>(costs.layer_dispatch) +
-                        packed_conv_cycles(*conv, costs);
-      c.unpacked_cycles = unpacked_conv_cycles(*conv, pairs, singles, costs);
-    } else {
-      const auto& dw = std::get<QDepthwiseConv2D>(layer);
-      c.packed_cycles = static_cast<int64_t>(costs.layer_dispatch) +
-                        packed_depthwise_cycles(dw, costs);
-      c.unpacked_cycles =
-          unpacked_depthwise_cycles(dw, pairs, singles, costs);
-    }
+    double sum = 0.0;  // add_step_cycles' running total; unused
+    c.packed_cycles = static_cast<int64_t>(add_step_cycles(sum, layer, packed));
+    c.unpacked_cycles = static_cast<int64_t>(
+        add_step_cycles(sum, layer, unpacked, pairs, singles));
     c.packed_flash = d.skippable_operand_count() +
                      static_cast<int64_t>(d.channels) * 4 +
                      memory.per_layer_descriptor;

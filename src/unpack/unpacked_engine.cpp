@@ -38,18 +38,10 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
     if (ordinal < 0 || !unpacked_[static_cast<size_t>(ordinal)]) continue;
     const size_t o = static_cast<size_t>(ordinal);
     const uint8_t* skip = mask != nullptr ? mask->row(ordinal) : nullptr;
-    const QLayer& layer = model->layers[static_cast<size_t>(step.layer)];
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      const UnpackedConv& u =
-          programs_[o].conv.emplace(UnpackedConv::build(*conv, skip));
-      static_pairs_[o] = u.static_pairs();
-      static_singles_[o] = u.static_singles();
-    } else {
-      const UnpackedDepthwise& u = programs_[o].dw.emplace(
-          UnpackedDepthwise::build(std::get<QDepthwiseConv2D>(layer), skip));
-      static_pairs_[o] = u.static_pairs();
-      static_singles_[o] = u.static_singles();
-    }
+    const UnpackedLayer& u = programs_[o].emplace(UnpackedLayer::build(
+        model->layers[static_cast<size_t>(step.layer)], skip));
+    static_pairs_[o] = u.static_pairs();
+    static_singles_[o] = u.static_singles();
   }
   ModelPrice price =
       price_model(*model, PriceList{PriceList::Family::kUnpacked, costs, {}},
@@ -68,10 +60,8 @@ int UnpackedEngine::unpacked_conv_count() const {
 void UnpackedEngine::run_step(const ExecStep& step,
                               const StepIO& io) const {
   if (step.approx_ordinal >= 0) {
-    const Program& p = programs_[static_cast<size_t>(step.approx_ordinal)];
-    if (p.conv)
-      return p.conv->run(io.in_a, io.out, io.batch, io.scratch, io.cols);
-    if (p.dw) return p.dw->run(io.in_a, io.out, io.batch, io.scratch, io.cols);
+    const auto& u = programs_[static_cast<size_t>(step.approx_ordinal)];
+    if (u) return u->run(io.in_a, io.out, io.batch, io.scratch, io.cols);
   }
   packed_.run_step(step, io);
 }

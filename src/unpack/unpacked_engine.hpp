@@ -91,18 +91,13 @@ class UnpackedEngine : public InferenceEngine, private KernelTable {
     return profile_[static_cast<size_t>(step.layer)].macs;
   }
 
-  // The unpacked program of one approximable ordinal; neither is set
-  // when the hybrid selection keeps the layer packed.
-  struct Program {
-    std::optional<UnpackedConv> conv;
-    std::optional<UnpackedDepthwise> dw;
-  };
-
   MemoryCostTable memory_;
   ExecPlan plan_;
   // By approximable ordinal: 1 = the layer runs its unpacked program.
   std::vector<uint8_t> unpacked_;
-  std::vector<Program> programs_;  // by approximable ordinal
+  // The unpacked program by approximable ordinal; empty when the hybrid
+  // selection keeps the layer packed.
+  std::vector<std::optional<UnpackedLayer>> programs_;
   PackedKernels packed_;
   // Retained static operands per approximable ordinal (-1 = packed), as
   // the cost and flash models read them.

@@ -1,12 +1,13 @@
 // Layer-based code unpacking (§II-B): the paper's core kernel form.
 //
-// Each convolution layer becomes straight-line "programs", one per output
-// channel: a sequence of dual-MAC operations whose weights are hardwired
-// constants (two sign-extended int8 weights packed into one 32-bit SMLAD
-// operand, e.g. 64*2^16 + 20). Unpacking differs from loop unrolling in
-// that the weight *values* are burned into the instruction stream — there
-// are no weight loads, no im2col pre-expansion and no loop/branch
-// overhead; the program is replayed once per output spatial position.
+// Each approximable layer (conv or depthwise) becomes straight-line
+// "programs", one per output channel: a sequence of dual-MAC operations
+// whose weights are hardwired constants (two sign-extended int8 weights
+// packed into one 32-bit SMLAD operand, e.g. 64*2^16 + 20). Unpacking
+// differs from loop unrolling in that the weight *values* are burned into
+// the instruction stream — there are no weight loads, no im2col
+// pre-expansion and no loop/branch overhead; the program is replayed once
+// per output spatial position.
 //
 // Significance skipping composes naturally: building a program with a
 // skip mask simply drops the skipped operands and *re-pairs* the
@@ -22,10 +23,13 @@
 
 namespace ataman {
 
-// One SMLAD step: two patch operand indices + the packed weight constant.
+// One SMLAD step: two operand offsets + the packed weight constant. An
+// operand offset indexes the q15 expansion of one output position's
+// receptive field (im2col_patch_q15, (ky,kx,in_c) order), so every
+// channel program reads the same expansion.
 struct MacPairOp {
   uint32_t weight_const = 0;  // pack_weight_pair(w_b, w_a): a in low lane
-  uint32_t operand_a = 0;     // (ky,kx,in_c)-flattened patch index
+  uint32_t operand_a = 0;     // offset into the position's expansion
   uint32_t operand_b = 0;
 };
 
@@ -50,7 +54,13 @@ struct ChannelProgram {
   }
 };
 
-struct UnpackedConv {
+// The unpacked program of one conv or depthwise layer. The skip-mask
+// operand order (channel * patch + operand) picks each channel's
+// retained operands, and re-pairing keeps that order. Operand offsets:
+//   * conv: operand i of a channel is patch index i (offset i);
+//   * depthwise: `geom` is expansion_geom() (in_c = out_c = channels)
+//     and tap t of channel ch is baked as offset t * channels + ch.
+struct UnpackedLayer {
   ConvGeom geom;
   QuantParams in_q, out_q;
   int32_t act_min = -128, act_max = 127;
@@ -62,59 +72,18 @@ struct UnpackedConv {
   int64_t static_singles() const;
   int64_t retained_macs() const;  // dynamic: retained static ops x positions
 
-  // Build from a quantized layer; `skip` is nullptr (exact unpacking) or
-  // an [out_c * patch] mask with 1 = omit the operand.
-  static UnpackedConv build(const QConv2D& layer,
-                            const uint8_t* skip = nullptr);
+  // Build from a QConv2D or QDepthwiseConv2D (any other kind throws);
+  // `skip` is nullptr (exact unpacking) or the layer's SkipMask row.
+  static UnpackedLayer build(const QLayer& layer,
+                             const uint8_t* skip = nullptr);
 
   // Execute on a contiguous batch of `batch` input feature maps (image b
-  // at b * in_elems / b * out_elems). Bit-exact with conv2d_ref under the
-  // same skip mask (tests assert this). Each channel program is streamed
-  // once per lane-block of kBatchLanes images (its hardwired weight
-  // constants multiply into one accumulator per lane) instead of once per
-  // image. `scratch` as for the packed kernels (Q15Scratch); only the
-  // output columns in `range` are computed.
-  void run(std::span<const int8_t> in, std::span<int8_t> out, int batch = 1,
-           std::span<int16_t> scratch = {}, ColumnRange range = {}) const;
-
- private:
-  // The one body of run, instantiated per lane count (a single image runs
-  // one lane).
-  template <int Lanes>
-  void run_lanes(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch, std::span<int16_t> scratch,
-                 ColumnRange range) const;
-};
-
-// Unpacked depthwise convolution: one straight-line program per channel
-// over its k*k taps (operand index = (ky*k + kx) tap position — the
-// depthwise SkipMask order). Pairing works exactly as for conv: two
-// retained taps of the *same channel* feed one SMLAD whose weight
-// constant is hardwired; skipping drops taps and re-pairs survivors
-// offline.
-struct UnpackedDepthwise {
-  int in_h = 0, in_w = 0, channel_count = 0;
-  int kernel = 1, stride = 1, pad = 0;
-  QuantParams in_q, out_q;
-  int32_t act_min = -128, act_max = 127;
-  std::vector<ChannelProgram> channels;
-
-  int out_h() const { return conv_out_extent(in_h, kernel, stride, pad); }
-  int out_w() const { return conv_out_extent(in_w, kernel, stride, pad); }
-  int64_t positions() const {
-    return static_cast<int64_t>(out_h()) * out_w();
-  }
-
-  int64_t static_pairs() const;
-  int64_t static_singles() const;
-  int64_t retained_macs() const;
-
-  // `skip` is nullptr or [channels * k*k] in SkipMask depthwise order.
-  static UnpackedDepthwise build(const QDepthwiseConv2D& layer,
-                                 const uint8_t* skip = nullptr);
-
-  // Bit-exact with depthwise_conv2d_ref under the same skip mask; the
-  // parameters are UnpackedConv::run's.
+  // at b * in_elems / b * out_elems). Bit-exact with the reference kernel
+  // under the same skip mask (tests assert this). Each channel program
+  // is streamed once per lane-block of kBatchLanes images (its hardwired
+  // weight constants multiply into one accumulator per lane) instead of
+  // once per image. `scratch` as for the packed kernels (Q15Scratch);
+  // only the output columns in `range` are computed.
   void run(std::span<const int8_t> in, std::span<int8_t> out, int batch = 1,
            std::span<int16_t> scratch = {}, ColumnRange range = {}) const;
 

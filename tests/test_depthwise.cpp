@@ -44,7 +44,7 @@ TEST(Depthwise, PackedAndUnpackedMatchReference) {
 
     depthwise_conv2d_ref(dw, in, ref_out);
     packed_depthwise_conv2d(dw, in, packed_out);
-    UnpackedDepthwise::build(dw).run(in, unpacked_out);
+    UnpackedLayer::build(dw).run(in, unpacked_out);
     EXPECT_EQ(ref_out, packed_out) << "seed " << seed;
     EXPECT_EQ(ref_out, unpacked_out) << "seed " << seed;
   }
@@ -92,13 +92,13 @@ TEST(Depthwise, SkipMaskSemantics) {
   std::vector<int8_t> unpacked(masked.size());
   std::vector<int8_t> zeroed_out(masked.size());
   depthwise_conv2d_ref(dw, in, masked, skip.data());
-  UnpackedDepthwise::build(dw, skip.data()).run(in, unpacked);
+  UnpackedLayer::build(dw, skip.data()).run(in, unpacked);
   depthwise_conv2d_ref(zeroed, in, zeroed_out);
   EXPECT_EQ(masked, unpacked);
   EXPECT_EQ(masked, zeroed_out);
 
   // Static accounting: every skipped operand drops one MAC per position.
-  const UnpackedDepthwise u = UnpackedDepthwise::build(dw, skip.data());
+  const UnpackedLayer u = UnpackedLayer::build(dw, skip.data());
   int64_t skipped = 0;
   for (const uint8_t v : skip) skipped += v;
   EXPECT_EQ(u.retained_macs(), dw.macs() - skipped * dw.positions());

@@ -29,7 +29,7 @@ TEST(EdgeCases, ConvOutputCollapsesToSinglePixel) {
   const auto in = make_random_input(3 * 3 * 2, 2);
   std::vector<int8_t> a(4), b(4);
   conv2d_ref(conv, in, a);
-  UnpackedConv::build(conv).run(in, b);
+  UnpackedLayer::build(conv).run(in, b);
   EXPECT_EQ(a, b);
 }
 
@@ -58,7 +58,7 @@ TEST(EdgeCases, PaddingLargerThanKernelReach) {
   std::vector<int8_t> a(static_cast<size_t>(g.positions()) * 3);
   std::vector<int8_t> b(a.size());
   conv2d_ref(conv, in, a);
-  UnpackedConv::build(conv).run(in, b);
+  UnpackedLayer::build(conv).run(in, b);
   EXPECT_EQ(a, b);
 }
 
@@ -137,7 +137,7 @@ TEST(EdgeCases, SingleChannelSingleOperandLayer) {
   g.in_h = 4; g.in_w = 4; g.in_c = 1;
   g.out_c = 1; g.kernel = 1; g.stride = 1; g.pad = 0;
   const QConv2D conv = make_random_qconv(g, 10);
-  const UnpackedConv u = UnpackedConv::build(conv);
+  const UnpackedLayer u = UnpackedLayer::build(conv);
   EXPECT_EQ(u.static_pairs(), 0);
   EXPECT_EQ(u.static_singles(), 1);
   const auto in = make_random_input(16, 11);
@@ -160,7 +160,7 @@ TEST(EdgeCases, MaskAllOperandsOfOneChannelOnly) {
   std::vector<int8_t> a(static_cast<size_t>(g.positions()) * 3);
   std::vector<int8_t> b(a.size());
   conv2d_ref(conv, in, a, skip.data());
-  UnpackedConv::build(conv, skip.data()).run(in, b);
+  UnpackedLayer::build(conv, skip.data()).run(in, b);
   EXPECT_EQ(a, b);
   // Channels 0 and 2 must be unaffected vs the fully exact run.
   std::vector<int8_t> exact(a.size());

@@ -5,7 +5,8 @@
 // no per-channel trailer, only the inline scalar w_scale/requant slots.
 // The loader must broadcast those scalars into per-channel vectors and
 // reproduce the recorded logits bitwise on every backend — old deployed
-// artifacts keep working, bit for bit.
+// artifacts keep working, bit for bit. A copy of it with a truncated
+// weight or bias tensor must fail to load.
 //
 // The golden logits were recorded with the pre-change library on four
 // deterministic formula images (no RNG involved, so the inputs are
@@ -14,10 +15,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/core/engine_iface.hpp"
 #include "src/quant/quantizer.hpp"
 
@@ -140,6 +143,32 @@ TEST(GoldenCompat, ReserializedArtifactStaysBitCompatible) {
               golden.logits[static_cast<size_t>(k)])
         << "image " << k;
   }
+}
+
+// A .qm whose first conv has a truncated weight or bias vector must be
+// rejected at load: engines index both by the layer geometry.
+TEST(GoldenCompat, TruncatedWeightOrBiasIsRejected) {
+  const QModel m = load_qmodel(kGoldenDir + "/micronet_pertensor_pr8.qm");
+  const int conv_index = m.approx_layer_index(0);
+  ASSERT_TRUE(std::holds_alternative<QConv2D>(
+      m.layers[static_cast<size_t>(conv_index)]));
+  const std::string tmp = (std::filesystem::temp_directory_path() /
+                           "ataman_golden_truncated.qm")
+                              .string();
+  for (const bool cut_bias : {true, false}) {
+    QModel bad = m;
+    auto& conv = std::get<QConv2D>(bad.layers[static_cast<size_t>(conv_index)]);
+    if (cut_bias) {
+      ASSERT_GT(conv.geom.out_c, 1);
+      conv.bias.resize(1);
+    } else {
+      conv.weights.pop_back();
+    }
+    save_qmodel(bad, tmp);
+    EXPECT_THROW(load_qmodel(tmp), Error)
+        << (cut_bias ? "truncated bias" : "truncated weights");
+  }
+  std::remove(tmp.c_str());
 }
 
 }  // namespace

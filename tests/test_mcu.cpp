@@ -73,7 +73,10 @@ TEST(CostModel, UnpackedSitsBetweenFastAndBasic) {
   const int64_t singles = g.weight_count() % 2;
 
   const int64_t fast = packed_conv_cycles(conv);
-  const int64_t unpacked = unpacked_conv_cycles(conv, pairs, singles);
+  double sum = 0.0;
+  const int64_t unpacked = static_cast<int64_t>(
+      add_step_cycles(sum, conv, PriceList{PriceList::Family::kUnpacked},
+                      pairs, singles));
   QConv2D basic_conv = conv;
   basic_conv.geom.in_c = 3;  // force basic path, similar mac count scale
   // Compare per-MAC rates instead of absolute cycles.
@@ -133,8 +136,10 @@ TEST(CostModel, DepthwiseConstantsPinnedToKernelMicroCalibration) {
   const int64_t pairs_per_chan = taps / 2;
   const int64_t singles_per_chan = taps % 2;
   const int64_t packed = packed_depthwise_cycles(dw);
-  const int64_t unpacked = unpacked_depthwise_cycles(
-      dw, pairs_per_chan * dw.channels, singles_per_chan * dw.channels);
+  double sum = 0.0;
+  const int64_t unpacked = static_cast<int64_t>(add_step_cycles(
+      sum, dw, PriceList{PriceList::Family::kUnpacked},
+      pairs_per_chan * dw.channels, singles_per_chan * dw.channels));
   EXPECT_GT(packed, unpacked);
   EXPECT_GT(static_cast<double>(packed), 1.3 * static_cast<double>(unpacked));
   EXPECT_LT(static_cast<double>(packed), 2.0 * static_cast<double>(unpacked));

@@ -654,7 +654,6 @@ TEST(StreamingCost, AttachStreamingRowFillsTheDeployReport) {
 
 TEST(StreamingCost, UnpackedStreamCyclesScalePositionTermsOnly) {
   const QModel m = make_tiny_qmodel(83);
-  const auto& conv = std::get<QConv2D>(m.layers[0]);
   const int64_t positions = describe_layer(m.layers[0]).positions;
   const int64_t pairs = 40, singles = 3;
   const PriceList unpacked{PriceList::Family::kUnpacked, {}, {}};
@@ -664,12 +663,14 @@ TEST(StreamingCost, UnpackedStreamCyclesScalePositionTermsOnly) {
                                                 pairs, singles, recomputed));
   };
   // All positions recomputed == the non-streaming unpacked kernel.
-  EXPECT_EQ(stream_cycles(positions),
-            unpacked_conv_cycles(conv, pairs, singles));
+  double sum = 0.0;
+  const int64_t full = static_cast<int64_t>(
+      add_step_cycles(sum, m.layers[0], unpacked, pairs, singles));
+  EXPECT_EQ(stream_cycles(positions), full);
   // Zero recomputed positions still pays the per-layer setup.
   const int64_t setup_only = stream_cycles(0);
   EXPECT_GT(setup_only, 0);
-  EXPECT_LT(setup_only, unpacked_conv_cycles(conv, pairs, singles));
+  EXPECT_LT(setup_only, full);
   EXPECT_THROW(stream_cycles(positions + 1), Error);
 }
 

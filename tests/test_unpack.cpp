@@ -1,10 +1,12 @@
-// Code unpacking: bit-exactness (exact and skipped), offline re-pairing,
-// static instruction counts, flash/cycle monotonicity.
+// Code unpacking of conv and depthwise layers: bit-exactness (exact and
+// skipped, batched, column ranges), offline re-pairing, static
+// instruction counts, flash/cycle monotonicity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "src/cmsisnn/smlad.hpp"
+#include "src/common/error.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/memory_model.hpp"
 #include "src/nn/engine.hpp"
@@ -39,17 +41,6 @@ QLayer make_case_layer(const UnpackCase& c) {
   return make_random_qconv(g, 17 * c.out_c + c.kernel);
 }
 
-// The layer's unpacked program run over a batch of images and the output
-// columns in `range`.
-void run_unpacked(const QLayer& layer, const uint8_t* skip,
-                  std::span<const int8_t> in, std::span<int8_t> out,
-                  int batch, ColumnRange range = {}) {
-  if (const auto* conv = std::get_if<QConv2D>(&layer))
-    return UnpackedConv::build(*conv, skip).run(in, out, batch, {}, range);
-  UnpackedDepthwise::build(std::get<QDepthwiseConv2D>(layer), skip)
-      .run(in, out, batch, {}, range);
-}
-
 class UnpackShapes : public ::testing::TestWithParam<UnpackCase> {};
 
 TEST_P(UnpackShapes, BitExactVsMaskedReference) {
@@ -61,6 +52,7 @@ TEST_P(UnpackShapes, BitExactVsMaskedReference) {
       static_cast<size_t>(d.skippable_operand_count()));
   for (auto& s : skip) s = skip_rng.next_bool(c.skip_density) ? 1 : 0;
   const uint8_t* skip_ptr = c.skip_density > 0.0 ? skip.data() : nullptr;
+  const UnpackedLayer u = UnpackedLayer::build(layer, skip_ptr);
 
   // Five images: one full lane block and a ragged tail of one.
   constexpr int kBatch = 5;
@@ -76,9 +68,7 @@ TEST_P(UnpackShapes, BitExactVsMaskedReference) {
   }
 
   // The middle output columns, the rest pre-filled with a sentinel.
-  const int ow = c.kind == OpKind::kDepthwise
-                     ? std::get<QDepthwiseConv2D>(layer).out_w()
-                     : std::get<QConv2D>(layer).geom.out_w();
+  const int ow = u.geom.out_w();
   const int out_ch = static_cast<int>(d.out_elems / d.positions);
   const ColumnRange middle{ow / 3, ow - ow / 3};
   constexpr int8_t kSentinel = 0x5A;
@@ -87,12 +77,12 @@ TEST_P(UnpackShapes, BitExactVsMaskedReference) {
     const auto in_b = std::span(in).first(batch * in_elems);
     const auto want_b = std::span(want).first(batch * out_elems);
     std::vector<int8_t> got(want_b.size());
-    run_unpacked(layer, skip_ptr, in_b, got, batch);
+    u.run(in_b, got, batch);
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want_b.begin()))
         << "batch " << batch;
 
     std::fill(got.begin(), got.end(), kSentinel);
-    run_unpacked(layer, skip_ptr, in_b, got, batch, middle);
+    u.run(in_b, got, batch, {}, middle);
     for (size_t i = 0; i < got.size(); ++i) {
       const int ox = static_cast<int>((i / out_ch) % ow);
       const bool inside = ox >= middle.begin && ox < middle.end;
@@ -123,18 +113,18 @@ INSTANTIATE_TEST_SUITE_P(
                       UnpackCase{kDw, 7, 7, 3, 0, 1, 2, 0, 0.9},
                       UnpackCase{kDw, 8, 6, 2, 0, 3, 2, 1, 1.0}));
 
-TEST(UnpackedConv, ExactBuildCountsEveryWeight) {
+TEST(UnpackedLayer, ExactBuildCountsEveryWeight) {
   ConvGeom g;
   g.in_h = 6; g.in_w = 6; g.in_c = 3;
   g.out_c = 4; g.kernel = 3; g.stride = 1; g.pad = 1;  // patch 27 (odd)
   const QConv2D conv = make_random_qconv(g, 5);
-  const UnpackedConv u = UnpackedConv::build(conv);
+  const UnpackedLayer u = UnpackedLayer::build(conv);
   EXPECT_EQ(u.static_pairs(), 4 * 13);
   EXPECT_EQ(u.static_singles(), 4);
   EXPECT_EQ(u.retained_macs(), g.macs());
 }
 
-TEST(UnpackedConv, RepairingAfterSkipping) {
+TEST(UnpackedLayer, RepairingAfterSkipping) {
   // Skip 3 of 27 operands in channel 0: retained 24 -> 12 pairs, 0 single.
   ConvGeom g;
   g.in_h = 4; g.in_w = 4; g.in_c = 3;
@@ -142,7 +132,7 @@ TEST(UnpackedConv, RepairingAfterSkipping) {
   const QConv2D conv = make_random_qconv(g, 6);
   std::vector<uint8_t> skip(static_cast<size_t>(g.weight_count()), 0);
   skip[2] = skip[10] = skip[20] = 1;  // channel 0
-  const UnpackedConv u = UnpackedConv::build(conv, skip.data());
+  const UnpackedLayer u = UnpackedLayer::build(conv, skip.data());
   EXPECT_EQ(u.channels[0].pairs.size(), 12u);
   EXPECT_FALSE(u.channels[0].has_single);
   EXPECT_EQ(u.channels[1].pairs.size(), 13u);
@@ -155,13 +145,13 @@ TEST(UnpackedConv, RepairingAfterSkipping) {
   }
 }
 
-TEST(UnpackedConv, PackedConstantsMatchWeights) {
+TEST(UnpackedLayer, PackedConstantsMatchWeights) {
   ConvGeom g;
   g.in_h = 3; g.in_w = 3; g.in_c = 2;
   g.out_c = 1; g.kernel = 1; g.stride = 1; g.pad = 0;  // patch 2
   QConv2D conv = make_random_qconv(g, 7);
   conv.weights = {64, 20};  // the paper's example pair
-  const UnpackedConv u = UnpackedConv::build(conv);
+  const UnpackedLayer u = UnpackedLayer::build(conv);
   ASSERT_EQ(u.channels[0].pairs.size(), 1u);
   // low lane = first operand (20 is hi? no: lo=w[0]=64? check convention)
   // pack_weight_pair(hi=w[1]=20, lo=w[0]=64).
@@ -169,13 +159,37 @@ TEST(UnpackedConv, PackedConstantsMatchWeights) {
             pack_weight_pair(20, 64));
 }
 
-TEST(UnpackedConv, FullSkipYieldsBiasOnly) {
+TEST(UnpackedLayer, DepthwiseOperandsAreBakedExpansionOffsets) {
+  // 3 channels, 3x3 taps: tap t of channel ch reads expansion offset
+  // t * 3 + ch, which is also its [k][k][c] weight index.
+  const QDepthwiseConv2D dw = make_random_qdw(5, 5, 3, 3, 1, 1, 21);
+  const UnpackedLayer u = UnpackedLayer::build(dw);
+  EXPECT_EQ(u.geom, dw.expansion_geom());
+  const ChannelProgram& ch2 = u.channels[2];
+  ASSERT_EQ(ch2.pairs.size(), 4u);
+  EXPECT_EQ(ch2.pairs[0].operand_a, 2u);
+  EXPECT_EQ(ch2.pairs[0].operand_b, 5u);
+  EXPECT_EQ(ch2.pairs[0].weight_const,
+            pack_weight_pair(dw.weights[5], dw.weights[2]));
+  ASSERT_TRUE(ch2.has_single);
+  EXPECT_EQ(ch2.single.operand, 26u);
+  EXPECT_EQ(ch2.single.weight, dw.weights[26]);
+}
+
+TEST(UnpackedLayer, BuildRejectsLayersThatDoNotUnpack) {
+  QMaxPool pool;
+  pool.in_h = pool.in_w = 4;
+  pool.channels = 2;
+  EXPECT_THROW(UnpackedLayer::build(pool), Error);
+}
+
+TEST(UnpackedLayer, FullSkipYieldsBiasOnly) {
   ConvGeom g;
   g.in_h = 4; g.in_w = 4; g.in_c = 2;
   g.out_c = 3; g.kernel = 3; g.stride = 1; g.pad = 1;
   const QConv2D conv = make_random_qconv(g, 8);
   std::vector<uint8_t> skip(static_cast<size_t>(g.weight_count()), 1);
-  const UnpackedConv u = UnpackedConv::build(conv, skip.data());
+  const UnpackedLayer u = UnpackedLayer::build(conv, skip.data());
   EXPECT_EQ(u.static_pairs(), 0);
   EXPECT_EQ(u.static_singles(), 0);
   EXPECT_EQ(u.retained_macs(), 0);
@@ -247,9 +261,14 @@ TEST(CostModel, UnpackedCyclesMonotoneInRetainedOps) {
   g.in_h = 8; g.in_w = 8; g.in_c = 4;
   g.out_c = 4; g.kernel = 3; g.stride = 1; g.pad = 1;
   const QConv2D conv = make_random_qconv(g, 19);
-  const int64_t full = unpacked_conv_cycles(conv, 72, 0);
-  const int64_t half = unpacked_conv_cycles(conv, 36, 0);
-  const int64_t none = unpacked_conv_cycles(conv, 0, 0);
+  const auto cycles = [&](int64_t pairs) {
+    double sum = 0.0;
+    return static_cast<int64_t>(add_step_cycles(
+        sum, conv, PriceList{PriceList::Family::kUnpacked}, pairs, 0));
+  };
+  const int64_t full = cycles(72);
+  const int64_t half = cycles(36);
+  const int64_t none = cycles(0);
   EXPECT_GT(full, half);
   EXPECT_GT(half, none);
   EXPECT_GT(none, 0);  // epilogues remain
