@@ -17,10 +17,6 @@ constexpr int8_t saturate_int8(int32_t v) {
   return static_cast<int8_t>(std::clamp<int32_t>(v, -128, 127));
 }
 
-constexpr int16_t saturate_int16(int32_t v) {
-  return static_cast<int16_t>(std::clamp<int32_t>(v, -32768, 32767));
-}
-
 // Checked narrowing conversion (Core Guidelines ES.46 narrow_cast with check).
 template <typename To, typename From>
 To narrow(From value) {

@@ -24,20 +24,15 @@ AtamanPipeline::AtamanPipeline(const QModel* model, const Dataset* calib,
 
 void AtamanPipeline::analyze() {
   if (analyzed()) return;
-  stats_ = capture_activation_stats(*model_, *calib_,
-                                    options_.calibration_images);
-  significance_ = compute_model_significance(*model_, stats_);
+  const std::vector<ConvInputStats> stats = capture_activation_stats(
+      *model_, *calib_, options_.calibration_images);
+  significance_ = compute_model_significance(*model_, stats);
   analyzed_ = true;
 }
 
 const std::vector<LayerSignificance>& AtamanPipeline::significance() const {
   check(analyzed(), "call analyze() first");
   return significance_;
-}
-
-const std::vector<ConvInputStats>& AtamanPipeline::activation_stats() const {
-  check(analyzed(), "call analyze() first");
-  return stats_;
 }
 
 DseOutcome AtamanPipeline::explore(const DseProgress& progress) {

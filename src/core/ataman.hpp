@@ -46,7 +46,6 @@ class AtamanPipeline {
   void analyze();
   bool analyzed() const { return analyzed_; }
   const std::vector<LayerSignificance>& significance() const;
-  const std::vector<ConvInputStats>& activation_stats() const;
 
   // Step 4: sweep the configured design space (or an explicit list).
   DseOutcome explore(const DseProgress& progress = nullptr);
@@ -89,10 +88,9 @@ class AtamanPipeline {
   const Dataset* calib_;
   const Dataset* eval_;
   PipelineOptions options_;
-  std::vector<ConvInputStats> stats_;
   std::vector<LayerSignificance> significance_;
   // Explicit flag: a model with zero approximable layers (e.g. the dense
-  // autoencoder) analyzes to legitimately empty stats/significance.
+  // autoencoder) analyzes to a legitimately empty significance.
   bool analyzed_ = false;
 };
 

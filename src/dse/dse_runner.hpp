@@ -30,8 +30,7 @@ struct DseOutcome {
   // whose reported accuracy is a partial sample because the Wilson test
   // abandoned them (always 0 with DseOptions::exact_sweep, and never
   // includes results[0] or a Pareto member — those are completed before
-  // the outcome is returned). All three are serialized by dse_io
-  // (format version 2; absent fields load as 0 from version-1 files).
+  // the outcome is returned).
   int64_t cache_hits = 0;
   int64_t images_evaluated = 0;
   int early_exits = 0;

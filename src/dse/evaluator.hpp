@@ -30,8 +30,7 @@ struct DseResult {
   // Retained conv/depthwise + fc MACs per inference.
   int64_t executed_macs = 0;
   // MACs skipped in the approximable (conv + depthwise) layers; the
-  // `conv_` prefix is historical (pre-depthwise) and kept for the
-  // serialized dse_io format.
+  // `conv_` prefix is historical (pre-depthwise).
   int64_t skipped_conv_macs = 0;
   double conv_mac_reduction = 0.0;  // Fig. 2 x-axis (approximable layers)
   int64_t cycles = 0;               // unpacked deployment cycles
@@ -78,7 +77,6 @@ class ConfigEvaluator {
 
   // Cycle count of the packed exact baseline (latency_reduction reference).
   int64_t baseline_cycles() const { return baseline_cycles_; }
-  int64_t conv_total_macs() const { return conv_total_macs_; }
 
   // Enable the steady-state streaming row: every subsequent result also
   // prices the per-frame unpacked deployment of overlapping windows
@@ -87,7 +85,6 @@ class ConfigEvaluator {
   // Energy uses the default BoardSpec — the paper board. Not
   // thread-safe: set before the sweep starts.
   void set_stream_stride(int stride_cols);
-  int stream_stride() const { return stream_stride_; }
 
   // Wiring the fast sweep path needs (run_dse builds the prefix cache
   // from the same model/significance/eval set this evaluator scores).

@@ -276,25 +276,6 @@ int64_t packed_model_cycles(const QModel& model, const CortexM33CostTable& t) {
       price_model(model, PriceList{PriceList::Family::kPacked, t}).cycles));
 }
 
-BatchedCycleRow batched_packed_model_cycles(const QModel& model, int batch,
-                                            const CortexM33CostTable& t) {
-  check(batch >= 1, "batched_packed_model_cycles: batch must be >= 1");
-  const int64_t single = packed_model_cycles(model, t);
-  const int64_t dispatch_per_image = static_cast<int64_t>(std::llround(
-      t.layer_dispatch * static_cast<double>(model.layers.size())));
-  // Kernel work scales linearly with the batch; dispatch is paid once per
-  // (layer, batch) instead of once per (layer, image).
-  BatchedCycleRow row;
-  row.batch = batch;
-  row.amortized_dispatch =
-      dispatch_per_image * static_cast<int64_t>(batch - 1);
-  row.total_cycles =
-      single * static_cast<int64_t>(batch) - row.amortized_dispatch;
-  row.per_image_cycles = static_cast<double>(row.total_cycles) /
-                         static_cast<double>(batch);
-  return row;
-}
-
 StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
                                           const CortexM33CostTable& t) {
   const StreamPlan plan = plan_stream_steady(model, stride_cols);
@@ -310,20 +291,6 @@ StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
                   &plan)
           .cycles));
   return row;
-}
-
-void attach_streaming_row(DeployReport& report, const QModel& model,
-                          int stride_cols, const BoardSpec& board,
-                          const CortexM33CostTable& t) {
-  const StreamingCostRow row =
-      steady_state_stream_cost(model, stride_cols, t);
-  report.stream_stride_cols = stride_cols;
-  report.steady_state_cycles_per_frame = row.cycles_per_frame;
-  report.stream_reuse_ratio = row.reuse_ratio;
-  report.steady_state_latency_ms_per_frame =
-      board.cycles_to_ms(row.cycles_per_frame);
-  report.steady_state_energy_mj_per_frame =
-      board.energy_mj(row.cycles_per_frame);
 }
 
 }  // namespace ataman

@@ -218,24 +218,6 @@ ModelPrice price_model(const QModel& model, const PriceList& prices,
 int64_t packed_model_cycles(const QModel& model,
                             const CortexM33CostTable& t = {});
 
-// Batched-execution accounting row for the packed engine. On the modeled
-// MCU (in-order, no cache) per-image kernel cycles are a pure function of
-// the layer geometry and do not change with batch size — which is why
-// engine total_cycles() stays batch-invariant. What a batch does amortize
-// is the per-layer runtime dispatch: one call/setup per (layer, batch)
-// instead of per (layer, image). `total_cycles` prices a whole batch;
-// `per_image_cycles` is the amortized figure (non-increasing in `batch`,
-// equal to packed_model_cycles at batch == 1).
-struct BatchedCycleRow {
-  int batch = 1;
-  int64_t total_cycles = 0;        // whole-batch cycles
-  double per_image_cycles = 0.0;   // total_cycles / batch
-  int64_t amortized_dispatch = 0;  // dispatch cycles saved vs serial runs
-};
-
-BatchedCycleRow batched_packed_model_cycles(const QModel& model, int batch,
-                                            const CortexM33CostTable& t = {});
-
 // Streaming (temporal reuse) ---------------------------------------------
 //
 // Steady-state per-frame cost of serving overlapping windows that
@@ -258,12 +240,5 @@ struct StreamingCostRow {
 
 StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
                                           const CortexM33CostTable& t = {});
-
-// Fill the DeployReport steady-state streaming row (stride, cycles,
-// latency, energy-per-frame from `board`, reuse ratio) for `model`
-// served at `stride_cols` columns per frame.
-void attach_streaming_row(DeployReport& report, const QModel& model,
-                          int stride_cols, const BoardSpec& board,
-                          const CortexM33CostTable& t = {});
 
 }  // namespace ataman

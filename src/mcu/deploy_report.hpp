@@ -33,26 +33,11 @@ struct DeployReport {
   double energy_mj = 0.0;
   bool fits_flash = true;
   bool fits_ram = true;
-  // Steady-state streaming row (stream_stride_cols == 0: not modeled):
-  // per-frame cost of serving overlapping windows that advance
-  // stream_stride_cols input columns per frame with temporal activation
-  // reuse (src/mcu/stream_plan.hpp); filled by attach_streaming_row.
-  int stream_stride_cols = 0;
-  int64_t steady_state_cycles_per_frame = 0;
-  double steady_state_latency_ms_per_frame = 0.0;
-  double steady_state_energy_mj_per_frame = 0.0;
-  double stream_reuse_ratio = 0.0;  // full-frame MACs / recomputed MACs
   std::vector<LayerProfile> per_layer;
 
   void finalize(const BoardSpec& board) {
     latency_ms = board.cycles_to_ms(cycles);
     energy_mj = board.energy_mj(cycles);
-    if (stream_stride_cols > 0) {
-      steady_state_latency_ms_per_frame =
-          board.cycles_to_ms(steady_state_cycles_per_frame);
-      steady_state_energy_mj_per_frame =
-          board.energy_mj(steady_state_cycles_per_frame);
-    }
     flash_percent = 100.0 * static_cast<double>(flash_bytes) /
                     static_cast<double>(board.flash_bytes);
     fits_flash = flash_bytes <= board.flash_bytes;

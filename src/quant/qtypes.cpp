@@ -1,6 +1,5 @@
 #include "src/quant/qtypes.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/common/error.hpp"
@@ -107,18 +106,6 @@ OpDescriptor describe_layer(const QLayer& layer) {
     d.positions = static_cast<int64_t>(add->h) * add->w;
   }
   return d;
-}
-
-const char* op_kind_name(OpKind kind) {
-  switch (kind) {
-    case OpKind::kConv: return "conv";
-    case OpKind::kMaxPool: return "maxpool";
-    case OpKind::kDense: return "dense";
-    case OpKind::kDepthwise: return "depthwise";
-    case OpKind::kAvgPool: return "avgpool";
-    case OpKind::kAdd: return "add";
-  }
-  return "?";
 }
 
 std::vector<int> QModel::inputs_of(int layer) const {
@@ -235,15 +222,6 @@ int64_t QModel::weight_bytes() const {
     }
   }
   return total;
-}
-
-std::pair<int64_t, int64_t> QModel::two_largest_activations() const {
-  std::vector<int64_t> sizes;
-  sizes.push_back(static_cast<int64_t>(in_h) * in_w * in_c);
-  for (const QLayer& layer : layers)
-    sizes.push_back(describe_layer(layer).out_elems);
-  std::sort(sizes.begin(), sizes.end(), std::greater<>());
-  return {sizes[0], sizes.size() > 1 ? sizes[1] : 0};
 }
 
 }  // namespace ataman

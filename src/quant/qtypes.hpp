@@ -208,7 +208,6 @@ struct OpDescriptor {
 };
 
 OpDescriptor describe_layer(const QLayer& layer);
-const char* op_kind_name(OpKind kind);
 
 // What the model's output head means. kClassify heads pick
 // argmax(logits) (ties -> lowest index); kScore heads reconstruct the
@@ -279,10 +278,6 @@ struct QModel {
   // Size in int8 elements of tensor id t (0 = network input, t > 0 =
   // output of layer t-1).
   int64_t tensor_elems(int tensor) const;
-
-  // Largest activation tensor sizes, for the RAM model: returns the two
-  // biggest inter-layer buffers (bytes) in descending order.
-  std::pair<int64_t, int64_t> two_largest_activations() const;
 };
 
 }  // namespace ataman

@@ -478,6 +478,14 @@ void check_tensor_length(size_t length, std::initializer_list<int32_t> dims,
         std::string(what) + " length does not match its layer in " + path);
 }
 
+// A conv or pool window with a kernel or stride below 1 has no output
+// extent (conv_out_extent divides by the stride).
+void check_window(int32_t kernel, int32_t stride, const char* what,
+                  const std::string& path) {
+  check(kernel >= 1 && stride >= 1,
+        std::string(what) + " kernel and stride must be >= 1 in " + path);
+}
+
 }  // namespace
 
 QModel load_qmodel(const std::string& path) {
@@ -505,6 +513,7 @@ QModel load_qmodel(const std::string& path) {
       conv.weights = r.vec<int8_t>();
       conv.bias = r.vec<int32_t>();
       const ConvGeom& g = conv.geom;
+      check_window(g.kernel, g.stride, "conv", path);
       check_tensor_length(conv.weights.size(),
                           {g.out_c, g.kernel, g.kernel, g.in_c},
                           "conv weight", path);
@@ -533,6 +542,7 @@ QModel load_qmodel(const std::string& path) {
       pool.channels = r.i32();
       pool.kernel = r.i32();
       pool.stride = r.i32();
+      check_window(pool.kernel, pool.stride, "maxpool", path);
       m.layers.emplace_back(pool);
     } else if (kind == 2) {
       QDense fc;
@@ -563,6 +573,7 @@ QModel load_qmodel(const std::string& path) {
       dw.pad = r.i32();
       dw.weights = r.vec<int8_t>();
       dw.bias = r.vec<int32_t>();
+      check_window(dw.kernel, dw.stride, "depthwise", path);
       check_tensor_length(dw.weights.size(),
                           {dw.kernel, dw.kernel, dw.channels},
                           "depthwise weight", path);
@@ -588,6 +599,7 @@ QModel load_qmodel(const std::string& path) {
       pool.channels = r.i32();
       pool.kernel = r.i32();
       pool.stride = r.i32();
+      check_window(pool.kernel, pool.stride, "avgpool", path);
       m.layers.emplace_back(pool);
     } else if (kind == 5) {
       QAdd add;

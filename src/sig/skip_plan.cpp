@@ -36,12 +36,6 @@ Json ApproxConfig::to_json() const {
   return Json(std::move(obj));
 }
 
-ApproxConfig ApproxConfig::from_json(const Json& j) {
-  ApproxConfig c;
-  for (const Json& v : j.at("tau").as_array()) c.tau.push_back(v.as_number());
-  return c;
-}
-
 ApproxConfig ApproxConfig::exact(int approx_count) {
   ApproxConfig c;
   c.tau.assign(static_cast<size_t>(approx_count), -1.0);

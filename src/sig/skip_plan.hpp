@@ -26,7 +26,6 @@ struct ApproxConfig {
   std::string to_string() const;
 
   Json to_json() const;
-  static ApproxConfig from_json(const Json& j);
 
   // All-exact config for a model with `approx_count` approximable layers.
   static ApproxConfig exact(int approx_count);

@@ -22,13 +22,6 @@ int64_t HybridPlan::total_cycle_saving() const {
   return total;
 }
 
-int64_t HybridPlan::total_flash_delta() const {
-  int64_t total = 0;
-  for (const LayerDeployChoice& c : choices)
-    if (c.unpack) total += c.unpacked_flash - c.packed_flash;
-  return total;
-}
-
 int HybridPlan::unpacked_count() const {
   int n = 0;
   for (const LayerDeployChoice& c : choices) n += c.unpack ? 1 : 0;

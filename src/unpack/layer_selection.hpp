@@ -39,7 +39,6 @@ struct HybridPlan {
 
   std::vector<uint8_t> unpack_selection() const;
   int64_t total_cycle_saving() const;  // vs all-packed
-  int64_t total_flash_delta() const;   // vs all-packed (can be negative)
   int unpacked_count() const;
 };
 

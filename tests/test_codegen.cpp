@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "src/codegen/c_emitter.hpp"
 #include "src/common/error.hpp"
@@ -220,6 +222,76 @@ int main(void) {
     int v = 0;
     while (in >> v) got.push_back(static_cast<int8_t>(v));
     EXPECT_EQ(got, engine.run(img)) << "trial " << trial;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Scored head: the emitted ataman_score must equal InferenceEngine::score
+// bitwise (printed with %a, so no decimal rounding hides a difference),
+// and its reconstruction bytes must equal run(). The all-0 and all-255
+// images are the extremes of the input dequantization.
+TEST_F(CodegenCompile, ScoredHeadMatchesEngineBitExact) {
+  if (!have_cc()) GTEST_SKIP() << "no host C compiler";
+  const QModel m = testing::make_tiny_scored_qmodel(87);
+  const int64_t elems = static_cast<int64_t>(m.in_h) * m.in_w * m.in_c;
+  ASSERT_EQ(elems, 48);
+
+  const std::string dir = "/tmp/ataman_codegen_scored";
+  std::filesystem::remove_all(dir);
+  write_text_file(dir + "/model.c", emit_model_c(m));
+  const std::string driver = R"(
+#include <stdint.h>
+#include <stdio.h>
+extern double ataman_score(const uint8_t* image, int8_t* reconstruction);
+int main(void) {
+  uint8_t img[4*4*3];
+  int8_t rec[4*4*3];
+  while (fread(img, 1, sizeof img, stdin) == sizeof img) {
+    printf("%a\n", ataman_score(img, rec));
+    for (int i = 0; i < (int)sizeof rec; ++i) printf("%d\n", (int)rec[i]);
+  }
+  return 0;
+}
+)";
+  write_text_file(dir + "/main.c", driver);
+  ASSERT_EQ(std::system(("cc -std=c99 -O2 " + dir + "/model.c " + dir +
+                         "/main.c -o " + dir + "/runner 2> " + dir +
+                         "/cc.log")
+                            .c_str()),
+            0)
+      << "generated C failed to compile";
+
+  std::vector<std::vector<uint8_t>> images = {
+      std::vector<uint8_t>(static_cast<size_t>(elems), 0),
+      std::vector<uint8_t>(static_cast<size_t>(elems), 255)};
+  for (int trial = 0; trial < 8; ++trial)
+    images.push_back(testing::make_random_image(elems, 960 + trial));
+  {
+    std::ofstream out(dir + "/img.bin", std::ios::binary);
+    for (const auto& img : images)
+      out.write(reinterpret_cast<const char*>(img.data()),
+                static_cast<std::streamsize>(img.size()));
+  }
+  ASSERT_EQ(std::system((dir + "/runner < " + dir + "/img.bin > " + dir +
+                         "/out.txt")
+                            .c_str()),
+            0);
+
+  const UnpackedEngine engine(&m);
+  std::ifstream in(dir + "/out.txt");
+  for (size_t i = 0; i < images.size(); ++i) {
+    std::string score_hex;
+    ASSERT_TRUE(in >> score_hex) << "image " << i;
+    EXPECT_EQ(std::strtod(score_hex.c_str(), nullptr),
+              engine.score(images[i]))
+        << "image " << i;
+    std::vector<int8_t> got(static_cast<size_t>(elems));
+    for (int8_t& b : got) {
+      int v = 0;
+      ASSERT_TRUE(in >> v) << "image " << i;
+      b = static_cast<int8_t>(v);
+    }
+    EXPECT_EQ(got, engine.run(images[i])) << "image " << i;
   }
   std::filesystem::remove_all(dir);
 }

@@ -5,7 +5,6 @@
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
 #include "src/dse/config_space.hpp"
-#include "src/dse/dse_io.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/dse/evaluator.hpp"
 #include "src/dse/pareto.hpp"
@@ -254,43 +253,6 @@ TEST_F(DseFixture, DeterministicAcrossThreadCounts) {
 TEST_F(DseFixture, RunnerRejectsNonExactFirstConfig) {
   const ConfigEvaluator ev(model_, sig_, eval_, 10);
   EXPECT_THROW(run_dse(ev, {ApproxConfig::uniform(2, 0.05)}), Error);
-}
-
-TEST_F(DseFixture, OutcomeJsonRoundTrip) {
-  const ConfigEvaluator ev(model_, sig_, eval_, 20);
-  DseOptions o;
-  o.tau_step = 0.05;
-  const DseOutcome a = run_dse(ev, 2, o);
-
-  const std::string path = "/tmp/ataman_dse_roundtrip.json";
-  save_dse_outcome(a, path);
-  const DseOutcome b = load_dse_outcome(path);
-  std::remove(path.c_str());
-
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].config.tau, b.results[i].config.tau);
-    EXPECT_DOUBLE_EQ(a.results[i].accuracy, b.results[i].accuracy);
-    EXPECT_EQ(a.results[i].cycles, b.results[i].cycles);
-    EXPECT_EQ(a.results[i].flash_bytes, b.results[i].flash_bytes);
-    EXPECT_DOUBLE_EQ(a.results[i].conv_mac_reduction,
-                     b.results[i].conv_mac_reduction);
-  }
-  EXPECT_EQ(a.pareto, b.pareto);
-  EXPECT_DOUBLE_EQ(a.exact_accuracy, b.exact_accuracy);
-  EXPECT_EQ(a.baseline_cycles, b.baseline_cycles);
-  // Selection over the loaded outcome matches the original.
-  EXPECT_EQ(select_design(a, 0.05), select_design(b, 0.05));
-}
-
-TEST_F(DseFixture, LoadRejectsCorruptPareto) {
-  const ConfigEvaluator ev(model_, sig_, eval_, 10);
-  DseOptions o;
-  o.tau_step = 0.1;
-  const DseOutcome a = run_dse(ev, 2, o);
-  Json j = dse_outcome_to_json(a);
-  j.as_object()["pareto"] = Json(JsonArray{Json(999)});
-  EXPECT_THROW(dse_outcome_from_json(j), Error);
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // parity of the prefix-cached exact sweep with the per-config evaluator
 // (chain and depthwise fixtures), the prefix cache's segment counters, the
 // adaptive early-exit invariants (all-exact config and every Pareto
-// member fully evaluated), determinism across thread counts, and the
-// dse_io format-version-3 round trip with version-1 backward compat.
+// member fully evaluated), and determinism across thread counts.
 //
 // This suite carries the `dse-smoke` ctest label: it is the tiny
 // fast-vs-exact sweep CI runs in the OMP_NUM_THREADS={1,4} matrix.
@@ -13,7 +12,6 @@
 #include "src/common/parallel.hpp"
 #include "src/dse/adaptive_eval.hpp"
 #include "src/dse/config_space.hpp"
-#include "src/dse/dse_io.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/dse/evaluator.hpp"
 #include "src/dse/prefix_cache.hpp"
@@ -297,58 +295,6 @@ TEST_F(DseFastFixture, NonResumableAccuracyBackendFallsBack) {
   EXPECT_EQ(fallback.early_exits, 0);
   EXPECT_EQ(fallback.images_evaluated,
             static_cast<int64_t>(configs.size()) * 40);
-}
-
-// --- dse_io: format version 3 + backward compat -------------------------
-
-TEST_F(DseFastFixture, OutcomeJsonRoundTripCarriesSweepStats) {
-  const ConfigEvaluator ev(model_, sig_, eval_, 48);
-  const DseOutcome a = run_dse(ev, sweep_configs(),
-                               aggressive_adaptive_options());
-  const Json j = dse_outcome_to_json(a);
-  EXPECT_EQ(j.at("version").as_int(), 3);
-
-  const DseOutcome b = dse_outcome_from_json(j);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.images_evaluated, b.images_evaluated);
-  EXPECT_EQ(a.early_exits, b.early_exits);
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].accuracy, b.results[i].accuracy);
-    EXPECT_EQ(a.results[i].partial_eval, b.results[i].partial_eval);
-  }
-  EXPECT_EQ(a.pareto, b.pareto);
-}
-
-TEST_F(DseFastFixture, VersionOneFilesStillLoad) {
-  const ConfigEvaluator ev(model_, sig_, eval_, 48);
-  const DseOutcome a = run_dse(ev, sweep_configs(), DseOptions{});
-
-  // A version-1 file is today's format minus the version field and the
-  // fast-sweep statistics.
-  Json j = dse_outcome_to_json(a);
-  j.as_object().erase("version");
-  j.as_object().erase("cache_hits");
-  j.as_object().erase("images_evaluated");
-  j.as_object().erase("early_exits");
-
-  const DseOutcome b = dse_outcome_from_json(Json::parse(j.dump()));
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t i = 0; i < a.results.size(); ++i)
-    EXPECT_EQ(a.results[i].accuracy, b.results[i].accuracy);
-  EXPECT_EQ(a.pareto, b.pareto);
-  EXPECT_EQ(b.cache_hits, 0);
-  EXPECT_EQ(b.images_evaluated, 0);
-  EXPECT_EQ(b.early_exits, 0);
-}
-
-TEST_F(DseFastFixture, UnknownFutureVersionIsRejected) {
-  const ConfigEvaluator ev(model_, sig_, eval_, 24);
-  DseOptions o;
-  o.tau_step = 0.05;
-  Json j = dse_outcome_to_json(run_dse(ev, 2, o));
-  j.as_object()["version"] = Json(static_cast<int64_t>(99));
-  EXPECT_THROW(dse_outcome_from_json(j), Error);
 }
 
 }  // namespace

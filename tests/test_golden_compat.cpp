@@ -6,7 +6,7 @@
 // The loader must broadcast those scalars into per-channel vectors and
 // reproduce the recorded logits bitwise on every backend — old deployed
 // artifacts keep working, bit for bit. A copy of it with a truncated
-// weight or bias tensor must fail to load.
+// weight or bias tensor, or a zero conv or pool stride, must fail to load.
 //
 // The golden logits were recorded with the pre-change library on four
 // deterministic formula images (no RNG involved, so the inputs are
@@ -152,21 +152,39 @@ TEST(GoldenCompat, TruncatedWeightOrBiasIsRejected) {
   const int conv_index = m.approx_layer_index(0);
   ASSERT_TRUE(std::holds_alternative<QConv2D>(
       m.layers[static_cast<size_t>(conv_index)]));
+  int pool_index = -1;
+  for (size_t l = 0; l < m.layers.size() && pool_index < 0; ++l)
+    if (std::holds_alternative<QMaxPool>(m.layers[l]))
+      pool_index = static_cast<int>(l);
+  ASSERT_GE(pool_index, 0);
   const std::string tmp = (std::filesystem::temp_directory_path() /
                            "ataman_golden_truncated.qm")
                               .string();
-  for (const bool cut_bias : {true, false}) {
+  // Each corruption must throw at load, not crash later: a zero stride
+  // would divide by zero when the engine compiles its plan.
+  enum class Cut { kBias, kWeights, kConvStride, kPoolStride };
+  for (const Cut cut :
+       {Cut::kBias, Cut::kWeights, Cut::kConvStride, Cut::kPoolStride}) {
     QModel bad = m;
     auto& conv = std::get<QConv2D>(bad.layers[static_cast<size_t>(conv_index)]);
-    if (cut_bias) {
-      ASSERT_GT(conv.geom.out_c, 1);
-      conv.bias.resize(1);
-    } else {
-      conv.weights.pop_back();
+    switch (cut) {
+      case Cut::kBias:
+        ASSERT_GT(conv.geom.out_c, 1);
+        conv.bias.resize(1);
+        break;
+      case Cut::kWeights:
+        conv.weights.pop_back();
+        break;
+      case Cut::kConvStride:
+        conv.geom.stride = 0;
+        break;
+      case Cut::kPoolStride:
+        std::get<QMaxPool>(bad.layers[static_cast<size_t>(pool_index)])
+            .stride = 0;
+        break;
     }
     save_qmodel(bad, tmp);
-    EXPECT_THROW(load_qmodel(tmp), Error)
-        << (cut_bias ? "truncated bias" : "truncated weights");
+    EXPECT_THROW(load_qmodel(tmp), Error) << "case " << static_cast<int>(cut);
   }
   std::remove(tmp.c_str());
 }

@@ -9,8 +9,7 @@
 //     one run_batch call; results must stay bitwise identical to serial
 //     per-image execution (the PR 4 contract, now with batched kernels).
 //   * Cost-model invariance: engine total_cycles() is per-image and must
-//     not depend on batch size for exact engines; the batched-cycle
-//     accounting row amortizes only per-layer dispatch.
+//     not depend on batch size for exact engines.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -19,7 +18,6 @@
 
 #include "src/core/engine_iface.hpp"
 #include "src/core/eval.hpp"
-#include "src/mcu/cost_model.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/skip_mask.hpp"
 #include "src/serve/server.hpp"
@@ -259,31 +257,6 @@ TEST(RunBatchCost, TotalCyclesPerImageIndependentOfBatchSize) {
           << name << " batch=" << batch;
     }
   }
-}
-
-TEST(RunBatchCost, BatchedAccountingAmortizesOnlyDispatch) {
-  const QModel m = make_tiny_qmodel(980);
-  const CortexM33CostTable t;
-  const int64_t single = packed_model_cycles(m, t);
-
-  const BatchedCycleRow one = batched_packed_model_cycles(m, 1, t);
-  EXPECT_EQ(one.total_cycles, single);
-  EXPECT_EQ(one.amortized_dispatch, 0);
-
-  double prev_per_image = one.per_image_cycles;
-  for (const int batch : {2, 4, 16}) {
-    const BatchedCycleRow row = batched_packed_model_cycles(m, batch, t);
-    // Kernel cycles scale linearly; only per-layer dispatch is saved.
-    EXPECT_EQ(row.total_cycles,
-              single * batch - row.amortized_dispatch);
-    EXPECT_EQ(row.amortized_dispatch,
-              static_cast<int64_t>(t.layer_dispatch *
-                                   static_cast<double>(m.layers.size())) *
-                  (batch - 1));
-    EXPECT_LE(row.per_image_cycles, prev_per_image);
-    prev_per_image = row.per_image_cycles;
-  }
-  EXPECT_THROW(batched_packed_model_cycles(m, 0, t), std::exception);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // model-bound frame state, the uniform capability-decline error, session
 // execution through the serve runtime (parity, stats, queue fairness
 // next to one-shot traffic), and the steady-state cost-model /
-// DeployReport / DSE-selector row.
+// DSE-selector row.
 //
 // This suite carries the `serve-smoke` ctest label: the TSan CI job
 // race-checks session workers sharing the queue with one-shot jobs.
@@ -16,7 +16,6 @@
 #include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/core/exec_plan.hpp"
 #include "src/data/frame_stream.hpp"
-#include "src/dse/dse_io.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/dse/evaluator.hpp"
 #include "src/mcu/cost_model.hpp"
@@ -609,7 +608,7 @@ TEST(StreamSessionServe, RejectsScoredHeadsAndMalformedPushes) {
   EXPECT_EQ(session->stats().frames, 1);
 }
 
-// --- steady-state cost model / report / selector row ---------------------
+// --- steady-state cost model / selector row ------------------------------
 
 TEST(StreamingCost, SteadyStateRowIsConsistentWithThePlan) {
   const QModel m = make_tiny_qmodel(73);
@@ -623,33 +622,20 @@ TEST(StreamingCost, SteadyStateRowIsConsistentWithThePlan) {
   EXPECT_GT(row.cycles_per_frame, 0);
   EXPECT_LT(row.cycles_per_frame, row.full_cycles);
   EXPECT_DOUBLE_EQ(row.reuse_ratio, plan.reuse_ratio());
+  EXPECT_GT(row.reuse_ratio, 1.0);
+  // Energy follows the paper's constant-power model: ms x W == mJ.
+  const BoardSpec board;
+  EXPECT_DOUBLE_EQ(board.energy_mj(row.cycles_per_frame),
+                   board.cycles_to_ms(row.cycles_per_frame) *
+                       board.active_power_w);
+  EXPECT_LT(board.energy_mj(row.cycles_per_frame),
+            board.energy_mj(row.full_cycles));
 
   // No overlap -> the streaming frame converges to the full frame plus
   // zero splice copies.
   const StreamingCostRow fresh = steady_state_stream_cost(m, m.in_w);
   EXPECT_EQ(fresh.cycles_per_frame, fresh.full_cycles);
   EXPECT_EQ(fresh.spliced_elems, 0);
-}
-
-TEST(StreamingCost, AttachStreamingRowFillsTheDeployReport) {
-  const QModel m = make_tiny_qmodel(79);
-  const BoardSpec board;
-  DeployReport report;
-  report.cycles = packed_model_cycles(m, {});
-  attach_streaming_row(report, m, 2, board);
-  report.finalize(board);
-
-  EXPECT_EQ(report.stream_stride_cols, 2);
-  const StreamingCostRow row = steady_state_stream_cost(m, 2);
-  EXPECT_EQ(report.steady_state_cycles_per_frame, row.cycles_per_frame);
-  EXPECT_DOUBLE_EQ(report.steady_state_latency_ms_per_frame,
-                   board.cycles_to_ms(row.cycles_per_frame));
-  // Energy follows the paper's constant-power model: ms x W == mJ.
-  EXPECT_DOUBLE_EQ(report.steady_state_energy_mj_per_frame,
-                   report.steady_state_latency_ms_per_frame *
-                       board.active_power_w);
-  EXPECT_LT(report.steady_state_energy_mj_per_frame, report.energy_mj);
-  EXPECT_GT(report.stream_reuse_ratio, 1.0);
 }
 
 TEST(StreamingCost, UnpackedStreamCyclesScalePositionTermsOnly) {
@@ -727,33 +713,6 @@ TEST(StreamingDse, EvaluatorRowAndSelectorConstraint) {
   EXPECT_EQ(select_design(outcome, 0.05), 0);
   EXPECT_EQ(select_design(outcome, 0.05, 0, 3.0), 2);
   EXPECT_EQ(select_design(outcome, 0.05, 0, 1.0), -1);
-}
-
-TEST(StreamingDse, IoVersion3RoundTripsTheStreamingRow) {
-  DseOutcome outcome;
-  outcome.exact_accuracy = 0.8;
-  outcome.baseline_cycles = 1000;
-  DseResult modeled;
-  modeled.config = ApproxConfig::uniform(2, 0.01);
-  modeled.accuracy = 0.8;
-  modeled.cycles = 900;
-  modeled.stream_cycles_per_frame = 400;
-  modeled.stream_energy_mj_per_frame = 1.5;
-  DseResult unmodeled;
-  unmodeled.config = ApproxConfig::uniform(2, 0.0);
-  unmodeled.accuracy = 0.8;
-  unmodeled.cycles = 1000;
-  outcome.results = {unmodeled, modeled};
-  outcome.pareto = {0};
-
-  const DseOutcome loaded =
-      dse_outcome_from_json(dse_outcome_to_json(outcome));
-  ASSERT_EQ(loaded.results.size(), 2u);
-  // Absent fields (unmodeled row, and every pre-version-3 file) load 0.
-  EXPECT_EQ(loaded.results[0].stream_cycles_per_frame, 0);
-  EXPECT_DOUBLE_EQ(loaded.results[0].stream_energy_mj_per_frame, 0.0);
-  EXPECT_EQ(loaded.results[1].stream_cycles_per_frame, 400);
-  EXPECT_DOUBLE_EQ(loaded.results[1].stream_energy_mj_per_frame, 1.5);
 }
 
 }  // namespace
