@@ -23,12 +23,10 @@ DseOutcome run_dse(const ConfigEvaluator& evaluator,
   outcome.results.resize(configs.size());
   outcome.threads_used = num_threads();
 
-  // The prefix cache replays reference-kernel segments, so it is only an
-  // exact substitute when accuracy is measured through the reference
-  // oracle (the default). Other backends — and the degenerate space of a
-  // model with no approximable layers — keep the per-config sweep.
-  if (evaluator.accuracy_engine() == "ref" &&
-      evaluator.model().approx_layer_count() > 0) {
+  // The prefix cache needs a trie of at least one approximable layer;
+  // the degenerate space of a model without one keeps the per-config
+  // sweep.
+  if (evaluator.model().approx_layer_count() > 0) {
     parallel_for(0, static_cast<int64_t>(configs.size()), [&](int64_t i) {
       outcome.results[static_cast<size_t>(i)] =
           evaluator.evaluate_static(configs[static_cast<size_t>(i)]);

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "src/common/error.hpp"
-#include "src/core/engine_iface.hpp"
 #include "src/core/eval.hpp"
+#include "src/nn/engine.hpp"
 
 namespace ataman {
 
@@ -40,21 +40,18 @@ UnpackStats compute_unpack_stats(const QModel& model, const SkipMask& mask) {
 ConfigEvaluator::ConfigEvaluator(
     const QModel* model, const std::vector<LayerSignificance>* significance,
     const Dataset* eval, int eval_images, CortexM33CostTable costs,
-    MemoryCostTable memory, std::string accuracy_engine)
+    MemoryCostTable memory)
     : model_(model),
       significance_(significance),
       eval_(eval),
       eval_images_(eval_images),
       costs_(costs),
-      memory_(memory),
-      accuracy_engine_(std::move(accuracy_engine)) {
+      memory_(memory) {
   check(model != nullptr && significance != nullptr && eval != nullptr,
         "evaluator needs model, significance and eval set");
   check(static_cast<int>(significance->size()) ==
             model->approx_layer_count(),
         "significance does not match model");
-  check(EngineRegistry::instance().contains(accuracy_engine_),
-        "unknown accuracy engine '" + accuracy_engine_ + "'");
   baseline_cycles_ = packed_model_cycles(*model_, costs_);
   conv_total_macs_ = model_->approx_mac_count();
   fc_total_macs_ = model_->mac_count() - conv_total_macs_;
@@ -73,15 +70,10 @@ DseResult ConfigEvaluator::evaluate(const ApproxConfig& config) const {
   const SkipMask mask = make_skip_mask(*model_, *significance_, config);
   DseResult r = static_metrics(config, mask);
   // Zeroed-weight copy: numerically identical to skip-aware execution
-  // (tests assert it) but branch-free, so the sweep runs ~2x faster.
+  // (tests assert it) but branch-free, so the evaluation runs ~2x faster.
   const QModel masked = apply_skip_mask(*model_, mask);
-  EngineConfig engine_cfg;
-  engine_cfg.model = &masked;
-  engine_cfg.costs = costs_;
-  engine_cfg.memory = memory_;
-  const auto engine =
-      EngineRegistry::instance().create(accuracy_engine_, engine_cfg);
-  r.accuracy = evaluate_batch(*engine, *eval_, eval_images_).top1;
+  const RefEngine engine(&masked);
+  r.accuracy = evaluate_batch(engine, *eval_, eval_images_).top1;
   return r;
 }
 

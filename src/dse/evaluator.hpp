@@ -1,12 +1,12 @@
-// Per-configuration evaluation: classification accuracy via masked
-// inference through a registry-selected backend (default "ref" — running
-// the masked reference model is numerically identical to running the
-// skipped unpacked code) plus the static deployment metrics (retained
-// MACs, predicted cycles, flash) from the MCU models.
+// Per-configuration evaluation: the static deployment metrics (retained
+// MACs, predicted cycles, flash) from the MCU models, plus — for the
+// per-config path only — classification accuracy through the reference
+// engine on the zeroed-weight model (numerically identical to running
+// the skipped unpacked code). run_dse measures the accuracies of a whole
+// config space through the prefix cache instead (src/dse/prefix_cache).
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/data/dataset.hpp"
@@ -57,15 +57,16 @@ UnpackStats compute_unpack_stats(const QModel& model, const SkipMask& mask);
 class ConfigEvaluator {
  public:
   // `eval` must outlive the evaluator. `eval_images` caps accuracy
-  // evaluation (-1 = all). `accuracy_engine` is the EngineRegistry name of
-  // the backend accuracy is measured through; any exact (bit-exact with
-  // the reference) backend gives identical sweeps.
+  // evaluation (-1 = all).
   ConfigEvaluator(const QModel* model,
                   const std::vector<LayerSignificance>* significance,
                   const Dataset* eval, int eval_images,
-                  CortexM33CostTable costs = {}, MemoryCostTable memory = {},
-                  std::string accuracy_engine = "ref");
+                  CortexM33CostTable costs = {}, MemoryCostTable memory = {});
 
+  // Static metrics plus the accuracy of the reference engine on the
+  // zeroed-weight model: the per-config oracle the cached sweep is
+  // tested against, and run_dse's path for a model with no approximable
+  // layers.
   DseResult evaluate(const ApproxConfig& config) const;
 
   // The static (per-inference) deployment metrics only — everything in
@@ -94,7 +95,6 @@ class ConfigEvaluator {
   }
   const Dataset& eval_set() const { return *eval_; }
   int eval_images() const { return eval_images_; }
-  const std::string& accuracy_engine() const { return accuracy_engine_; }
 
  private:
   // Static metrics for a config whose skip mask is already built (both
@@ -109,7 +109,6 @@ class ConfigEvaluator {
   int eval_images_;
   CortexM33CostTable costs_;
   MemoryCostTable memory_;
-  std::string accuracy_engine_;
   int64_t baseline_cycles_ = 0;
   int64_t conv_total_macs_ = 0;
   int64_t fc_total_macs_ = 0;

@@ -12,31 +12,44 @@ namespace ataman {
 
 namespace {
 
-// The cache's kernel table: every step through the reference kernels,
-// an approximable step on the zeroed-weight variant its config row
-// names (`slots` == nullptr, or slot -1: the model's own layer).
+// The cache's kernel table: an approximable step whose config row
+// (`slots`) names a variant runs that variant's unpacked program; every
+// other step — exact approximable layers, pools, adds, dense — runs the
+// model's packed kernels. Both families are bit-exact with the reference
+// kernels under the same mask.
 class VariantKernels final : public KernelTable {
  public:
-  VariantKernels(const QModel& model,
-                 const std::vector<std::vector<QLayer>>& masked,
-                 const std::vector<int>* slots)
-      : model_(model), masked_(masked), slots_(slots) {}
+  VariantKernels(const PackedKernels& packed,
+                 const std::vector<std::vector<UnpackedLayer>>& masked,
+                 const std::vector<int>& slots)
+      : packed_(packed), masked_(masked), slots_(slots) {}
 
   void run_step(const ExecStep& step, const StepIO& io) const override {
-    const QLayer* layer = &model_.layers[static_cast<size_t>(step.layer)];
-    if (slots_ != nullptr && step.approx_ordinal >= 0) {
+    if (step.approx_ordinal >= 0) {
       const auto k = static_cast<size_t>(step.approx_ordinal);
-      const int slot = (*slots_)[k];
-      if (slot >= 0) layer = &masked_[k][static_cast<size_t>(slot)];
+      const int slot = slots_[k];
+      if (slot >= 0)
+        return masked_[k][static_cast<size_t>(slot)].run(
+            io.in_a, io.out, io.batch, io.scratch, io.cols);
     }
-    run_step_ref(*layer, io);
+    packed_.run_step(step, io);
   }
 
  private:
-  const QModel& model_;
-  const std::vector<std::vector<QLayer>>& masked_;
-  const std::vector<int>* slots_;
+  const PackedKernels& packed_;
+  const std::vector<std::vector<UnpackedLayer>>& masked_;
+  const std::vector<int>& slots_;
 };
+
+// The constructor's argument check, run before the packed kernels read
+// the model.
+const QModel* checked_model(const QModel* model,
+                            const std::vector<LayerSignificance>* significance,
+                            const Dataset* eval) {
+  check(model != nullptr && significance != nullptr && eval != nullptr,
+        "prefix cache needs model, significance and eval set");
+  return model;
+}
 
 }  // namespace
 
@@ -45,9 +58,9 @@ PrefixCache::PrefixCache(const QModel* model,
                          const Dataset* eval,
                          const std::vector<ApproxConfig>& configs,
                          int eval_images)
-    : model_(model), eval_(eval) {
-  check(model != nullptr && significance != nullptr && eval != nullptr,
-        "prefix cache needs model, significance and eval set");
+    : model_(model),
+      eval_(eval),
+      packed_(checked_model(model, significance, eval)) {
   check(!configs.empty(), "prefix cache needs at least one config");
   approx_count_ = model_->approx_layer_count();
   check(approx_count_ > 0,
@@ -93,7 +106,7 @@ PrefixCache::PrefixCache(const QModel* model,
   slots_.assign(static_cast<size_t>(n_cfg),
                 std::vector<int>(static_cast<size_t>(approx_count_), -1));
 
-  // Materialize one zeroed-weight variant per distinct (layer, skip set).
+  // Build one unpacked program per distinct (layer, skip set).
   // The per-layer key is the skipped-operand count: skip sets are nested
   // in tau (skip_plan.hpp), so equal cardinality implies equal set and
   // one tau per distinct count suffices.
@@ -125,10 +138,9 @@ PrefixCache::PrefixCache(const QModel* model,
         if (skipped > 0) {
           auto slot_it = key_slot_[static_cast<size_t>(k)].find(skipped);
           if (slot_it == key_slot_[static_cast<size_t>(k)].end()) {
-            QLayer variant = layer;
-            zero_skipped_weights(variant, layer_mask);
             slot = static_cast<int>(masked_[static_cast<size_t>(k)].size());
-            masked_[static_cast<size_t>(k)].push_back(std::move(variant));
+            masked_[static_cast<size_t>(k)].push_back(
+                UnpackedLayer::build(layer, layer_mask.data()));
             key_slot_[static_cast<size_t>(k)].emplace(skipped, slot);
           } else {
             slot = slot_it->second;
@@ -211,8 +223,7 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
       quantize_pixels(model_->input, image, q_input);
       // Layers before the first stage (normally none) hold no
       // approximable layer; run them once into the depth-0 boundary.
-      boundary[0] = plan_.run_range(0, stage_begin_[0], q_input,
-                                    VariantKernels(*model_, masked_, nullptr));
+      boundary[0] = plan_.run_range(0, stage_begin_[0], q_input, packed_);
 
       // One trie walk per image over every config whose range covers it.
       // The resume depth over a gap of skipped configs is the min of the
@@ -238,8 +249,8 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
           const int s0 = stage_for_depth(depth);
           const int resume_ordinal =
               stage_first_ordinal_[static_cast<size_t>(s0)];
-          const VariantKernels kernels(*model_, masked_,
-                                       &slots_[static_cast<size_t>(c)]);
+          const VariantKernels kernels(packed_, masked_,
+                                       slots_[static_cast<size_t>(c)]);
           for (size_t s = static_cast<size_t>(s0);
                s < static_cast<size_t>(n_stages); ++s) {
             boundary[s + 1] = plan_.run_range(stage_begin_[s],

@@ -18,15 +18,17 @@
 //  * the per-layer key is the skipped-operand count, which uniquely
 //    identifies the layer's skip set because skip sets are nested in tau
 //    (skip_plan.hpp) — equal cardinality implies equal set;
-//  * each distinct (layer, key) pair is materialized once as a
-//    zeroed-weight layer copy (the same branch-free trick
-//    apply_skip_mask uses), so segment execution runs the identical
-//    kernels on identical weights as the legacy path.
+//  * each distinct (layer, key) pair is built once as an unpacked
+//    program under that skip set (UnpackedLayer::build), and every other
+//    step runs the model's packed kernels. Both kernel families are
+//    bit-exact with the reference kernels under the same mask, so a
+//    segment computes the legacy path's bits — and a skipped operand
+//    removes host work, as it removes MCU instructions.
 //
 // Execution is the model's compiled ExecPlan: each stage (below) is one
 // step range (ExecPlan::run_range) through a kernel table that swaps in
-// the config's variant for each approximable step. The last stage runs
-// to the end of the model, so the exact tail behind the last
+// the config's unpacked variant for each approximable step. The last
+// stage runs to the end of the model, so the exact tail behind the last
 // approximable layer (pool/dense — never approximated) is part of its
 // range.
 //
@@ -50,9 +52,11 @@
 #include <map>
 #include <vector>
 
+#include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/core/exec_plan.hpp"
 #include "src/data/dataset.hpp"
 #include "src/sig/skip_plan.hpp"
+#include "src/unpack/unpacked_layer.hpp"
 
 namespace ataman {
 
@@ -140,12 +144,13 @@ class PrefixCache {
   std::vector<int> stage_first_ordinal_;
   ExecPlan plan_;  // the model's compiled plan every stage walks
 
-  // Per approximable ordinal: zeroed-weight variants of the layer (conv
-  // or depthwise), one per distinct non-empty skip set seen in the
-  // config space; key_slot_ maps the skipped-operand count to its
-  // variant index (key 0 / slot -1 means "use the model's original
-  // layer").
-  std::vector<std::vector<QLayer>> masked_;
+  // Every step a config does not swap out, on the packed kernels.
+  PackedKernels packed_;
+  // Per approximable ordinal: the layer's unpacked program (conv or
+  // depthwise) under each distinct non-empty skip set seen in the config
+  // space; key_slot_ maps the skipped-operand count to its variant index
+  // (key 0 / slot -1 means "run the exact layer on packed_").
+  std::vector<std::vector<UnpackedLayer>> masked_;
   std::vector<std::map<int64_t, int>> key_slot_;
 
   std::vector<std::vector<int64_t>> keys_;  // [config][ordinal] skip count

@@ -60,7 +60,8 @@ int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
 // describe_layer(layer).out_elems by the caller). `in_b` is the second
 // QAdd operand, unused by every other kind; `skip` and `cols` apply to
 // approximable layers only. The one reference dispatcher: the reference
-// kernel table and the DSE prefix cache execute layers through it.
+// kernel table executes layers through it, and the packed table its
+// pools and adds.
 void run_layer_ref(const QLayer& layer, std::span<const int8_t> in_a,
                    std::span<const int8_t> in_b, std::span<int8_t> out,
                    const uint8_t* skip = nullptr, ColumnRange cols = {});

@@ -6,6 +6,32 @@
 
 namespace ataman {
 
+namespace {
+
+// Zero the weights of one approximable layer in place according to its
+// per-layer mask.
+void zero_skipped_weights(QLayer& layer, const std::vector<uint8_t>& mask) {
+  if (mask.empty()) return;
+  if (auto* conv = std::get_if<QConv2D>(&layer)) {
+    // Plain conv: mask index == weight index ([out_c][patch]).
+    ATAMAN_ASSERT(mask.size() == conv->weights.size());
+    for (size_t i = 0; i < mask.size(); ++i)
+      if (mask[i]) conv->weights[i] = 0;
+  } else if (auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
+    // Depthwise: mask is [channel][tap], weights are [tap][channel].
+    const int patch = dw->patch_size();
+    ATAMAN_ASSERT(static_cast<int64_t>(mask.size()) == dw->weight_count());
+    for (int ch = 0; ch < dw->channels; ++ch)
+      for (int p = 0; p < patch; ++p)
+        if (mask[static_cast<size_t>(ch) * patch + p])
+          dw->weights[dw_weight_index(ch, p, dw->channels)] = 0;
+  } else {
+    fail("zero_skipped_weights on a non-approximable layer");
+  }
+}
+
+}  // namespace
+
 bool SkipMask::empty() const {
   for (const auto& m : masks)
     for (const uint8_t v : m)
@@ -67,26 +93,6 @@ SkipMask SkipMask::none(const QModel& model) {
           static_cast<size_t>(d.skippable_operand_count()), 0);
   }
   return mask;
-}
-
-void zero_skipped_weights(QLayer& layer, const std::vector<uint8_t>& mask) {
-  if (mask.empty()) return;
-  if (auto* conv = std::get_if<QConv2D>(&layer)) {
-    // Plain conv: mask index == weight index ([out_c][patch]).
-    ATAMAN_ASSERT(mask.size() == conv->weights.size());
-    for (size_t i = 0; i < mask.size(); ++i)
-      if (mask[i]) conv->weights[i] = 0;
-  } else if (auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-    // Depthwise: mask is [channel][tap], weights are [tap][channel].
-    const int patch = dw->patch_size();
-    ATAMAN_ASSERT(static_cast<int64_t>(mask.size()) == dw->weight_count());
-    for (int ch = 0; ch < dw->channels; ++ch)
-      for (int p = 0; p < patch; ++p)
-        if (mask[static_cast<size_t>(ch) * patch + p])
-          dw->weights[dw_weight_index(ch, p, dw->channels)] = 0;
-  } else {
-    fail("zero_skipped_weights on a non-approximable layer");
-  }
 }
 
 QModel apply_skip_mask(const QModel& model, const SkipMask& mask) {

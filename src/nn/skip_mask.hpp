@@ -57,9 +57,4 @@ struct SkipMask {
 // which is what the DSE uses for its thousands of accuracy evaluations.
 QModel apply_skip_mask(const QModel& model, const SkipMask& mask);
 
-// Zero the weights of one approximable layer in place according to its
-// per-layer mask (the mask/weight index mapping point shared by
-// apply_skip_mask and the DSE prefix cache).
-void zero_skipped_weights(QLayer& layer, const std::vector<uint8_t>& mask);
-
 }  // namespace ataman

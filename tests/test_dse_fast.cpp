@@ -5,7 +5,10 @@
 // member fully evaluated), and determinism across thread counts.
 //
 // This suite carries the `dse-smoke` ctest label: it is the tiny
-// fast-vs-exact sweep CI runs in the OMP_NUM_THREADS={1,4} matrix.
+// fast-vs-exact sweep CI runs in the OMP_NUM_THREADS={1,4} matrix. It
+// also carries `kernel-parity`: the prefix cache runs unpacked and
+// packed kernels, which the ASan+UBSan job then checks against the
+// reference oracle.
 #include <gtest/gtest.h>
 
 #include "src/common/error.hpp"
@@ -52,6 +55,18 @@ class DseFastFixture : public ::testing::Test {
     DseOptions o;
     o.tau_step = 0.02;  // grid {0, 0.02, ..., 0.1}: 1 + 3 subsets x 6 taus
     return generate_configs(2, o);
+  }
+
+  // `configs` plus the two corners sweep_configs() never reaches: every
+  // operand skipped that is not kAlwaysRetain (bias-only channel
+  // programs), and the same on ordinal 1 behind an exact ordinal 0.
+  static std::vector<ApproxConfig> with_full_skips(
+      std::vector<ApproxConfig> configs, int approx_count) {
+    configs.push_back(ApproxConfig::uniform(approx_count, 1e30));
+    ApproxConfig mixed = ApproxConfig::uniform(approx_count, 1e30);
+    mixed.tau[0] = -1.0;
+    configs.push_back(mixed);
+    return configs;
   }
 
   static QModel* model_;
@@ -166,11 +181,13 @@ void expect_exact_sweep_matches_legacy(
 TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
   {
     SCOPED_TRACE("chain");
-    expect_exact_sweep_matches_legacy(*model_, *sig_, *eval_,
-                                      sweep_configs());
+    expect_exact_sweep_matches_legacy(
+        *model_, *sig_, *eval_,
+        with_full_skips(sweep_configs(), model_->approx_layer_count()));
   }
   // Depthwise: conv -> depthwise -> avgpool -> fc, so the cache's
-  // zeroed-weight variants cover a depthwise layer too.
+  // unpacked variants and packed exact layers cover a depthwise layer
+  // too.
   SCOPED_TRACE("depthwise");
   const QModel dw = testing::make_tiny_vww_qmodel(101);
   Dataset eval(ImageShape{dw.in_h, dw.in_w, dw.in_c}, 2);
@@ -183,7 +200,8 @@ TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
   const std::vector<LayerSignificance> sig = compute_model_significance(
       dw, capture_activation_stats(dw, eval, 24));
   const auto configs = sweep_configs();
-  expect_exact_sweep_matches_legacy(dw, sig, eval, configs);
+  expect_exact_sweep_matches_legacy(
+      dw, sig, eval, with_full_skips(configs, dw.approx_layer_count()));
   // Skipping depthwise operands (ordinal 1) with the conv exact must
   // change some accuracy, or the parity is vacuous for the depthwise
   // variants. (Seed 101 keeps this fixture's two logits unsaturated.)
@@ -275,26 +293,6 @@ TEST_F(DseFastFixture, AdaptiveSweepDeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.images_evaluated, b.images_evaluated);
   EXPECT_EQ(a.early_exits, b.early_exits);
-}
-
-TEST_F(DseFastFixture, NonResumableAccuracyBackendFallsBack) {
-  // A non-"ref" accuracy backend cannot be prefix-cached; the sweep must
-  // fall back to the per-config path and — cmsis being bit-exact with the
-  // reference — still produce identical accuracies.
-  const ConfigEvaluator ref_ev(model_, sig_, eval_, 40);
-  const ConfigEvaluator cmsis_ev(model_, sig_, eval_, 40, {}, {}, "cmsis");
-  const auto configs = sweep_configs();
-  DseOptions o;
-  o.exact_sweep = true;
-  const DseOutcome fast = run_dse(ref_ev, configs, o);
-  const DseOutcome fallback = run_dse(cmsis_ev, configs, o);
-  ASSERT_EQ(fast.results.size(), fallback.results.size());
-  for (size_t i = 0; i < fast.results.size(); ++i)
-    EXPECT_EQ(fast.results[i].accuracy, fallback.results[i].accuracy);
-  EXPECT_EQ(fallback.cache_hits, 0);
-  EXPECT_EQ(fallback.early_exits, 0);
-  EXPECT_EQ(fallback.images_evaluated,
-            static_cast<int64_t>(configs.size()) * 40);
 }
 
 }  // namespace
