@@ -204,16 +204,20 @@ void BM_AvgPoolReference(benchmark::State& state) {
 BENCHMARK(BM_AvgPoolReference);
 
 void BM_Im2ColQ15(benchmark::State& state) {
+  // One block expansion: kPosBlock output columns of one row, the
+  // operand-major layout every conv-shaped host kernel reads.
   const QConv2D conv = bench_conv();
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 4);
-  std::vector<int16_t> col(static_cast<size_t>(conv.geom.patch_size()));
-  int pos = 0;
+  std::vector<int16_t> col(static_cast<size_t>(conv.geom.patch_size()) *
+                           kPosBlock);
+  int block = 0;  // the 16-wide output rows hold two full blocks each
   for (auto _ : state) {
-    im2col_patch_q15(conv.geom, conv.in.zero_point, in, pos % 16,
-                     (pos / 16) % 16, col.data());
+    im2col_block_q15(conv.geom, conv.in.zero_point, in, (block / 2) % 16,
+                     (block % 2) * kPosBlock, kPosBlock, col.data());
     benchmark::DoNotOptimize(col.data());
-    ++pos;
+    ++block;
   }
+  state.SetItemsProcessed(state.iterations() * kPosBlock);
 }
 BENCHMARK(BM_Im2ColQ15);
 

@@ -24,10 +24,11 @@ namespace ataman {
 
 // The packed kernel table: conv and fc on offline-packed weight streams,
 // depthwise on the loop kernel, pools and adds on the reference kernels.
-// Batches stream each packed weight pair once per lane-block of
-// kBatchLanes images. `unpacked` (by approximable ordinal, 1 = executed
-// elsewhere) skips packing those conv streams — the hybrid unpacked
-// engine's fallback table.
+// The host kernels stream each packed conv weight pair once per block of
+// kPosBlock output columns (times kBatchLanes images for a batch); the
+// priced cycles model the MCU's one-position stream. `unpacked` (by
+// approximable ordinal, 1 = executed elsewhere) skips packing those conv
+// streams — the hybrid unpacked engine's fallback table.
 class PackedKernels final : public KernelTable {
  public:
   explicit PackedKernels(const QModel* model,

@@ -9,7 +9,12 @@
 // bit-exactness of every packed/unpacked kernel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace ataman {
 
@@ -59,5 +64,110 @@ constexpr uint32_t sxtb16(uint32_t x) {
   const int16_t hi = static_cast<int8_t>((x >> 16) & 0xFFu);
   return pack_q15_pair(hi, lo);
 }
+
+// --- The host's block step ---------------------------------------------
+//
+// The host kernels run kPosBlock consecutive output positions per SMLAD
+// step: SSE2's pmaddwd is SMLAD four lanes wide (lo*lo + hi*hi per
+// 32-bit lane, wrapping like SMLAD), so eight positions fill two
+// registers. Every lane computes exactly smlad(); only the host's
+// instruction count changes, never a bit or a priced cycle.
+inline constexpr int kPosBlock = 8;
+
+// Eight int32 accumulators, one per position of a block.
+struct Acc8 {
+#if defined(__SSE2__)
+  __m128i lo, hi;
+#else
+  int32_t lane[kPosBlock];
+#endif
+};
+
+// The definition of the block step: acc[p] = smlad(w, (b[p], a[p]),
+// acc[p]) for p < kPosBlock, i.e. acc[p] += lo(w)*a[p] + hi(w)*b[p].
+inline void smlad8_scalar(uint32_t w, const int16_t* a, const int16_t* b,
+                          int32_t* acc) {
+  for (int p = 0; p < kPosBlock; ++p)
+    acc[p] = smlad(w, pack_q15_pair(b[p], a[p]), acc[p]);
+}
+
+// acc[p] + lo(w_i)*x[2i] + hi(w_i)*x[2i+1] summed over i < pairs: the
+// dot-product definition of one packed weight row against a contiguous
+// q15 vector.
+inline int32_t smlad_dot_scalar(const uint32_t* w, const int16_t* x,
+                                size_t pairs, int32_t acc) {
+  for (size_t i = 0; i < pairs; ++i)
+    acc = smlad(w[i], pack_q15_pair(x[2 * i + 1], x[2 * i]), acc);
+  return acc;
+}
+
+#if defined(__SSE2__)
+
+inline Acc8 acc8_splat(int32_t v) {
+  const __m128i s = _mm_set1_epi32(v);
+  return {s, s};
+}
+
+// Interleaving a and b puts (a[p], b[p]) in 32-bit lane p, so pmaddwd
+// against the broadcast (lo(w), hi(w)) word is SMLAD's lo*lo + hi*hi.
+inline void smlad8(uint32_t w, const int16_t* a, const int16_t* b,
+                   Acc8& acc) {
+  const __m128i wv = _mm_set1_epi32(static_cast<int32_t>(w));
+  const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a));
+  const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
+  acc.lo =
+      _mm_add_epi32(acc.lo, _mm_madd_epi16(_mm_unpacklo_epi16(va, vb), wv));
+  acc.hi =
+      _mm_add_epi32(acc.hi, _mm_madd_epi16(_mm_unpackhi_epi16(va, vb), wv));
+}
+
+inline void acc8_store(const Acc8& acc, int32_t* out) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), acc.lo);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4), acc.hi);
+}
+
+// The int16 view of a packed row is the weight row (lo lane first), read
+// only through vector loads. Four pairs per madd, then the scalar tail.
+inline int32_t smlad_dot(const uint32_t* w, const int16_t* x, size_t pairs,
+                         int32_t acc) {
+  __m128i sum = _mm_setzero_si128();
+  size_t i = 0;
+  for (; i + 4 <= pairs; i += 4) {
+    const __m128i wv =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
+    const __m128i xv =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 2 * i));
+    sum = _mm_add_epi32(sum, _mm_madd_epi16(wv, xv));
+  }
+  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
+  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
+  acc = static_cast<int32_t>(static_cast<uint32_t>(acc) +
+                             static_cast<uint32_t>(_mm_cvtsi128_si32(sum)));
+  return smlad_dot_scalar(w + i, x + 2 * i, pairs - i, acc);
+}
+
+#else
+
+inline Acc8 acc8_splat(int32_t v) {
+  Acc8 acc{};
+  for (int32_t& a : acc.lane) a = v;
+  return acc;
+}
+
+inline void smlad8(uint32_t w, const int16_t* a, const int16_t* b,
+                   Acc8& acc) {
+  smlad8_scalar(w, a, b, acc.lane);
+}
+
+inline void acc8_store(const Acc8& acc, int32_t* out) {
+  for (int p = 0; p < kPosBlock; ++p) out[p] = acc.lane[p];
+}
+
+inline int32_t smlad_dot(const uint32_t* w, const int16_t* x, size_t pairs,
+                         int32_t acc) {
+  return smlad_dot_scalar(w, x, pairs, acc);
+}
+
+#endif
 
 }  // namespace ataman

@@ -4,7 +4,7 @@
 #include <array>
 #include <string>
 
-#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes
+#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes, kPosBlock
 #include "src/common/error.hpp"
 #include "src/core/engine_iface.hpp"  // StreamState
 #include "src/mcu/memory_model.hpp"
@@ -16,12 +16,13 @@ namespace ataman {
 namespace {
 
 // q15 elements one image lane of a step's packed/unpacked kernel needs:
-// one im2col patch (conv), the shared per-position tap expansion
-// (depthwise) or the expanded input vector (fc).
+// the block expansion of kPosBlock positions (conv: patch operands;
+// depthwise: taps x channels) or the expanded input vector (fc).
 int64_t step_scratch_elems(const OpDescriptor& d) {
   switch (d.kind) {
-    case OpKind::kConv: return d.patch;
-    case OpKind::kDepthwise: return static_cast<int64_t>(d.patch) * d.channels;
+    case OpKind::kConv: return static_cast<int64_t>(d.patch) * kPosBlock;
+    case OpKind::kDepthwise:
+      return static_cast<int64_t>(d.patch) * d.channels * kPosBlock;
     case OpKind::kDense: return d.in_elems;
     default: return 0;
   }

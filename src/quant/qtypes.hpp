@@ -121,7 +121,7 @@ struct QDepthwiseConv2D {
     return static_cast<int64_t>(channels) * patch_size();
   }
   // The receptive field as a conv geometry with in_c = out_c = channels:
-  // its q15 expansion (im2col_patch_q15) holds channel ch of tap t at
+  // its q15 expansion (im2col_block_q15) holds channel ch of tap t at
   // t * channels + ch, the same offset as the tap's weight.
   ConvGeom expansion_geom() const {
     return {in_h, in_w, channels, channels, kernel, stride, pad};

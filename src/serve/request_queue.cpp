@@ -1,12 +1,16 @@
 #include "src/serve/request_queue.hpp"
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 #include "src/serve/stream_session.hpp"
 
 namespace ataman::serve {
 
-RequestQueue::RequestQueue(int max_batch) : max_batch_(max_batch) {
+RequestQueue::RequestQueue(int max_batch, int workers)
+    : max_batch_(max_batch), workers_(workers) {
   check(max_batch >= 1, "RequestQueue max_batch must be >= 1");
+  check(workers >= 1, "RequestQueue workers must be >= 1");
 }
 
 bool RequestQueue::same_key(const InferRequest& a, const InferRequest& b) {
@@ -50,18 +54,27 @@ bool RequestQueue::pop_batch(std::vector<QueuedJob>& out) {
   out.push_back(std::move(*head));
   jobs_.erase(head);
   const StreamSession* session = out.front().session.get();
+  // Session batches take only frames of the same session; one-shot
+  // batches take only one-shots sharing the head's (engine, mask) key.
+  const auto compatible = [&](const QueuedJob& job) {
+    return session != nullptr ? job.session.get() == session
+                              : job.session == nullptr &&
+                                    same_key(out.front().request, job.request);
+  };
+  // A one-shot batch takes at most its fair share of its key's queue,
+  // ceil(queued / workers), so a burst spreads over idle workers.
+  int cap = max_batch_;
+  if (session == nullptr) {
+    const auto queued =
+        1 + static_cast<int>(std::count_if(jobs_.begin(), jobs_.end(),
+                                           compatible));
+    cap = std::min(cap, (queued + workers_ - 1) / workers_);
+  }
   // Coalesce later compatible arrivals (arrival order preserved — we
-  // scan front to back and never reorder survivors). Session batches
-  // take only frames of the same session; one-shot batches take only
-  // one-shots sharing the head's (engine, mask) key.
+  // scan front to back and never reorder survivors).
   for (auto it = jobs_.begin();
-       it != jobs_.end() && static_cast<int>(out.size()) < max_batch_;) {
-    const bool take =
-        session != nullptr
-            ? it->session.get() == session
-            : it->session == nullptr &&
-                  same_key(out.front().request, it->request);
-    if (take) {
+       it != jobs_.end() && static_cast<int>(out.size()) < cap;) {
+    if (compatible(*it)) {
       out.push_back(std::move(*it));
       it = jobs_.erase(it);
     } else {

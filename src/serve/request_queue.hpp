@@ -2,9 +2,13 @@
 // policy.
 //
 // Workers drain the queue through pop_batch(), which implements the
-// coalescing scheduler: take the oldest job, then pull up to
-// max_batch - 1 *later* jobs sharing its batch key — (engine name, mask
-// pointer) — into one chunk, preserving arrival order inside the chunk.
+// coalescing scheduler: take the oldest job, then pull *later* jobs
+// sharing its batch key — (engine name, mask pointer) — into one chunk,
+// preserving arrival order inside the chunk. A one-shot chunk holds at
+// most min(max_batch, ceil(queued / workers)) jobs, where `queued`
+// counts the one-shots of that key in the queue (the head included): a
+// burst of one key is split into one fair share per worker instead of
+// serializing its later batches behind the first.
 // A batch therefore always runs on one engine instance with one bound
 // mask, which is what lets the worker execute it evaluate_batch-style
 // (tight loop over images, engine state hot in cache, no per-request
@@ -59,7 +63,9 @@ struct QueuedJob {
 
 class RequestQueue {
  public:
-  explicit RequestQueue(int max_batch);
+  // `workers`: the executor threads draining the queue (the fair-share
+  // divisor of one-shot batches).
+  explicit RequestQueue(int max_batch, int workers = 1);
 
   // Enqueue one job; false (job untouched) once the queue is closed.
   bool push(QueuedJob job);
@@ -101,6 +107,7 @@ class RequestQueue {
   std::deque<QueuedJob> jobs_;
   std::set<uint64_t> busy_sessions_;  // sessions with an in-flight batch
   const int max_batch_;
+  const int workers_;
   bool closed_ = false;
 };
 

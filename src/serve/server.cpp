@@ -19,7 +19,7 @@ double ms_between(std::chrono::steady_clock::time_point a,
 InferenceServer::InferenceServer(const QModel* model, ServeOptions options)
     : model_(model),
       options_(options),
-      queue_(options.max_batch),
+      queue_(options.max_batch, options.workers),
       pool_(model, options.workers, options.costs, options.memory,
             options.xcube),
       per_worker_done_(static_cast<size_t>(options.workers), 0) {

@@ -36,9 +36,9 @@ class UnpackedEngine : public InferenceEngine, private KernelTable {
                  CortexM33CostTable costs = {}, MemoryCostTable memory = {},
                  const std::vector<uint8_t>* unpack_selection = nullptr);
 
-  // Batches of more than one image stream each unpacked channel program
-  // and packed FC weight stream once per lane-block of kBatchLanes
-  // images. Bitwise identical to run() either way.
+  // Each unpacked channel program streams once per block of kPosBlock
+  // output columns, and once per kBatchLanes images of a batch. Bitwise
+  // identical to run() either way, and the priced cycles do not change.
   std::vector<int8_t> run(std::span<const uint8_t> image) const override {
     return plan_.run(image, *this);
   }

@@ -1,11 +1,7 @@
 #include "src/unpack/unpacked_layer.hpp"
 
-#include <algorithm>
-
 #include "src/common/error.hpp"
-#include "src/common/math_util.hpp"
-#include "src/cmsisnn/im2col_q15.hpp"
-#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes, Q15Scratch
+#include "src/cmsisnn/packed_kernels.hpp"  // run_conv_blocks
 #include "src/cmsisnn/smlad.hpp"
 
 namespace ataman {
@@ -95,90 +91,25 @@ UnpackedLayer UnpackedLayer::build(const QLayer& layer, const uint8_t* skip) {
   return unpack(*dw, dw->expansion_geom(), /*depthwise=*/true, skip);
 }
 
-template <int Lanes>
-void UnpackedLayer::run_lanes(std::span<const int8_t> in,
-                              std::span<int8_t> out, int batch,
-                              std::span<int16_t> scratch,
-                              ColumnRange range) const {
-  check(batch >= 1, "UnpackedLayer::run: batch must be >= 1");
-  const size_t in_elems =
-      static_cast<size_t>(geom.in_h) * geom.in_w * geom.in_c;
-  const size_t out_elems =
-      static_cast<size_t>(geom.positions()) * geom.out_c;
-  check(in.size() == in_elems * static_cast<size_t>(batch),
-        "unpacked layer batched input size mismatch");
-  check(out.size() == out_elems * static_cast<size_t>(batch),
-        "unpacked layer batched output size mismatch");
-
-  const int oh = geom.out_h(), ow = geom.out_w();
-  const int ox_end = range.end_within(ow);
-  const size_t patch = static_cast<size_t>(geom.patch_size());
-
-  // The host interpreter materializes the zero-point-corrected patch once
-  // per position purely as a host-speed optimization; the *priced*
-  // instruction stream (add_step_cycles on the unpacked price list)
-  // models direct activation loads with no such buffer, and the numerics
-  // are identical. Lane-major column blocks (cols[j * patch + offset]):
-  // each program's hardwired weight constant is fetched once and
-  // multiplied into `Lanes` accumulators. Lane loops run all `Lanes`
-  // lanes at a constant trip count; ragged tails compute over the
-  // zero-filled padding lanes and discard them (SMLAD wraparound is
-  // defined).
-  const Q15Scratch cols(scratch, static_cast<size_t>(Lanes) * patch);
-  for (int b0 = 0; b0 < batch; b0 += Lanes) {
-    const int bn = std::min(Lanes, batch - b0);
-    if (bn < Lanes) cols.zero();
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = range.begin; ox < ox_end; ++ox) {
-        for (int j = 0; j < bn; ++j) {
-          im2col_patch_q15(
-              geom, in_q.zero_point,
-              in.subspan(static_cast<size_t>(b0 + j) * in_elems, in_elems),
-              oy, ox, cols.data() + static_cast<size_t>(j) * patch);
-        }
-        const size_t orow_off =
-            (static_cast<size_t>(oy) * ow + ox) * geom.out_c;
-        for (int oc = 0; oc < geom.out_c; ++oc) {
-          const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
-          int32_t acc[Lanes];
-          for (int j = 0; j < Lanes; ++j) acc[j] = prog.bias;
-          for (const MacPairOp& op : prog.pairs) {
-            for (int j = 0; j < Lanes; ++j) {
-              const int16_t* lane =
-                  cols.data() + static_cast<size_t>(j) * patch;
-              acc[j] = smlad(op.weight_const,
-                             pack_q15_pair(lane[op.operand_b],
-                                           lane[op.operand_a]),
-                             acc[j]);
-            }
-          }
-          if (prog.has_single) {
-            const uint32_t wlast = pack_q15_pair(0, prog.single.weight);
-            for (int j = 0; j < Lanes; ++j) {
-              const int16_t* lane =
-                  cols.data() + static_cast<size_t>(j) * patch;
-              acc[j] = smlabb(
-                  wlast, pack_q15_pair(0, lane[prog.single.operand]), acc[j]);
-            }
-          }
-          for (int j = 0; j < bn; ++j) {
-            const int32_t scaled =
-                multiply_by_quantized_multiplier(acc[j], prog.requant) +
-                out_q.zero_point;
-            out[static_cast<size_t>(b0 + j) * out_elems + orow_off + oc] =
-                static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-          }
-        }
-      }
-    }
-  }
-}
-
 void UnpackedLayer::run(std::span<const int8_t> in, std::span<int8_t> out,
                         int batch, std::span<int16_t> scratch,
                         ColumnRange range) const {
-  if (batch == 1) return run_lanes<1>(in, out, 1, scratch, range);
-  run_lanes<kBatchLanes>(in, out, batch, scratch, range);
+  // The host interpreter reads each program's operands from the block
+  // expansion purely as a host-speed optimization: the *priced*
+  // instruction stream (add_step_cycles on the unpacked price list)
+  // models one position at a time with direct activation loads and no
+  // such buffer, and the numerics are identical.
+  const auto channel = [&](int oc, auto& block) -> const QuantizedMultiplier& {
+    const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
+    block.reset(prog.bias);
+    for (const MacPairOp& op : prog.pairs)
+      block.mac(op.weight_const, op.operand_a, op.operand_b);
+    if (prog.has_single)
+      block.mac_single(prog.single.weight, prog.single.operand);
+    return prog.requant;
+  };
+  run_conv_blocks(geom, in_q.zero_point, out_q.zero_point, act_min, act_max,
+                  in, out, batch, scratch, range, channel);
 }
 
 }  // namespace ataman

@@ -25,8 +25,9 @@ namespace ataman {
 
 // One SMLAD step: two operand offsets + the packed weight constant. An
 // operand offset indexes the q15 expansion of one output position's
-// receptive field (im2col_patch_q15, (ky,kx,in_c) order), so every
-// channel program reads the same expansion.
+// receptive field ((ky,kx,in_c) order), so every channel program reads
+// the same expansion. On the host, the offset names a run of kPosBlock
+// positions of the block expansion (im2col_block_q15).
 struct MacPairOp {
   uint32_t weight_const = 0;  // pack_weight_pair(w_b, w_a): a in low lane
   uint32_t operand_a = 0;     // offset into the position's expansion
@@ -79,21 +80,14 @@ struct UnpackedLayer {
 
   // Execute on a contiguous batch of `batch` input feature maps (image b
   // at b * in_elems / b * out_elems). Bit-exact with the reference kernel
-  // under the same skip mask (tests assert this). Each channel program
-  // is streamed once per lane-block of kBatchLanes images (its hardwired
-  // weight constants multiply into one accumulator per lane) instead of
-  // once per image. `scratch` as for the packed kernels (Q15Scratch);
+  // under the same skip mask (tests assert this). On the host each
+  // channel program is streamed once per block of kPosBlock output
+  // columns (and, for batches, kBatchLanes images): each hardwired weight
+  // constant multiplies into all of the block's accumulators
+  // (run_conv_blocks). `scratch` as for the packed kernels (Q15Scratch);
   // only the output columns in `range` are computed.
   void run(std::span<const int8_t> in, std::span<int8_t> out, int batch = 1,
            std::span<int16_t> scratch = {}, ColumnRange range = {}) const;
-
- private:
-  // The one body of run, instantiated per lane count (a single image runs
-  // one lane).
-  template <int Lanes>
-  void run_lanes(std::span<const int8_t> in, std::span<int8_t> out,
-                 int batch, std::span<int16_t> scratch,
-                 ColumnRange range) const;
 };
 
 }  // namespace ataman

@@ -3,6 +3,9 @@
 // full-engine equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/data/synth_cifar.hpp"
 #include "src/cmsisnn/smlad.hpp"
@@ -62,6 +65,96 @@ TEST(Smlad, Sxtb16ExtractsBytes0And2) {
   EXPECT_EQ(lane_hi(lanes), -1);
 }
 
+// The 8-lane block step against scalar smlad on every lane: the SSE2
+// path (smlad8 on x86) and the portable definition (smlad8_scalar) alike.
+void expect_block_step_matches_smlad(uint32_t w, const int16_t* a,
+                                     const int16_t* b, int32_t acc0) {
+  std::array<int32_t, kPosBlock> want{}, scalar{}, simd{};
+  for (int p = 0; p < kPosBlock; ++p)
+    want[p] = smlad(w, pack_q15_pair(b[p], a[p]), acc0);
+  scalar.fill(acc0);
+  smlad8_scalar(w, a, b, scalar.data());
+  Acc8 acc = acc8_splat(acc0);
+  smlad8(w, a, b, acc);
+  acc8_store(acc, simd.data());
+  EXPECT_EQ(scalar, want) << "w=" << w << " acc0=" << acc0;
+  EXPECT_EQ(simd, want) << "w=" << w << " acc0=" << acc0;
+}
+
+TEST(Smlad, BlockStepMatchesScalarOnRandomOperands) {
+  Rng rng(3);
+  std::array<int16_t, kPosBlock> a{}, b{};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto hi = static_cast<int8_t>(rng.next_int(-128, 127));
+    const auto lo = static_cast<int8_t>(rng.next_int(-128, 127));
+    const uint32_t w = pack_weight_pair(hi, lo);
+    for (int p = 0; p < kPosBlock; ++p) {
+      a[p] = static_cast<int16_t>(rng.next_int(-32768, 32767));
+      b[p] = static_cast<int16_t>(rng.next_int(-32768, 32767));
+    }
+    expect_block_step_matches_smlad(w, a.data(), b.data(),
+                                    static_cast<int32_t>(rng.next_u64()));
+  }
+}
+
+TEST(Smlad, BlockStepMatchesScalarOnExtremeOperands) {
+  const int16_t extremes[] = {-32768, -32767, -1, 0, 1, 32767};
+  const int32_t accs[] = {0, 1, -1, 2147483647, -2147483647 - 1};
+  std::array<int16_t, kPosBlock> a{}, b{};
+  for (const int8_t hi : {int8_t{-128}, int8_t{127}, int8_t{0}}) {
+    for (const int8_t lo : {int8_t{-128}, int8_t{127}, int8_t{0}}) {
+      for (const int32_t acc0 : accs) {
+        // -32768 in both lanes of every position, then mixed extremes.
+        a.fill(-32768);
+        b.fill(-32768);
+        expect_block_step_matches_smlad(pack_weight_pair(hi, lo), a.data(),
+                                        b.data(), acc0);
+        for (int p = 0; p < kPosBlock; ++p) {
+          a[p] = extremes[p % 6];
+          b[p] = extremes[(p + 3) % 6];
+        }
+        expect_block_step_matches_smlad(pack_weight_pair(hi, lo), a.data(),
+                                        b.data(), acc0);
+      }
+    }
+  }
+  // Full-range q15 weights: the one pair sum that overflows int32
+  // (2 * 2^30) wraps in both.
+  a.fill(-32768);
+  b.fill(-32768);
+  expect_block_step_matches_smlad(pack_q15_pair(-32768, -32768), a.data(),
+                                  b.data(), 5);
+}
+
+TEST(Smlad, DotMatchesScalarOnEveryTailLength) {
+  Rng rng(4);
+  for (size_t pairs = 0; pairs <= 33; ++pairs) {
+    std::vector<uint32_t> w(pairs);
+    std::vector<int16_t> x(2 * pairs);
+    for (int trial = 0; trial < 20; ++trial) {
+      const bool extreme = trial == 0;
+      for (uint32_t& v : w) {
+        v = extreme ? pack_weight_pair(-128, -128)
+                    : pack_weight_pair(
+                          static_cast<int8_t>(rng.next_int(-128, 127)),
+                          static_cast<int8_t>(rng.next_int(-128, 127)));
+      }
+      for (int16_t& v : x) {
+        v = extreme ? int16_t{-32768}
+                    : static_cast<int16_t>(rng.next_int(-32768, 32767));
+      }
+      const auto acc0 = static_cast<int32_t>(rng.next_u64());
+      int32_t want = acc0;
+      for (size_t i = 0; i < pairs; ++i)
+        want = smlad(w[i], pack_q15_pair(x[2 * i + 1], x[2 * i]), want);
+      ASSERT_EQ(smlad_dot_scalar(w.data(), x.data(), pairs, acc0), want)
+          << "pairs=" << pairs;
+      ASSERT_EQ(smlad_dot(w.data(), x.data(), pairs, acc0), want)
+          << "pairs=" << pairs;
+    }
+  }
+}
+
 TEST(PackedWeights, PairAndSingleLayout) {
   // patch=5 (odd): 2 pairs + single per channel.
   const std::vector<int8_t> w = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
@@ -89,14 +182,34 @@ TEST_P(PackedConvShapes, BitExactVsReference) {
   const QConv2D conv = make_random_qconv(g, 31 * c.kernel + c.out_c);
   const PackedWeights packed =
       PackedWeights::pack(conv.weights, g.out_c, g.patch_size());
-  const auto in = make_random_input(
-      static_cast<int64_t>(g.in_h) * g.in_w * g.in_c, 90);
 
-  std::vector<int8_t> want(static_cast<size_t>(g.positions()) * g.out_c);
-  std::vector<int8_t> got(want.size());
-  conv2d_ref(conv, in, want);
-  packed_conv2d(conv, packed, in, got);
-  EXPECT_EQ(want, got);
+  // Five images: one full lane block of kBatchLanes and a ragged tail.
+  constexpr int kBatch = 5;
+  const size_t in_elems = static_cast<size_t>(g.in_h) * g.in_w * g.in_c;
+  const size_t out_elems = static_cast<size_t>(g.positions()) * g.out_c;
+  const auto in = make_random_input(
+      static_cast<int64_t>(in_elems) * kBatch, 90);
+  std::vector<int8_t> want(out_elems * kBatch);
+  for (size_t b = 0; b < kBatch; ++b) {
+    conv2d_ref(conv, std::span(in).subspan(b * in_elems, in_elems),
+               std::span(want).subspan(b * out_elems, out_elems));
+  }
+
+  for (const int batch : {1, kBatch}) {
+    const auto in_b = std::span(in).first(batch * in_elems);
+    const auto want_b = std::span(want).first(batch * out_elems);
+    std::vector<int8_t> got(want_b.size());
+    packed_conv2d(conv, packed, in_b, got, batch);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want_b.begin()))
+        << "batch " << batch;
+    EXPECT_EQ(testing::first_column_range_mismatch(
+                  [&](ColumnRange range, std::span<int8_t> out) {
+                    packed_conv2d(conv, packed, in_b, out, batch, {}, range);
+                  },
+                  want_b, g.out_w(), g.out_c),
+              "")
+        << "batch " << batch;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -107,7 +220,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{10, 10, 3, 2, 5, 1, 2}, // k=5, odd patch (75)
                       ConvCase{9, 7, 5, 4, 3, 2, 0},   // stride 2, no pad
                       ConvCase{6, 6, 1, 8, 1, 1, 0},   // 1x1 conv
-                      ConvCase{12, 12, 8, 3, 5, 2, 2}));
+                      ConvCase{12, 12, 8, 3, 5, 2, 2},
+                      // out_w 17: two full position blocks and a tail.
+                      ConvCase{4, 17, 3, 5, 3, 1, 1}));
 
 TEST(PackedDense, BitExactVsReference) {
   for (const int in_dim : {4, 5, 64, 129}) {

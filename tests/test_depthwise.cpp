@@ -33,20 +33,45 @@ using testing::make_random_qdw;
 // --- depthwise kernel parity -------------------------------------------
 
 TEST(Depthwise, PackedAndUnpackedMatchReference) {
-  for (const uint64_t seed : {1u, 2u, 3u}) {
-    const QDepthwiseConv2D dw =
-        make_random_qdw(9, 9, 5, /*kernel=*/3, /*stride=*/1, /*pad=*/1, seed);
-    const auto in = make_random_input(9 * 9 * 5, seed + 100);
-    std::vector<int8_t> ref_out(static_cast<size_t>(dw.positions()) *
-                                dw.channels);
-    std::vector<int8_t> packed_out(ref_out.size());
-    std::vector<int8_t> unpacked_out(ref_out.size());
-
-    depthwise_conv2d_ref(dw, in, ref_out);
-    packed_depthwise_conv2d(dw, in, packed_out);
-    UnpackedLayer::build(dw).run(in, unpacked_out);
-    EXPECT_EQ(ref_out, packed_out) << "seed " << seed;
-    EXPECT_EQ(ref_out, unpacked_out) << "seed " << seed;
+  // Five images (a full lane block and a ragged tail); out_w 9 is one
+  // position block and a tail, out_w 18 two full blocks and a tail.
+  constexpr int kBatch = 5;
+  for (const int in_w : {9, 18}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      const QDepthwiseConv2D dw = make_random_qdw(
+          9, in_w, 5, /*kernel=*/3, /*stride=*/1, /*pad=*/1, seed);
+      const size_t in_elems = static_cast<size_t>(9) * in_w * 5;
+      const size_t out_elems =
+          static_cast<size_t>(dw.positions()) * dw.channels;
+      const auto in = make_random_input(
+          static_cast<int64_t>(in_elems) * kBatch, seed + 100);
+      std::vector<int8_t> ref_out(out_elems * kBatch);
+      for (size_t b = 0; b < kBatch; ++b) {
+        depthwise_conv2d_ref(
+            dw, std::span(in).subspan(b * in_elems, in_elems),
+            std::span(ref_out).subspan(b * out_elems, out_elems));
+      }
+      const UnpackedLayer unpacked = UnpackedLayer::build(dw);
+      for (const int batch : {1, kBatch}) {
+        const auto in_b = std::span(in).first(batch * in_elems);
+        const std::vector<int8_t> want(
+            ref_out.begin(), ref_out.begin() + batch * out_elems);
+        std::vector<int8_t> packed_out(want.size());
+        std::vector<int8_t> unpacked_out(want.size());
+        packed_depthwise_conv2d(dw, in_b, packed_out, batch);
+        unpacked.run(in_b, unpacked_out, batch);
+        EXPECT_EQ(want, packed_out) << "seed " << seed << " batch " << batch;
+        EXPECT_EQ(want, unpacked_out) << "seed " << seed << " batch " << batch;
+        EXPECT_EQ(testing::first_column_range_mismatch(
+                      [&](ColumnRange range, std::span<int8_t> out) {
+                        packed_depthwise_conv2d(dw, in_b, out, batch, {},
+                                                range);
+                      },
+                      want, dw.out_w(), dw.channels),
+                  "")
+            << "seed " << seed << " batch " << batch;
+      }
+    }
   }
 }
 

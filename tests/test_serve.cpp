@@ -151,6 +151,37 @@ TEST(RequestQueue, CoalescesHeadKeyPreservingOrderAndFairness) {
   EXPECT_FALSE(cancel_queue.pop_batch(batch));
 }
 
+TEST(RequestQueue, OneShotBatchTakesItsFairShareOfItsKey) {
+  // 16 queued one-shots of one key on 4 workers: each pop takes
+  // ceil(queued / 4) of them, never more than max_batch, so the first
+  // four idle workers split the burst instead of two of them taking two
+  // full batches of 8.
+  const QModel m = make_tiny_qmodel(603);
+  const SkipMask mask = make_random_mask(m, 0.3, 604);
+  RequestQueue queue(/*max_batch=*/8, /*workers=*/4);
+  for (uint64_t id = 0; id < 16; ++id)
+    ASSERT_TRUE(queue.push(make_job(id, "ref", &mask)));
+  std::vector<QueuedJob> batch;
+  uint64_t next_id = 0;
+  for (const size_t want : {4u, 3u, 3u, 2u, 1u, 1u, 1u, 1u}) {
+    ASSERT_TRUE(queue.pop_batch(batch));
+    ASSERT_EQ(batch.size(), want) << "first id " << next_id;
+    for (const QueuedJob& job : batch) EXPECT_EQ(job.id, next_id++);
+  }
+  EXPECT_EQ(queue.size(), 0);
+
+  // Other keys do not count towards the head key's share, and the cap
+  // never exceeds max_batch.
+  RequestQueue wide(/*max_batch=*/2, /*workers=*/1);
+  ASSERT_TRUE(wide.push(make_job(20, "ref", &mask)));
+  ASSERT_TRUE(wide.push(make_job(21, "cmsis", nullptr)));
+  ASSERT_TRUE(wide.push(make_job(22, "ref", &mask)));
+  ASSERT_TRUE(wide.push(make_job(23, "ref", &mask)));
+  ASSERT_TRUE(wide.pop_batch(batch));
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[1].id, 22u);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism under load
 // ---------------------------------------------------------------------------

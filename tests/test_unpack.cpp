@@ -67,12 +67,10 @@ TEST_P(UnpackShapes, BitExactVsMaskedReference) {
                   skip_ptr);
   }
 
-  // The middle output columns, the rest pre-filled with a sentinel.
+  // Every column range, the rest pre-filled with a sentinel: blocks of
+  // kPosBlock columns start at every begin, so every ragged tail runs.
   const int ow = u.geom.out_w();
   const int out_ch = static_cast<int>(d.out_elems / d.positions);
-  const ColumnRange middle{ow / 3, ow - ow / 3};
-  constexpr int8_t kSentinel = 0x5A;
-
   for (const int batch : {1, kBatch}) {
     const auto in_b = std::span(in).first(batch * in_elems);
     const auto want_b = std::span(want).first(batch * out_elems);
@@ -80,15 +78,13 @@ TEST_P(UnpackShapes, BitExactVsMaskedReference) {
     u.run(in_b, got, batch);
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want_b.begin()))
         << "batch " << batch;
-
-    std::fill(got.begin(), got.end(), kSentinel);
-    u.run(in_b, got, batch, {}, middle);
-    for (size_t i = 0; i < got.size(); ++i) {
-      const int ox = static_cast<int>((i / out_ch) % ow);
-      const bool inside = ox >= middle.begin && ox < middle.end;
-      ASSERT_EQ(got[i], inside ? want_b[i] : kSentinel)
-          << "batch " << batch << " element " << i << " column " << ox;
-    }
+    EXPECT_EQ(testing::first_column_range_mismatch(
+                  [&](ColumnRange range, std::span<int8_t> out) {
+                    u.run(in_b, out, batch, {}, range);
+                  },
+                  want_b, ow, out_ch),
+              "")
+        << "batch " << batch;
   }
 }
 
@@ -104,6 +100,8 @@ INSTANTIATE_TEST_SUITE_P(
                       UnpackCase{kConv, 9, 7, 5, 4, 3, 2, 0, 0.25},
                       UnpackCase{kConv, 6, 6, 1, 8, 1, 1, 0, 0.9},
                       UnpackCase{kConv, 6, 6, 2, 2, 3, 1, 1, 1.0},
+                      // out_w 19: two full position blocks and a tail.
+                      UnpackCase{kConv, 5, 19, 3, 4, 3, 1, 1, 0.4},
                       UnpackCase{kDw, 8, 8, 4, 0, 3, 1, 1, 0.0},
                       UnpackCase{kDw, 9, 9, 5, 0, 3, 2, 0, 0.3},
                       UnpackCase{kDw, 10, 10, 3, 0, 5, 1, 2, 0.5},
@@ -111,7 +109,8 @@ INSTANTIATE_TEST_SUITE_P(
                       UnpackCase{kDw, 7, 7, 5, 0, 3, 1, 2, 0.45},
                       UnpackCase{kDw, 6, 6, 8, 0, 1, 1, 0, 0.25},
                       UnpackCase{kDw, 7, 7, 3, 0, 1, 2, 0, 0.9},
-                      UnpackCase{kDw, 8, 6, 2, 0, 3, 2, 1, 1.0}));
+                      UnpackCase{kDw, 8, 6, 2, 0, 3, 2, 1, 1.0},
+                      UnpackCase{kDw, 5, 18, 3, 0, 3, 1, 1, 0.35}));
 
 TEST(UnpackedLayer, ExactBuildCountsEveryWeight) {
   ConvGeom g;

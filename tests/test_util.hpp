@@ -3,7 +3,10 @@
 // be tested across many shapes without training anything.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -123,6 +126,37 @@ inline void spread_model_wscales(QModel& m, uint64_t seed) {
       spread_wscales(*dw, rng);
     }
   }
+}
+
+// Runs `run(range, out)` once per column range [begin, end) of an
+// out_w-wide output map (out_ch channels per position, any number of
+// images), with `out` pre-filled with a sentinel. The range's columns
+// must equal `want` and every other element must keep the sentinel.
+// Returns the first mismatch, or "" when there is none.
+template <typename Run>
+std::string first_column_range_mismatch(const Run& run,
+                                        std::span<const int8_t> want,
+                                        int out_w, int out_ch) {
+  constexpr int8_t kSentinel = 0x5A;
+  std::vector<int8_t> got(want.size());
+  for (int begin = 0; begin < out_w; ++begin) {
+    for (int end = begin + 1; end <= out_w; ++end) {
+      std::fill(got.begin(), got.end(), kSentinel);
+      run(ColumnRange{begin, end}, std::span<int8_t>(got));
+      for (size_t i = 0; i < got.size(); ++i) {
+        const int ox = static_cast<int>((i / static_cast<size_t>(out_ch)) %
+                                        static_cast<size_t>(out_w));
+        const int8_t expect = ox >= begin && ox < end ? want[i] : kSentinel;
+        if (got[i] != expect) {
+          return "range [" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ") element " + std::to_string(i) +
+                 ": got " + std::to_string(got[i]) + ", want " +
+                 std::to_string(expect);
+        }
+      }
+    }
+  }
+  return "";
 }
 
 inline std::vector<int8_t> make_random_input(int64_t n, uint64_t seed) {
