@@ -29,9 +29,9 @@ void run_network(const BenchModel& m, Scale scale, ConsoleTable& table,
   const int eval_limit = scale == Scale::kQuick ? 300 : 800;
 
   // All-unpack (the paper's policy) vs hybrid at several budgets.
-  const UnpackedEngine all_unpack(&m.qmodel, &mask);
-  const DeployReport base =
-      all_unpack.deploy(m.data.test, board, eval_limit, "all-unpack");
+  UnpackedEngine all_unpack(&m.qmodel, &mask);
+  all_unpack.set_design_name("all-unpack");
+  const DeployReport base = all_unpack.deploy(m.data.test, board, eval_limit);
   table.row({m.name, "all-unpack (paper policy)",
              std::to_string(m.qmodel.conv_layer_count()),
              fmt(base.latency_ms, 1),
@@ -45,10 +45,9 @@ void run_network(const BenchModel& m, Scale scale, ConsoleTable& table,
     const HybridPlan plan =
         select_layers_to_unpack(m.qmodel, mask, budget_kb * 1024);
     const std::vector<uint8_t> selection = plan.unpack_selection();
-    const UnpackedEngine hybrid(&m.qmodel, &mask, {}, {}, &selection);
-    const DeployReport r = hybrid.deploy(
-        m.data.test, board, eval_limit,
-        "hybrid@" + std::to_string(budget_kb) + "KB");
+    UnpackedEngine hybrid(&m.qmodel, &mask, {}, {}, &selection);
+    hybrid.set_design_name("hybrid@" + std::to_string(budget_kb) + "KB");
+    const DeployReport r = hybrid.deploy(m.data.test, board, eval_limit);
     table.row({m.name, r.design, std::to_string(plan.unpacked_count()),
                fmt(r.latency_ms, 1),
                fmt(static_cast<double>(r.flash_bytes) / 1024.0, 0),

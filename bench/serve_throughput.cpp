@@ -22,9 +22,11 @@
 // caching + concurrency; the CSV labels each row with the host's
 // hardware-thread count and whether batched kernels were engaged, so a
 // 1-core SKIP row can no longer be mistaken for a multicore result.
-// Throughput target (ISSUE 6): serve@4 >= 3x serial-warm — warm is the
-// honest baseline now that engine construction is cached everywhere. The
-// verdict needs >= 4 hardware threads: inference is pure CPU work, so a
+// Throughput target: serve@4 >= 3x serial-warm — warm is the honest
+// baseline now that engine construction is cached everywhere. Those two
+// modes run five alternating times and the verdict compares their
+// median passes, since one pass of either swings by tens of percent on a
+// shared host. The verdict needs >= 4 hardware threads: inference is pure CPU work, so a
 // 1-core container cannot exhibit thread scaling and the harness says so
 // instead of faking it (--strict turns a missed, *evaluable* target into
 // exit 1 for CI use).
@@ -32,6 +34,7 @@
 //   ./build/bench/serve_throughput [--quick] [--strict]
 //                                  [--model micronet|lenet|alexnet]
 //                                  [--requests N]
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -39,6 +42,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "src/common/metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/sig/skip_plan.hpp"
 
@@ -158,14 +162,15 @@ int main(int argc, char** argv) {
   }
 
   // --- serial-warm: cached engine per configuration ----------------------
-  {
-    std::vector<std::unique_ptr<InferenceEngine>> engines;
-    for (const Key& key : keys) {
-      EngineConfig cfg;
-      cfg.model = &model;
-      cfg.mask = key.mask;
-      engines.push_back(EngineRegistry::instance().create(key.engine, cfg));
-    }
+  std::vector<std::unique_ptr<InferenceEngine>> engines;
+  for (const Key& key : keys) {
+    EngineConfig cfg;
+    cfg.model = &model;
+    cfg.mask = key.mask;
+    engines.push_back(EngineRegistry::instance().create(key.engine, cfg));
+  }
+  // Wall ms of one serial-warm pass; exits 2 on any divergence.
+  const auto serial_warm = [&] {
     Stopwatch sw;
     int mismatches = 0;
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -173,19 +178,18 @@ int main(int argc, char** argv) {
       if (logits != expected[i]) ++mismatches;
     }
     const double ms = sw.millis();
-    results.push_back({"serial-warm", ms, 1e3 * total / ms, 0, 0});
     if (mismatches != 0) {
       std::fprintf(stderr, "FATAL: serial-warm diverged on %d requests\n",
                    mismatches);
-      return 2;
+      std::exit(2);
     }
-  }
+    return ms;
+  };
 
-  // --- batched async runtime across worker counts ------------------------
-  const std::vector<int> worker_counts =
-      args.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  double serve4_req_per_s = -1.0;
-  for (const int workers : worker_counts) {
+  // --- batched async runtime ---------------------------------------------
+  // One fresh server pass with `workers` workers; exits 2 on any
+  // divergence.
+  const auto serve_pass = [&](int workers) {
     ServeOptions options;
     options.workers = workers;
     options.max_batch = 8;
@@ -206,13 +210,9 @@ int main(int argc, char** argv) {
                    "FATAL: serve@%d diverged from serial on %d requests — "
                    "determinism contract broken\n",
                    workers, mismatches);
-      return 2;
+      std::exit(2);
     }
     const ServeStats stats = server.stats();
-    results.push_back({"serve@" + std::to_string(workers), ms,
-                       1e3 * total / ms, stats.batches, stats.max_batch_seen,
-                       /*batched_kernels=*/true});
-    if (workers == 4) serve4_req_per_s = 1e3 * total / ms;
     std::printf(
         "[serve@%d] %lld batches (max fill %lld), %lld coalesced, "
         "%lld prototypes, %lld clones — all %d results bitwise == serial\n",
@@ -221,6 +221,42 @@ int main(int argc, char** argv) {
         static_cast<long long>(stats.coalesced),
         static_cast<long long>(stats.pool.prototypes_built),
         static_cast<long long>(stats.pool.engines_cloned), total);
+    return ModeResult{"serve@" + std::to_string(workers), ms, 1e3 * total / ms,
+                      stats.batches, stats.max_batch_seen,
+                      /*batched_kernels=*/true};
+  };
+
+  // The gated pair, serial-warm vs serve@4, runs kGateRepeats alternating
+  // times and reports each mode's median pass: one pass of either mode
+  // swings by tens of percent on a shared host. Every other mode runs
+  // once.
+  constexpr int kGateRepeats = 5;
+  std::vector<double> warm_ms;
+  std::vector<ModeResult> serve4;
+  for (int rep = 0; rep < kGateRepeats; ++rep) {
+    warm_ms.push_back(serial_warm());
+    serve4.push_back(serve_pass(4));
+    std::printf("[repeat %d] serial-warm %.1f ms, serve@4 %.1f ms (%.2fx)\n",
+                rep + 1, warm_ms.back(), serve4.back().wall_ms,
+                warm_ms.back() / serve4.back().wall_ms);
+  }
+  const double warm_median = percentile(warm_ms, 50.0);
+  results.push_back({"serial-warm", warm_median, 1e3 * total / warm_median, 0,
+                     0});
+  std::sort(serve4.begin(), serve4.end(),
+            [](const ModeResult& a, const ModeResult& b) {
+              return a.wall_ms < b.wall_ms;
+            });
+  const std::vector<int> worker_counts =
+      args.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
+  double serve4_req_per_s = -1.0;
+  for (const int workers : worker_counts) {
+    if (workers == 4) {
+      results.push_back(serve4[kGateRepeats / 2]);  // the median pass
+      serve4_req_per_s = results.back().req_per_s;
+    } else {
+      results.push_back(serve_pass(workers));
+    }
   }
 
   // --- report -------------------------------------------------------------
@@ -262,7 +298,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool pass = speedup >= 3.0;
-  std::printf("[verdict] %s: serve@4 is %.2fx serial-warm (target >=3x)\n",
-              pass ? "PASS" : "FAIL", speedup);
+  std::printf(
+      "[verdict] %s: median serve@4 is %.2fx median serial-warm over %d "
+      "alternating repeats (target >=3x)\n",
+      pass ? "PASS" : "FAIL", speedup, kGateRepeats);
   return pass || !args.strict ? 0 : 1;
 }

@@ -43,12 +43,9 @@ void PackedKernels::run_step(const ExecStep& step, const StepIO& io) const {
 
 CmsisEngine::CmsisEngine(const QModel* model, std::string design_name,
                          const PriceList& prices)
-    : InferenceEngine(model, std::move(design_name)),
-      plan_(ExecPlan::compile(*model)),
+    : InferenceEngine(model, nullptr, std::move(design_name)),
       kernels_(model) {
-  ModelPrice price = price_model(*model, prices);
-  total_cycles_ = price.total_cycles;
-  profile_ = std::move(price.rows);
+  price_ = price_model(*model, prices);
 }
 
 CmsisEngine::CmsisEngine(const QModel* model, CortexM33CostTable costs,

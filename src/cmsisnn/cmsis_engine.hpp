@@ -52,43 +52,19 @@ class CmsisEngine : public InferenceEngine {
   // formulas (weight compression, a smaller runtime) differ.
   CmsisEngine(const QModel* model, const XCubeCostTable& xcube);
 
-  std::vector<int8_t> run(std::span<const uint8_t> image) const override {
-    return plan_.run(image, kernels_);
-  }
-  void run_batch(std::span<const std::span<const uint8_t>> images,
-                 std::vector<std::vector<int8_t>>& logits_out) const override {
-    check_batch_nonempty(images);
-    plan_.run_batch(images, kernels_, logits_out);
-  }
-  std::vector<int8_t> run_incremental(
-      StreamState& state, std::span<const uint8_t> new_columns) const override {
-    return plan_.run_incremental(state, new_columns, kernels_);
-  }
-
-  // Copies the offline-packed weight streams and the precomputed profile
-  // instead of re-running the packing analysis.
+  // Copies the offline-packed weight streams and the priced cost instead
+  // of re-running the packing analysis.
   std::unique_ptr<InferenceEngine> clone() const override {
     return std::make_unique<CmsisEngine>(*this);
   }
-
-  // Structure-derived metrics (no execution needed).
-  int64_t total_cycles() const override { return total_cycles_; }
-  const std::vector<LayerProfile>& layer_profile() const override {
-    return profile_;
-  }
-  int64_t flash_bytes() const override { return flash_bytes_; }
-  int64_t ram_bytes() const override { return ram_bytes_; }
 
  private:
   CmsisEngine(const QModel* model, std::string design_name,
               const PriceList& prices);
 
-  ExecPlan plan_;
+  const KernelTable& kernels() const override { return kernels_; }
+
   PackedKernels kernels_;
-  std::vector<LayerProfile> profile_;
-  int64_t total_cycles_ = 0;
-  int64_t flash_bytes_ = 0;
-  int64_t ram_bytes_ = 0;
 };
 
 }  // namespace ataman

@@ -3,6 +3,7 @@
 #include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/core/eval.hpp"
 #include "src/nn/engine.hpp"
+#include "src/nn/skip_mask.hpp"
 #include "src/unpack/unpacked_engine.hpp"
 
 namespace ataman {
@@ -39,6 +40,34 @@ double reconstruction_score(const QModel& model,
   return sum / static_cast<double>(q_input.size());
 }
 
+InferenceEngine::InferenceEngine(const QModel* model, const SkipMask* mask,
+                                 std::string design_name)
+    : model_(model), mask_(mask), design_name_(std::move(design_name)) {
+  check(model != nullptr, "engine needs a model");
+  check(!model->layers.empty(), "model has no layers");
+  plan_ = ExecPlan::compile(*model);
+  price_.macs = model->mac_count() -
+                (mask != nullptr ? mask->skipped_macs(*model) : 0);
+}
+
+void InferenceEngine::run_batch(
+    std::span<const std::span<const uint8_t>> images,
+    std::vector<std::vector<int8_t>>& logits_out) const {
+  if (images.empty())
+    fail("run_batch on engine '" + design_name_ +
+         "': batch must contain at least one image");
+  plan_.run_batch(images, kernels(), logits_out);
+}
+
+std::vector<int8_t> InferenceEngine::run_incremental(
+    StreamState& state, std::span<const uint8_t> new_columns) const {
+  check(!state.started() || state.bound_mask == mask_,
+        "run_incremental: mask changed mid-session — a streaming session "
+        "is one fixed configuration (open a new session to switch)");
+  state.bound_mask = mask_;
+  return plan_.run_incremental(state, new_columns, kernels());
+}
+
 int InferenceEngine::classify(std::span<const uint8_t> image) const {
   if (model().head == TaskHead::kScore)
     return scored_class(model(), score(image));
@@ -50,36 +79,6 @@ double InferenceEngine::score(std::span<const uint8_t> image) const {
     fail("score() on engine '" + design_name_ + "': model '" + model().name +
          "' has an argmax head");
   return reconstruction_score(model(), quantize_input(image), run(image));
-}
-
-void InferenceEngine::decline_capability(const char* api) const {
-  fail("engine '" + design_name_ + "' does not support " + api +
-       " (callers without a fallback should pick a capable backend)");
-}
-
-std::vector<int8_t> InferenceEngine::run_incremental(
-    StreamState& state, std::span<const uint8_t> new_columns) const {
-  (void)state;
-  (void)new_columns;
-  decline_capability("run_incremental");
-}
-
-void InferenceEngine::run_batch(
-    std::span<const std::span<const uint8_t>> images,
-    std::vector<std::vector<int8_t>>& logits_out) const {
-  check_batch_nonempty(images);
-  logits_out.assign(images.size(), {});
-  for (size_t i = 0; i < images.size(); ++i) logits_out[i] = run(images[i]);
-}
-
-void InferenceEngine::rebind_mask(const SkipMask* mask) {
-  (void)mask;
-  decline_capability("rebind_mask");
-}
-
-const std::vector<LayerProfile>& InferenceEngine::layer_profile() const {
-  static const std::vector<LayerProfile> kEmpty;
-  return kEmpty;
 }
 
 DeployReport InferenceEngine::deploy(const Dataset& eval,
@@ -95,9 +94,7 @@ EngineRegistry& EngineRegistry::instance() {
 
 EngineRegistry::EngineRegistry() {
   factories_["ref"] = [](const EngineConfig& cfg) {
-    auto engine = std::make_unique<RefEngine>(cfg.model);
-    engine->bind_mask(cfg.mask);
-    return engine;
+    return std::make_unique<RefEngine>(cfg.model, cfg.mask);
   };
   factories_["cmsis"] = [](const EngineConfig& cfg) {
     return std::make_unique<CmsisEngine>(cfg.model, cfg.costs, cfg.memory);

@@ -3,10 +3,11 @@
 // Every backend — the golden reference kernels (`src/nn`), the packed
 // CMSIS-NN-style baseline and the X-CUBE-AI comparator priced over it
 // (`src/cmsisnn`), and the paper's unpacked approximate engine
-// (`src/unpack`) — implements `InferenceEngine` and registers a factory
-// with `EngineRegistry`. Evaluation loops (the DSE, the Table II bench,
-// the CLI) only ever talk to this interface, so adding a backend is a
-// single registration, not a new wiring job per call site.
+// (`src/unpack`) — is an `InferenceEngine` that supplies one kernel
+// table for the shared plan walk, and registers a factory with
+// `EngineRegistry`. Evaluation loops (the DSE, the Table II bench, the
+// CLI) only ever talk to this interface, so adding a backend is a single
+// registration, not a new wiring job per call site.
 //
 // Cost semantics: `total_cycles`/`flash_bytes`/`ram_bytes` describe the
 // *modeled MCU deployment* of the engine's instruction stream. An engine
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/data/dataset.hpp"
 #include "src/mcu/board.hpp"
 #include "src/mcu/cost_model.hpp"
@@ -95,9 +97,8 @@ struct StreamState {
   int frames = 0;  // frames executed so far
   // Mask identity of the session's first frame: a streaming session is
   // one fixed configuration — splicing activations produced under a
-  // different mask would splice different arithmetic. The reference
-  // engine rejects a mid-session mask change (the other engines bake
-  // their mask in at construction).
+  // different mask would splice different arithmetic, so run_incremental
+  // rejects a frame from an engine built with another mask.
   const SkipMask* bound_mask = nullptr;
 
   // Reuse accounting, maintained by run_incremental.
@@ -109,6 +110,13 @@ struct StreamState {
   bool started() const { return frames > 0; }
 };
 
+// One engine = the shared plan walk + a kernel table + a cost fixed at
+// construction. The base compiles the model's ExecPlan and owns every
+// entry point (run, run_batch, run_incremental, classify, score,
+// deploy); a backend only supplies how one step executes (`kernels()`)
+// and writes its modeled cost once in its constructor. The skip mask,
+// if any, is fixed at construction too: a different mask is a different
+// engine (serve pools key engines per mask).
 class InferenceEngine {
  public:
   virtual ~InferenceEngine() = default;
@@ -124,23 +132,19 @@ class InferenceEngine {
   std::vector<int8_t> quantize_input(std::span<const uint8_t> image) const;
 
   // Full inference; returns the final layer's int8 logits.
-  virtual std::vector<int8_t> run(std::span<const uint8_t> image) const = 0;
+  std::vector<int8_t> run(std::span<const uint8_t> image) const {
+    return plan_.run(image, kernels());
+  }
 
   // Batched inference: one logits vector per input image, bitwise
   // identical to calling run() on each image in isolation — batch size,
   // batch composition (including duplicate images) and ragged final
-  // batches can never change a single logit. `logits_out` is resized to
-  // images.size(); previous contents are discarded. An empty batch is a
-  // hard error.
-  //
-  // The default implementation loops run() per image, so out-of-tree
-  // backends keep working unchanged. The in-tree engines walk their
-  // compiled plan over the whole batch instead (src/core/exec_plan.hpp)
-  // and do NOT call run() per image — a subclass that intercepts
-  // execution by overriding run() must override run_batch too
-  // (tests/test_serve.cpp GateEngine is the in-tree example).
-  virtual void run_batch(std::span<const std::span<const uint8_t>> images,
-                         std::vector<std::vector<int8_t>>& logits_out) const;
+  // batches can never change a single logit. Each layer runs over every
+  // image before the next one starts, so its weights stay hot across the
+  // batch. `logits_out` is resized to images.size(); previous contents
+  // are discarded. An empty batch is a hard error.
+  void run_batch(std::span<const std::span<const uint8_t>> images,
+                 std::vector<std::vector<int8_t>>& logits_out) const;
 
   // Streaming-frame inference with temporal activation reuse.
   // `new_columns` holds the `s` newest input columns in [h][s][c] u8
@@ -149,87 +153,72 @@ class InferenceEngine {
   // int8 logits, bitwise identical to run() on the full assembled
   // window — src/mcu/stream_plan.hpp derives why splicing is exact.
   // Advances `state` (ring of past activations, strides, reuse
-  // counters) only when the frame succeeds. Every in-tree engine
-  // forwards to its compiled plan (ExecPlan::run_incremental); the base
-  // class declines, so an out-of-tree backend without a plan fails on a
-  // session's first frame.
-  virtual std::vector<int8_t> run_incremental(
+  // counters) only when the frame succeeds. The session's first frame
+  // pins the engine's mask; a frame from an engine with another mask
+  // throws.
+  std::vector<int8_t> run_incremental(
       StreamState& state, std::span<const uint8_t> new_columns) const;
 
   // Top-1 class; ties broken lowest-index-wins (argmax_lowest_index).
   // On scored models (TaskHead::kScore) the decision is instead
   // scored_class(reconstruction_score(...)): 1 = anomalous.
-  virtual int classify(std::span<const uint8_t> image) const;
+  int classify(std::span<const uint8_t> image) const;
 
   // Scalar anomaly score of a scored model: run() + reconstruction_score.
   // Bit-exact across backends (see reconstruction_score). Throws on
   // TaskHead::kClassify models, whose head has no scalar reduction.
-  virtual double score(std::span<const uint8_t> image) const;
+  double score(std::span<const uint8_t> image) const;
 
   // Cheap duplicate for per-worker engine pools (src/serve): copies the
-  // engine's derived state (packed weight streams, unpacked channel
-  // programs, precomputed cost tallies) without re-running the expensive
-  // constructor analysis, and shares the immutable QModel / bound
-  // SkipMask through the same non-owning pointers. Returns nullptr when
-  // the backend is not clonable; callers (EnginePool) then fall back to
-  // building a fresh instance through the registry factory. All four
-  // in-tree backends clone.
-  virtual std::unique_ptr<InferenceEngine> clone() const { return nullptr; }
-
-  // Mask rebinding: a backend that applies the skip mask at *run* time
-  // (the reference oracle) can swap masks between inferences on one
-  // instance, so a pool keeps one engine per worker for any number of
-  // approximate configs. Backends that bake the mask into constructed
-  // state (unpacked instruction streams) cannot rebind — pools key those
-  // per mask instead. `mask` must outlive the engine; nullptr unbinds.
-  // Throws unless supports_mask_rebind().
-  virtual bool supports_mask_rebind() const { return false; }
-  virtual void rebind_mask(const SkipMask* mask);
+  // compiled plan and the backend's derived state (packed weight
+  // streams, unpacked channel programs, the priced cost) without
+  // re-running the constructor analysis, and shares the immutable
+  // QModel / SkipMask through the same non-owning pointers.
+  virtual std::unique_ptr<InferenceEngine> clone() const = 0;
 
   // Modeled deployment cost of one inference (0 = not modeled).
-  virtual int64_t total_cycles() const = 0;
+  int64_t total_cycles() const { return price_.total_cycles; }
 
   // Per-layer cycle/MAC breakdown (empty when the engine does not profile).
-  virtual const std::vector<LayerProfile>& layer_profile() const;
+  const std::vector<LayerProfile>& layer_profile() const {
+    return price_.rows;
+  }
 
   // Executed (non-skipped) conv/depthwise + fc MACs per inference.
-  virtual int64_t mac_ops() const { return model().mac_count(); }
+  int64_t mac_ops() const { return price_.macs; }
 
   // Modeled deployment footprint (0 = not modeled).
-  virtual int64_t flash_bytes() const { return 0; }
-  virtual int64_t ram_bytes() const { return 0; }
+  int64_t flash_bytes() const { return flash_bytes_; }
+  int64_t ram_bytes() const { return ram_bytes_; }
 
   // Full Table II row: accuracy measured on `eval` (up to `limit` images,
   // all if < 0) through the shared batched evaluator in src/core/eval,
-  // cost columns from the virtual accessors above.
-  virtual DeployReport deploy(const Dataset& eval, const BoardSpec& board,
-                              int limit = -1) const;
+  // cost columns from the accessors above.
+  DeployReport deploy(const Dataset& eval, const BoardSpec& board,
+                      int limit = -1) const;
 
  protected:
-  InferenceEngine(const QModel* model, std::string design_name)
-      : model_(model), design_name_(std::move(design_name)) {
-    check(model != nullptr, "engine needs a model");
-    check(!model->layers.empty(), "model has no layers");
-  }
+  // Compiles the plan and validates `mask` (which must outlive the
+  // engine) against the model. `price_.macs` starts as the mask's
+  // executed MACs; the subclass constructor writes the rest of the cost.
+  InferenceEngine(const QModel* model, const SkipMask* mask,
+                  std::string design_name);
 
-  // Uniform refusal for the optional capabilities (run_incremental,
-  // rebind_mask): every decline throws the same message shape, naming
-  // the engine and the declined API. Pinned by the contract test in
-  // tests/test_streaming.cpp.
-  [[noreturn]] void decline_capability(const char* api) const;
+  // How this backend executes one plan step.
+  virtual const KernelTable& kernels() const = 0;
 
-  // Shared run_batch entry validation: empty batches are a hard error
-  // everywhere (a silent zero-output success would hide scheduler bugs).
-  void check_batch_nonempty(
-      std::span<const std::span<const uint8_t>> images) const {
-    if (images.empty())
-      fail("run_batch on engine '" + design_name_ +
-           "': batch must contain at least one image");
-  }
+  const ExecPlan& plan() const { return plan_; }
+
+  // The modeled cost, written once by the subclass constructor.
+  ModelPrice price_;
+  int64_t flash_bytes_ = 0;
+  int64_t ram_bytes_ = 0;
 
  private:
   const QModel* model_;
+  const SkipMask* mask_;
   std::string design_name_;
+  ExecPlan plan_;
 };
 
 // Everything a factory may need to build any registered backend. Fields a
@@ -250,8 +239,8 @@ struct EngineConfig {
 };
 
 // String-keyed engine factory. The four in-tree backends self-register as
-// "ref", "cmsis", "unpacked" and "xcube"; out-of-tree backends register at
-// startup with register_engine. Thread-safe: create() may be called from
+// "ref", "cmsis", "unpacked" and "xcube"; register_engine adds or
+// replaces one (the serve tests inject a blocking engine this way). Thread-safe: create() may be called from
 // inside parallel regions (the DSE does).
 class EngineRegistry {
  public:

@@ -31,67 +31,54 @@ namespace ataman {
 using ConvTap =
     std::function<void(int, const QLayer&, std::span<const int8_t>)>;
 
+// Reference kernel table: every step through the reference kernels,
+// image by image, under `mask` (the skip row looked up by approximable
+// ordinal at run time) and with the optional conv-input tap.
+class RefKernels final : public KernelTable {
+ public:
+  RefKernels(const QModel* model, const SkipMask* mask, const ConvTap* tap)
+      : model_(model), mask_(mask), tap_(tap) {}
+
+  void run_step(const ExecStep& step, const StepIO& io) const override;
+  // Each skipped operand saves one MAC per output position.
+  int64_t executed_macs(const ExecStep& step) const override;
+
+ private:
+  const QModel* model_;
+  const SkipMask* mask_;
+  const ConvTap* tap_;
+};
+
 class RefEngine : public InferenceEngine {
  public:
-  explicit RefEngine(const QModel* model);
-
-  // Mask applied by the virtual run/classify when none is passed
-  // explicitly (how the registry binds a mask to a "ref" engine).
-  // `mask` must outlive the engine; nullptr unbinds.
-  void bind_mask(const SkipMask* mask) { default_mask_ = mask; }
-
-  // The mask lives in run-time state only, so one instance serves any
-  // number of approximate configs (serve pools rebind per micro-batch).
-  bool supports_mask_rebind() const override { return true; }
-  void rebind_mask(const SkipMask* mask) override { bind_mask(mask); }
+  // `mask` (nullptr = exact) must outlive the engine.
+  explicit RefEngine(const QModel* model, const SkipMask* mask = nullptr);
 
   // Copies the compiled plan; the model and mask stay shared.
   std::unique_ptr<InferenceEngine> clone() const override {
     return std::make_unique<RefEngine>(*this);
   }
 
-  // InferenceEngine: exact (or bound-mask) inference.
-  std::vector<int8_t> run(std::span<const uint8_t> image) const override;
-  using InferenceEngine::classify;
-
-  // The plan walk over the whole batch under the bound mask: each layer
-  // runs over every image before the next one starts, so its weights
-  // stay hot across the batch instead of being re-streamed per image.
-  void run_batch(std::span<const std::span<const uint8_t>> images,
-                 std::vector<std::vector<int8_t>>& logits_out) const override;
-
-  int64_t total_cycles() const override { return 0; }  // not modeled
-  int64_t mac_ops() const override;  // executed MACs under the bound mask
-  int64_t flash_bytes() const override { return 0; }
-  int64_t ram_bytes() const override { return 0; }
-
   // Layer-boundary resume: `activations` is tensor `layer_begin` (the
   // int8 output of layer layer_begin-1; the network input for 0), and
-  // layers [layer_begin, layers.size()) run under the bound mask to the
-  // final logits; `layer_begin == layers.size()` returns `activations`.
-  // `layer_begin` must be a linear boundary (QModel::linear_boundary),
-  // since one tensor must carry the whole activation frontier.
+  // layers [layer_begin, layers.size()) run under the engine's mask to
+  // the final logits; `layer_begin == layers.size()` returns
+  // `activations`. `layer_begin` must be a linear boundary
+  // (QModel::linear_boundary), since one tensor must carry the whole
+  // activation frontier.
   std::vector<int8_t> run_from(int layer_begin,
                                std::span<const int8_t> activations) const;
 
-  // Streaming frames through the plan's streaming walker under the bound
-  // mask; the mask identity is pinned by the session's first frame. See
-  // InferenceEngine::run_incremental.
-  std::vector<int8_t> run_incremental(
-      StreamState& state,
-      std::span<const uint8_t> new_columns) const override;
-
   // Full inference with an explicit mask and optional conv-input tap.
+  using InferenceEngine::run;
   std::vector<int8_t> run(std::span<const uint8_t> image,
                           const SkipMask* mask,
                           const ConvTap& tap = nullptr) const;
 
-  int classify(std::span<const uint8_t> image, const SkipMask* mask) const;
-
  private:
-  // The compiled plan every entry point walks.
-  ExecPlan plan_;
-  const SkipMask* default_mask_ = nullptr;
+  const KernelTable& kernels() const override { return kernels_; }
+
+  RefKernels kernels_;  // under the engine's mask, no tap
 };
 
 // Top-1 accuracy of `model` on up to `limit` images of `ds` (all if

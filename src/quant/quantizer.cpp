@@ -639,6 +639,16 @@ QModel load_qmodel(const std::string& path) {
     check(head <= 1, "bad head tag in " + path);
     m.head = static_cast<TaskHead>(head);
     m.score_threshold = r.f32();
+    // A scored head reconstructs the input through a final dense layer
+    // (reconstruction_score).
+    const auto* last =
+        m.layers.empty() ? nullptr : std::get_if<QDense>(&m.layers.back());
+    check(m.head != TaskHead::kScore ||
+              (last != nullptr &&
+               static_cast<int64_t>(last->out_dim) ==
+                   static_cast<int64_t>(m.in_h) * m.in_w * m.in_c),
+          "scored head needs a final dense layer as wide as the input in " +
+              path);
   }
   // Per-channel requant trailer (absent in pre-PR-9 artifacts: the inline
   // broadcast above already holds).

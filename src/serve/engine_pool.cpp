@@ -1,7 +1,6 @@
 #include "src/serve/engine_pool.hpp"
 
 #include "src/common/error.hpp"
-#include "src/nn/skip_mask.hpp"
 
 namespace ataman::serve {
 
@@ -26,52 +25,23 @@ EnginePool::EnginePool(const QModel* model, int workers,
   check(model != nullptr, "EnginePool needs a model");
 }
 
-std::unique_ptr<InferenceEngine> EnginePool::build_from_registry(
-    const Key& key) const {
-  EngineConfig cfg;
-  cfg.model = model_;
-  cfg.mask = key.second;
-  cfg.costs = costs_;
-  cfg.memory = memory_;
-  cfg.xcube = &xcube_;
-  return EngineRegistry::instance().create(key.first, cfg);
-}
-
-std::unique_ptr<InferenceEngine> EnginePool::make_instance(
-    const std::string& backend, const SkipMask* mask, bool& rebindable_out) {
+std::unique_ptr<InferenceEngine> EnginePool::make_instance(const Key& key) {
   const std::lock_guard<std::mutex> lock(proto_mutex_);
-  auto flag = rebindable_.find(backend);
-  if (flag == rebindable_.end()) {
-    // First contact with this backend anywhere: build the prototype for
-    // the configuration actually requested (no wasted probe build) and
-    // read the class-level rebindability off it.
-    std::unique_ptr<InferenceEngine> proto =
-        build_from_registry(Key{backend, mask});
-    ++stats_.prototypes_built;
-    const bool rebinds = proto->supports_mask_rebind();
-    flag = rebindable_.emplace(backend, rebinds).first;
-    // A rebindable prototype is stored under the collapsed (nullptr)
-    // key; whatever mask it was built with is rebound before every use.
-    prototypes_.emplace(Key{backend, rebinds ? nullptr : mask},
-                        std::move(proto));
-  }
-  rebindable_out = flag->second;
-
-  const Key key{backend, rebindable_out ? nullptr : mask};
   auto it = prototypes_.find(key);
   if (it == prototypes_.end()) {
-    it = prototypes_.emplace(key, build_from_registry(key)).first;
+    EngineConfig cfg;
+    cfg.model = model_;
+    cfg.mask = key.second;
+    cfg.costs = costs_;
+    cfg.memory = memory_;
+    cfg.xcube = &xcube_;
+    it = prototypes_
+             .emplace(key, EngineRegistry::instance().create(key.first, cfg))
+             .first;
     ++stats_.prototypes_built;
   }
-  std::unique_ptr<InferenceEngine> instance = it->second->clone();
-  if (instance != nullptr) {
-    ++stats_.engines_cloned;
-  } else {
-    // Backend declined to clone: build this worker's own instance.
-    instance = build_from_registry(key);
-    ++stats_.factory_builds;
-  }
-  return instance;
+  ++stats_.engines_cloned;
+  return it->second->clone();
 }
 
 InferenceEngine& EnginePool::engine_for(int worker,
@@ -79,30 +49,12 @@ InferenceEngine& EnginePool::engine_for(int worker,
                                         const SkipMask* mask) {
   check(worker >= 0 && worker < static_cast<int>(per_worker_.size()),
         "engine_for: worker id out of range");
-  WorkerState& ws = per_worker_[static_cast<size_t>(worker)];
-
-  // Steady state: this worker has served the backend before — resolve
-  // the key from its private rebindability copy and hit its private
-  // cache, no shared lock involved.
-  const auto flag = ws.rebindable.find(backend);
-  if (flag != ws.rebindable.end()) {
-    const Key key{backend, flag->second ? nullptr : mask};
-    const auto it = ws.engines.find(key);
-    if (it != ws.engines.end()) {
-      if (flag->second) it->second->rebind_mask(mask);
-      return *it->second;
-    }
-  }
-
-  bool rebindable = false;
-  std::unique_ptr<InferenceEngine> instance =
-      make_instance(backend, mask, rebindable);
-  ws.rebindable[backend] = rebindable;
-  const Key key{backend, rebindable ? nullptr : mask};
-  InferenceEngine& engine =
-      *ws.engines.emplace(key, std::move(instance)).first->second;
-  if (rebindable) engine.rebind_mask(mask);
-  return engine;
+  EngineMap& engines = per_worker_[static_cast<size_t>(worker)];
+  const Key key{backend, mask};
+  auto it = engines.find(key);
+  if (it == engines.end())
+    it = engines.emplace(key, make_instance(key)).first;
+  return *it->second;
 }
 
 EnginePoolStats EnginePool::stats() const {

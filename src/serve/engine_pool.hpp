@@ -9,23 +9,13 @@
 //
 // Construction is two-tier so warmup stays cheap:
 //   * The first request for a (backend, mask) key builds a shared
-//     *prototype* through EngineRegistry — the expensive path (weight
-//     packing, program unpacking, cycle pricing).
+//     *prototype* through EngineRegistry — the expensive path (plan
+//     compilation, weight packing, program unpacking, cycle pricing).
 //   * Each worker then takes InferenceEngine::clone() of the prototype —
-//     a flat copy of the derived state. Backends that decline to clone
-//     (clone() == nullptr) fall back to a per-worker factory build.
-//   * Mask-rebindable backends ("ref") collapse the mask dimension: one
-//     instance per worker total, mask rebound per micro-batch through
-//     the bind_mask seam — a thousand approximate configs never mean a
-//     thousand RefEngines.
-//
-// Whether a backend rebinds is resolved from its first prototype and
-// cached per backend name (rebindability is a property of the backend
-// class, not of one configuration — which also means a factory must not
-// return rebindable engines for some configs and non-rebindable ones
-// for others). Each worker keeps its own copy of the flag, so the
-// steady state — engine already cloned — touches no shared lock at all;
-// the global mutex is only taken to build something new.
+//     a flat copy of the derived state — once per key it serves.
+// Every engine fixes its mask at construction, so every backend keys per
+// mask. The steady state — engine already cloned — touches only the
+// worker's own map; the pool mutex is taken only to build something new.
 //
 // Exact backends that ignore masks (cmsis, xcube) should be addressed
 // with mask == nullptr; a non-null mask is keyed literally and would
@@ -47,7 +37,6 @@ namespace ataman::serve {
 struct EnginePoolStats {
   int64_t prototypes_built = 0;  // registry builds shared across workers
   int64_t engines_cloned = 0;    // cheap per-worker clones
-  int64_t factory_builds = 0;    // per-worker fallback registry builds
 };
 
 class EnginePool {
@@ -57,47 +46,35 @@ class EnginePool {
   EnginePool(const QModel* model, int workers, CortexM33CostTable costs = {},
              MemoryCostTable memory = {}, XCubeCostTable xcube = {});
 
-  // The engine owned by `worker` for (backend, mask), built lazily, with
-  // `mask` bound (rebound in place for rebindable backends, baked in at
-  // construction otherwise). Thread contract: any number of workers may
-  // call concurrently, but each worker id must have at most one caller —
-  // the returned reference is only safe to use on that worker's thread,
-  // and it stays valid until the pool dies.
+  // The engine owned by `worker` for (backend, mask), built lazily.
+  // Thread contract: any number of workers may call concurrently, but
+  // each worker id must have at most one caller — the returned reference
+  // is only safe to use on that worker's thread, and it stays valid
+  // until the pool dies.
   InferenceEngine& engine_for(int worker, const std::string& backend,
                               const SkipMask* mask);
 
   EnginePoolStats stats() const;
 
  private:
-  // Resolved cache key: the mask slot is nullptr for rebindable
-  // backends (one instance covers every mask).
   using Key = std::pair<std::string, const SkipMask*>;
+  using EngineMap = std::map<Key, std::unique_ptr<InferenceEngine>>;
 
-  struct WorkerState {
-    std::map<std::string, bool> rebindable;  // per-backend flag copy
-    std::map<Key, std::unique_ptr<InferenceEngine>> engines;
-  };
-
-  std::unique_ptr<InferenceEngine> build_from_registry(const Key& key) const;
-
-  // Slow path: resolve the backend's rebindability, build/find the
-  // prototype and produce this worker's instance. Takes proto_mutex_.
-  std::unique_ptr<InferenceEngine> make_instance(const std::string& backend,
-                                                 const SkipMask* mask,
-                                                 bool& rebindable_out);
+  // Slow path: build/find the key's prototype and clone it for a worker.
+  // Takes proto_mutex_.
+  std::unique_ptr<InferenceEngine> make_instance(const Key& key);
 
   const QModel* model_;
   CortexM33CostTable costs_;
   MemoryCostTable memory_;
   XCubeCostTable xcube_;
 
-  mutable std::mutex proto_mutex_;  // guards the three members below
-  std::map<Key, std::unique_ptr<InferenceEngine>> prototypes_;
-  std::map<std::string, bool> rebindable_;
+  mutable std::mutex proto_mutex_;  // guards the two members below
+  EngineMap prototypes_;
   EnginePoolStats stats_;
 
   // per_worker_[w] is touched only by worker w (no lock needed).
-  std::vector<WorkerState> per_worker_;
+  std::vector<EngineMap> per_worker_;
 };
 
 }  // namespace ataman::serve

@@ -205,13 +205,11 @@ void InferenceServer::worker_main(int worker_id) {
       }
     } else {
       // One run_batch call executes the whole coalesced batch, so the
-      // engine's batch-amortized kernels engage (or the per-image
-      // fallback loop, for engines without one — same numerics either
-      // way: run_batch is bitwise equal to per-image run() by contract,
-      // which keeps the serve determinism guarantee intact for any
-      // worker count, batch size, or arrival order). A kernel error
-      // fails every request in the batch: there is no per-image retry
-      // state once execution is fused.
+      // engine's batch-amortized kernels engage — same numerics as
+      // per-image run() by contract, which keeps the serve determinism
+      // guarantee intact for any worker count, batch size, or arrival
+      // order. A kernel error fails every request in the batch: there is
+      // no per-image retry state once execution is fused.
       const auto start = std::chrono::steady_clock::now();
       std::vector<std::span<const uint8_t>> images;
       images.reserve(batch.size());
@@ -232,13 +230,20 @@ void InferenceServer::worker_main(int worker_id) {
         }
         InferResult r;
         r.logits = std::move(logits[i]);
-        if (engine->model().head == TaskHead::kScore) {
-          r.score = reconstruction_score(
-              engine->model(), engine->quantize_input(job.request.image),
-              r.logits);
-          r.top1 = scored_class(engine->model(), r.score);
-        } else {
-          r.top1 = argmax_lowest_index(r.logits);
+        try {
+          // The head reduction rejects a model whose head does not fit
+          // its last layer; that fails the request, not the worker.
+          if (engine->model().head == TaskHead::kScore) {
+            r.score = reconstruction_score(
+                engine->model(), engine->quantize_input(job.request.image),
+                r.logits);
+            r.top1 = scored_class(engine->model(), r.score);
+          } else {
+            r.top1 = argmax_lowest_index(r.logits);
+          }
+        } catch (const std::exception& e) {
+          job.state->fail_with(e.what(), /*was_cancelled=*/false);
+          continue;
         }
         r.queue_ms = ms_between(job.enqueued, start);
         r.run_ms = ms_between(start, end);  // batch wall time, per job

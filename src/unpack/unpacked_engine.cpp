@@ -22,16 +22,13 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
                                CortexM33CostTable costs,
                                MemoryCostTable memory,
                                const std::vector<uint8_t>* unpack_selection)
-    : InferenceEngine(model, "ataman"),
-      memory_(memory),
-      plan_(ExecPlan::compile(*model)),
+    : InferenceEngine(model, mask, "ataman"),
       unpacked_(checked_selection(*model, unpack_selection)),
       programs_(unpacked_.size()),
       packed_(model, &unpacked_),
       static_pairs_(unpacked_.size(), -1),
       static_singles_(unpacked_.size(), 0) {
-  if (mask != nullptr) mask->validate(this->model());
-  for (const ExecStep& step : plan_.steps) {
+  for (const ExecStep& step : plan().steps) {
     const int ordinal = step.approx_ordinal;
     // Packed layers execute exactly: static skips cannot remove work
     // from loop kernels (the paper's argument for unpacking).
@@ -43,12 +40,11 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
     static_pairs_[o] = u.static_pairs();
     static_singles_[o] = u.static_singles();
   }
-  ModelPrice price =
+  price_ =
       price_model(*model, PriceList{PriceList::Family::kUnpacked, costs, {}},
                   static_pairs_, static_singles_);
-  total_cycles_ = price.total_cycles;
-  executed_macs_ = price.macs;
-  profile_ = std::move(price.rows);
+  flash_bytes_ = flash(memory).total_bytes;
+  ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/false, memory);
 }
 
 int UnpackedEngine::unpacked_conv_count() const {
@@ -64,18 +60,6 @@ void UnpackedEngine::run_step(const ExecStep& step,
     if (u) return u->run(io.in_a, io.out, io.batch, io.scratch, io.cols);
   }
   packed_.run_step(step, io);
-}
-
-int64_t UnpackedEngine::ram_bytes() const {
-  return model_ram_bytes(model(), /*packed_engine=*/false, memory_);
-}
-
-DeployReport UnpackedEngine::deploy(const Dataset& eval,
-                                    const BoardSpec& board, int limit,
-                                    const std::string& design_name) const {
-  DeployReport r = InferenceEngine::deploy(eval, board, limit);
-  r.design = design_name;
-  return r;
 }
 
 }  // namespace ataman

@@ -93,7 +93,7 @@ TEST(EngineRegistry, DesignNameOverrideAndCustomRegistration) {
   cfg.design_name = "my-label";
   EXPECT_EQ(reg.create("cmsis", cfg)->design_name(), "my-label");
 
-  // Out-of-tree backends are a single registration.
+  // A new backend is a single registration.
   reg.register_engine("test-custom", [](const EngineConfig& c) {
     return std::make_unique<RefEngine>(c.model);
   });

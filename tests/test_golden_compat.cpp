@@ -6,7 +6,8 @@
 // The loader must broadcast those scalars into per-channel vectors and
 // reproduce the recorded logits bitwise on every backend — old deployed
 // artifacts keep working, bit for bit. A copy of it with a truncated
-// weight or bias tensor, or a zero conv or pool stride, must fail to load.
+// weight or bias tensor, or a zero conv or pool stride, must fail to load,
+// and so must a scored head on a model that cannot reconstruct its input.
 //
 // The golden logits were recorded with the pre-change library on four
 // deterministic formula images (no RNG involved, so the inputs are
@@ -23,6 +24,7 @@
 #include "src/common/error.hpp"
 #include "src/core/engine_iface.hpp"
 #include "src/quant/quantizer.hpp"
+#include "tests/test_util.hpp"
 
 #ifndef ATAMAN_TEST_DATA_DIR
 #error "ATAMAN_TEST_DATA_DIR must point at the tests/ source directory"
@@ -186,6 +188,24 @@ TEST(GoldenCompat, TruncatedWeightOrBiasIsRejected) {
     save_qmodel(bad, tmp);
     EXPECT_THROW(load_qmodel(tmp), Error) << "case " << static_cast<int>(cut);
   }
+  std::remove(tmp.c_str());
+}
+
+// The scored head reduces the last layer's output against the input
+// (reconstruction_score), so a .qm that tags a classifier as scored must
+// fail at load instead of in a serve worker.
+TEST(GoldenCompat, ScoredHeadOnANonReconstructionModelIsRejected) {
+  const std::string tmp = (std::filesystem::temp_directory_path() /
+                           "ataman_golden_scored_head.qm")
+                              .string();
+  QModel bad = load_qmodel(kGoldenDir + "/micronet_pertensor_pr8.qm");
+  bad.head = TaskHead::kScore;
+  save_qmodel(bad, tmp);
+  EXPECT_THROW(load_qmodel(tmp), Error);
+
+  const QModel scored = testing::make_tiny_scored_qmodel(77);
+  save_qmodel(scored, tmp);
+  EXPECT_EQ(load_qmodel(tmp).head, TaskHead::kScore);
   std::remove(tmp.c_str());
 }
 

@@ -1,9 +1,8 @@
 // The run_batch seam (engine_iface.hpp): contract tests for the batched
 // execution path added across the engines.
 //
-//   * Seam contract: the default implementation is a per-image fallback
-//     loop (non-supporting engines keep working, calling run() once per
-//     image), an empty batch is a hard error on every backend, and
+//   * Seam contract: every backend's batch is bitwise equal to per-image
+//     run(), an empty batch is a hard error on every backend, and
 //     logits_out is resized to the batch regardless of prior contents.
 //   * Serve-level determinism: workers execute coalesced batches through
 //     one run_batch call; results must stay bitwise identical to serial
@@ -42,46 +41,6 @@ std::vector<std::span<const uint8_t>> as_spans(
   spans.reserve(images.size());
   for (const auto& img : images) spans.emplace_back(img);
   return spans;
-}
-
-// Minimal out-of-tree-style backend: delegates run() to a reference
-// engine and counts the calls. It does not override run_batch, so it
-// exercises the base-class fallback loop exactly as an out-of-tree
-// engine written before the seam existed would.
-class CountingEngine : public InferenceEngine {
- public:
-  explicit CountingEngine(const QModel* model)
-      : InferenceEngine(model, "counting"), inner_(model) {}
-
-  std::vector<int8_t> run(std::span<const uint8_t> image) const override {
-    ++runs_;
-    return inner_.run(image);
-  }
-  int64_t total_cycles() const override { return 0; }
-
-  int runs() const { return runs_; }
-
- private:
-  RefEngine inner_;
-  mutable int runs_ = 0;
-};
-
-TEST(RunBatchContract, DefaultFallbackLoopsRunPerImage) {
-  const QModel m = make_tiny_qmodel(910);
-  const CountingEngine engine(&m);
-
-  std::vector<std::vector<uint8_t>> images;
-  for (int i = 0; i < 5; ++i)
-    images.push_back(make_random_image(kImagePixels, 911 + i));
-
-  std::vector<std::vector<int8_t>> logits;
-  engine.run_batch(as_spans(images), logits);
-  EXPECT_EQ(engine.runs(), 5);  // fallback == one run() per image
-  ASSERT_EQ(logits.size(), images.size());
-
-  const RefEngine oracle(&m);
-  for (size_t i = 0; i < images.size(); ++i)
-    EXPECT_EQ(logits[i], oracle.run(images[i])) << "image " << i;
 }
 
 TEST(RunBatchContract, EveryRegisteredEngineBatchesBitwiseLikeRun) {

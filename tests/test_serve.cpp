@@ -1,6 +1,7 @@
 // The serve runtime (src/serve): bitwise determinism under concurrent,
 // mixed-configuration load; micro-batch coalescing policy and fairness;
 // shutdown-with-pending-requests semantics; engine-pool reuse accounting;
+// a bad scored head failing one request, not the worker;
 // and the xcube clone/worker-isolation audit (one const engine shared
 // across threads — every call walks its plan over a call-local arena).
 #include <gtest/gtest.h>
@@ -284,7 +285,7 @@ TEST(ServeBatching, MixedEngineTrafficCoalescesAndStaysCorrect) {
 // Shutdown with pending requests
 // ---------------------------------------------------------------------------
 
-// Test-owned gate shared by every GateEngine clone: run() blocks until
+// Test-owned gate shared by every GateEngine clone: a run blocks until
 // the test releases it, making "worker busy while the queue is full"
 // deterministic instead of a scheduling race.
 struct Gate {
@@ -294,42 +295,41 @@ struct Gate {
   bool released = false;
 };
 
-class GateEngine : public RefEngine {
+// Reference kernels behind the gate: a plan walk blocks on its first
+// step until the test releases the gate.
+class GateKernels final : public KernelTable {
  public:
-  GateEngine(const QModel* model, Gate* gate) : RefEngine(model), gate_(gate) {
-    set_design_name("serve-gate");
+  GateKernels(const QModel* model, Gate* gate)
+      : ref_(model, nullptr, nullptr), gate_(gate) {}
+
+  void run_step(const ExecStep& step, const StepIO& io) const override {
+    if (step.layer == 0) {
+      std::unique_lock<std::mutex> lock(gate_->mutex);
+      gate_->entered = true;
+      gate_->cv.notify_all();
+      gate_->cv.wait(lock, [&] { return gate_->released; });
+    }
+    ref_.run_step(step, io);
   }
 
-  std::vector<int8_t> run(std::span<const uint8_t> image) const override {
-    wait_for_release();
-    return RefEngine::run(image);
-  }
+ private:
+  RefKernels ref_;
+  Gate* gate_;
+};
 
-  // The server executes batches through run_batch, which in RefEngine
-  // does not call run() per image — an engine that intercepts execution
-  // must override both (the engine_iface.hpp contract). Gate once per
-  // batch: what matters to the tests is that the worker blocks.
-  void run_batch(std::span<const std::span<const uint8_t>> images,
-                 std::vector<std::vector<int8_t>>& logits_out) const override {
-    wait_for_release();
-    RefEngine::run_batch(images, logits_out);
-  }
+class GateEngine final : public InferenceEngine {
+ public:
+  GateEngine(const QModel* model, Gate* gate)
+      : InferenceEngine(model, nullptr, "serve-gate"), kernels_(model, gate) {}
 
-  // Out-of-tree backends must override clone() themselves or inherit a
-  // sliced copy — this is the documented contract (see engine_iface.hpp).
   std::unique_ptr<InferenceEngine> clone() const override {
     return std::make_unique<GateEngine>(*this);
   }
 
  private:
-  void wait_for_release() const {
-    std::unique_lock<std::mutex> lock(gate_->mutex);
-    gate_->entered = true;
-    gate_->cv.notify_all();
-    gate_->cv.wait(lock, [&] { return gate_->released; });
-  }
+  const KernelTable& kernels() const override { return kernels_; }
 
-  Gate* gate_;
+  GateKernels kernels_;
 };
 
 TEST(ServeShutdown, CancelPendingResolvesEveryFutureWithoutHanging) {
@@ -447,41 +447,17 @@ TEST(ServeFuture, HandlesAreReusableAndInvalidOnesThrow) {
 // Engine pool reuse accounting
 // ---------------------------------------------------------------------------
 
-TEST(ServePool, RebindableRefCollapsesMasksNonRebindableKeysPerMask) {
+TEST(ServePool, EveryBackendKeysPerMaskAndClonesOncePerWorkerAndKey) {
   const QModel m = make_tiny_qmodel(650);
   const SkipMask mask_a = make_random_mask(m, 0.2, 651);
   const SkipMask mask_b = make_random_mask(m, 0.4, 652);
   const SkipMask mask_c = make_random_mask(m, 0.6, 653);
 
-  {
-    // "ref" rebinds: many masks, ONE prototype, at most one clone per
-    // worker — PR 2's bind_mask doing the per-batch work.
-    const std::vector<ServeKey> keys = {{"ref", &mask_a},
-                                        {"ref", &mask_b},
-                                        {"ref", &mask_c},
-                                        {"ref", nullptr}};
-    InferenceServer server(&m, ServeOptions{.workers = 2, .max_batch = 4});
-    const std::vector<InferRequest> requests =
-        make_mixed_requests(keys, 40, 6600);
-    const std::vector<std::vector<int8_t>> expected =
-        serial_logits(m, keys, requests);
-    const auto futures =
-        server.submit_all(std::vector<InferRequest>(requests));
-    server.drain();
-    for (size_t i = 0; i < futures.size(); ++i)
-      EXPECT_EQ(futures[i].get().logits, expected[i]) << i;
-    const ServeStats stats = server.stats();
-    EXPECT_EQ(stats.pool.prototypes_built, 1);
-    EXPECT_EQ(stats.pool.factory_builds, 0);
-    EXPECT_GE(stats.pool.engines_cloned, 1);
-    EXPECT_LE(stats.pool.engines_cloned, 2);  // <= workers
-  }
-  {
-    // "unpacked" bakes the mask in: one prototype per distinct mask,
-    // cloned at most once per (worker, key).
-    const std::vector<ServeKey> keys = {{"unpacked", &mask_a},
-                                        {"unpacked", &mask_b},
-                                        {"unpacked", &mask_c}};
+  for (const std::string backend : {"ref", "unpacked"}) {
+    // Each engine fixes its mask at construction: one prototype per
+    // distinct mask, cloned at most once per (worker, key).
+    const std::vector<ServeKey> keys = {
+        {backend, &mask_a}, {backend, &mask_b}, {backend, &mask_c}};
     InferenceServer server(&m, ServeOptions{.workers = 2, .max_batch = 4});
     const std::vector<InferRequest> requests =
         make_mixed_requests(keys, 30, 6700);
@@ -491,13 +467,34 @@ TEST(ServePool, RebindableRefCollapsesMasksNonRebindableKeysPerMask) {
         server.submit_all(std::vector<InferRequest>(requests));
     server.drain();
     for (size_t i = 0; i < futures.size(); ++i)
-      EXPECT_EQ(futures[i].get().logits, expected[i]) << i;
+      EXPECT_EQ(futures[i].get().logits, expected[i]) << backend << " " << i;
     const ServeStats stats = server.stats();
-    EXPECT_EQ(stats.pool.prototypes_built, 3);  // one per distinct mask
-    EXPECT_EQ(stats.pool.factory_builds, 0);
-    EXPECT_GE(stats.pool.engines_cloned, 3);  // every key ran somewhere
-    EXPECT_LE(stats.pool.engines_cloned, 6);  // <= workers * keys
+    EXPECT_EQ(stats.pool.prototypes_built, 3) << backend;
+    EXPECT_GE(stats.pool.engines_cloned, 3) << backend;  // every key ran
+    EXPECT_LE(stats.pool.engines_cloned, 6) << backend;  // workers * keys
   }
+}
+
+// A scored head on a model whose last layer cannot reconstruct the input
+// (load_qmodel rejects it; an in-memory model can still carry it) fails
+// its request, not the worker: the server keeps serving.
+TEST(ServeScoredHead, MismatchedHeadFailsTheRequestNotTheServer) {
+  QModel m = make_tiny_qmodel(670);
+  m.head = TaskHead::kScore;
+  InferenceServer server(&m, ServeOptions{.workers = 1, .max_batch = 1});
+  InferRequest r;
+  r.engine = "cmsis";
+  r.image = make_random_image(kImagePixels, 6710);
+  const InferFuture bad = server.submit(r);
+  server.drain();
+  EXPECT_THROW(bad.get(), Error);
+
+  // The worker survived: with the head fixed, the next request on the
+  // same server completes bitwise.
+  m.head = TaskHead::kClassify;
+  const InferFuture next = server.submit(r);
+  server.drain();
+  EXPECT_EQ(next.get().logits, RefEngine(&m).run(r.image));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Streaming sessions with temporal activation reuse: the splice-plan
 // geometry (hand-computed bands + invariants), run_incremental bitwise
 // parity with from-scratch execution on every engine, failure-atomic and
-// model-bound frame state, the uniform capability-decline error, session
+// model-bound frame state, the mid-session mask pin, session
 // execution through the serve runtime (parity, stats, queue fairness
 // next to one-shot traffic), and the steady-state cost-model /
 // DSE-selector row.
@@ -388,46 +388,36 @@ TEST(RunIncremental, StateIsBoundToItsModelsFrameLayout) {
             dag_engine.run(window_of(dag_stream, 0)));
 }
 
-// --- capability declines: one uniform message ----------------------------
-
-// An out-of-tree backend: it implements only the mandatory seams and has
-// no compiled plan.
-class PlanlessEngine final : public InferenceEngine {
- public:
-  explicit PlanlessEngine(const QModel* model)
-      : InferenceEngine(model, "planless"), ref_(model) {}
-  std::vector<int8_t> run(std::span<const uint8_t> image) const override {
-    return ref_.run(image);
-  }
-  int64_t total_cycles() const override { return 0; }
-
- private:
-  RefEngine ref_;
-};
-
-TEST(CapabilityDecline, DeclinedSeamsShareTheBaseClassError) {
+// A session is one fixed configuration: the first frame pins the
+// engine's mask, and an engine built with another mask cannot continue
+// the session — on every backend, not just the reference one.
+TEST(RunIncremental, SessionIsPinnedToItsFirstFramesMask) {
   const QModel m = make_tiny_qmodel(43);
-  PlanlessEngine engine(&m);
+  SkipMask mask_a = SkipMask::none(m);
+  SkipMask mask_b = SkipMask::none(m);
+  Rng rng(44);
+  for (SkipMask* mask : {&mask_a, &mask_b})
+    for (auto& layer : mask->masks)
+      for (auto& s : layer) s = rng.next_bool(0.3) ? 1 : 0;
+  const FrameStream stream = stream_for(m, 2, 3, 46);
+  for (const char* backend : {"ref", "unpacked"}) {
+    EngineConfig cfg;
+    cfg.model = &m;
+    cfg.mask = &mask_a;
+    const auto first = EngineRegistry::instance().create(backend, cfg);
+    cfg.mask = &mask_b;
+    const auto second = EngineRegistry::instance().create(backend, cfg);
 
-  StreamState state;
-  const auto expect_decline = [&](auto&& call, const std::string& api) {
-    try {
-      call();
-      FAIL() << api << " should have been declined";
-    } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("engine 'planless' does not support " + api),
-                std::string::npos)
-          << what;
-    }
-  };
-  const auto input =
-      testing::make_random_image(m.in_h * m.in_w * m.in_c, 44);
-  expect_decline(
-      [&] { (void)engine.run_incremental(state, input); },
-      "run_incremental");
-  expect_decline([&] { engine.rebind_mask(nullptr); }, "rebind_mask");
-  EXPECT_EQ(state.frames, 0);
+    StreamState state;
+    first->run_incremental(state, stream.new_columns(0));
+    EXPECT_THROW(second->run_incremental(state, stream.new_columns(1)), Error)
+        << backend;
+    EXPECT_EQ(state.frames, 1) << backend;
+    // The pinned engine carries on bitwise.
+    EXPECT_EQ(first->run_incremental(state, stream.new_columns(1)),
+              first->run(window_of(stream, 1)))
+        << backend;
+  }
 }
 
 // --- streaming sessions through the serve runtime ------------------------
@@ -503,34 +493,6 @@ TEST(StreamSessionServe, PackedAndUnpackedSessionsSpliceWithParity) {
     EXPECT_EQ(session_stats.fallback_frames, 1) << name;
     EXPECT_GT(session_stats.reuse_ratio(), 1.0) << name;
   }
-}
-
-// A backend without a plan fails a session on its first frame with the
-// uniform decline, and the session stays poisoned.
-TEST(StreamSessionServe, PlanlessBackendDeclinesOnTheFirstFrame) {
-  const QModel m = make_tiny_qmodel(61);
-  EngineRegistry::instance().register_engine(
-      "planless-test", [](const EngineConfig& cfg) {
-        return std::make_unique<PlanlessEngine>(cfg.model);
-      });
-  InferenceServer server(&m, {});
-  StreamSessionOptions session_options;
-  session_options.engine = "planless-test";
-  const auto session = server.open_session(session_options);
-  const FrameStream stream = stream_for(m, 2, 2, 62);
-  InferFuture first = server.push_frame(session, stream.new_columns(0));
-  InferFuture second = server.push_frame(session, stream.new_columns(1));
-  server.drain();
-  try {
-    first.get();
-    FAIL() << "the first frame should have been declined";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("does not support run_incremental"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(second.get(), Error);
-  EXPECT_EQ(session->stats().frames, 0);
 }
 
 // A long-lived session sharing the queue with one-shot traffic: neither
