@@ -5,7 +5,6 @@
 // axes; both should move the same direction under skipping.
 #include <benchmark/benchmark.h>
 
-#include "src/cmsisnn/im2col_q15.hpp"
 #include "src/cmsisnn/packed_kernels.hpp"
 #include "src/cmsisnn/smlad.hpp"
 #include "src/mcu/cost_model.hpp"
@@ -203,23 +202,23 @@ void BM_AvgPoolReference(benchmark::State& state) {
 }
 BENCHMARK(BM_AvgPoolReference);
 
-void BM_Im2ColQ15(benchmark::State& state) {
-  // One block expansion: kPosBlock output columns of one row, the
-  // operand-major layout every conv-shaped host kernel reads.
+void BM_PlanarCopyQ15(benchmark::State& state) {
+  // One image's planar copy: the zero-padded, channel-planar q15 input
+  // every conv-shaped host kernel reads its operands from in place.
   const QConv2D conv = bench_conv();
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 4);
-  std::vector<int16_t> col(static_cast<size_t>(conv.geom.patch_size()) *
-                           kPosBlock);
-  int block = 0;  // the 16-wide output rows hold two full blocks each
+  const PlanarLayout layout(conv.geom);
+  std::vector<int16_t> planes(layout.lane_elems);
   for (auto _ : state) {
-    im2col_block_q15(conv.geom, conv.in.zero_point, in, (block / 2) % 16,
-                     (block % 2) * kPosBlock, kPosBlock, col.data());
-    benchmark::DoNotOptimize(col.data());
-    ++block;
+    planar_copy_q15(conv.geom, layout, conv.in.zero_point, in.data(), 0,
+                    layout.cols, planes.data());
+    benchmark::DoNotOptimize(planes.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * kPosBlock);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(in.size()));
 }
-BENCHMARK(BM_Im2ColQ15);
+BENCHMARK(BM_PlanarCopyQ15);
 
 void BM_SmladSemantics(benchmark::State& state) {
   Rng rng(5);

@@ -1,23 +1,26 @@
 // Packed (CMSIS-NN-style) kernels: the exact baseline of the paper [2].
 //
-// Convolution = q15 im2col + dual-MAC matrix multiply over offline-packed
-// weight pairs (SMLAD), exactly the structure of arm_convolve_HWC_q7 /
-// arm_nn_mat_mult_kernel_q7_q15. Numerics are bit-exact with the golden
-// reference kernels (tests assert this across shapes); only the priced
-// instruction stream differs.
+// Convolution = dual-MAC matrix multiply over offline-packed weight pairs
+// (SMLAD) on zero-point-corrected q15 operands: on the MCU, the structure
+// of arm_convolve_HWC_q7 / arm_nn_mat_mult_kernel_q7_q15 (q15 im2col,
+// priced as such); on the host, operands are read in place from one
+// planar q15 copy of the input (PlanarLayout). Numerics are bit-exact
+// with the golden reference kernels (tests assert this across shapes);
+// only the priced instruction stream differs.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
-#include "src/cmsisnn/im2col_q15.hpp"
 #include "src/cmsisnn/smlad.hpp"
 #include "src/common/error.hpp"
 #include "src/common/fixed_point.hpp"
+#include "src/common/math_util.hpp"
 #include "src/quant/qtypes.hpp"
 
 namespace ataman {
@@ -53,7 +56,6 @@ class Q15Scratch {
 
   int16_t* data() const { return buf_.data(); }
   int16_t& operator[](size_t i) const { return buf_[i]; }
-  void zero() const { std::fill(buf_.begin(), buf_.end(), int16_t{0}); }
 
  private:
   std::vector<int16_t> owned_;
@@ -66,6 +68,89 @@ class Q15Scratch {
 // is broadcast once for 4 x 8 positions.
 inline constexpr int kBatchLanes = 4;
 
+// The planar q15 copy every conv-shaped host kernel reads its operands
+// from in place: one zero-point-corrected, zero-padded copy of each
+// image, channel-planar and split by stride phase,
+// [in_c][stride][rows][cols]. Column q of phase r holds padded input
+// column q * stride + r, so the kPosBlock positions (oy, ox0 + p) of
+// operand (ky, kx, c) are the contiguous values at
+// block_base(oy, ox0) + operand_offset(ky, kx, c). `rows` covers the
+// padded rows the output reads; `cols` the columns of a block starting
+// at any ox0 < out_w, plus the kernel's reach. This is a host-speed
+// layout only: the priced instruction streams model one position at a
+// time (packed: the MCU's im2col; unpacked: direct activation loads).
+struct PlanarLayout {
+  int stride = 1;
+  int rows = 0;
+  int cols = 0;
+  size_t lane_elems = 0;  // one image's copy: in_c * stride planes
+
+  explicit PlanarLayout(const ConvGeom& g)
+      : stride(g.stride),
+        rows(g.out_h() > 0 ? (g.out_h() - 1) * g.stride + g.kernel : 0),
+        cols(g.out_w() > 0
+                 ? g.out_w() + kPosBlock - 1 + (g.kernel - 1) / g.stride
+                 : 0),
+        lane_elems(static_cast<size_t>(g.in_c) * g.stride * rows * cols) {}
+
+  size_t operand_offset(int ky, int kx, int c) const {
+    return ((static_cast<size_t>(c) * stride + kx % stride) * rows + ky) *
+               cols +
+           static_cast<size_t>(kx / stride);
+  }
+  size_t block_base(int oy, int ox0) const {
+    return static_cast<size_t>(oy) * stride * cols + ox0;
+  }
+};
+
+// q15 scratch of one conv-shaped kernel call over `lanes` images: the
+// operand offset table (one 32-bit offset per patch operand, in two q15
+// slots) followed by `lanes` planar copies. The plan sizes its arena
+// scratch from this, so warm runs never allocate.
+inline size_t conv_scratch_elems(const ConvGeom& g, int lanes) {
+  return 2 * static_cast<size_t>(g.patch_size()) +
+         static_cast<size_t>(lanes) * PlanarLayout(g).lane_elems;
+}
+
+// Writes columns [q0, q1) of every row of image `in`'s planar copy
+// `dst`: in - zero_point inside the image, 0 for padding.
+inline void planar_copy_q15(const ConvGeom& g, const PlanarLayout& p,
+                            int32_t zero_point, const int8_t* in, int q0,
+                            int q1, int16_t* dst) {
+  const int s = g.stride;
+  const size_t in_row = static_cast<size_t>(g.in_w) * g.in_c;
+  const size_t step = static_cast<size_t>(s) * g.in_c;
+  for (int r = 0; r < s; ++r) {
+    // Column q of phase r reads input column q * s + r - pad: [lo, hi)
+    // of [q0, q1) lies inside the image.
+    const int lo = std::clamp((std::max(0, g.pad - r) + s - 1) / s, q0, q1);
+    const int hi = std::clamp((g.in_w + g.pad - r + s - 1) / s, lo, q1);
+    for (int py = 0; py < p.rows; ++py) {
+      const int iy = py - g.pad;
+      const bool inside = iy >= 0 && iy < g.in_h && lo < hi;
+      const int8_t* row =
+          inside ? in + static_cast<size_t>(iy) * in_row +
+                       static_cast<size_t>(lo * s + r - g.pad) * g.in_c
+                 : nullptr;
+      for (int c = 0; c < g.in_c; ++c) {
+        int16_t* d =
+            dst + ((static_cast<size_t>(c) * s + r) * p.rows + py) * p.cols;
+        if (!inside) {
+          std::fill(d + q0, d + q1, int16_t{0});
+          continue;
+        }
+        std::fill(d + q0, d + lo, int16_t{0});
+        const int8_t* src = row + c;
+        for (int q = lo; q < hi; ++q, src += step) {
+          d[q] = static_cast<int16_t>(static_cast<int32_t>(*src) -
+                                      zero_point);
+        }
+        std::fill(d + hi, d + q1, int16_t{0});
+      }
+    }
+  }
+}
+
 // The requantize epilogue of every packed/unpacked kernel.
 inline int8_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
                             int32_t out_zp, int32_t act_min, int32_t act_max) {
@@ -75,37 +160,46 @@ inline int8_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
 }
 
 // The accumulators of one block step: `Lanes` images x kPosBlock output
-// columns, over the block expansion `cols` (image lane j at
-// cols + j * lane_stride, laid out by im2col_block_q15).
+// columns. lane[j] is the block's base in image lane j's planar copy and
+// `offsets` the call's operand offset table (32-bit words in q15
+// storage, read through memcpy).
 template <int Lanes>
 struct BlockAcc {
-  const int16_t* cols = nullptr;
-  size_t lane_stride = 0;
+  std::array<const int16_t*, Lanes> lane{};
+  const int16_t* offsets = nullptr;
   std::array<Acc8, Lanes> acc{};
 
   void reset(int32_t bias) { acc.fill(acc8_splat(bias)); }
-  // One SMLAD step on operand offsets a (low lane) and b (high lane).
+  // One SMLAD step on operands a (low lane) and b (high lane).
   void mac(uint32_t w, size_t a, size_t b) {
-    for (int j = 0; j < Lanes; ++j) {
-      const int16_t* lane = cols + static_cast<size_t>(j) * lane_stride;
-      smlad8(w, lane + a * kPosBlock, lane + b * kPosBlock, acc[j]);
-    }
+    const uint32_t oa = offset(a);
+    const uint32_t ob = offset(b);
+    for (int j = 0; j < Lanes; ++j)
+      smlad8(w, lane[j] + oa, lane[j] + ob, acc[j]);
   }
   // One SMLABB step: a zero high weight lane makes SMLAD SMLABB.
   void mac_single(int16_t w, size_t a) { mac(pack_q15_pair(0, w), a, a); }
+
+ private:
+  uint32_t offset(size_t operand) const {
+    uint32_t off = 0;
+    std::memcpy(&off, offsets + 2 * operand, sizeof off);
+    return off;
+  }
 };
 
 // The one loop of every conv-shaped host kernel (packed conv, packed
 // depthwise, unpacked programs) over a contiguous batch: image b at
 // in + b * in_elems and out + b * out_elems of geometry `g`. Per lane
-// block of `Lanes` images, output row and block of up to kPosBlock
-// columns inside `range`, it expands the block once per image and calls
-// `channel(oc, block)` per output channel; `channel` accumulates into
-// `block` and returns the channel's requant multiplier, and the loop
-// requantizes and stores the live positions of the live images. Ragged
-// blocks (fewer columns or images) compute every lane over defined
-// zero-filled operands and store only the live ones; int32 accumulation
-// wraps, so the walk order never changes a bit.
+// block of `Lanes` images it writes each image's planar copy once (only
+// the columns the blocks inside `range` read), then per output row and
+// block of up to kPosBlock columns calls `channel(oc, block)` per output
+// channel; `channel` accumulates into `block` and returns the channel's
+// requant multiplier, and the loop requantizes and stores the live
+// positions of the live images. Ragged blocks compute every lane (a dead
+// image lane rereads lane 0, a dead column reads a written padding or
+// input value) and store only the live ones; int32 accumulation wraps,
+// so the walk order never changes a bit.
 template <int Lanes, typename Channel>
 void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
                            int32_t out_zp, int32_t act_min, int32_t act_max,
@@ -121,24 +215,52 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
         "batched conv output size mismatch");
   const int ow = g.out_w();
   const int ox_end = range.end_within(ow);
+  if (range.begin >= ox_end) return;
+
+  const PlanarLayout layout(g);
+  const Q15Scratch buf(scratch, conv_scratch_elems(g, Lanes));
+  // The operand offset table (operand i = (ky * k + kx) * in_c + c, the
+  // patch order), then the planar copies.
+  int16_t* planes = buf.data();
+  for (int ky = 0; ky < g.kernel; ++ky) {
+    for (int kx = 0; kx < g.kernel; ++kx) {
+      for (int c = 0; c < g.in_c; ++c, planes += 2) {
+        const auto off =
+            static_cast<uint32_t>(layout.operand_offset(ky, kx, c));
+        std::memcpy(planes, &off, sizeof off);
+      }
+    }
+  }
+  // The last block starts before ox_end and reads kPosBlock columns plus
+  // the kernel's reach: q1 <= out_w + kPosBlock - 1 + (k - 1) / stride,
+  // which is layout.cols.
+  const int q0 = range.begin;
+  const int q1 =
+      q0 + static_cast<int>(ceil_div(ox_end - q0, kPosBlock)) * kPosBlock +
+      (g.kernel - 1) / g.stride;
 
   BlockAcc<Lanes> block;
-  block.lane_stride = static_cast<size_t>(g.patch_size()) * kPosBlock;
-  const Q15Scratch cols(scratch, Lanes * block.lane_stride);
-  block.cols = cols.data();
+  block.offsets = buf.data();
+  std::array<const int16_t*, Lanes> lane_planes{};
   int32_t sums[kPosBlock] = {};
   for (int b0 = 0; b0 < batch; b0 += Lanes) {
     const int bn = std::min(Lanes, batch - b0);
-    if (bn < Lanes) cols.zero();
+    for (int j = 0; j < Lanes; ++j) {
+      int16_t* dst = planes + static_cast<size_t>(j) * layout.lane_elems;
+      if (j < bn) {
+        planar_copy_q15(
+            g, layout, in_zp,
+            in.data() + static_cast<size_t>(b0 + j) * in_elems, q0, q1, dst);
+      }
+      lane_planes[static_cast<size_t>(j)] = j < bn ? dst : planes;
+    }
     for (int oy = 0; oy < g.out_h(); ++oy) {
       for (int ox0 = range.begin; ox0 < ox_end; ox0 += kPosBlock) {
         const int n = std::min(kPosBlock, ox_end - ox0);
-        for (int j = 0; j < bn; ++j) {
-          im2col_block_q15(
-              g, in_zp,
-              in.subspan(static_cast<size_t>(b0 + j) * in_elems, in_elems),
-              oy, ox0, n,
-              cols.data() + static_cast<size_t>(j) * block.lane_stride);
+        const size_t base = layout.block_base(oy, ox0);
+        for (int j = 0; j < Lanes; ++j) {
+          block.lane[static_cast<size_t>(j)] =
+              lane_planes[static_cast<size_t>(j)] + base;
         }
         const size_t block_off =
             (static_cast<size_t>(oy) * ow + ox0) * g.out_c;
@@ -192,9 +314,10 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
 
 // Depthwise loop kernel in the arm_depthwise_conv_s8 shape: one shared
 // zero-point-corrected q15 expansion per output position, then a
-// per-channel tap loop. The expansion is the conv one (im2col_block_q15)
+// per-channel tap loop. Operands are numbered as in the conv expansion
 // over expansion_geom(): taps x channels, channel innermost, so channel
-// ch of tap t sits at t * channels + ch — the [k][k][c] weight order. On
+// ch of tap t is operand t * channels + ch — the [k][k][c] weight order;
+// the host reads them from the planar copy of that geometry. On
 // the MCU, per-channel filters cannot feed the dual-MAC path over
 // adjacent operands (two weights of one SMLAD would hit two different
 // accumulators), which is why no PackedWeights stream exists for it —

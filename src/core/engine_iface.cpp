@@ -15,7 +15,7 @@ std::vector<int8_t> InferenceEngine::quantize_input(
             static_cast<int64_t>(m.in_h) * m.in_w * m.in_c,
         "input image size mismatch");
   std::vector<int8_t> q(image.size());
-  quantize_pixels(m.input, image, q);
+  plan_.quantize_input(image, q);
   return q;
 }
 

@@ -4,7 +4,7 @@
 #include <array>
 #include <string>
 
-#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes, kPosBlock
+#include "src/cmsisnn/packed_kernels.hpp"  // kBatchLanes, conv_scratch_elems
 #include "src/common/error.hpp"
 #include "src/core/engine_iface.hpp"  // StreamState
 #include "src/mcu/memory_model.hpp"
@@ -16,16 +16,15 @@ namespace ataman {
 namespace {
 
 // q15 elements one image lane of a step's packed/unpacked kernel needs:
-// the block expansion of kPosBlock positions (conv: patch operands;
-// depthwise: taps x channels) or the expanded input vector (fc).
-int64_t step_scratch_elems(const OpDescriptor& d) {
-  switch (d.kind) {
-    case OpKind::kConv: return static_cast<int64_t>(d.patch) * kPosBlock;
-    case OpKind::kDepthwise:
-      return static_cast<int64_t>(d.patch) * d.channels * kPosBlock;
-    case OpKind::kDense: return d.in_elems;
-    default: return 0;
-  }
+// the operand offset table and one planar input copy (conv; depthwise
+// over expansion_geom()) or the expanded input vector (fc).
+int64_t step_scratch_elems(const QLayer& layer) {
+  if (const auto* conv = std::get_if<QConv2D>(&layer))
+    return static_cast<int64_t>(conv_scratch_elems(conv->geom, 1));
+  if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer))
+    return static_cast<int64_t>(conv_scratch_elems(dw->expansion_geom(), 1));
+  if (const auto* fc = std::get_if<QDense>(&layer)) return fc->in_dim;
+  return 0;
 }
 
 // One call's working memory in a single allocation: the kernels' q15
@@ -105,6 +104,8 @@ ExecPlan ExecPlan::compile(const QModel& model) {
   const ActivationPlan liveness = plan_activations(model);
   ExecPlan plan;
   plan.model = &model;
+  for (size_t v = 0; v < plan.input_table.size(); ++v)
+    plan.input_table[v] = model.input.quantize(static_cast<float>(v) / 255.0f);
   std::vector<int64_t> slot_offset(liveness.slot_elems.size());
   for (size_t s = 0; s < slot_offset.size(); ++s) {
     slot_offset[s] = plan.arena_elems;
@@ -121,7 +122,8 @@ ExecPlan ExecPlan::compile(const QModel& model) {
 
   int ordinal = 0;
   for (int l = 0; l < static_cast<int>(model.layers.size()); ++l) {
-    const OpDescriptor d = describe_layer(model.layers[static_cast<size_t>(l)]);
+    const QLayer& layer = model.layers[static_cast<size_t>(l)];
+    const OpDescriptor d = describe_layer(layer);
     ExecStep step;
     step.kind = d.kind;
     step.layer = l;
@@ -131,10 +133,18 @@ ExecPlan ExecPlan::compile(const QModel& model) {
     for (size_t i = 0; i < ins.size(); ++i)
       step.in[i] = plan.tensors[static_cast<size_t>(ins[i])];
     step.out = plan.tensors[static_cast<size_t>(l) + 1];
-    plan.scratch_elems = std::max(plan.scratch_elems, step_scratch_elems(d));
+    plan.scratch_elems =
+        std::max(plan.scratch_elems, step_scratch_elems(layer));
     plan.steps.push_back(step);
   }
   return plan;
+}
+
+void ExecPlan::quantize_input(std::span<const uint8_t> pixels,
+                              std::span<int8_t> out) const {
+  check(pixels.size() == out.size(), "quantize_input: size mismatch");
+  std::ranges::transform(pixels, out.begin(),
+                         [&](uint8_t v) { return input_table[v]; });
 }
 
 std::vector<int8_t> ExecPlan::run(std::span<const uint8_t> image,
@@ -142,7 +152,7 @@ std::vector<int8_t> ExecPlan::run(std::span<const uint8_t> image,
   check(static_cast<int64_t>(image.size()) == tensors[0].elems,
         "input image size mismatch");
   Arena arena(*this, 1);
-  quantize_pixels(model->input, image, arena.tensor(tensors[0]));
+  quantize_input(image, arena.tensor(tensors[0]));
   run_steps(steps, arena, 1, kernels);
   const std::span<const int8_t> out = arena.tensor(tensors.back());
   return {out.begin(), out.end()};
@@ -157,8 +167,7 @@ void ExecPlan::run_batch(std::span<const std::span<const uint8_t>> images,
   const std::span<int8_t> in = arena.tensor(tensors[0]);
   for (size_t b = 0; b < images.size(); ++b) {
     check(images[b].size() == in_elems, "input image size mismatch");
-    quantize_pixels(model->input, images[b],
-                    in.subspan(b * in_elems, in_elems));
+    quantize_input(images[b], in.subspan(b * in_elems, in_elems));
   }
   run_steps(steps, arena, batch, kernels);
   const size_t out_elems = static_cast<size_t>(tensors.back().elems);
@@ -225,8 +234,8 @@ std::vector<int8_t> ExecPlan::run_incremental(
   const size_t fresh = static_cast<size_t>(s) * m.in_c;
   for (size_t y = 0; y < static_cast<size_t>(m.in_h); ++y) {
     std::copy(prev + y * row + fresh, prev + (y + 1) * row, in + y * row);
-    quantize_pixels(m.input, new_columns.subspan(y * fresh, fresh),
-                    {in + (y + 1) * row - fresh, fresh});
+    quantize_input(new_columns.subspan(y * fresh, fresh),
+                   {in + (y + 1) * row - fresh, fresh});
   }
 
   // The splice plan: newest-first stride history capped by the ring

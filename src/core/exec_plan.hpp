@@ -21,6 +21,7 @@
 // (`frame_offsets`) in one ring slot of the session's StreamState.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -90,9 +91,19 @@ struct ExecPlan {
   // Unaliased frame layout: tensor t at [frame_offsets[t],
   // frame_offsets[t + 1]); the last entry is one frame's elements.
   std::vector<int64_t> frame_offsets;
+  // u8 pixel v (real = v / 255) -> int8 input under model->input:
+  // input_table[v] == model->input.quantize(v / 255.f).
+  std::array<int8_t, 256> input_table{};
 
   // `model` must outlive the plan.
   static ExecPlan compile(const QModel& model);
+
+  // The one input-quantization routine: `pixels` through input_table
+  // into `out` (same size). The walkers, the streaming column splice,
+  // InferenceEngine::quantize_input and the DSE prefix cache all
+  // quantize through here.
+  void quantize_input(std::span<const uint8_t> pixels,
+                      std::span<int8_t> out) const;
 
   // The walker. Each call allocates one arena for its batch (plus the
   // kernels' q15 scratch, in the same allocation), quantizes the images

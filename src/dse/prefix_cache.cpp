@@ -220,7 +220,7 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
       const int label = eval_->label(image_index);
       const std::span<const uint8_t> image = eval_->image(image_index);
       q_input.resize(image.size());
-      quantize_pixels(model_->input, image, q_input);
+      plan_.quantize_input(image, q_input);
       // Layers before the first stage (normally none) hold no
       // approximable layer; run them once into the depth-0 boundary.
       boundary[0] = plan_.run_range(0, stage_begin_[0], q_input, packed_);

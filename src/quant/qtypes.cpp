@@ -13,15 +13,6 @@ int8_t QuantParams::quantize(float real) const {
   return saturate_int8(q);
 }
 
-void quantize_pixels(const QuantParams& input,
-                     std::span<const uint8_t> pixels, std::span<int8_t> out) {
-  check(pixels.size() == out.size(), "quantize_pixels: size mismatch");
-  for (size_t i = 0; i < pixels.size(); ++i) {
-    // input scale is 1/255 with zero_point -128: q = pixel - 128 exactly.
-    out[i] = input.quantize(static_cast<float>(pixels[i]) / 255.0f);
-  }
-}
-
 float QuantParams::dequantize(int8_t q) const {
   return scale * static_cast<float>(static_cast<int32_t>(q) - zero_point);
 }

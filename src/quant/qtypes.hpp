@@ -38,12 +38,6 @@ struct QuantParams {
   float dequantize(int8_t q) const;
 };
 
-// The one input-quantization routine: u8 pixels (real = pixel / 255) to
-// int8 under `input`, written into `out` (same size). Engines, the plan
-// walker and the streaming column splice all quantize through here.
-void quantize_pixels(const QuantParams& input, std::span<const uint8_t> pixels,
-                     std::span<int8_t> out);
-
 // Output columns [begin, end) a conv/depthwise kernel computes; the other
 // columns of `out` are left untouched. The default is every column (the
 // streaming walker recomputes only a frame's halo columns through it).
@@ -121,8 +115,9 @@ struct QDepthwiseConv2D {
     return static_cast<int64_t>(channels) * patch_size();
   }
   // The receptive field as a conv geometry with in_c = out_c = channels:
-  // its q15 expansion (im2col_block_q15) holds channel ch of tap t at
-  // t * channels + ch, the same offset as the tap's weight.
+  // its q15 expansion holds channel ch of tap t at operand
+  // t * channels + ch, the same offset as the tap's weight (the host
+  // kernels read that operand from the geometry's PlanarLayout copy).
   ConvGeom expansion_geom() const {
     return {in_h, in_w, channels, channels, kernel, stride, pad};
   }

@@ -94,8 +94,8 @@ UnpackedLayer UnpackedLayer::build(const QLayer& layer, const uint8_t* skip) {
 void UnpackedLayer::run(std::span<const int8_t> in, std::span<int8_t> out,
                         int batch, std::span<int16_t> scratch,
                         ColumnRange range) const {
-  // The host interpreter reads each program's operands from the block
-  // expansion purely as a host-speed optimization: the *priced*
+  // The host interpreter reads each program's operands from the planar
+  // input copy purely as a host-speed optimization: the *priced*
   // instruction stream (add_step_cycles on the unpacked price list)
   // models one position at a time with direct activation loads and no
   // such buffer, and the numerics are identical.

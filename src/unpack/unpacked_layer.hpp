@@ -26,8 +26,9 @@ namespace ataman {
 // One SMLAD step: two operand offsets + the packed weight constant. An
 // operand offset indexes the q15 expansion of one output position's
 // receptive field ((ky,kx,in_c) order), so every channel program reads
-// the same expansion. On the host, the offset names a run of kPosBlock
-// positions of the block expansion (im2col_block_q15).
+// the same expansion. On the host, the kernel's operand offset table
+// maps it to kPosBlock contiguous positions of the planar input copy
+// (PlanarLayout), read in place.
 struct MacPairOp {
   uint32_t weight_const = 0;  // pack_weight_pair(w_b, w_a): a in low lane
   uint32_t operand_a = 0;     // offset into the position's expansion

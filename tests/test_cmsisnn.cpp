@@ -7,11 +7,13 @@
 #include <array>
 
 #include "src/cmsisnn/cmsis_engine.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/data/synth_cifar.hpp"
 #include "src/cmsisnn/smlad.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
 #include "src/unpack/unpacked_engine.hpp"
+#include "src/unpack/unpacked_layer.hpp"
 #include "tests/test_util.hpp"
 
 namespace ataman {
@@ -20,6 +22,7 @@ namespace {
 using testing::make_random_input;
 using testing::make_random_qconv;
 using testing::make_random_qdense;
+using testing::make_random_qdw;
 using testing::make_tiny_qmodel;
 
 TEST(Smlad, PaperPackingExample) {
@@ -222,7 +225,128 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{6, 6, 1, 8, 1, 1, 0},   // 1x1 conv
                       ConvCase{12, 12, 8, 3, 5, 2, 2},
                       // out_w 17: two full position blocks and a tail.
-                      ConvCase{4, 17, 3, 5, 3, 1, 1}));
+                      ConvCase{4, 17, 3, 5, 3, 1, 1},
+                      // Stride 3: three phase planes per channel.
+                      ConvCase{11, 11, 3, 4, 3, 3, 1},
+                      ConvCase{13, 20, 2, 3, 5, 3, 2},  // out_w 7
+                      // out_w a multiple of kPosBlock: no ragged block.
+                      ConvCase{4, 16, 3, 5, 3, 1, 1},
+                      ConvCase{5, 16, 3, 4, 3, 2, 1}));  // out_w 8
+
+// The q15 scratch the plan gives one image lane of `layer`'s step.
+int64_t plan_scratch_elems(const QLayer& layer) {
+  QModel m;
+  if (const auto* conv = std::get_if<QConv2D>(&layer)) {
+    m.in_h = conv->geom.in_h; m.in_w = conv->geom.in_w;
+    m.in_c = conv->geom.in_c;
+  } else {
+    const auto& dw = std::get<QDepthwiseConv2D>(layer);
+    m.in_h = dw.in_h; m.in_w = dw.in_w; m.in_c = dw.channels;
+  }
+  m.input = {1.0f / 255.0f, -128};
+  m.layers = {layer};
+  return ExecPlan::compile(m).scratch_elems;
+}
+
+// Packed conv, packed depthwise and unpacked programs over a
+// caller-owned scratch of exactly the plan's size, refilled with a
+// sentinel before every call. In the arena the scratch holds stale data
+// of earlier steps and frames, so a kernel that reads a column or pad
+// row it never wrote would differ from the reference here (an owned
+// scratch is zero-filled and would hide it). Every column range, at
+// batch 1 and 5 (a full lane block and a ragged tail).
+TEST(PoisonedScratch, ConvDepthwiseAndUnpackedMatchReference) {
+  constexpr int16_t kPoison = 0x7FFF;
+  constexpr int kBatch = 5;
+  std::vector<QLayer> layers;
+  // in_h, in_w, in_c, out_c, kernel, stride, pad: ragged and whole
+  // blocks, pad wider than the stride, strides 1-3.
+  for (const ConvCase& c : {ConvCase{6, 11, 3, 4, 3, 1, 1},
+                            ConvCase{5, 16, 2, 3, 3, 1, 1},
+                            ConvCase{9, 13, 3, 2, 5, 2, 2},
+                            ConvCase{11, 20, 2, 3, 3, 3, 1},
+                            ConvCase{7, 10, 4, 3, 1, 1, 0}}) {
+    ConvGeom g;
+    g.in_h = c.in_h; g.in_w = c.in_w; g.in_c = c.in_c;
+    g.out_c = c.out_c; g.kernel = c.kernel; g.stride = c.stride;
+    g.pad = c.pad;
+    layers.push_back(make_random_qconv(g, 700 + layers.size()));
+    layers.push_back(make_random_qdw(c.in_h, c.in_w, c.in_c, c.kernel,
+                                     c.stride, c.pad, 800 + layers.size()));
+  }
+  for (const QLayer& layer : layers) {
+    const OpDescriptor d = describe_layer(layer);
+    const auto* conv = std::get_if<QConv2D>(&layer);
+    const auto* dw = std::get_if<QDepthwiseConv2D>(&layer);
+    const ConvGeom g = conv != nullptr ? conv->geom : dw->expansion_geom();
+    std::vector<uint8_t> skip(
+        static_cast<size_t>(d.skippable_operand_count()));
+    for (size_t i = 0; i < skip.size(); ++i) skip[i] = i % 3 == 1;
+    const UnpackedLayer u = UnpackedLayer::build(layer, skip.data());
+    const PackedWeights packed =
+        conv != nullptr
+            ? PackedWeights::pack(conv->weights, g.out_c, g.patch_size())
+            : PackedWeights{};
+
+    const size_t in_elems = static_cast<size_t>(d.in_elems);
+    const size_t out_elems = static_cast<size_t>(d.out_elems);
+    const auto in = make_random_input(
+        static_cast<int64_t>(in_elems) * kBatch, 901);
+    std::vector<int8_t> want(out_elems * kBatch), want_skip(want.size());
+    for (size_t b = 0; b < kBatch; ++b) {
+      const auto img = std::span(in).subspan(b * in_elems, in_elems);
+      run_layer_ref(layer, img, {},
+                    std::span(want).subspan(b * out_elems, out_elems));
+      run_layer_ref(layer, img, {},
+                    std::span(want_skip).subspan(b * out_elems, out_elems),
+                    skip.data());
+    }
+
+    for (const int batch : {1, kBatch}) {
+      std::vector<int16_t> scratch(
+          static_cast<size_t>(plan_scratch_elems(layer)) *
+          (batch == 1 ? 1 : kBatchLanes));
+      const auto in_b = std::span(in).first(batch * in_elems);
+      const auto poisoned = [&](auto run) {
+        return [&, run](ColumnRange range, std::span<int8_t> out) {
+          std::ranges::fill(scratch, kPoison);
+          run(range, out);
+          // The kernel wrote into this scratch, not an owned one.
+          EXPECT_LT(std::ranges::count(scratch, kPoison),
+                    static_cast<std::ptrdiff_t>(scratch.size()));
+        };
+      };
+      const std::string where =
+          (conv != nullptr ? "conv" : "depthwise") + std::string(" in_w ") +
+          std::to_string(g.in_w) + " k " + std::to_string(g.kernel) +
+          " stride " + std::to_string(g.stride) + " batch " +
+          std::to_string(batch);
+      const auto packed_run = poisoned([&](ColumnRange r,
+                                           std::span<int8_t> out) {
+        if (conv != nullptr) {
+          packed_conv2d(*conv, packed, in_b, out, batch, scratch, r);
+        } else {
+          packed_depthwise_conv2d(*dw, in_b, out, batch, scratch, r);
+        }
+      });
+      const auto unpacked_run = poisoned(
+          [&](ColumnRange r, std::span<int8_t> out) {
+            u.run(in_b, out, batch, scratch, r);
+          });
+      EXPECT_EQ(testing::first_column_range_mismatch(
+                    packed_run, std::span(want).first(batch * out_elems),
+                    g.out_w(), g.out_c),
+                "")
+          << "packed " << where;
+      EXPECT_EQ(testing::first_column_range_mismatch(
+                    unpacked_run,
+                    std::span(want_skip).first(batch * out_elems), g.out_w(),
+                    g.out_c),
+                "")
+          << "unpacked " << where;
+    }
+  }
+}
 
 TEST(PackedDense, BitExactVsReference) {
   for (const int in_dim : {4, 5, 64, 129}) {

@@ -33,13 +33,24 @@ using testing::make_random_qdw;
 // --- depthwise kernel parity -------------------------------------------
 
 TEST(Depthwise, PackedAndUnpackedMatchReference) {
-  // Five images (a full lane block and a ragged tail); out_w 9 is one
-  // position block and a tail, out_w 18 two full blocks and a tail.
+  // Five images (a full lane block and a ragged tail); at 3x3 stride 1,
+  // out_w 9 is one position block and a tail, out_w 18 two full blocks
+  // and a tail, out_w 16 two full blocks; stride 3 splits each channel
+  // into three phase planes (out_w 7 and 9).
+  struct Geom {
+    int in_w, kernel, stride, pad;
+  };
   constexpr int kBatch = 5;
-  for (const int in_w : {9, 18}) {
+  for (const Geom geom : {Geom{9, 3, 1, 1}, Geom{18, 3, 1, 1},
+                          Geom{16, 3, 1, 1}, Geom{20, 3, 3, 1},
+                          Geom{25, 5, 3, 2}}) {
+    const int in_w = geom.in_w;
+    SCOPED_TRACE("in_w " + std::to_string(in_w) + " kernel " +
+                 std::to_string(geom.kernel) + " stride " +
+                 std::to_string(geom.stride));
     for (const uint64_t seed : {1u, 2u, 3u}) {
       const QDepthwiseConv2D dw = make_random_qdw(
-          9, in_w, 5, /*kernel=*/3, /*stride=*/1, /*pad=*/1, seed);
+          9, in_w, 5, geom.kernel, geom.stride, geom.pad, seed);
       const size_t in_elems = static_cast<size_t>(9) * in_w * 5;
       const size_t out_elems =
           static_cast<size_t>(dw.positions()) * dw.channels;

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/common/error.hpp"
+#include "src/core/exec_plan.hpp"
 #include "src/nn/engine.hpp"
 #include "src/quant/calibrate.hpp"
 #include "src/quant/quantizer.hpp"
@@ -133,6 +134,27 @@ TEST_F(QuantizedMicronet, ReluFoldedIntoConvClamp) {
 TEST_F(QuantizedMicronet, InputParamsAreStandard) {
   EXPECT_FLOAT_EQ(qmodel_->input.scale, 1.0f / 255.0f);
   EXPECT_EQ(qmodel_->input.zero_point, -128);
+}
+
+// The plan's input table is QuantParams::quantize(v / 255) for every u8
+// value (for these parameters, exactly v - 128), and quantize_input is
+// the table applied per pixel.
+TEST_F(QuantizedMicronet, InputTableMatchesQuantize) {
+  const ExecPlan plan = ExecPlan::compile(*qmodel_);
+  std::vector<uint8_t> pixels(256);
+  for (int v = 0; v < 256; ++v) {
+    const size_t i = static_cast<size_t>(v);
+    EXPECT_EQ(plan.input_table[i],
+              qmodel_->input.quantize(static_cast<float>(v) / 255.0f))
+        << v;
+    EXPECT_EQ(plan.input_table[i], v - 128) << v;
+    pixels[i] = static_cast<uint8_t>(255 - v);
+  }
+  std::vector<int8_t> q(pixels.size());
+  plan.quantize_input(pixels, q);
+  for (size_t i = 0; i < pixels.size(); ++i)
+    EXPECT_EQ(q[i], plan.input_table[pixels[i]]) << i;
+  EXPECT_THROW(plan.quantize_input(pixels, std::span(q).first(255)), Error);
 }
 
 TEST_F(QuantizedMicronet, AccuracyCloseToFloat) {

@@ -102,6 +102,11 @@ INSTANTIATE_TEST_SUITE_P(
                       UnpackCase{kConv, 6, 6, 2, 2, 3, 1, 1, 1.0},
                       // out_w 19: two full position blocks and a tail.
                       UnpackCase{kConv, 5, 19, 3, 4, 3, 1, 1, 0.4},
+                      // Stride 3 (three phase planes), and out_w 16 (no
+                      // ragged block).
+                      UnpackCase{kConv, 11, 11, 3, 4, 3, 3, 1, 0.3},
+                      UnpackCase{kConv, 9, 20, 2, 3, 5, 3, 2, 0.5},
+                      UnpackCase{kConv, 4, 16, 3, 4, 3, 1, 1, 0.2},
                       UnpackCase{kDw, 8, 8, 4, 0, 3, 1, 1, 0.0},
                       UnpackCase{kDw, 9, 9, 5, 0, 3, 2, 0, 0.3},
                       UnpackCase{kDw, 10, 10, 3, 0, 5, 1, 2, 0.5},
@@ -110,7 +115,10 @@ INSTANTIATE_TEST_SUITE_P(
                       UnpackCase{kDw, 6, 6, 8, 0, 1, 1, 0, 0.25},
                       UnpackCase{kDw, 7, 7, 3, 0, 1, 2, 0, 0.9},
                       UnpackCase{kDw, 8, 6, 2, 0, 3, 2, 1, 1.0},
-                      UnpackCase{kDw, 5, 18, 3, 0, 3, 1, 1, 0.35}));
+                      UnpackCase{kDw, 5, 18, 3, 0, 3, 1, 1, 0.35},
+                      UnpackCase{kDw, 10, 13, 4, 0, 3, 3, 0, 0.4},
+                      UnpackCase{kDw, 9, 25, 3, 0, 5, 3, 2, 0.6},
+                      UnpackCase{kDw, 5, 16, 3, 0, 3, 1, 1, 0.2}));
 
 TEST(UnpackedLayer, ExactBuildCountsEveryWeight) {
   ConvGeom g;
