@@ -16,6 +16,11 @@
 // Streamed frames are pinned the same way: the packed steady-state row
 // (steady_state_stream_cost) per fixture and frame stride, and the
 // evaluator's unpacked streaming row per config of that sweep.
+//
+// The hybrid packed/unpacked selection is pinned per layer: both forms'
+// cycles and flash (analyze_layer_choices), the selection at an
+// unlimited and at a tight flash budget (select_layers_to_unpack), and
+// the evaluator's packed baseline.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -31,6 +36,7 @@
 #include "src/sig/act_stats.hpp"
 #include "src/sig/significance.hpp"
 #include "src/sig/skip_plan.hpp"
+#include "src/unpack/layer_selection.hpp"
 #include "src/unpack/unpacked_engine.hpp"
 #include "tests/test_util.hpp"
 
@@ -269,6 +275,89 @@ TEST(CostGolden, EvaluatorStreamCyclesMatchTheRecordedRows) {
     }
   }
   EXPECT_EQ(checked, static_cast<int>(table.size()));
+}
+
+// Per approximable layer under the random mask: {packed_cycles,
+// unpacked_cycles, packed_flash, unpacked_flash} (keyed by fixture and
+// layer ordinal); the selection at budget 0 (unlimited) and at a budget
+// that drops a layer; and ConfigEvaluator::baseline_cycles().
+TEST(CostGolden, HybridChoicesAndBaselineMatchTheRecordedRows) {
+  static const std::map<std::string, std::vector<int64_t>> choices = {
+      {"tiny/0", {175619, 63920, 282, 1028}},
+      {"tiny/1", {106629, 36380, 560, 2192}},
+      {"residual/0", {28355, 24968, 256, 972}},
+      {"residual/1", {28355, 24040, 256, 940}},
+      {"residual/2", {28355, 25096, 256, 976}},
+      {"depthwise/0", {78275, 28520, 282, 1028}},
+      {"depthwise/1", {29891, 15720, 174, 592}},
+  };
+  struct Selection {
+    std::string unlimited;
+    int64_t tight_budget;
+    std::string tight;
+  };
+  // Each tight budget is one byte below the all-unpacked flash, so the
+  // layer with the least saving per extra byte is dropped (scored has no
+  // approximable layer to drop).
+  static const std::map<std::string, Selection> selections = {
+      {"tiny", {"11", 47291, "10"}},
+      {"residual", {"111", 46735, "110"}},
+      {"depthwise", {"11", 42971, "10"}},
+      {"scored", {"", 1, ""}},
+  };
+  static const std::map<std::string, int64_t> baselines = {
+      {"tiny", 289552},
+      {"residual", 95185},
+      {"depthwise", 110804},
+      {"scored", 6388},
+  };
+  const auto bits = [](const HybridPlan& plan) {
+    std::string out;
+    for (const uint8_t u : plan.unpack_selection()) out += u ? '1' : '0';
+    return out;
+  };
+  int checked = 0;
+  for (const auto& [model_name, m] : fixtures()) {
+    const SkipMask mask = random_mask(m, 1300 + m.layers.size());
+    const HybridPlan plan = analyze_layer_choices(m, mask);
+    EXPECT_EQ(static_cast<int>(plan.choices.size()), m.approx_layer_count());
+    for (size_t i = 0; i < plan.choices.size(); ++i) {
+      const LayerDeployChoice& c = plan.choices[i];
+      const std::vector<int64_t> got = {c.packed_cycles, c.unpacked_cycles,
+                                        c.packed_flash, c.unpacked_flash};
+      const std::string key = model_name + "/" + std::to_string(i);
+      const auto it = choices.find(key);
+      if (it == choices.end()) {
+        ADD_FAILURE() << "no golden row; recorded now: {\"" << key << "\", {"
+                      << got[0] << ", " << got[1] << ", " << got[2] << ", "
+                      << got[3] << "}},";
+        continue;
+      }
+      EXPECT_EQ(got, it->second) << key;
+      ++checked;
+    }
+
+    const Sweep sweep = small_sweep(m);
+    const ConfigEvaluator ev(&m, &sweep.sig, &sweep.eval, -1);
+    const auto sel = selections.find(model_name);
+    const auto base = baselines.find(model_name);
+    if (sel == selections.end() || base == baselines.end()) {
+      ADD_FAILURE() << "no golden row; recorded now: {\"" << model_name
+                    << "\", {\"" << bits(select_layers_to_unpack(m, mask, 0))
+                    << "\", ?, ?}}, baseline {\"" << model_name << "\", "
+                    << ev.baseline_cycles() << "},";
+      continue;
+    }
+    EXPECT_EQ(bits(select_layers_to_unpack(m, mask, 0)), sel->second.unlimited)
+        << model_name;
+    EXPECT_EQ(
+        bits(select_layers_to_unpack(m, mask, sel->second.tight_budget)),
+        sel->second.tight)
+        << model_name;
+    EXPECT_EQ(ev.baseline_cycles(), base->second) << model_name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, static_cast<int>(choices.size() + selections.size()));
 }
 
 }  // namespace
