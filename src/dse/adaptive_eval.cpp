@@ -35,14 +35,14 @@ double wilson_upper(int64_t hits, int64_t n, double z) {
 
 AdaptiveSweepResult adaptive_accuracy_sweep(
     const PrefixCache& cache, const SweepStatics& statics,
-    const AdaptiveSweepOptions& options, const SweepProgress& progress) {
+    const DseOptions& options, const SweepProgress& progress) {
   const int n_cfg = cache.config_count();
   const int n_img = cache.eval_images();
   const std::vector<double>& mac_reduction = statics.mac_reduction;
   check(static_cast<int>(mac_reduction.size()) == n_cfg &&
             static_cast<int>(statics.cycles.size()) == n_cfg,
         "statics do not match config count");
-  check(options.block_images > 0, "block_images must be positive");
+  check(options.eval_block > 0, "eval_block must be positive");
 
   AdaptiveSweepResult out;
   out.accuracy.assign(static_cast<size_t>(n_cfg), 0.0);
@@ -89,8 +89,8 @@ AdaptiveSweepResult adaptive_accuracy_sweep(
   if (options.exact_sweep) {
     // Blockwise like the adaptive path (no exits), so long sweeps keep
     // reporting progress: configs-worth of images completed so far.
-    for (int block_end = std::min(n_img, options.block_images);;
-         block_end = std::min(n_img, block_end + options.block_images)) {
+    for (int block_end = std::min(n_img, options.eval_block);;
+         block_end = std::min(n_img, block_end + options.eval_block)) {
       target.assign(static_cast<size_t>(n_cfg), block_end);
       advance();
       if (progress)
@@ -115,8 +115,8 @@ AdaptiveSweepResult adaptive_accuracy_sweep(
 
     std::vector<double> lb(static_cast<size_t>(n_cfg), 0.0);
     std::vector<double> ub(static_cast<size_t>(n_cfg), 1.0);
-    for (int block_end = std::min(n_img, options.block_images);;
-         block_end = std::min(n_img, block_end + options.block_images)) {
+    for (int block_end = std::min(n_img, options.eval_block);;
+         block_end = std::min(n_img, block_end + options.eval_block)) {
       for (int c = 0; c < n_cfg; ++c) {
         if (pending[static_cast<size_t>(c)] && !done[static_cast<size_t>(c)])
           target[static_cast<size_t>(c)] = block_end;
@@ -140,11 +140,11 @@ AdaptiveSweepResult adaptive_accuracy_sweep(
         const int64_t rest = n_img - n;
         lb[static_cast<size_t>(c)] =
             (static_cast<double>(h) +
-             wilson_lower(h, n, options.z) * static_cast<double>(rest)) /
+             wilson_lower(h, n, options.exit_z) * static_cast<double>(rest)) /
             static_cast<double>(n_img);
         ub[static_cast<size_t>(c)] =
             (static_cast<double>(h) +
-             wilson_upper(h, n, options.z) * static_cast<double>(rest)) /
+             wilson_upper(h, n, options.exit_z) * static_cast<double>(rest)) /
             static_cast<double>(n_img);
       }
 
@@ -193,7 +193,7 @@ AdaptiveSweepResult adaptive_accuracy_sweep(
               !pending[static_cast<size_t>(c)])
             continue;
           for (const Floor& f : floors) {
-            if (f.lb > ub[static_cast<size_t>(c)] + options.margin &&
+            if (f.lb > ub[static_cast<size_t>(c)] + options.exit_margin &&
                 f.cycles <= statics.cycles[static_cast<size_t>(c)]) {
               pending[static_cast<size_t>(c)] = 0;  // provably irrelevant
               break;

@@ -25,6 +25,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/dse/config_space.hpp"
 #include "src/dse/prefix_cache.hpp"
 
 namespace ataman {
@@ -33,16 +34,6 @@ namespace ataman {
 // in `n` trials at z-score `z`; n == 0 yields the vacuous [0, 1].
 double wilson_lower(int64_t hits, int64_t n, double z);
 double wilson_upper(int64_t hits, int64_t n, double z);
-
-// Mirrors the fast-sweep fields of DseOptions (src/dse/config_space.hpp
-// is the user-facing source of truth for the defaults and their
-// documentation; run_dse copies them over).
-struct AdaptiveSweepOptions {
-  bool exact_sweep = false;  // evaluate every config on every image
-  int block_images = 16;     // images per block (exit decisions between)
-  double z = 1.96;           // Wilson z-score (~95% interval)
-  double margin = 0.01;      // extra accuracy slack before abandoning
-};
 
 struct AdaptiveSweepResult {
   std::vector<double> accuracy;       // per config; partial for early exits
@@ -70,10 +61,11 @@ struct SweepStatics {
 };
 
 // Blockwise accuracy sweep over `cache`'s config space; config 0 must
-// be the all-exact baseline. Deterministic for any thread count.
+// be the all-exact baseline. Reads the fast-sweep fields of `options`
+// (exact_sweep, eval_block, exit_z, exit_margin). Deterministic for any
+// thread count.
 AdaptiveSweepResult adaptive_accuracy_sweep(
     const PrefixCache& cache, const SweepStatics& statics,
-    const AdaptiveSweepOptions& options,
-    const SweepProgress& progress = nullptr);
+    const DseOptions& options, const SweepProgress& progress = nullptr);
 
 }  // namespace ataman

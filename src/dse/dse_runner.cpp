@@ -34,11 +34,6 @@ DseOutcome run_dse(const ConfigEvaluator& evaluator,
     const PrefixCache cache(&evaluator.model(), &evaluator.significance(),
                             &evaluator.eval_set(), configs,
                             evaluator.eval_images());
-    AdaptiveSweepOptions sweep_options;
-    sweep_options.exact_sweep = options.exact_sweep;
-    sweep_options.block_images = options.eval_block;
-    sweep_options.z = options.exit_z;
-    sweep_options.margin = options.exit_margin;
     SweepStatics statics;
     statics.mac_reduction.resize(configs.size());
     statics.cycles.resize(configs.size());
@@ -47,7 +42,7 @@ DseOutcome run_dse(const ConfigEvaluator& evaluator,
       statics.cycles[i] = outcome.results[i].cycles;
     }
     const AdaptiveSweepResult sweep =
-        adaptive_accuracy_sweep(cache, statics, sweep_options, progress);
+        adaptive_accuracy_sweep(cache, statics, options, progress);
     for (size_t i = 0; i < configs.size(); ++i) {
       outcome.results[i].accuracy = sweep.accuracy[i];
       outcome.results[i].partial_eval =

@@ -39,12 +39,12 @@ struct DseOutcome {
 using DseProgress = std::function<void(int done, int total)>;
 
 // Sweep an explicit config list. The sweep runs through the layer-prefix
-// activation cache with adaptive early exit by default when the
-// evaluator's accuracy backend is the reference engine, whose kernels
-// the cache replays; options.exact_sweep = true keeps the cache but
-// evaluates every config on the full image budget (bitwise identical to
-// per-config ConfigEvaluator::evaluate). Other accuracy backends fall
-// back to the legacy per-config sweep.
+// activation cache with adaptive early exit by default;
+// options.exact_sweep = true keeps the cache but evaluates every config
+// on the full image budget (bitwise identical to per-config
+// ConfigEvaluator::evaluate). Only a model with no approximable layer,
+// which gives the cache no trie to build, runs the per-config sweep
+// (ConfigEvaluator::evaluate per config).
 DseOutcome run_dse(const ConfigEvaluator& evaluator,
                    const std::vector<ApproxConfig>& configs,
                    const DseOptions& options,
