@@ -45,7 +45,7 @@ void run_network(const BenchModel& m, Scale scale, ConsoleTable& table,
     const HybridPlan plan =
         select_layers_to_unpack(m.qmodel, mask, budget_kb * 1024);
     const std::vector<uint8_t> selection = plan.unpack_selection();
-    UnpackedEngine hybrid(&m.qmodel, &mask, {}, {}, &selection);
+    UnpackedEngine hybrid(&m.qmodel, &mask, &selection);
     hybrid.set_design_name("hybrid@" + std::to_string(budget_kb) + "KB");
     const DeployReport r = hybrid.deploy(m.data.test, board, eval_limit);
     table.row({m.name, r.design, std::to_string(plan.unpacked_count()),

@@ -66,16 +66,15 @@ void ablate(const BenchModel& m, Scale scale, ConsoleTable& table,
            CsvWriter::num(static_cast<double>(coop.flash_bytes))});
 
   // (a) runtime customization claim.
-  const MemoryCostTable mem;
   const double runtime_saving =
       100.0 *
-      (1.0 - static_cast<double>(mem.custom_runtime_code) /
-                 static_cast<double>(mem.generic_runtime_code));
+      (1.0 - static_cast<double>(kMemoryCosts.custom_runtime_code) /
+                 static_cast<double>(kMemoryCosts.generic_runtime_code));
   std::printf("[%s] runtime flash: generic %lldKB -> customized %lldKB "
               "(%.0f%% smaller; paper: up to 30%%)\n",
               m.name.c_str(),
-              static_cast<long long>(mem.generic_runtime_code / 1024),
-              static_cast<long long>(mem.custom_runtime_code / 1024),
+              static_cast<long long>(kMemoryCosts.generic_runtime_code / 1024),
+              static_cast<long long>(kMemoryCosts.custom_runtime_code / 1024),
               runtime_saving);
 
   // (b) full-unpack flash budget claim.

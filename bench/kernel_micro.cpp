@@ -67,7 +67,7 @@ void BM_ConvUnpacked(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   double cycles = 0.0;
-  add_step_cycles(cycles, conv, PriceList{PriceList::Family::kUnpacked},
+  add_step_cycles(cycles, conv, PriceList::kUnpacked,
                   u.static_pairs(), u.static_singles());
   state.counters["modeled_mcu_cycles"] = cycles;
   state.counters["retained_macs"] = static_cast<double>(u.retained_macs());
@@ -177,7 +177,7 @@ void BM_DepthwiseUnpacked(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
   double cycles = 0.0;
-  add_step_cycles(cycles, dw, PriceList{PriceList::Family::kUnpacked},
+  add_step_cycles(cycles, dw, PriceList::kUnpacked,
                   u.static_pairs(), u.static_singles());
   state.counters["modeled_mcu_cycles"] = cycles;
   state.counters["retained_macs"] = static_cast<double>(u.retained_macs());

@@ -138,8 +138,6 @@ void dscnn_pareto_and_table(const Workload& w, Scale scale) {
   cfg.model = &w.model;
   cfg.mask = &mask;
   cfg.unpack_selection = &selection;
-  cfg.costs = pipe.options().costs;
-  cfg.memory = pipe.options().memory;
   cfg.design_name = "ataman-hybrid";
   const auto hybrid_engine = EngineRegistry::instance().create("unpacked", cfg);
   const DeployReport hybrid =

@@ -198,8 +198,6 @@ int main(int argc, char** argv) {
     cfg.model = &model;
     cfg.mask = &mask;
     cfg.unpack_selection = &selection;
-    cfg.costs = pipeline.options().costs;
-    cfg.memory = pipeline.options().memory;
     cfg.design_name = "ataman-hybrid";
     const auto engine = EngineRegistry::instance().create("unpacked", cfg);
     ours = engine->deploy(data.test, pipeline.options().board,

@@ -28,8 +28,8 @@ int main() {
   AtamanPipeline pipeline(&model, &data.train, &data.test, options);
 
   const DseOutcome outcome = pipeline.explore();
-  const DeployReport cmsis = pipeline.deploy_cmsis_baseline(400);
-  const DeployReport xcube = pipeline.deploy_xcube(400);
+  const DeployReport cmsis = pipeline.deploy_engine("cmsis", 400);
+  const DeployReport xcube = pipeline.deploy_engine("xcube", 400);
   const BoardSpec board = pipeline.options().board;
 
   std::printf("exact baselines: CMSIS-NN %.1f ms @ %.3f, X-CUBE-AI %.1f ms "

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/common/error.hpp"
+#include "src/mcu/memory_model.hpp"
 
 namespace ataman {
 
@@ -41,31 +42,25 @@ void PackedKernels::run_step(const ExecStep& step, const StepIO& io) const {
   }
 }
 
-CmsisEngine::CmsisEngine(const QModel* model, std::string design_name,
-                         const PriceList& prices)
-    : InferenceEngine(model, nullptr, std::move(design_name)),
+CmsisEngine::CmsisEngine(const QModel* model, PriceList prices)
+    : InferenceEngine(model, nullptr,
+                      prices == PriceList::kXCube ? "x-cube-ai" : "cmsis-nn"),
       kernels_(model) {
+  check(prices != PriceList::kUnpacked,
+        "CmsisEngine prices the packed or X-CUBE-AI list");
   price_ = price_model(*model, prices);
-}
-
-CmsisEngine::CmsisEngine(const QModel* model, CortexM33CostTable costs,
-                         MemoryCostTable memory)
-    : CmsisEngine(model, "cmsis-nn",
-                  PriceList{PriceList::Family::kPacked, costs, {}}) {
-  flash_bytes_ = packed_flash(*model, memory).total_bytes;
-  ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/true, memory);
-}
-
-CmsisEngine::CmsisEngine(const QModel* model, const XCubeCostTable& xcube)
-    : CmsisEngine(model, "x-cube-ai",
-                  PriceList{PriceList::Family::kXCube, {}, xcube}) {
-  flash_bytes_ = xcube.runtime_code +
-                 static_cast<int64_t>(std::llround(
-                     xcube.weight_compression *
-                     static_cast<double>(model->weight_bytes())));
-  MemoryCostTable memory;
-  memory.runtime_reserve = xcube.ram_runtime_reserve;
-  ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/true, memory);
+  if (prices == PriceList::kXCube) {
+    flash_bytes_ = kXCubeCosts.runtime_code +
+                   static_cast<int64_t>(std::llround(
+                       kXCubeCosts.weight_compression *
+                       static_cast<double>(model->weight_bytes())));
+    ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/true,
+                                 kXCubeCosts.ram_runtime_reserve);
+  } else {
+    flash_bytes_ = packed_flash(*model).total_bytes;
+    ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/true,
+                                 kMemoryCosts.runtime_reserve);
+  }
 }
 
 }  // namespace ataman

@@ -17,7 +17,6 @@
 #include "src/core/engine_iface.hpp"
 #include "src/core/exec_plan.hpp"
 #include "src/mcu/cost_model.hpp"
-#include "src/mcu/memory_model.hpp"
 #include "src/quant/qtypes.hpp"
 
 namespace ataman {
@@ -43,14 +42,13 @@ class PackedKernels final : public KernelTable {
 
 class CmsisEngine : public InferenceEngine {
  public:
-  explicit CmsisEngine(const QModel* model, CortexM33CostTable costs = {},
-                       MemoryCostTable memory = {});
-
-  // The X-CUBE-AI comparator (registry key "xcube", design "x-cube-ai"):
-  // X-CUBE-AI is an exact int8 library, so the same packed plan and
-  // kernels give its numerics; only the price list and the flash/RAM
-  // formulas (weight compression, a smaller runtime) differ.
-  CmsisEngine(const QModel* model, const XCubeCostTable& xcube);
+  // `prices` is kPacked (design "cmsis-nn") or kXCube: the X-CUBE-AI
+  // comparator (registry key "xcube", design "x-cube-ai"). X-CUBE-AI is
+  // an exact int8 library, so the same packed plan and kernels give its
+  // numerics; only the price list and the flash/RAM formulas (weight
+  // compression, a smaller runtime) differ.
+  explicit CmsisEngine(const QModel* model,
+                       PriceList prices = PriceList::kPacked);
 
   // Copies the offline-packed weight streams and the priced cost instead
   // of re-running the packing analysis.
@@ -59,9 +57,6 @@ class CmsisEngine : public InferenceEngine {
   }
 
  private:
-  CmsisEngine(const QModel* model, std::string design_name,
-              const PriceList& prices);
-
   const KernelTable& kernels() const override { return kernels_; }
 
   PackedKernels kernels_;

@@ -322,7 +322,7 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
 // adjacent operands (two weights of one SMLAD would hit two different
 // accumulators), which is why no PackedWeights stream exists for it —
 // exactly CMSIS-NN's structure, and priced accordingly
-// (CortexM33CostTable::packed_depthwise_per_mac). The host pairs two taps
+// (kM33Costs.packed_depthwise_per_mac). The host pairs two taps
 // of the same channel per smlad8 step instead (both hit that channel's
 // accumulator). Bit-exact with depthwise_conv2d_ref.
 void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,

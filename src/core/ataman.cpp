@@ -45,8 +45,7 @@ DseOutcome AtamanPipeline::explore(const std::vector<ApproxConfig>& configs,
                                    const DseProgress& progress) {
   analyze();
   const ConfigEvaluator evaluator(model_, &significance_, eval_,
-                                  options_.dse.eval_images, options_.costs,
-                                  options_.memory);
+                                  options_.dse.eval_images);
   return run_dse(evaluator, configs, options_.dse, progress);
 }
 
@@ -74,9 +73,6 @@ DeployReport AtamanPipeline::deploy_engine(const std::string& engine_name,
   std::optional<SkipMask> mask;
   EngineConfig cfg;
   cfg.model = model_;
-  cfg.costs = options_.costs;
-  cfg.memory = options_.memory;
-  cfg.xcube = &options_.xcube;
   cfg.design_name = design_name;
   if (config != nullptr) {
     mask.emplace(mask_for(*config));
@@ -84,14 +80,6 @@ DeployReport AtamanPipeline::deploy_engine(const std::string& engine_name,
   }
   const auto engine = EngineRegistry::instance().create(engine_name, cfg);
   return engine->deploy(*eval_, options_.board, eval_limit);
-}
-
-DeployReport AtamanPipeline::deploy_cmsis_baseline(int eval_limit) const {
-  return deploy_engine("cmsis", eval_limit);
-}
-
-DeployReport AtamanPipeline::deploy_xcube(int eval_limit) const {
-  return deploy_engine("xcube", eval_limit);
 }
 
 std::string AtamanPipeline::generate_code(const ApproxConfig& config,

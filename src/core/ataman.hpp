@@ -20,7 +20,6 @@
 #include "src/data/synth_cifar.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/mcu/board.hpp"
-#include "src/mcu/cost_model.hpp"
 #include "src/quant/quantizer.hpp"
 #include "src/train/model_zoo.hpp"
 
@@ -30,9 +29,6 @@ struct PipelineOptions {
   int calibration_images = 256;   // for activation statistics (step 2)
   DseOptions dse;                 // step 4
   BoardSpec board = stm32u575_board();
-  CortexM33CostTable costs;
-  MemoryCostTable memory;
-  XCubeCostTable xcube;
 };
 
 class AtamanPipeline {
@@ -66,15 +62,12 @@ class AtamanPipeline {
   // Deploy any EngineRegistry backend ("ref", "cmsis", "unpacked",
   // "xcube", or anything registered at startup) on the eval set. When
   // `config` is given, its skip mask is bound for mask-aware engines
-  // (exact engines ignore it). This is the one deployment path — the
-  // named comparators below are thin wrappers.
+  // (exact engines ignore it). This is the one deployment path: the
+  // comparators are deploy_engine("cmsis") and deploy_engine("xcube").
   DeployReport deploy_engine(const std::string& engine_name,
                              int eval_limit = -1,
                              const ApproxConfig* config = nullptr,
                              const std::string& design_name = "") const;
-  // Comparators.
-  DeployReport deploy_cmsis_baseline(int eval_limit = -1) const;
-  DeployReport deploy_xcube(int eval_limit = -1) const;
 
   // Generated C for the approximate model (framework output 4 in Fig. 1).
   std::string generate_code(const ApproxConfig& config,

@@ -97,15 +97,14 @@ EngineRegistry::EngineRegistry() {
     return std::make_unique<RefEngine>(cfg.model, cfg.mask);
   };
   factories_["cmsis"] = [](const EngineConfig& cfg) {
-    return std::make_unique<CmsisEngine>(cfg.model, cfg.costs, cfg.memory);
+    return std::make_unique<CmsisEngine>(cfg.model);
   };
   factories_["unpacked"] = [](const EngineConfig& cfg) {
-    return std::make_unique<UnpackedEngine>(cfg.model, cfg.mask, cfg.costs,
-                                            cfg.memory, cfg.unpack_selection);
+    return std::make_unique<UnpackedEngine>(cfg.model, cfg.mask,
+                                            cfg.unpack_selection);
   };
   factories_["xcube"] = [](const EngineConfig& cfg) {
-    return std::make_unique<CmsisEngine>(
-        cfg.model, cfg.xcube != nullptr ? *cfg.xcube : XCubeCostTable{});
+    return std::make_unique<CmsisEngine>(cfg.model, PriceList::kXCube);
   };
 }
 

@@ -30,7 +30,6 @@
 #include "src/mcu/board.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/mcu/deploy_report.hpp"
-#include "src/mcu/memory_model.hpp"
 #include "src/mcu/stream_plan.hpp"
 #include "src/quant/qtypes.hpp"
 
@@ -232,10 +231,7 @@ struct EngineConfig {
   // Per-approximable-layer-ordinal hybrid selection (unpacked only; see
   // src/unpack/layer_selection.hpp). Must outlive the engine.
   const std::vector<uint8_t>* unpack_selection = nullptr;
-  CortexM33CostTable costs{};
-  MemoryCostTable memory{};
-  const XCubeCostTable* xcube = nullptr;  // nullptr -> default table
-  std::string design_name;                // empty -> engine default
+  std::string design_name;  // empty -> engine default
 };
 
 // String-keyed engine factory. The four in-tree backends self-register as

@@ -39,20 +39,17 @@ UnpackStats compute_unpack_stats(const QModel& model, const SkipMask& mask) {
 
 ConfigEvaluator::ConfigEvaluator(
     const QModel* model, const std::vector<LayerSignificance>* significance,
-    const Dataset* eval, int eval_images, CortexM33CostTable costs,
-    MemoryCostTable memory)
+    const Dataset* eval, int eval_images)
     : model_(model),
       significance_(significance),
       eval_(eval),
-      eval_images_(eval_images),
-      costs_(costs),
-      memory_(memory) {
+      eval_images_(eval_images) {
   check(model != nullptr && significance != nullptr && eval != nullptr,
         "evaluator needs model, significance and eval set");
   check(static_cast<int>(significance->size()) ==
             model->approx_layer_count(),
         "significance does not match model");
-  baseline_cycles_ = packed_model_cycles(*model_, costs_);
+  baseline_cycles_ = packed_model_cycles(*model_);
   conv_total_macs_ = model_->approx_mac_count();
   fc_total_macs_ = model_->mac_count() - conv_total_macs_;
 }
@@ -101,13 +98,12 @@ DseResult ConfigEvaluator::static_metrics(const ApproxConfig& config,
   // FC/pool/softmax. When a stream stride is set, the same deployment's
   // steady-state streaming frame is priced over the splice plan (pure
   // geometry, shared across configs).
-  const PriceList prices{PriceList::Family::kUnpacked, costs_, {}};
-  r.cycles = price_model(*model_, prices, stats.static_pairs,
+  r.cycles = price_model(*model_, PriceList::kUnpacked, stats.static_pairs,
                          stats.static_singles)
                  .total_cycles;
   if (stream_stride_ > 0) {
     r.stream_cycles_per_frame =
-        price_model(*model_, prices, stats.static_pairs,
+        price_model(*model_, PriceList::kUnpacked, stats.static_pairs,
                     stats.static_singles, &stream_plan_)
             .total_cycles;
     r.stream_energy_mj_per_frame =
@@ -117,8 +113,7 @@ DseResult ConfigEvaluator::static_metrics(const ApproxConfig& config,
       1.0 - static_cast<double>(r.cycles) /
                 static_cast<double>(baseline_cycles_);
   r.flash_bytes =
-      unpacked_flash(*model_, stats.static_pairs, stats.static_singles,
-                     memory_)
+      unpacked_flash(*model_, stats.static_pairs, stats.static_singles)
           .total_bytes;
   return r;
 }

@@ -60,8 +60,7 @@ class ConfigEvaluator {
   // evaluation (-1 = all).
   ConfigEvaluator(const QModel* model,
                   const std::vector<LayerSignificance>* significance,
-                  const Dataset* eval, int eval_images,
-                  CortexM33CostTable costs = {}, MemoryCostTable memory = {});
+                  const Dataset* eval, int eval_images);
 
   // Static metrics plus the accuracy of the reference engine on the
   // zeroed-weight model: the per-config oracle the cached sweep is
@@ -107,8 +106,6 @@ class ConfigEvaluator {
   const std::vector<LayerSignificance>* significance_;
   const Dataset* eval_;
   int eval_images_;
-  CortexM33CostTable costs_;
-  MemoryCostTable memory_;
   int64_t baseline_cycles_ = 0;
   int64_t conv_total_macs_ = 0;
   int64_t fc_total_macs_ = 0;

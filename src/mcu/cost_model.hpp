@@ -35,8 +35,12 @@
 //
 // 3. Packed fully-connected / pooling / softmax, common to all engines.
 //
-// All constants live in CortexM33CostTable; change one place to re-price
-// every engine, bench and report.
+// All constants live in one fixed table per price list, kM33Costs and
+// kXCubeCosts (and the flash/RAM table kMemoryCosts in memory_model.hpp):
+// calibrated once, read by every pricing function directly, and taken by
+// no option, constructor or parameter. Edit a table in one place to
+// re-price every engine, bench and report (tests/test_cost_golden.cpp
+// pins the result).
 #pragma once
 
 #include <cstdint>
@@ -103,6 +107,8 @@ struct CortexM33CostTable {
   double stream_splice_per_elem = 0.6;
 };
 
+inline constexpr CortexM33CostTable kM33Costs{};
+
 // Simulated X-CUBE-AI comparator [8] price list.
 //
 // X-CUBE-AI is STMicroelectronics' closed-source deployment tool; the
@@ -135,28 +141,27 @@ struct XCubeCostTable {
   int64_t ram_runtime_reserve = 150 * 1024;
 };
 
+inline constexpr XCubeCostTable kXCubeCosts{};
+
 // True when the layer qualifies for the CMSIS fast (dual-SMLAD) path.
 bool packed_conv_uses_fast_path(const QConv2D& layer);
 
 // Cycle counts -----------------------------------------------------------
 
-int64_t packed_conv_cycles(const QConv2D& layer,
-                           const CortexM33CostTable& t = {});
+int64_t packed_conv_cycles(const QConv2D& layer);
 
 // Packed (loop-kernel) depthwise convolution.
-int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer,
-                                const CortexM33CostTable& t = {});
+int64_t packed_depthwise_cycles(const QDepthwiseConv2D& layer);
 
-int64_t dense_cycles(const QDense& layer, const CortexM33CostTable& t = {});
+int64_t dense_cycles(const QDense& layer);
 
-int64_t pool_cycles(const QMaxPool& layer, const CortexM33CostTable& t = {});
+int64_t pool_cycles(const QMaxPool& layer);
 
-int64_t avgpool_cycles(const QAvgPool& layer,
-                       const CortexM33CostTable& t = {});
+int64_t avgpool_cycles(const QAvgPool& layer);
 
 // Residual add: per-element requantize-and-add (same stream on every
 // engine; never approximated, never unpacked).
-int64_t qadd_cycles(const QAdd& layer, const CortexM33CostTable& t = {});
+int64_t qadd_cycles(const QAdd& layer);
 
 // Per-step pricing --------------------------------------------------------
 //
@@ -167,16 +172,11 @@ int64_t qadd_cycles(const QAdd& layer, const CortexM33CostTable& t = {});
 //   * kUnpacked: approximable layers with a retained-operand count run
 //                their unpacked program (its setup replaces dispatch);
 //                everything else is priced as kPacked.
-//   * kXCube:    X-CUBE-AI's fused kernels (XCubeCostTable).
-// The Cortex-M33 lists round every kernel term per layer, so their sums
-// are integral and the engines truncate them; the X-CUBE-AI list sums
-// unrounded terms and rounds once.
-struct PriceList {
-  enum class Family { kPacked, kUnpacked, kXCube };
-  Family family = Family::kPacked;
-  CortexM33CostTable m33{};
-  XCubeCostTable xcube{};
-};
+//   * kXCube:    X-CUBE-AI's fused kernels (kXCubeCosts).
+// The Cortex-M33 lists (kM33Costs) round every kernel term per layer, so
+// their sums are integral and the engines truncate them; the X-CUBE-AI
+// list sums unrounded terms and rounds once.
+enum class PriceList { kPacked, kUnpacked, kXCube };
 
 // Adds the modeled cycles of executing `layer` as one step to `total`
 // and returns that step's share. `static_pairs` / `static_singles` are
@@ -188,8 +188,8 @@ struct PriceList {
 // conv/depthwise kernel scales by the recomputed fraction (its im2col,
 // MAC and epilogue terms are all per position). Other steps, and packed
 // steps on the other lists, recompute in full.
-double add_step_cycles(double& total, const QLayer& layer,
-                       const PriceList& prices, int64_t static_pairs = -1,
+double add_step_cycles(double& total, const QLayer& layer, PriceList prices,
+                       int64_t static_pairs = -1,
                        int64_t static_singles = 0,
                        int64_t recomputed_positions = -1);
 
@@ -208,15 +208,14 @@ struct ModelPrice {
   std::vector<LayerProfile> rows;
 };
 
-ModelPrice price_model(const QModel& model, const PriceList& prices,
+ModelPrice price_model(const QModel& model, PriceList prices,
                        const std::vector<int64_t>& static_pairs = {},
                        const std::vector<int64_t>& static_singles = {},
                        const StreamPlan* stream = nullptr);
 
 // Whole-model cycles for the packed (exact CMSIS-like) engine, including
 // per-layer dispatch and the final softmax.
-int64_t packed_model_cycles(const QModel& model,
-                            const CortexM33CostTable& t = {});
+int64_t packed_model_cycles(const QModel& model);
 
 // Streaming (temporal reuse) ---------------------------------------------
 //
@@ -238,7 +237,6 @@ struct StreamingCostRow {
   double reuse_ratio = 0.0;      // full_macs / macs_per_frame
 };
 
-StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols,
-                                          const CortexM33CostTable& t = {});
+StreamingCostRow steady_state_stream_cost(const QModel& model, int stride_cols);
 
 }  // namespace ataman

@@ -6,11 +6,12 @@
 
 namespace ataman {
 
-FlashReport packed_flash(const QModel& model, const MemoryCostTable& t) {
+FlashReport packed_flash(const QModel& model) {
   FlashReport r;
-  r.code_bytes = t.generic_runtime_code + t.const_tables +
-                 t.per_layer_descriptor *
-                     static_cast<int64_t>(model.layers.size());
+  r.code_bytes =
+      kMemoryCosts.generic_runtime_code + kMemoryCosts.const_tables +
+      kMemoryCosts.per_layer_descriptor *
+          static_cast<int64_t>(model.layers.size());
   r.weight_bytes = model.weight_bytes();
   r.total_bytes = r.code_bytes + r.weight_bytes;
   return r;
@@ -18,12 +19,11 @@ FlashReport packed_flash(const QModel& model, const MemoryCostTable& t) {
 
 FlashReport unpacked_flash(const QModel& model,
                            const std::vector<int64_t>& static_pairs,
-                           const std::vector<int64_t>& static_singles,
-                           const MemoryCostTable& t) {
+                           const std::vector<int64_t>& static_singles) {
   check(static_pairs.size() == static_singles.size(),
         "pair/single vectors must align");
   FlashReport r;
-  r.code_bytes = t.custom_runtime_code + t.const_tables;
+  r.code_bytes = kMemoryCosts.custom_runtime_code + kMemoryCosts.const_tables;
 
   int ordinal = 0;
   for (const QLayer& layer : model.layers) {
@@ -39,23 +39,24 @@ FlashReport unpacked_flash(const QModel& model,
       if (unpacked) {
         const int64_t pairs = static_pairs[static_cast<size_t>(ordinal)];
         const int64_t singles = static_singles[static_cast<size_t>(ordinal)];
-        r.unpacked_code_bytes += t.unpacked_bytes_per_layer +
-                                 t.unpacked_bytes_per_channel * d.channels +
-                                 t.unpacked_bytes_per_pair * pairs +
-                                 t.unpacked_bytes_per_single * singles;
+        r.unpacked_code_bytes +=
+            kMemoryCosts.unpacked_bytes_per_layer +
+            kMemoryCosts.unpacked_bytes_per_channel * d.channels +
+            kMemoryCosts.unpacked_bytes_per_pair * pairs +
+            kMemoryCosts.unpacked_bytes_per_single * singles;
         // Biases remain data (loaded by the per-channel prologue).
         r.weight_bytes += bias_data;
       } else {
         r.weight_bytes += weight_data + bias_data;
-        r.code_bytes += t.per_layer_descriptor;
+        r.code_bytes += kMemoryCosts.per_layer_descriptor;
       }
       ++ordinal;
     } else if (const auto* fc = std::get_if<QDense>(&layer)) {
       r.weight_bytes += static_cast<int64_t>(fc->weights.size()) +
                         static_cast<int64_t>(fc->bias.size()) * 4;
-      r.code_bytes += t.per_layer_descriptor;
+      r.code_bytes += kMemoryCosts.per_layer_descriptor;
     } else {
-      r.code_bytes += t.per_layer_descriptor;
+      r.code_bytes += kMemoryCosts.per_layer_descriptor;
     }
   }
   r.total_bytes = r.code_bytes + r.weight_bytes + r.unpacked_code_bytes;
@@ -128,7 +129,7 @@ ActivationPlan plan_activations(const QModel& model) {
 }
 
 int64_t model_ram_bytes(const QModel& model, bool packed_engine,
-                        const MemoryCostTable& t) {
+                        int64_t runtime_reserve) {
   // Liveness-planned arena (see header): ping-pong max(cur + next) on
   // chains, true DAG peak on residual models.
   const int64_t arena = plan_activations(model).peak_elems;
@@ -143,7 +144,7 @@ int64_t model_ram_bytes(const QModel& model, bool packed_engine,
       }
     }
   }
-  return arena + im2col + t.runtime_reserve;
+  return arena + im2col + runtime_reserve;
 }
 
 }  // namespace ataman

@@ -10,7 +10,13 @@
 //
 // RAM = liveness-planned activation arena + im2col scratch (packed
 // only) + a fixed runtime reserve (stack, HAL, I/O staging) calibrated
-// once against Table I. The arena term is
+// once against Table I.
+//
+// All sizes live in the fixed table kMemoryCosts, calibrated once and
+// read by the flash functions directly; no option, constructor or
+// parameter takes a table. The one value a caller picks is the RAM
+// runtime reserve: kMemoryCosts.runtime_reserve for the generic and
+// customized runtimes, kXCubeCosts.ram_runtime_reserve for X-CUBE-AI. The arena term is
 //   peak = max over execution steps l of  sum of live tensor sizes,
 // where tensor t is live at step l iff def(t) <= l <= last_use(t)
 // (def = producing step, last_use = last consuming step). On a pure
@@ -47,6 +53,8 @@ struct MemoryCostTable {
   int64_t runtime_reserve = 168 * 1024;  // stack, HAL, statics, I/O staging
 };
 
+inline constexpr MemoryCostTable kMemoryCosts{};
+
 struct FlashReport {
   int64_t total_bytes = 0;
   int64_t code_bytes = 0;
@@ -59,7 +67,7 @@ struct FlashReport {
 };
 
 // Packed (CMSIS-like) deployment: weights stored as data.
-FlashReport packed_flash(const QModel& model, const MemoryCostTable& t = {});
+FlashReport packed_flash(const QModel& model);
 
 // Unpacked deployment: approximable layers (conv + depthwise) in
 // `static_pairs` / `static_singles` (indexed by approximable-layer
@@ -67,8 +75,7 @@ FlashReport packed_flash(const QModel& model, const MemoryCostTable& t = {});
 // their weights disappear from the data segment. FC layers stay packed.
 FlashReport unpacked_flash(const QModel& model,
                            const std::vector<int64_t>& static_pairs,
-                           const std::vector<int64_t>& static_singles,
-                           const MemoryCostTable& t = {});
+                           const std::vector<int64_t>& static_singles);
 
 // ---------------------------------------------------------------------------
 // Liveness-based activation-buffer plan — the one placement every engine
@@ -106,8 +113,8 @@ ActivationPlan plan_activations(const QModel& model);
 
 // RAM use is engine-independent to first order (same activation buffers);
 // packed adds the im2col q15 scratch. The arena term is
-// plan_activations(model).peak_elems.
+// plan_activations(model).peak_elems; `runtime_reserve` is added as is.
 int64_t model_ram_bytes(const QModel& model, bool packed_engine,
-                        const MemoryCostTable& t = {});
+                        int64_t runtime_reserve);
 
 }  // namespace ataman

@@ -14,13 +14,8 @@ int checked_workers(int workers) {
 }
 }  // namespace
 
-EnginePool::EnginePool(const QModel* model, int workers,
-                       CortexM33CostTable costs, MemoryCostTable memory,
-                       XCubeCostTable xcube)
+EnginePool::EnginePool(const QModel* model, int workers)
     : model_(model),
-      costs_(costs),
-      memory_(memory),
-      xcube_(xcube),
       per_worker_(static_cast<size_t>(checked_workers(workers))) {
   check(model != nullptr, "EnginePool needs a model");
 }
@@ -32,9 +27,6 @@ std::unique_ptr<InferenceEngine> EnginePool::make_instance(const Key& key) {
     EngineConfig cfg;
     cfg.model = model_;
     cfg.mask = key.second;
-    cfg.costs = costs_;
-    cfg.memory = memory_;
-    cfg.xcube = &xcube_;
     it = prototypes_
              .emplace(key, EngineRegistry::instance().create(key.first, cfg))
              .first;

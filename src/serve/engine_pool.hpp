@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/core/engine_iface.hpp"
-#include "src/mcu/cost_model.hpp"  // XCubeCostTable (by value in the pool)
 
 namespace ataman::serve {
 
@@ -41,10 +40,9 @@ struct EnginePoolStats {
 
 class EnginePool {
  public:
-  // `model` must outlive the pool; cost tables are copied. `workers` is
-  // the number of distinct owner ids engine_for will be called with.
-  EnginePool(const QModel* model, int workers, CortexM33CostTable costs = {},
-             MemoryCostTable memory = {}, XCubeCostTable xcube = {});
+  // `model` must outlive the pool. `workers` is the number of distinct
+  // owner ids engine_for will be called with.
+  EnginePool(const QModel* model, int workers);
 
   // The engine owned by `worker` for (backend, mask), built lazily.
   // Thread contract: any number of workers may call concurrently, but
@@ -65,9 +63,6 @@ class EnginePool {
   std::unique_ptr<InferenceEngine> make_instance(const Key& key);
 
   const QModel* model_;
-  CortexM33CostTable costs_;
-  MemoryCostTable memory_;
-  XCubeCostTable xcube_;
 
   mutable std::mutex proto_mutex_;  // guards the two members below
   EngineMap prototypes_;

@@ -20,8 +20,7 @@ InferenceServer::InferenceServer(const QModel* model, ServeOptions options)
     : model_(model),
       options_(options),
       queue_(options.max_batch, options.workers),
-      pool_(model, options.workers, options.costs, options.memory,
-            options.xcube),
+      pool_(model, options.workers),
       per_worker_done_(static_cast<size_t>(options.workers), 0) {
   check(model != nullptr, "InferenceServer needs a model");
   check(options_.workers >= 1, "InferenceServer needs at least one worker");

@@ -45,11 +45,6 @@ namespace ataman::serve {
 struct ServeOptions {
   int workers = 4;    // executor threads (>= 1)
   int max_batch = 8;  // micro-batch coalescing cap (>= 1; 1 = no batching)
-  // Cost/memory tables forwarded to EngineConfig for every engine the
-  // pool builds (same defaults as the rest of the repo).
-  CortexM33CostTable costs{};
-  MemoryCostTable memory{};
-  XCubeCostTable xcube{};
 };
 
 // Counter snapshot; all values monotone over the server's life.

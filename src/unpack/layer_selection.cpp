@@ -28,12 +28,8 @@ int HybridPlan::unpacked_count() const {
   return n;
 }
 
-HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
-                                 const CortexM33CostTable& costs,
-                                 const MemoryCostTable& memory) {
+HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask) {
   const UnpackStats stats = compute_unpack_stats(model, mask);
-  const PriceList packed{PriceList::Family::kPacked, costs, {}};
-  const PriceList unpacked{PriceList::Family::kUnpacked, costs, {}};
   HybridPlan plan;
   int ordinal = 0;
   for (const QLayer& layer : model.layers) {
@@ -44,16 +40,17 @@ HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
         stats.static_singles[static_cast<size_t>(ordinal)];
     LayerDeployChoice c;
     double sum = 0.0;  // add_step_cycles' running total; unused
-    c.packed_cycles = static_cast<int64_t>(add_step_cycles(sum, layer, packed));
+    c.packed_cycles = static_cast<int64_t>(
+        add_step_cycles(sum, layer, PriceList::kPacked));
     c.unpacked_cycles = static_cast<int64_t>(
-        add_step_cycles(sum, layer, unpacked, pairs, singles));
+        add_step_cycles(sum, layer, PriceList::kUnpacked, pairs, singles));
     c.packed_flash = d.skippable_operand_count() +
                      static_cast<int64_t>(d.channels) * 4 +
-                     memory.per_layer_descriptor;
-    c.unpacked_flash = memory.unpacked_bytes_per_layer +
-                       memory.unpacked_bytes_per_channel * d.channels +
-                       memory.unpacked_bytes_per_pair * pairs +
-                       memory.unpacked_bytes_per_single * singles +
+                     kMemoryCosts.per_layer_descriptor;
+    c.unpacked_flash = kMemoryCosts.unpacked_bytes_per_layer +
+                       kMemoryCosts.unpacked_bytes_per_channel * d.channels +
+                       kMemoryCosts.unpacked_bytes_per_pair * pairs +
+                       kMemoryCosts.unpacked_bytes_per_single * singles +
                        static_cast<int64_t>(d.channels) * 4;
     c.unpack = false;  // selection decides
     plan.choices.push_back(c);
@@ -63,16 +60,15 @@ HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
 }
 
 HybridPlan select_layers_to_unpack(const QModel& model, const SkipMask& mask,
-                                   int64_t flash_budget,
-                                   const CortexM33CostTable& costs,
-                                   const MemoryCostTable& memory) {
-  HybridPlan plan = analyze_layer_choices(model, mask, costs, memory);
+                                   int64_t flash_budget) {
+  HybridPlan plan = analyze_layer_choices(model, mask);
 
   // Baseline model flash with everything packed.
-  int64_t flash = packed_flash(model, memory).total_bytes
+  int64_t flash = packed_flash(model).total_bytes
                   // swap generic runtime for the customized one (the
                   // hybrid build is generated code either way)
-                  - memory.generic_runtime_code + memory.custom_runtime_code;
+                  - kMemoryCosts.generic_runtime_code +
+                  kMemoryCosts.custom_runtime_code;
 
   // Candidate order: best cycle-saving per extra flash byte first.
   std::vector<int> order(plan.choices.size());

@@ -43,9 +43,7 @@ struct HybridPlan {
 };
 
 // Evaluate both deployment options per approximable layer under `mask`.
-HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
-                                 const CortexM33CostTable& costs = {},
-                                 const MemoryCostTable& memory = {});
+HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask);
 
 // Greedy knapsack: unpack layers in descending cycles-saved-per-extra-
 // flash-byte order while the *total model flash* stays within
@@ -53,8 +51,6 @@ HybridPlan analyze_layer_choices(const QModel& model, const SkipMask& mask,
 // saves cycles AND flash are always taken; layers that lose cycles are
 // never taken.
 HybridPlan select_layers_to_unpack(const QModel& model, const SkipMask& mask,
-                                   int64_t flash_budget,
-                                   const CortexM33CostTable& costs = {},
-                                   const MemoryCostTable& memory = {});
+                                   int64_t flash_budget);
 
 }  // namespace ataman

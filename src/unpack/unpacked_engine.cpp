@@ -19,8 +19,6 @@ std::vector<uint8_t> checked_selection(const QModel& model,
 }  // namespace
 
 UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
-                               CortexM33CostTable costs,
-                               MemoryCostTable memory,
                                const std::vector<uint8_t>* unpack_selection)
     : InferenceEngine(model, mask, "ataman"),
       unpacked_(checked_selection(*model, unpack_selection)),
@@ -40,11 +38,11 @@ UnpackedEngine::UnpackedEngine(const QModel* model, const SkipMask* mask,
     static_pairs_[o] = u.static_pairs();
     static_singles_[o] = u.static_singles();
   }
-  price_ =
-      price_model(*model, PriceList{PriceList::Family::kUnpacked, costs, {}},
-                  static_pairs_, static_singles_);
-  flash_bytes_ = flash(memory).total_bytes;
-  ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/false, memory);
+  price_ = price_model(*model, PriceList::kUnpacked, static_pairs_,
+                       static_singles_);
+  flash_bytes_ = flash().total_bytes;
+  ram_bytes_ = model_ram_bytes(*model, /*packed_engine=*/false,
+                               kMemoryCosts.runtime_reserve);
 }
 
 int UnpackedEngine::unpacked_conv_count() const {

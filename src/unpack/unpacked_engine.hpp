@@ -33,7 +33,6 @@ class UnpackedEngine : public InferenceEngine, private KernelTable {
   // depthwise) is unpacked (the paper's policy); otherwise one 0/1 flag
   // per approximable-layer ordinal.
   UnpackedEngine(const QModel* model, const SkipMask* mask = nullptr,
-                 CortexM33CostTable costs = {}, MemoryCostTable memory = {},
                  const std::vector<uint8_t>* unpack_selection = nullptr);
 
   // Copies the unpacked channel programs / packed FC streams verbatim —
@@ -45,8 +44,8 @@ class UnpackedEngine : public InferenceEngine, private KernelTable {
 
   int unpacked_conv_count() const;  // unpacked approximable layers
 
-  FlashReport flash(const MemoryCostTable& t = {}) const {
-    return unpacked_flash(model(), static_pairs_, static_singles_, t);
+  FlashReport flash() const {
+    return unpacked_flash(model(), static_pairs_, static_singles_);
   }
 
  private:

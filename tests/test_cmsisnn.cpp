@@ -411,7 +411,7 @@ TEST(CmsisEngine, CycleProfileCoversAllLayers) {
     for (const std::vector<uint8_t>* selection :
          {static_cast<const std::vector<uint8_t>*>(nullptr),
           static_cast<const std::vector<uint8_t>*>(&hybrid)}) {
-      const UnpackedEngine unpacked(&model, nullptr, {}, {}, selection);
+      const UnpackedEngine unpacked(&model, nullptr, selection);
       EXPECT_EQ(profile_sum(unpacked), unpacked.total_cycles())
           << model.name << (selection != nullptr ? " hybrid" : "");
     }

@@ -5,6 +5,7 @@
 #include "src/baselines/qualitative.hpp"
 #include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/mcu/cost_model.hpp"
+#include "src/mcu/memory_model.hpp"
 #include "src/nn/engine.hpp"
 #include "tests/test_util.hpp"
 
@@ -15,7 +16,7 @@ using testing::make_tiny_qmodel;
 
 TEST(XCube, ExactNumericsMatchReference) {
   const QModel m = make_tiny_qmodel(90);
-  const CmsisEngine xcube(&m, XCubeCostTable{});
+  const CmsisEngine xcube(&m, PriceList::kXCube);
   RefEngine ref(&m);
   for (int i = 0; i < 20; ++i) {
     const auto img = testing::make_random_image(12 * 12 * 3, 910 + i);
@@ -27,21 +28,21 @@ TEST(XCube, FasterThanCmsisOnFastPathModels) {
   // X-CUBE-AI beats CMSIS on both paper networks; our cost profile must
   // reproduce that ordering on comparable models.
   const QModel m = make_tiny_qmodel(91);
-  const CmsisEngine xcube(&m, XCubeCostTable{});
+  const CmsisEngine xcube(&m, PriceList::kXCube);
   CmsisEngine cmsis(&m);
   EXPECT_LT(xcube.total_cycles(), cmsis.total_cycles());
 }
 
 TEST(XCube, SmallerFlashThanCmsis) {
   const QModel m = make_tiny_qmodel(92);
-  const CmsisEngine xcube(&m, XCubeCostTable{});
+  const CmsisEngine xcube(&m, PriceList::kXCube);
   const FlashReport cmsis = packed_flash(m);
   EXPECT_LT(xcube.flash_bytes(), cmsis.total_bytes);
 }
 
 TEST(XCube, DeployReportShape) {
   const QModel m = make_tiny_qmodel(93);
-  const CmsisEngine xcube(&m, XCubeCostTable{});
+  const CmsisEngine xcube(&m, PriceList::kXCube);
   Dataset eval(ImageShape{12, 12, 3}, 10);
   Rng rng(94);
   for (int i = 0; i < 30; ++i) {

@@ -97,8 +97,9 @@ TEST(ActivationPlan, ResidualPeakBeatsSumOfTensors) {
   EXPECT_LT(plan.peak_elems, plan.total_tensor_elems());
 
   // And the model-level RAM row uses the liveness peak, not the pair.
-  EXPECT_GE(model_ram_bytes(m, /*packed_engine=*/false),
-            plan.peak_elems + MemoryCostTable{}.runtime_reserve);
+  EXPECT_GE(model_ram_bytes(m, /*packed_engine=*/false,
+                            kMemoryCosts.runtime_reserve),
+            plan.peak_elems + kMemoryCosts.runtime_reserve);
 }
 
 // A step's output slot must never alias a live input slot — the property

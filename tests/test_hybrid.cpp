@@ -92,7 +92,7 @@ TEST(Hybrid, EngineBitExactUnderAnySelection) {
                   effective.masks[l].end(), 0);
     }
     RefEngine ref(&m);
-    const UnpackedEngine hybrid(&m, &mask, {}, {}, &selection);
+    const UnpackedEngine hybrid(&m, &mask, &selection);
     for (int i = 0; i < 10; ++i) {
       const auto img = testing::make_random_image(12 * 12 * 3, 1100 + i);
       ASSERT_EQ(ref.run(img, &effective), hybrid.run(img))
@@ -105,7 +105,7 @@ TEST(Hybrid, EngineBitExactUnderAnySelection) {
 TEST(Hybrid, EngineProfilesReflectSelection) {
   const QModel m = make_tiny_qmodel(109);
   const std::vector<uint8_t> selection = {0, 1};
-  const UnpackedEngine engine(&m, nullptr, {}, {}, &selection);
+  const UnpackedEngine engine(&m, nullptr, &selection);
   EXPECT_EQ(engine.unpacked_conv_count(), 1);
   int packed_convs = 0, unpacked_convs = 0;
   for (const LayerProfile& p : engine.layer_profile()) {
@@ -120,8 +120,8 @@ TEST(Hybrid, PackedSelectionKeepsWeightsInFlash) {
   const QModel m = make_tiny_qmodel(110);
   const std::vector<uint8_t> all_packed = {0, 0};
   const std::vector<uint8_t> all_unpacked = {1, 1};
-  const UnpackedEngine packed_engine(&m, nullptr, {}, {}, &all_packed);
-  const UnpackedEngine unpacked_engine(&m, nullptr, {}, {}, &all_unpacked);
+  const UnpackedEngine packed_engine(&m, nullptr, &all_packed);
+  const UnpackedEngine unpacked_engine(&m, nullptr, &all_unpacked);
   EXPECT_GT(packed_engine.flash().weight_bytes,
             unpacked_engine.flash().weight_bytes);
   EXPECT_EQ(packed_engine.flash().unpacked_code_bytes, 0);
@@ -131,7 +131,7 @@ TEST(Hybrid, PackedSelectionKeepsWeightsInFlash) {
 TEST(Hybrid, SelectionValidatesSize) {
   const QModel m = make_tiny_qmodel(111);
   const std::vector<uint8_t> wrong = {1};
-  EXPECT_THROW(UnpackedEngine(&m, nullptr, {}, {}, &wrong), Error);
+  EXPECT_THROW(UnpackedEngine(&m, nullptr, &wrong), Error);
 }
 
 TEST(Hybrid, BudgetSweepIsMonotone) {

@@ -117,8 +117,8 @@ TEST_F(Pipeline, DeployedReportMatchesDseEstimates) {
 }
 
 TEST_F(Pipeline, BaselineReportsAreOrderedAsInThePaper) {
-  const DeployReport cmsis = pipe_->deploy_cmsis_baseline(/*eval_limit=*/200);
-  const DeployReport xcube = pipe_->deploy_xcube(/*eval_limit=*/200);
+  const DeployReport cmsis = pipe_->deploy_engine("cmsis", /*eval_limit=*/200);
+  const DeployReport xcube = pipe_->deploy_engine("xcube", /*eval_limit=*/200);
   // Exact engines agree on accuracy (bit-exact numerics).
   EXPECT_DOUBLE_EQ(cmsis.top1_accuracy, xcube.top1_accuracy);
   // X-CUBE-AI is the faster exact library (Table II).

@@ -75,12 +75,11 @@ TEST(CostModel, UnpackedSitsBetweenFastAndBasic) {
   const int64_t fast = packed_conv_cycles(conv);
   double sum = 0.0;
   const int64_t unpacked = static_cast<int64_t>(
-      add_step_cycles(sum, conv, PriceList{PriceList::Family::kUnpacked},
-                      pairs, singles));
+      add_step_cycles(sum, conv, PriceList::kUnpacked, pairs, singles));
   QConv2D basic_conv = conv;
   basic_conv.geom.in_c = 3;  // force basic path, similar mac count scale
   // Compare per-MAC rates instead of absolute cycles.
-  const CortexM33CostTable t;
+  const CortexM33CostTable& t = kM33Costs;
   EXPECT_GT(static_cast<double>(unpacked),
             0.9 * static_cast<double>(fast));  // unpacked >= ~fast
   EXPECT_LT(t.unpacked_per_pair / 2.0, t.packed_basic_per_mac);
@@ -119,7 +118,7 @@ TEST(CostModel, DepthwiseConstantsPinnedToKernelMicroCalibration) {
   // a per-channel filter) while unpacked pairs taps at 5.5/pair, i.e.
   // 2.75/MAC. These constants anchor every DSE latency number; a silent
   // change here re-prices all depthwise trade-offs, so pin them.
-  const CortexM33CostTable t;
+  const CortexM33CostTable& t = kM33Costs;
   EXPECT_DOUBLE_EQ(t.packed_depthwise_per_mac, 5.2);
   EXPECT_DOUBLE_EQ(t.unpacked_per_pair, 5.5);
   // Per-MAC ordering the calibration established: packed scalar loop
@@ -138,7 +137,7 @@ TEST(CostModel, DepthwiseConstantsPinnedToKernelMicroCalibration) {
   const int64_t packed = packed_depthwise_cycles(dw);
   double sum = 0.0;
   const int64_t unpacked = static_cast<int64_t>(add_step_cycles(
-      sum, dw, PriceList{PriceList::Family::kUnpacked},
+      sum, dw, PriceList::kUnpacked,
       pairs_per_chan * dw.channels, singles_per_chan * dw.channels));
   EXPECT_GT(packed, unpacked);
   EXPECT_GT(static_cast<double>(packed), 1.3 * static_cast<double>(unpacked));
@@ -175,7 +174,7 @@ TEST(MemoryModel, NegativePairsMeansLayerStaysPacked) {
 
 TEST(MemoryModel, CustomRuntimeSmallerThanGeneric) {
   // §II-A: compile-time specialization cuts runtime flash (up to 30%).
-  const MemoryCostTable t;
+  const MemoryCostTable& t = kMemoryCosts;
   EXPECT_LT(t.custom_runtime_code, t.generic_runtime_code);
   EXPECT_GE(static_cast<double>(t.generic_runtime_code -
                                 t.custom_runtime_code),
@@ -184,9 +183,11 @@ TEST(MemoryModel, CustomRuntimeSmallerThanGeneric) {
 
 TEST(MemoryModel, RamPingPongPlusReserve) {
   const QModel m = make_tiny_qmodel(74);
-  const MemoryCostTable t;
-  const int64_t packed = model_ram_bytes(m, /*packed_engine=*/true, t);
-  const int64_t unpacked = model_ram_bytes(m, /*packed_engine=*/false, t);
+  const MemoryCostTable& t = kMemoryCosts;
+  const int64_t packed =
+      model_ram_bytes(m, /*packed_engine=*/true, t.runtime_reserve);
+  const int64_t unpacked =
+      model_ram_bytes(m, /*packed_engine=*/false, t.runtime_reserve);
   EXPECT_GE(packed, unpacked);  // im2col scratch only in packed
   EXPECT_GT(unpacked, t.runtime_reserve);
   // conv0 of the tiny model: in 12*12*3, out 12*12*6 live together.

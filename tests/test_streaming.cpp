@@ -580,7 +580,7 @@ TEST(StreamingCost, SteadyStateRowIsConsistentWithThePlan) {
   EXPECT_EQ(row.macs_per_frame, plan.frame_macs);
   EXPECT_EQ(row.full_macs, plan.full_macs);
   EXPECT_EQ(row.spliced_elems, plan.spliced_elems);
-  EXPECT_EQ(row.full_cycles, packed_model_cycles(m, {}));
+  EXPECT_EQ(row.full_cycles, packed_model_cycles(m));
   EXPECT_GT(row.cycles_per_frame, 0);
   EXPECT_LT(row.cycles_per_frame, row.full_cycles);
   EXPECT_DOUBLE_EQ(row.reuse_ratio, plan.reuse_ratio());
@@ -604,7 +604,7 @@ TEST(StreamingCost, UnpackedStreamCyclesScalePositionTermsOnly) {
   const QModel m = make_tiny_qmodel(83);
   const int64_t positions = describe_layer(m.layers[0]).positions;
   const int64_t pairs = 40, singles = 3;
-  const PriceList unpacked{PriceList::Family::kUnpacked, {}, {}};
+  const PriceList unpacked = PriceList::kUnpacked;
   const auto stream_cycles = [&](int64_t recomputed) {
     double total = 0.0;
     return static_cast<int64_t>(add_step_cycles(total, m.layers[0], unpacked,

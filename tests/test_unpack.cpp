@@ -271,7 +271,7 @@ TEST(CostModel, UnpackedCyclesMonotoneInRetainedOps) {
   const auto cycles = [&](int64_t pairs) {
     double sum = 0.0;
     return static_cast<int64_t>(add_step_cycles(
-        sum, conv, PriceList{PriceList::Family::kUnpacked}, pairs, 0));
+        sum, conv, PriceList::kUnpacked, pairs, 0));
   };
   const int64_t full = cycles(72);
   const int64_t half = cycles(36);
