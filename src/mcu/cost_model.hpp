@@ -189,8 +189,7 @@ enum class PriceList { kPacked, kUnpacked, kXCube };
 // MAC and epilogue terms are all per position). Other steps, and packed
 // steps on the other lists, recompute in full.
 double add_step_cycles(double& total, const QLayer& layer, PriceList prices,
-                       int64_t static_pairs = -1,
-                       int64_t static_singles = 0,
+                       int64_t static_pairs = -1, int64_t static_singles = 0,
                        int64_t recomputed_positions = -1);
 
 // A whole model under one price list: `cycles` (unrounded sum), one

@@ -10,13 +10,7 @@
 //
 // RAM = liveness-planned activation arena + im2col scratch (packed
 // only) + a fixed runtime reserve (stack, HAL, I/O staging) calibrated
-// once against Table I.
-//
-// All sizes live in the fixed table kMemoryCosts, calibrated once and
-// read by the flash functions directly; no option, constructor or
-// parameter takes a table. The one value a caller picks is the RAM
-// runtime reserve: kMemoryCosts.runtime_reserve for the generic and
-// customized runtimes, kXCubeCosts.ram_runtime_reserve for X-CUBE-AI. The arena term is
+// once against Table I. The arena term is
 //   peak = max over execution steps l of  sum of live tensor sizes,
 // where tensor t is live at step l iff def(t) <= l <= last_use(t)
 // (def = producing step, last_use = last consuming step). On a pure
@@ -25,6 +19,13 @@
 // every skip-edge tensor held across the block body and is strictly
 // below the naive sum-of-all-tensors (pinned by tests/test_dag.cpp).
 // MinUn (PAPERS.md) is the reference for this style of placement.
+//
+// All sizes live in the fixed table kMemoryCosts, calibrated once and
+// read directly by the flash functions and the hybrid selection; no
+// option, constructor or parameter takes a table. The one value a
+// caller picks is the RAM runtime reserve of model_ram_bytes:
+// kMemoryCosts.runtime_reserve for the generic and customized runtimes,
+// kXCubeCosts.ram_runtime_reserve for X-CUBE-AI.
 #pragma once
 
 #include <cstdint>
