@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
+#include "src/nn/engine.hpp"
 #include "src/sig/act_stats.hpp"
 #include "src/sig/significance.hpp"
 #include "src/sig/skip_plan.hpp"
@@ -15,7 +17,11 @@ namespace ataman {
 namespace {
 
 using testing::make_random_qconv;
+using testing::make_random_qdense;
+using testing::make_random_qdw;
+using testing::make_residual_qmodel;
 using testing::make_tiny_qmodel;
+using testing::make_tiny_vww_qmodel;
 
 ConvInputStats constant_stats(int patch, double value) {
   ConvInputStats s;
@@ -197,6 +203,126 @@ TEST(ApproxConfig, ToJsonIsATauArray) {
   EXPECT_FALSE(ApproxConfig::exact(3).approximates_anything());
 }
 
+Dataset random_calib(const QModel& m, int count, uint64_t seed) {
+  const ImageShape shape{m.in_h, m.in_w, m.in_c};
+  Dataset calib(shape, 10);
+  Rng rng(seed);
+  std::vector<uint8_t> img(static_cast<size_t>(shape.pixels()));
+  for (int i = 0; i < count; ++i) {
+    for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
+    calib.add(img, 0);
+  }
+  return calib;
+}
+
+// Strided conv (pad 1) -> strided depthwise (pad 0) -> fc: windows that
+// skip input rows and columns. in: 9x9x3 u8 image.
+QModel make_strided_qmodel(uint64_t seed) {
+  QModel m;
+  m.name = "strided-test";
+  m.in_h = 9;
+  m.in_w = 9;
+  m.in_c = 3;
+  m.input = {1.0f / 255.0f, -128};
+
+  ConvGeom g;
+  g.in_h = 9; g.in_w = 9; g.in_c = 3;
+  g.out_c = 4; g.kernel = 3; g.stride = 2; g.pad = 1;  // -> 5x5x4
+  QConv2D conv = make_random_qconv(g, seed + 1, /*folded_relu=*/true);
+  conv.in = m.input;
+  refresh_requant(conv);
+  conv.act_min = conv.out.zero_point;
+
+  QDepthwiseConv2D dw = make_random_qdw(5, 5, 4, /*kernel=*/3, /*stride=*/2,
+                                        /*pad=*/0, seed + 2);  // -> 2x2x4
+  dw.in = conv.out;
+  refresh_requant(dw);
+
+  QDense fc = make_random_qdense(2 * 2 * 4, 10, seed + 3);
+  fc.in = dw.out;
+  fc.requant = quantize_multiplier(
+      static_cast<double>(fc.in.scale) * fc.w_scale / fc.out.scale);
+
+  m.layers.emplace_back(std::move(conv));
+  m.layers.emplace_back(std::move(dw));
+  m.layers.emplace_back(std::move(fc));
+  return m;
+}
+
+// The capture as one image at a time through the reference engine's
+// conv-input tap, adding (x - zp) of every patch operand at every output
+// position into doubles.
+std::vector<ConvInputStats> per_image_ref_stats(const QModel& m,
+                                                const Dataset& calib,
+                                                int limit) {
+  const int n = std::min(limit, calib.size());
+  std::vector<ConvInputStats> stats(
+      static_cast<size_t>(m.approx_layer_count()));
+  for (int k = 0; k < m.approx_layer_count(); ++k)
+    stats[static_cast<size_t>(k)].mean_corrected.assign(
+        static_cast<size_t>(stats_len(m.layers[static_cast<size_t>(
+            m.approx_layer_index(k))])),
+        0.0);
+  const ConvTap tap = [&](int ordinal, const QLayer& layer,
+                          std::span<const int8_t> in) {
+    int in_h, in_w, taps_c, kernel, stride, pad, out_h, out_w;
+    int32_t zp;
+    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
+      const ConvGeom& g = conv->geom;
+      in_h = g.in_h; in_w = g.in_w; taps_c = g.in_c; kernel = g.kernel;
+      stride = g.stride; pad = g.pad; out_h = g.out_h(); out_w = g.out_w();
+      zp = conv->in.zero_point;
+    } else {
+      const auto& dw = std::get<QDepthwiseConv2D>(layer);
+      in_h = dw.in_h; in_w = dw.in_w; taps_c = dw.channels;
+      kernel = dw.kernel; stride = dw.stride; pad = dw.pad;
+      out_h = dw.out_h(); out_w = dw.out_w();
+      zp = dw.in.zero_point;
+    }
+    ConvInputStats& s = stats[static_cast<size_t>(ordinal)];
+    for (int oy = 0; oy < out_h; ++oy) {
+      for (int ox = 0; ox < out_w; ++ox) {
+        int idx = 0;
+        for (int ky = 0; ky < kernel; ++ky) {
+          for (int kx = 0; kx < kernel; ++kx) {
+            const int iy = oy * stride - pad + ky;
+            const int ix = ox * stride - pad + kx;
+            const bool inside = iy >= 0 && iy < in_h && ix >= 0 && ix < in_w;
+            for (int c = 0; c < taps_c; ++c, ++idx) {
+              if (!inside) continue;
+              s.mean_corrected[static_cast<size_t>(idx)] += static_cast<double>(
+                  in[(static_cast<size_t>(iy) * in_w + ix) * taps_c +
+                     static_cast<size_t>(c)] -
+                  zp);
+            }
+          }
+        }
+      }
+    }
+    s.samples += static_cast<int64_t>(out_h) * out_w;
+  };
+  const RefEngine engine(&m);
+  for (int i = 0; i < n; ++i) (void)engine.run(calib.image(i), nullptr, tap);
+  for (ConvInputStats& s : stats)
+    for (double& v : s.mean_corrected) v /= static_cast<double>(s.samples);
+  return stats;
+}
+
+void expect_bitwise_equal(const std::vector<ConvInputStats>& got,
+                          const std::vector<ConvInputStats>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t l = 0; l < got.size(); ++l) {
+    EXPECT_EQ(got[l].samples, want[l].samples) << "layer " << l;
+    ASSERT_EQ(got[l].mean_corrected.size(), want[l].mean_corrected.size())
+        << "layer " << l;
+    EXPECT_EQ(std::memcmp(got[l].mean_corrected.data(),
+                          want[l].mean_corrected.data(),
+                          got[l].mean_corrected.size() * sizeof(double)),
+              0)
+        << "layer " << l;
+  }
+}
+
 TEST(ActStats, BruteForceAgreementOnFirstConv) {
   // E[a_i] of conv0 can be computed directly from the quantized input
   // images (conv0 reads the image itself).
@@ -255,6 +381,22 @@ TEST(ActStats, DeterministicAcrossThreadCounts) {
   for (size_t l = 0; l < a.size(); ++l) {
     for (size_t i = 0; i < a[l].mean_corrected.size(); ++i)
       EXPECT_NEAR(a[l].mean_corrected[i], b[l].mean_corrected[i], 1e-12);
+  }
+}
+
+TEST(ActStats, MatchesPerImageRefTapBitwise) {
+  // A chain, a DAG, depthwise, and strided windows with and without
+  // padding; one image, a count that is no multiple of any batch width,
+  // and a limit beyond the dataset.
+  const QModel models[] = {make_tiny_qmodel(60), make_residual_qmodel(61),
+                           make_tiny_vww_qmodel(62), make_strided_qmodel(63)};
+  for (const QModel& m : models) {
+    const Dataset calib = random_calib(m, 20, 64);
+    for (const int limit : {1, 13, 300}) {
+      SCOPED_TRACE(m.name + " limit " + std::to_string(limit));
+      expect_bitwise_equal(capture_activation_stats(m, calib, limit),
+                           per_image_ref_stats(m, calib, limit));
+    }
   }
 }
 
