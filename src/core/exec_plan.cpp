@@ -100,6 +100,15 @@ void run_step_ref(const QLayer& layer, const StepIO& io,
   }
 }
 
+void TapKernels::run_step(const ExecStep& step, const StepIO& io) const {
+  if (step.approx_ordinal >= 0 && tap_) {
+    const QLayer& layer = model_.layers[static_cast<size_t>(step.layer)];
+    for (int b = 0; b < io.batch; ++b)
+      tap_(step.approx_ordinal, layer, io.image(b).in_a);
+  }
+  inner_.run_step(step, io);
+}
+
 ExecPlan ExecPlan::compile(const QModel& model) {
   const ActivationPlan liveness = plan_activations(model);
   ExecPlan plan;

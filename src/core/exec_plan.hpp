@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -75,6 +76,32 @@ class KernelTable {
 
  protected:
   ~KernelTable() = default;
+};
+
+// Called before each approximable (conv/depthwise) step executes, once per
+// image: (approx_ordinal, layer, that image's input). The layer is passed
+// as the QLayer variant so one hook handles every approximable kind; the
+// significance capture (src/sig/act_stats) reads the inputs through it.
+using ConvTap =
+    std::function<void(int, const QLayer&, std::span<const int8_t>)>;
+
+// Decorates any kernel table with a ConvTap: each step first hands every
+// image's input of an approximable step to `tap` (if set), then runs
+// through `inner`. Both must outlive the decorator.
+class TapKernels final : public KernelTable {
+ public:
+  TapKernels(const QModel& model, const KernelTable& inner, const ConvTap& tap)
+      : model_(model), inner_(inner), tap_(tap) {}
+
+  void run_step(const ExecStep& step, const StepIO& io) const override;
+  int64_t executed_macs(const ExecStep& step) const override {
+    return inner_.executed_macs(step);
+  }
+
+ private:
+  const QModel& model_;
+  const KernelTable& inner_;
+  const ConvTap& tap_;
 };
 
 // Runs `layer` through the reference kernels one image at a time; `skip`

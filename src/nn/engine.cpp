@@ -9,13 +9,8 @@ namespace ataman {
 void RefKernels::run_step(const ExecStep& step, const StepIO& io) const {
   const QLayer& layer = model_->layers[static_cast<size_t>(step.layer)];
   const uint8_t* skip = nullptr;
-  if (step.approx_ordinal >= 0) {
-    if (tap_ != nullptr && *tap_) {
-      for (int b = 0; b < io.batch; ++b)
-        (*tap_)(step.approx_ordinal, layer, io.image(b).in_a);
-    }
-    if (mask_ != nullptr) skip = mask_->row(step.approx_ordinal);
-  }
+  if (step.approx_ordinal >= 0 && mask_ != nullptr)
+    skip = mask_->row(step.approx_ordinal);
   run_step_ref(layer, io, skip);
 }
 
@@ -32,13 +27,14 @@ int64_t RefKernels::executed_macs(const ExecStep& step) const {
 }
 
 RefEngine::RefEngine(const QModel* model, const SkipMask* mask)
-    : InferenceEngine(model, mask, "ref"), kernels_(model, mask, nullptr) {}
+    : InferenceEngine(model, mask, "ref"), kernels_(model, mask) {}
 
 std::vector<int8_t> RefEngine::run(std::span<const uint8_t> image,
                                    const SkipMask* mask,
                                    const ConvTap& tap) const {
   if (mask != nullptr) mask->validate(model());
-  return plan().run(image, RefKernels(&model(), mask, &tap));
+  return plan().run(image,
+                    TapKernels(model(), RefKernels(&model(), mask), tap));
 }
 
 std::vector<int8_t> RefEngine::run_from(

@@ -1,18 +1,17 @@
 // Reference int8 inference engine.
 //
-// Runs a QModel image-by-image with the golden kernels. Supports
-//   * skip masks (the DSE evaluates approximate configs through here —
-//     masking a product is numerically identical to omitting its
-//     instruction from unpacked code, which tests/test_unpack.cpp asserts)
-//   * conv-input taps (the significance analysis captures activation
-//     statistics through these).
+// Runs a QModel image-by-image with the golden kernels under a skip mask
+// (the DSE evaluates approximate configs through here — masking a product
+// is numerically identical to omitting its instruction from unpacked
+// code, which tests/test_unpack.cpp asserts). run(image, mask, tap) also
+// hands each approximable layer's input to a ConvTap (via TapKernels,
+// the one tap any kernel table takes).
 //
 // As an InferenceEngine it is the numerical oracle: every other backend
 // must match its logits bit-exactly on exact configs. It models no MCU
 // deployment, so its cycle/flash/RAM columns are zero ("not modeled").
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -24,20 +23,13 @@
 
 namespace ataman {
 
-// Called before each approximable (conv/depthwise) layer executes:
-// (approx_ordinal, layer, input). The layer is passed as the QLayer
-// variant so statistics capture handles every approximable kind through
-// one hook.
-using ConvTap =
-    std::function<void(int, const QLayer&, std::span<const int8_t>)>;
-
 // Reference kernel table: every step through the reference kernels,
 // image by image, under `mask` (the skip row looked up by approximable
-// ordinal at run time) and with the optional conv-input tap.
+// ordinal at run time).
 class RefKernels final : public KernelTable {
  public:
-  RefKernels(const QModel* model, const SkipMask* mask, const ConvTap* tap)
-      : model_(model), mask_(mask), tap_(tap) {}
+  RefKernels(const QModel* model, const SkipMask* mask)
+      : model_(model), mask_(mask) {}
 
   void run_step(const ExecStep& step, const StepIO& io) const override;
   // Each skipped operand saves one MAC per output position.
@@ -46,7 +38,6 @@ class RefKernels final : public KernelTable {
  private:
   const QModel* model_;
   const SkipMask* mask_;
-  const ConvTap* tap_;
 };
 
 class RefEngine : public InferenceEngine {
@@ -69,7 +60,8 @@ class RefEngine : public InferenceEngine {
   std::vector<int8_t> run_from(int layer_begin,
                                std::span<const int8_t> activations) const;
 
-  // Full inference with an explicit mask and optional conv-input tap.
+  // Full inference with an explicit mask; the optional conv-input tap
+  // observes it through TapKernels.
   using InferenceEngine::run;
   std::vector<int8_t> run(std::span<const uint8_t> image,
                           const SkipMask* mask,
@@ -78,7 +70,7 @@ class RefEngine : public InferenceEngine {
  private:
   const KernelTable& kernels() const override { return kernels_; }
 
-  RefKernels kernels_;  // under the engine's mask, no tap
+  RefKernels kernels_;  // under the engine's mask
 };
 
 // Top-1 accuracy of `model` on up to `limit` images of `ds` (all if

@@ -4,7 +4,8 @@
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
-#include "src/nn/engine.hpp"
+#include "src/cmsisnn/cmsis_engine.hpp"
+#include "src/core/exec_plan.hpp"
 
 namespace ataman {
 
@@ -31,34 +32,29 @@ PatchGeom patch_geom(const QLayer& layer) {
           dw.out_h(), dw.out_w(), dw.in.zero_point};
 }
 
-// Accumulate per-operand sums of (x - zp) over all output positions of
-// one input feature map.
-void accumulate_patch_sums(const PatchGeom& g, std::span<const int8_t> in,
-                           std::vector<double>& sums, int64_t& positions) {
+// Per-operand sums of (x - zp) over all output positions, read from
+// `in`, the elementwise sum of `images` input feature maps: each
+// operand's window adds the summed pixel minus images * zp.
+void accumulate_patch_sums(const PatchGeom& g, std::span<const int64_t> in,
+                           int64_t images, std::vector<int64_t>& sums) {
+  const int64_t zp = images * g.zp;
   for (int oy = 0; oy < g.out_h; ++oy) {
     for (int ox = 0; ox < g.out_w; ++ox) {
       int idx = 0;
       for (int ky = 0; ky < g.kernel; ++ky) {
         const int iy = oy * g.stride - g.pad + ky;
-        for (int kx = 0; kx < g.kernel; ++kx) {
+        for (int kx = 0; kx < g.kernel; ++kx, idx += g.taps_c) {
           const int ix = ox * g.stride - g.pad + kx;
-          const bool inside =
-              iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
-          const int8_t* src =
-              inside ? in.data() +
-                           (static_cast<size_t>(iy) * g.in_w + ix) * g.taps_c
-                     : nullptr;
-          for (int c = 0; c < g.taps_c; ++c, ++idx) {
-            // Padding taps contribute (zp - zp) == 0.
-            if (inside)
-              sums[static_cast<size_t>(idx)] +=
-                  static_cast<double>(src[c] - g.zp);
-          }
+          // Padding taps contribute (zp - zp) == 0.
+          if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) continue;
+          const int64_t* src =
+              in.data() + (static_cast<size_t>(iy) * g.in_w + ix) * g.taps_c;
+          for (int c = 0; c < g.taps_c; ++c)
+            sums[static_cast<size_t>(idx + c)] += src[c] - zp;
         }
       }
     }
   }
-  positions += static_cast<int64_t>(g.out_h) * g.out_w;
 }
 
 }  // namespace
@@ -78,54 +74,62 @@ std::vector<ConvInputStats> capture_activation_stats(const QModel& model,
   // autoencoders): the legitimate answer is an empty stats vector.
   if (approx_count == 0) return {};
 
-  RefEngine engine(&model);
+  std::vector<const QLayer*> layers;  // by approximable ordinal
+  for (int k = 0; k < approx_count; ++k)
+    layers.push_back(
+        &model.layers[static_cast<size_t>(model.approx_layer_index(k))]);
 
-  // Per-worker accumulators, reduced in worker order for determinism.
-  struct Acc {
-    std::vector<std::vector<double>> sums;   // [approx ordinal][patch]
-    std::vector<int64_t> positions;          // [approx ordinal]
-  };
-  const int max_workers = num_threads();
-  std::vector<Acc> accs(static_cast<size_t>(max_workers));
-  for (Acc& acc : accs) {
-    acc.sums.resize(static_cast<size_t>(approx_count));
-    acc.positions.assign(static_cast<size_t>(approx_count), 0);
-    int ordinal = 0;
-    for (const QLayer& layer : model.layers) {
-      if (!describe_layer(layer).skippable) continue;
-      acc.sums[static_cast<size_t>(ordinal)].assign(
-          static_cast<size_t>(stats_len(layer)), 0.0);
-      ++ordinal;
-    }
+  // Per-worker elementwise sums of each approximable layer's int8 input
+  // map over the worker's images: [approx ordinal][input element].
+  using Maps = std::vector<std::vector<int64_t>>;
+  Maps zero;
+  for (const QLayer* layer : layers) {
+    const PatchGeom g = patch_geom(*layer);
+    zero.emplace_back(static_cast<size_t>(g.in_h) * g.in_w * g.taps_c, 0);
   }
+  std::vector<Maps> maps(static_cast<size_t>(num_threads()), zero);
 
-  const int workers = parallel_for_indexed(0, n, [&](int w, int64_t i) {
-    Acc& acc = accs[static_cast<size_t>(w)];
-    const ConvTap tap = [&](int ordinal, const QLayer& layer,
+  // The exact model on the packed kernels (bit-exact with ref), batched
+  // in chunks of two lane blocks, parallel over chunks.
+  const ExecPlan plan = ExecPlan::compile(model);
+  const PackedKernels packed(&model);
+  constexpr int kChunk = 2 * kBatchLanes;
+  const int chunks = (n + kChunk - 1) / kChunk;
+  const int workers = parallel_for_indexed(0, chunks, [&](int w, int64_t c) {
+    Maps& sums = maps[static_cast<size_t>(w)];
+    const ConvTap tap = [&](int ordinal, const QLayer&,
                             std::span<const int8_t> in) {
-      accumulate_patch_sums(patch_geom(layer), in,
-                            acc.sums[static_cast<size_t>(ordinal)],
-                            acc.positions[static_cast<size_t>(ordinal)]);
+      int64_t* sum = sums[static_cast<size_t>(ordinal)].data();
+      for (size_t i = 0; i < in.size(); ++i) sum[i] += in[i];
     };
-    (void)engine.run(calib.image(static_cast<int>(i)), nullptr, tap);
+    std::vector<std::span<const uint8_t>> images;
+    const int64_t end = std::min<int64_t>((c + 1) * kChunk, n);
+    for (int64_t i = c * kChunk; i < end; ++i)
+      images.push_back(calib.image(static_cast<int>(i)));
+    std::vector<std::vector<int8_t>> logits;
+    plan.run_batch(images, TapKernels(model, packed, tap), logits);
   });
 
+  // Integer sums are exact and order-free; every partial sum stays far
+  // below 2^53, so each mean is one exact integer divided once — the same
+  // bits for any worker count and any chunking.
+  Maps& total = maps[0];
+  for (int w = 1; w < workers; ++w)
+    for (size_t k = 0; k < total.size(); ++k)
+      for (size_t i = 0; i < total[k].size(); ++i)
+        total[k][i] += maps[static_cast<size_t>(w)][k][i];
+
   std::vector<ConvInputStats> stats(static_cast<size_t>(approx_count));
-  int ordinal = 0;
-  for (const QLayer& layer : model.layers) {
-    if (!describe_layer(layer).skippable) continue;
-    ConvInputStats& s = stats[static_cast<size_t>(ordinal)];
-    s.mean_corrected.assign(static_cast<size_t>(stats_len(layer)), 0.0);
-    for (int w = 0; w < workers; ++w) {
-      const Acc& acc = accs[static_cast<size_t>(w)];
-      for (size_t i = 0; i < s.mean_corrected.size(); ++i)
-        s.mean_corrected[i] += acc.sums[static_cast<size_t>(ordinal)][i];
-      s.samples += acc.positions[static_cast<size_t>(ordinal)];
-    }
+  for (size_t k = 0; k < stats.size(); ++k) {
+    const PatchGeom g = patch_geom(*layers[k]);
+    std::vector<int64_t> sums(static_cast<size_t>(stats_len(*layers[k])), 0);
+    accumulate_patch_sums(g, total[k], n, sums);
+    ConvInputStats& s = stats[k];
+    s.samples = static_cast<int64_t>(n) * g.out_h * g.out_w;
     check(s.samples > 0, "no positions captured");
-    for (double& v : s.mean_corrected)
-      v /= static_cast<double>(s.samples);
-    ++ordinal;
+    for (const int64_t v : sums)
+      s.mean_corrected.push_back(static_cast<double>(v) /
+                                 static_cast<double>(s.samples));
   }
   return stats;
 }

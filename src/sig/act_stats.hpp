@@ -13,6 +13,19 @@
 //   * depthwise conv: mean_corrected[(ky*kx)*channels + ch] — the same
 //     (ky, kx, channel) iteration, which is exactly the [k][k][c] weight
 //     layout, so stats index == weight index (dw_weight_index).
+//
+// Execution: the exact model's compiled plan on the packed kernels
+// (bit-exact with the reference engine), batched in chunks of
+// 2 * kBatchLanes images and parallel over chunks. A TapKernels
+// decorator adds each approximable layer's int8 input map into a
+// per-worker int64 map; after the loop one window walk over the summed
+// map (minus images * zero_point per tap) yields each operand's sum.
+//
+// Exactness: every summand is an integer and every partial sum stays far
+// below 2^53, so each operand's sum is the exact integer whatever the
+// order, and each mean is that integer divided once by `samples`. The
+// stats are therefore the same bits at any thread count and equal to
+// adding (x - zp) image by image, position by position in doubles.
 #pragma once
 
 #include <vector>
@@ -33,8 +46,7 @@ struct ConvInputStats {
 int64_t stats_len(const QLayer& layer);
 
 // One entry per approximable layer (ordinal order). Uses up to `limit`
-// images of `calib` (all if < 0). Parallel over images; deterministic
-// reduction.
+// images of `calib` (all if < 0); bitwise deterministic (see above).
 std::vector<ConvInputStats> capture_activation_stats(const QModel& model,
                                                      const Dataset& calib,
                                                      int limit = 256);

@@ -300,7 +300,7 @@ struct Gate {
 class GateKernels final : public KernelTable {
  public:
   GateKernels(const QModel* model, Gate* gate)
-      : ref_(model, nullptr, nullptr), gate_(gate) {}
+      : ref_(model, nullptr), gate_(gate) {}
 
   void run_step(const ExecStep& step, const StepIO& io) const override {
     if (step.layer == 0) {

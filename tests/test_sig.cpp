@@ -365,23 +365,15 @@ TEST(ActStats, BruteForceAgreementOnFirstConv) {
 
 TEST(ActStats, DeterministicAcrossThreadCounts) {
   const QModel m = make_tiny_qmodel(54);
-  Dataset calib(ImageShape{12, 12, 3}, 10);
-  Rng rng(55);
-  for (int i = 0; i < 16; ++i) {
-    std::vector<uint8_t> img(12 * 12 * 3);
-    for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
-    calib.add(img, 0);
-  }
+  const Dataset calib = random_calib(m, 16, 55);
   set_num_threads(1);
-  const auto a = capture_activation_stats(m, calib, 16);
-  set_num_threads(7);
-  const auto b = capture_activation_stats(m, calib, 16);
-  set_num_threads(0);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t l = 0; l < a.size(); ++l) {
-    for (size_t i = 0; i < a[l].mean_corrected.size(); ++i)
-      EXPECT_NEAR(a[l].mean_corrected[i], b[l].mean_corrected[i], 1e-12);
+  const auto serial = capture_activation_stats(m, calib, 16);
+  for (const int threads : {4, 7}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    set_num_threads(threads);
+    expect_bitwise_equal(capture_activation_stats(m, calib, 16), serial);
   }
+  set_num_threads(0);
 }
 
 TEST(ActStats, MatchesPerImageRefTapBitwise) {
