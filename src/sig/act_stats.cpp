@@ -110,9 +110,9 @@ std::vector<ConvInputStats> capture_activation_stats(const QModel& model,
     plan.run_batch(images, TapKernels(model, packed, tap), logits);
   });
 
-  // Integer sums are exact and order-free; every partial sum stays far
-  // below 2^53, so each mean is one exact integer divided once — the same
-  // bits for any worker count and any chunking.
+  // Integer sums are exact and order-free, and every operand's total stays
+  // far below 2^53, so each mean is one exact integer divided once — the
+  // same bits for any worker count and any chunking.
   Maps& total = maps[0];
   for (int w = 1; w < workers; ++w)
     for (size_t k = 0; k < total.size(); ++k)
