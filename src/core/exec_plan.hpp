@@ -87,7 +87,7 @@ using ConvTap =
 
 // Decorates any kernel table with a ConvTap: each step first hands every
 // image's input of an approximable step to `tap` (if set), then runs
-// through `inner`. Both must outlive the decorator.
+// through `inner`. `model`, `inner` and `tap` must outlive the decorator.
 class TapKernels final : public KernelTable {
  public:
   TapKernels(const QModel& model, const KernelTable& inner, const ConvTap& tap)
