@@ -1,7 +1,8 @@
 // The serve runtime (src/serve): bitwise determinism under concurrent,
 // mixed-configuration load; micro-batch coalescing policy and fairness;
 // shutdown-with-pending-requests semantics; engine-pool reuse accounting;
-// a bad scored head failing one request, not the worker;
+// engine-setup and kernel failures failing their whole batch, and a bad
+// scored head failing one request, never the worker;
 // and the xcube clone/worker-isolation audit (one const engine shared
 // across threads — every call walks its plan over a call-local arena).
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -405,6 +408,200 @@ TEST(ServeShutdown, CancelPendingResolvesEveryFutureWithoutHanging) {
       "serve-gate", [](const EngineConfig& cfg) {
         return std::make_unique<RefEngine>(cfg.model);
       });
+}
+
+TEST(ServeShutdown, PushFrameAfterStopThrowsAndCountsNothing) {
+  const QModel m = make_tiny_qmodel(632);
+  InferenceServer server(&m, ServeOptions{.workers = 1, .max_batch = 2});
+  const auto session = server.open_session();
+  const std::vector<uint8_t> window = make_random_image(kImagePixels, 6450);
+  const InferFuture first = server.push_frame(session, window);
+  server.stop();
+  EXPECT_EQ(first.get().logits, RefEngine(&m).run(window));
+  EXPECT_EQ(server.stats().submitted, 1);
+
+  // One new column after the full first window: a well-formed push.
+  const std::vector<uint8_t> column =
+      make_random_image(m.in_h * m.in_c, 6451);
+  EXPECT_THROW(server.push_frame(session, column), Error);
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.completed, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Execution failures: a batch fails as a unit, the server keeps serving
+// ---------------------------------------------------------------------------
+
+// The message a resolved future failed with; "" when it succeeded.
+std::string error_of(const InferFuture& future) {
+  try {
+    future.get();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A backend whose engine can never be built: every one-shot and every
+// session frame routed to it fails with "engine setup failed", while
+// other configurations on the same server keep completing bitwise.
+TEST(ServeErrors, EngineSetupFailureFailsItsBatchesAndTheServerKeepsServing) {
+  EngineRegistry::instance().register_engine(
+      "serve-broken",
+      [](const EngineConfig&) -> std::unique_ptr<InferenceEngine> {
+        fail("serve-broken: engine refused to build");
+      });
+  const QModel m = make_tiny_qmodel(634);
+  InferenceServer server(&m, ServeOptions{.workers = 2, .max_batch = 4});
+
+  std::vector<InferFuture> broken;
+  std::vector<InferFuture> good;
+  std::vector<std::vector<uint8_t>> good_images;
+  for (int i = 0; i < 8; ++i) {
+    InferRequest r;
+    r.engine = "serve-broken";
+    r.image = make_random_image(kImagePixels, 6460 + i);
+    broken.push_back(server.submit(std::move(r)));
+    InferRequest ok;
+    ok.engine = "ref";
+    ok.image = make_random_image(kImagePixels, 6470 + i);
+    good_images.push_back(ok.image);
+    good.push_back(server.submit(std::move(ok)));
+  }
+  serve::StreamSessionOptions session_options;
+  session_options.engine = "serve-broken";
+  const auto session = server.open_session(session_options);
+  broken.push_back(
+      server.push_frame(session, make_random_image(kImagePixels, 6480)));
+  for (int i = 1; i < 4; ++i) {
+    broken.push_back(server.push_frame(
+        session, make_random_image(m.in_h * m.in_c, 6480 + i)));
+  }
+  server.drain();
+
+  for (size_t i = 0; i < broken.size(); ++i) {
+    EXPECT_NE(error_of(broken[i]).find("engine setup failed"),
+              std::string::npos)
+        << "job " << i << ": " << error_of(broken[i]);
+  }
+  for (size_t i = 0; i < good.size(); ++i)
+    EXPECT_EQ(good[i].get().logits, RefEngine(&m).run(good_images[i])) << i;
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 20);
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.cancelled, 0);
+
+  // Later tests may create every registered backend.
+  EngineRegistry::instance().register_engine(
+      "serve-broken", [](const EngineConfig& cfg) {
+        return std::make_unique<RefEngine>(cfg.model);
+      });
+}
+
+// Reference kernels that throw on a batch holding a poisoned (constant)
+// input image. One run_batch executes the whole micro-batch, so the
+// poisoned image's batch-mates fail with it.
+class FaultyKernels final : public KernelTable {
+ public:
+  explicit FaultyKernels(const QModel* model) : ref_(model, nullptr) {}
+
+  void run_step(const ExecStep& step, const StepIO& io) const override {
+    if (step.layer == 0) {
+      for (int b = 0; b < io.batch; ++b) {
+        const std::span<const int8_t> in = io.image(b).in_a;
+        if (std::all_of(in.begin(), in.end(),
+                        [&](int8_t v) { return v == in[0]; }))
+          fail("faulty kernel: poisoned image");
+      }
+    }
+    ref_.run_step(step, io);
+  }
+
+ private:
+  RefKernels ref_;
+};
+
+class FaultyEngine final : public InferenceEngine {
+ public:
+  explicit FaultyEngine(const QModel* model)
+      : InferenceEngine(model, nullptr, "serve-faulty"), kernels_(model) {}
+
+  std::unique_ptr<InferenceEngine> clone() const override {
+    return std::make_unique<FaultyEngine>(*this);
+  }
+
+ private:
+  const KernelTable& kernels() const override { return kernels_; }
+
+  FaultyKernels kernels_;
+};
+
+TEST(ServeErrors, KernelFailureFailsEveryJobOfItsBatchAndOnlyThatBatch) {
+  const QModel m = make_tiny_qmodel(636);
+  Gate gate;
+  EngineRegistry::instance().register_engine(
+      "serve-gate", [&gate](const EngineConfig& cfg) {
+        return std::make_unique<GateEngine>(cfg.model, &gate);
+      });
+  EngineRegistry::instance().register_engine(
+      "serve-faulty", [](const EngineConfig& cfg) {
+        return std::make_unique<FaultyEngine>(cfg.model);
+      });
+
+  // One worker, batches of at most 2. The gated first job holds the
+  // worker until every later job is queued, so the batches are fixed:
+  // [poisoned, faulty 1] [faulty 2, faulty 3] [ref 0, ref 1].
+  InferenceServer server(&m, ServeOptions{.workers = 1, .max_batch = 2});
+  InferRequest gate_request;
+  gate_request.engine = "serve-gate";
+  gate_request.image = make_random_image(kImagePixels, 6490);
+  const InferFuture gated = server.submit(gate_request);
+  {
+    std::unique_lock<std::mutex> lock(gate.mutex);
+    gate.cv.wait(lock, [&] { return gate.entered; });
+  }
+
+  std::vector<InferRequest> requests(6);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].engine = i < 4 ? "serve-faulty" : "ref";
+    requests[i].image = make_random_image(kImagePixels, 6491 + i);
+  }
+  requests[0].image.assign(kImagePixels, 0);  // the poisoned image
+  const std::vector<InferFuture> futures =
+      server.submit_all(std::vector<InferRequest>(requests));
+  {
+    const std::lock_guard<std::mutex> lock(gate.mutex);
+    gate.released = true;
+  }
+  gate.cv.notify_all();
+  server.drain();
+
+  EXPECT_EQ(gated.get().logits, RefEngine(&m).run(gate_request.image));
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_NE(error_of(futures[i]).find("faulty kernel: poisoned image"),
+              std::string::npos)
+        << "job " << i << ": " << error_of(futures[i]);
+  }
+  for (size_t i = 2; i < futures.size(); ++i) {
+    const serve::InferResult r = futures[i].get();
+    EXPECT_EQ(r.logits, RefEngine(&m).run(requests[i].image)) << i;
+    EXPECT_EQ(r.batch_size, 2) << i;
+  }
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 7);
+  EXPECT_EQ(stats.completed, 7);
+  EXPECT_EQ(stats.batches, 4);
+  server.stop();
+
+  // The factories captured this test's stack frame; later tests may
+  // create every registered backend.
+  for (const char* name : {"serve-gate", "serve-faulty"}) {
+    EngineRegistry::instance().register_engine(
+        name, [](const EngineConfig& cfg) {
+          return std::make_unique<RefEngine>(cfg.model);
+        });
+  }
 }
 
 // ---------------------------------------------------------------------------
