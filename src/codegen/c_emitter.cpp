@@ -81,14 +81,12 @@ void emit_unpacked(std::ostringstream& os, const UnpackedLayer& u,
                    const CodegenOptions& opt) {
   const ConvGeom& g = u.geom;
   const std::string fn = opt.symbol_prefix + "_" + name;
-  if (opt.comments) {
-    os << "/* " << name << ": " << g.in_h << "x" << g.in_w << "x"
-       << g.in_c << " -> " << g.out_h() << "x" << g.out_w() << "x" << g.out_c
-       << ", k=" << g.kernel << " s=" << g.stride << " p=" << g.pad
-       << "; retained static ops: " << u.static_pairs() * 2 + u.static_singles()
-       << "/" << operands << " (weights hardwired, re-paired after"
-       << " skipping) */\n";
-  }
+  os << "/* " << name << ": " << g.in_h << "x" << g.in_w << "x" << g.in_c
+     << " -> " << g.out_h() << "x" << g.out_w() << "x" << g.out_c
+     << ", k=" << g.kernel << " s=" << g.stride << " p=" << g.pad
+     << "; retained static ops: " << u.static_pairs() * 2 + u.static_singles()
+     << "/" << operands << " (weights hardwired, re-paired after"
+     << " skipping) */\n";
   os << "static void " << fn
      << "(const int8_t* in, int8_t* out) {\n"
      << "  int16_t col[" << g.patch_size() << "];\n"
@@ -114,7 +112,7 @@ void emit_unpacked(std::ostringstream& os, const UnpackedLayer& u,
   const std::string p = opt.symbol_prefix;
   for (int oc = 0; oc < g.out_c; ++oc) {
     const ChannelProgram& prog = u.channels[static_cast<size_t>(oc)];
-    if (opt.comments) os << "      /* channel " << oc << " */\n";
+    os << "      /* channel " << oc << " */\n";
     os << "      acc = " << prog.bias << ";\n";
     for (const MacPairOp& op : prog.pairs) {
       os << "      acc = " << p << "_smlad(0x" << std::hex << op.weight_const
@@ -193,12 +191,10 @@ void emit_qadd(std::ostringstream& os, const QAdd& add, int index,
                const CodegenOptions& opt) {
   const std::string p = opt.symbol_prefix;
   const std::string fn = p + "_add" + std::to_string(index);
-  if (opt.comments) {
-    os << "/* add" << index << ": " << add.h << "x" << add.w << "x"
-       << add.channels
-       << " residual merge, both operands requantized to the output scale"
-       << " */\n";
-  }
+  os << "/* add" << index << ": " << add.h << "x" << add.w << "x"
+     << add.channels
+     << " residual merge, both operands requantized to the output scale"
+     << " */\n";
   os << "static void " << fn
      << "(const int8_t* in_a, const int8_t* in_b, int8_t* out) {\n"
      << "  for (int i = 0; i < " << add.elems() << "; ++i) {\n"

@@ -26,7 +26,6 @@
 namespace ataman {
 
 struct CodegenOptions {
-  bool comments = true;        // annotate channels/constants
   std::string symbol_prefix = "ataman";
 };
 

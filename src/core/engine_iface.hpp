@@ -103,8 +103,6 @@ struct StreamState {
   // Reuse accounting, maintained by run_incremental.
   int64_t last_recomputed_macs = 0;  // most recent frame
   int64_t last_spliced_elems = 0;
-  int64_t total_recomputed_macs = 0;
-  int64_t total_full_macs = 0;  // what reuse-off run() would have executed
 
   bool started() const { return frames > 0; }
 };

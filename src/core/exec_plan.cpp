@@ -260,7 +260,7 @@ std::vector<int8_t> ExecPlan::run_incremental(
       !std::ranges::equal(state.plan.recent_strides, history))
     state.plan = plan_stream(m, history, state.fill);
 
-  int64_t recomputed = 0, spliced = 0, full = 0;
+  int64_t recomputed = 0, spliced = 0;
   for (size_t i = 0; i < steps.size(); ++i) {
     const ExecStep& step = steps[i];
     const StreamLayerPlan& lp = state.plan.layers[i];
@@ -297,9 +297,8 @@ std::vector<int8_t> ExecPlan::run_incremental(
     } else {
       kernels.run_step(step, io);
     }
-    const int64_t macs = kernels.executed_macs(step);
-    full += macs;
-    recomputed += macs / lp.total_positions * lp.recomputed_positions;
+    recomputed += kernels.executed_macs(step) / lp.total_positions *
+                  lp.recomputed_positions;
   }
 
   // Every step succeeded: commit the frame.
@@ -308,8 +307,6 @@ std::vector<int8_t> ExecPlan::run_incremental(
   state.past_strides = strides;
   state.last_recomputed_macs = recomputed;
   state.last_spliced_elems = spliced;
-  state.total_recomputed_macs += recomputed;
-  state.total_full_macs += full;
   ++state.frames;
   const std::span<const int8_t> out =
       frame_tensor(*this, state, slot, tensors.back().id);

@@ -286,21 +286,4 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
   return total;
 }
 
-PrefixCacheStats PrefixCache::evaluate_images(int image_begin, int image_end,
-                                              const std::vector<uint8_t>& alive,
-                                              std::vector<uint8_t>& hits) const {
-  const int n_cfg = config_count();
-  check(static_cast<int>(alive.size()) == n_cfg, "alive mask size mismatch");
-  check(image_begin >= 0 && image_begin <= image_end && image_end <= n_images_,
-        "image range out of bounds");
-  std::vector<int> begin(static_cast<size_t>(n_cfg), 0);
-  std::vector<int> end(static_cast<size_t>(n_cfg), 0);
-  for (int c = 0; c < n_cfg; ++c) {
-    if (!alive[static_cast<size_t>(c)]) continue;
-    begin[static_cast<size_t>(c)] = image_begin;
-    end[static_cast<size_t>(c)] = image_end;
-  }
-  return evaluate_ranges(begin, end, hits);
-}
-
 }  // namespace ataman

@@ -60,7 +60,7 @@
 
 namespace ataman {
 
-// Deterministic counters for one evaluate_images call, in approximable-
+// Deterministic counters for one evaluate_ranges call, in approximable-
 // ordinal units: a "segment" is one approximable layer plus its share of
 // non-approximable layers; the exact tail counts as one more segment.
 // On DAG models a resume rounds down to the dominating stage boundary,
@@ -115,12 +115,6 @@ class PrefixCache {
   // for any thread count.
   PrefixCacheStats evaluate_ranges(const std::vector<int>& img_begin,
                                    const std::vector<int>& img_end,
-                                   std::vector<uint8_t>& hits) const;
-
-  // Convenience: one shared range [image_begin, image_end) for every
-  // config with alive[config] != 0.
-  PrefixCacheStats evaluate_images(int image_begin, int image_end,
-                                   const std::vector<uint8_t>& alive,
                                    std::vector<uint8_t>& hits) const;
 
  private:

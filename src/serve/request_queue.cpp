@@ -121,9 +121,4 @@ int RequestQueue::size() const {
   return static_cast<int>(jobs_.size());
 }
 
-bool RequestQueue::closed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
 }  // namespace ataman::serve

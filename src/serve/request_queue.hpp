@@ -93,7 +93,6 @@ class RequestQueue {
   std::vector<QueuedJob> cancel_pending();
 
   int size() const;
-  bool closed() const;
 
   // Batching key equality: same backend name and same SkipMask object.
   // Mask identity (not content) is deliberate: the mask is a non-owning

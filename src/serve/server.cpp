@@ -1,5 +1,6 @@
 #include "src/serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "src/common/parallel.hpp"
@@ -20,10 +21,10 @@ InferenceServer::InferenceServer(const QModel* model, ServeOptions options)
     : model_(model),
       options_(options),
       queue_(options.max_batch, options.workers),
-      pool_(model, options.workers),
-      per_worker_done_(static_cast<size_t>(options.workers), 0) {
+      pool_(model, options.workers) {
   check(model != nullptr, "InferenceServer needs a model");
   check(options_.workers >= 1, "InferenceServer needs at least one worker");
+  stats_.per_worker.assign(static_cast<size_t>(options_.workers), 0);
   threads_.reserve(static_cast<size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
     threads_.emplace_back([this, w] { worker_main(w); });
@@ -43,29 +44,9 @@ InferFuture InferenceServer::submit(InferRequest request) {
   if (!EngineRegistry::instance().contains(request.engine))
     fail("submit: unknown engine '" + request.engine + "'");
   if (request.mask != nullptr) request.mask->validate(m);
-
   QueuedJob job;
   job.request = std::move(request);
-  job.state = std::make_shared<detail::FutureState>();
-  job.enqueued = std::chrono::steady_clock::now();
-  InferFuture future(job.state);
-
-  {
-    // Count before pushing so drain() can never observe a resolved job
-    // that was not yet counted as submitted.
-    const std::lock_guard<std::mutex> lock(stats_mutex_);
-    job.id = next_id_++;
-    ++submitted_;
-  }
-  if (!queue_.push(std::move(job))) {
-    {
-      const std::lock_guard<std::mutex> lock(stats_mutex_);
-      --submitted_;
-    }
-    drain_cv_.notify_all();
-    fail("submit: server is stopped");
-  }
-  return future;
+  return enqueue(std::move(job), "submit");
 }
 
 std::vector<InferFuture> InferenceServer::submit_all(
@@ -92,7 +73,7 @@ std::shared_ptr<StreamSession> InferenceServer::open_session(
       new StreamSession(id, model_, std::move(options)));
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++sessions_;
+    ++stats_.sessions;
   }
   return session;
 }
@@ -103,28 +84,32 @@ InferFuture InferenceServer::push_frame(
   check(session != nullptr, "push_frame: null session");
   // Fail on the caller's thread, before anything is queued.
   session->validate_push(columns.size());
-
+  // The frame carries its session's (engine, mask) key like a one-shot.
   QueuedJob job;
-  job.request.engine = session->options().engine;
-  job.request.mask = session->options().mask;
-  job.request.image = std::move(columns);
+  job.request = {session->options().engine, session->options().mask,
+                 std::move(columns)};
   job.session = session;
+  return enqueue(std::move(job), "push_frame");
+}
+
+InferFuture InferenceServer::enqueue(QueuedJob job, const char* caller) {
   job.state = std::make_shared<detail::FutureState>();
   job.enqueued = std::chrono::steady_clock::now();
   InferFuture future(job.state);
-
   {
+    // Count before pushing so drain() can never observe a resolved job
+    // that was not yet counted as submitted.
     const std::lock_guard<std::mutex> lock(stats_mutex_);
     job.id = next_id_++;
-    ++submitted_;
+    ++stats_.submitted;
   }
   if (!queue_.push(std::move(job))) {
     {
       const std::lock_guard<std::mutex> lock(stats_mutex_);
-      --submitted_;
+      --stats_.submitted;
     }
     drain_cv_.notify_all();
-    fail("push_frame: server is stopped");
+    fail(std::string(caller) + ": server is stopped");
   }
   return future;
 }
@@ -135,74 +120,49 @@ void InferenceServer::worker_main(int worker_id) {
   const SerialRegionScope serial;
   std::vector<QueuedJob> batch;
   while (queue_.pop_batch(batch)) {
-    if (batch.front().session != nullptr) {
-      // A session batch: consecutive frames of one streaming session,
-      // in push order. The queue guarantees exclusivity (no other
-      // worker holds this session until session_done), so the session's
-      // cross-frame state is touched single-threaded; frames execute
-      // one by one — each depends on the previous frame's ring.
-      const std::shared_ptr<StreamSession> session = batch.front().session;
-      InferenceEngine* engine = nullptr;
-      std::string setup_error;
-      try {
-        engine = &pool_.engine_for(worker_id, session->options().engine,
-                                   session->options().mask);
-      } catch (const std::exception& e) {
-        setup_error = e.what();
-      }
-      int64_t incremental = 0;
+    // Every job of a batch shares one (engine, mask) key; a session
+    // batch holds consecutive frames of one session, in push order.
+    const InferRequest& key = batch.front().request;
+    const std::shared_ptr<StreamSession> session = batch.front().session;
+    const auto fail_all = [&](const std::string& message) {
+      for (QueuedJob& job : batch)
+        job.state->fail_with(message, /*was_cancelled=*/false);
+    };
+    const auto complete = [&](QueuedJob& job, InferResult r,
+                              std::chrono::steady_clock::time_point start,
+                              std::chrono::steady_clock::time_point end) {
+      r.queue_ms = ms_between(job.enqueued, start);
+      r.run_ms = ms_between(start, end);
+      r.worker = worker_id;
+      r.batch_size = static_cast<int>(batch.size());
+      job.state->complete(std::move(r));
+    };
+
+    InferenceEngine* engine = nullptr;
+    try {
+      engine = &pool_.engine_for(worker_id, key.engine, key.mask);
+    } catch (const std::exception& e) {
+      fail_all(std::string("engine setup failed: ") + e.what());
+    }
+
+    int64_t incremental = 0;
+    if (engine != nullptr && session != nullptr) {
+      // The queue guarantees exclusivity (no other worker holds this
+      // session until session_done), so the session's cross-frame state
+      // is touched single-threaded; frames execute one by one — each
+      // depends on the previous frame's ring.
       for (QueuedJob& job : batch) {
-        if (engine == nullptr) {
-          job.state->fail_with("engine setup failed: " + setup_error,
-                               /*was_cancelled=*/false);
-          continue;
-        }
         const auto start = std::chrono::steady_clock::now();
         try {
           InferResult r = session->execute_frame(*engine, job.request.image);
           const auto end = std::chrono::steady_clock::now();
-          r.queue_ms = ms_between(job.enqueued, start);
-          r.run_ms = ms_between(start, end);
-          r.worker = worker_id;
-          r.batch_size = static_cast<int>(batch.size());
           if (session->last_frame_spliced()) ++incremental;
-          job.state->complete(std::move(r));
+          complete(job, std::move(r), start, end);
         } catch (const std::exception& e) {
           job.state->fail_with(e.what(), /*was_cancelled=*/false);
         }
       }
-      queue_.session_done(session->id());
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        const int64_t n = static_cast<int64_t>(batch.size());
-        completed_ += n;
-        ++batches_;
-        if (n > 1) coalesced_ += n;
-        if (n > max_batch_seen_) max_batch_seen_ = n;
-        session_frames_ += n;
-        incremental_frames_ += incremental;
-        per_worker_done_[static_cast<size_t>(worker_id)] += n;
-      }
-      drain_cv_.notify_all();
-      continue;
-    }
-    // A batch shares one (engine, mask) key; bind the engine once and
-    // run the images back-to-back, evaluate_batch-style.
-    InferenceEngine* engine = nullptr;
-    std::string setup_error;
-    try {
-      engine = &pool_.engine_for(worker_id, batch.front().request.engine,
-                                 batch.front().request.mask);
-    } catch (const std::exception& e) {
-      setup_error = e.what();
-    }
-
-    if (engine == nullptr) {
-      for (QueuedJob& job : batch) {
-        job.state->fail_with("engine setup failed: " + setup_error,
-                             /*was_cancelled=*/false);
-      }
-    } else {
+    } else if (engine != nullptr) {
       // One run_batch call executes the whole coalesced batch, so the
       // engine's batch-amortized kernels engage — same numerics as
       // per-image run() by contract, which keeps the serve determinism
@@ -214,19 +174,16 @@ void InferenceServer::worker_main(int worker_id) {
       images.reserve(batch.size());
       for (const QueuedJob& job : batch) images.push_back(job.request.image);
       std::vector<std::vector<int8_t>> logits;
-      std::string run_error;
+      bool ran = true;
       try {
         engine->run_batch(images, logits);
       } catch (const std::exception& e) {
-        run_error = e.what();
+        fail_all(e.what());
+        ran = false;
       }
       const auto end = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < batch.size(); ++i) {
+      for (size_t i = 0; ran && i < batch.size(); ++i) {
         QueuedJob& job = batch[i];
-        if (!run_error.empty()) {
-          job.state->fail_with(run_error, /*was_cancelled=*/false);
-          continue;
-        }
         InferResult r;
         r.logits = std::move(logits[i]);
         try {
@@ -244,22 +201,23 @@ void InferenceServer::worker_main(int worker_id) {
           job.state->fail_with(e.what(), /*was_cancelled=*/false);
           continue;
         }
-        r.queue_ms = ms_between(job.enqueued, start);
-        r.run_ms = ms_between(start, end);  // batch wall time, per job
-        r.worker = worker_id;
-        r.batch_size = static_cast<int>(batch.size());
-        job.state->complete(std::move(r));
+        complete(job, std::move(r), start, end);  // run_ms: batch wall time
       }
     }
+    if (session != nullptr) queue_.session_done(session->id());
 
     {
       const std::lock_guard<std::mutex> lock(stats_mutex_);
       const int64_t n = static_cast<int64_t>(batch.size());
-      completed_ += n;
-      ++batches_;
-      if (n > 1) coalesced_ += n;
-      if (n > max_batch_seen_) max_batch_seen_ = n;
-      per_worker_done_[static_cast<size_t>(worker_id)] += n;
+      stats_.completed += n;
+      ++stats_.batches;
+      if (n > 1) stats_.coalesced += n;
+      stats_.max_batch_seen = std::max(stats_.max_batch_seen, n);
+      if (session != nullptr) {
+        stats_.session_frames += n;
+        stats_.incremental_frames += incremental;
+      }
+      stats_.per_worker[static_cast<size_t>(worker_id)] += n;
     }
     drain_cv_.notify_all();
   }
@@ -267,7 +225,9 @@ void InferenceServer::worker_main(int worker_id) {
 
 void InferenceServer::drain() {
   std::unique_lock<std::mutex> lock(stats_mutex_);
-  drain_cv_.wait(lock, [&] { return completed_ + cancelled_ >= submitted_; });
+  drain_cv_.wait(lock, [&] {
+    return stats_.completed + stats_.cancelled >= stats_.submitted;
+  });
 }
 
 void InferenceServer::stop(Shutdown mode) {
@@ -278,7 +238,7 @@ void InferenceServer::stop(Shutdown mode) {
       // Count before resolving: anyone woken by a cancelled future must
       // already see it in stats().cancelled.
       const std::lock_guard<std::mutex> lock(stats_mutex_);
-      cancelled_ += static_cast<int64_t>(pending.size());
+      stats_.cancelled += static_cast<int64_t>(pending.size());
     }
     for (QueuedJob& job : pending) {
       job.state->fail_with(
@@ -300,16 +260,7 @@ ServeStats InferenceServer::stats() const {
   ServeStats s;
   {
     const std::lock_guard<std::mutex> lock(stats_mutex_);
-    s.submitted = submitted_;
-    s.completed = completed_;
-    s.cancelled = cancelled_;
-    s.batches = batches_;
-    s.coalesced = coalesced_;
-    s.max_batch_seen = max_batch_seen_;
-    s.sessions = sessions_;
-    s.session_frames = session_frames_;
-    s.incremental_frames = incremental_frames_;
-    s.per_worker = per_worker_done_;
+    s = stats_;
   }
   s.pool = pool_.stats();
   return s;

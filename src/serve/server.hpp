@@ -103,7 +103,8 @@ class InferenceServer {
     kCancelPending,  // stop admissions, cancel still-queued requests
   };
 
-  // Idempotent; joins the workers. After stop(), submit() throws.
+  // Idempotent; joins the workers. After stop(), submit() and
+  // push_frame() throw.
   // kCancelPending resolves still-queued futures as cancelled (their
   // get() throws, cancelled() is true); in-flight batches always finish.
   void stop(Shutdown mode = Shutdown::kDrain);
@@ -113,6 +114,11 @@ class InferenceServer {
   const QModel& model() const { return *model_; }
 
  private:
+  // The admission step of submit and push_frame: creates the future,
+  // stamps the enqueue time, assigns the id and counts the job before
+  // queueing it. Once stopped it counts nothing and throws
+  // "<caller>: server is stopped".
+  InferFuture enqueue(QueuedJob job, const char* caller);
   void worker_main(int worker_id);
 
   const QModel* model_;
@@ -124,17 +130,8 @@ class InferenceServer {
   mutable std::mutex stats_mutex_;  // guards the fields below
   std::condition_variable drain_cv_;
   uint64_t next_id_ = 0;
-  int64_t submitted_ = 0;
-  int64_t completed_ = 0;
-  int64_t cancelled_ = 0;
-  int64_t batches_ = 0;
-  int64_t coalesced_ = 0;
-  int64_t max_batch_seen_ = 0;
-  int64_t sessions_ = 0;
-  int64_t session_frames_ = 0;
-  int64_t incremental_frames_ = 0;
   uint64_t next_session_id_ = 0;
-  std::vector<int64_t> per_worker_done_;
+  ServeStats stats_;  // `pool` is read from pool_ by stats()
 
   std::mutex stop_mutex_;  // serializes stop(); protects joined_
   bool joined_ = false;

@@ -220,11 +220,12 @@ TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
 TEST_F(DseFastFixture, PrefixCacheStatsOfOneFullPassArePinned) {
   const auto configs = sweep_configs();
   const PrefixCache cache(model_, sig_, eval_, configs, -1);
-  const std::vector<uint8_t> alive(configs.size(), 1);
+  // Every config classifies every eval image.
+  const std::vector<int> begin(configs.size(), 0);
+  const std::vector<int> end(configs.size(), cache.eval_images());
   std::vector<uint8_t> hits(configs.size() *
                             static_cast<size_t>(cache.eval_images()));
-  const PrefixCacheStats stats =
-      cache.evaluate_images(0, cache.eval_images(), alive, hits);
+  const PrefixCacheStats stats = cache.evaluate_ranges(begin, end, hits);
   EXPECT_EQ(stats.segments_run, 4800);
   EXPECT_EQ(stats.segments_reused, 2040);
 }
