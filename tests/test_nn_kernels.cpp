@@ -1,8 +1,10 @@
 // Reference int8 kernels and engine: float-consistency, skip-mask
-// semantics, parameterized shape sweeps.
+// semantics, parameterized shape sweeps, and bitwise parity of the conv
+// and depthwise kernels with a brute-force per-operand oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "src/common/error.hpp"
 #include "src/nn/engine.hpp"
@@ -12,8 +14,10 @@
 namespace ataman {
 namespace {
 
+using testing::first_column_range_mismatch;
 using testing::make_random_input;
 using testing::make_random_qconv;
+using testing::make_random_qdw;
 using testing::make_random_qdense;
 using testing::make_random_skip;
 using testing::make_tiny_qmodel;
@@ -128,6 +132,190 @@ TEST(ConvRef, PaddingTapsContributeZero) {
     for (int pos = 1; pos < g.positions(); ++pos)
       ASSERT_EQ(out[static_cast<size_t>(pos) * g.out_c + oc], first);
   }
+}
+
+// Brute-force oracles that define the reference kernels' results: every
+// output computes every operand one at a time, in weight order, and a
+// padding tap reads the input zero point.
+int8_t requantize(int32_t acc, const QuantizedMultiplier& m,
+                  const QuantParams& out, int32_t act_min, int32_t act_max) {
+  const int32_t scaled =
+      multiply_by_quantized_multiplier(acc, m) + out.zero_point;
+  return static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
+}
+
+std::vector<int8_t> brute_force_conv(const QConv2D& layer,
+                                     const std::vector<int8_t>& in,
+                                     const uint8_t* skip) {
+  const ConvGeom& g = layer.geom;
+  const int patch = g.patch_size();
+  std::vector<int8_t> out(static_cast<size_t>(g.positions()) * g.out_c);
+  for (int oy = 0; oy < g.out_h(); ++oy) {
+    for (int ox = 0; ox < g.out_w(); ++ox) {
+      for (int oc = 0; oc < g.out_c; ++oc) {
+        int32_t acc = layer.bias[static_cast<size_t>(oc)];
+        int idx = 0;
+        for (int ky = 0; ky < g.kernel; ++ky) {
+          const int iy = oy * g.stride - g.pad + ky;
+          for (int kx = 0; kx < g.kernel; ++kx) {
+            const int ix = ox * g.stride - g.pad + kx;
+            const bool inside =
+                iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+            for (int c = 0; c < g.in_c; ++c, ++idx) {
+              const size_t op = static_cast<size_t>(oc) * patch + idx;
+              if (skip != nullptr && skip[op]) continue;
+              const int32_t x =
+                  inside ? in[(static_cast<size_t>(iy) * g.in_w + ix) *
+                                  g.in_c +
+                              c]
+                         : layer.in.zero_point;
+              acc += (x - layer.in.zero_point) *
+                     static_cast<int32_t>(layer.weights[op]);
+            }
+          }
+        }
+        out[(static_cast<size_t>(oy) * g.out_w() + ox) * g.out_c + oc] =
+            requantize(acc, layer.requant[static_cast<size_t>(oc)],
+                       layer.out, layer.act_min, layer.act_max);
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<int8_t> brute_force_depthwise(const QDepthwiseConv2D& layer,
+                                          const std::vector<int8_t>& in,
+                                          const uint8_t* skip) {
+  const int patch = layer.patch_size(), c_n = layer.channels;
+  std::vector<int8_t> out(static_cast<size_t>(layer.positions()) * c_n);
+  for (int oy = 0; oy < layer.out_h(); ++oy) {
+    for (int ox = 0; ox < layer.out_w(); ++ox) {
+      for (int ch = 0; ch < c_n; ++ch) {
+        int32_t acc = layer.bias[static_cast<size_t>(ch)];
+        int p = 0;
+        for (int ky = 0; ky < layer.kernel; ++ky) {
+          const int iy = oy * layer.stride - layer.pad + ky;
+          for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
+            if (skip != nullptr && skip[static_cast<size_t>(ch) * patch + p])
+              continue;
+            const int ix = ox * layer.stride - layer.pad + kx;
+            const bool inside =
+                iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
+            const int32_t x =
+                inside ? in[(static_cast<size_t>(iy) * layer.in_w + ix) *
+                                c_n +
+                            ch]
+                       : layer.in.zero_point;
+            acc += (x - layer.in.zero_point) *
+                   static_cast<int32_t>(
+                       layer.weights[dw_weight_index(ch, p, c_n)]);
+          }
+        }
+        out[(static_cast<size_t>(oy) * layer.out_w() + ox) * c_n + ch] =
+            requantize(acc, layer.requant[static_cast<size_t>(ch)],
+                       layer.out, layer.act_min, layer.act_max);
+      }
+    }
+  }
+  return out;
+}
+
+// Kernels 1, 3 and 5 at strides 1-3 and every pad from 0 to the kernel
+// (pad == kernel puts the corner windows wholly in padding), over channel
+// counts on both sides of 64, with no mask and with masks of density 0,
+// 0.3 and 1. Each case runs the full map and every column range against
+// the oracle; the columns outside a range must stay untouched.
+constexpr int kParityChannels[] = {1, 3, 17, 63, 64, 65, 130};
+constexpr double kParityDensities[] = {-1.0, 0.0, 0.3, 1.0};  // -1: nullptr
+
+template <typename Visit>
+void for_each_parity_case(const Visit& visit) {
+  uint64_t seed = 4000;
+  for (int kernel : {1, 3, 5}) {
+    for (int stride = 1; stride <= 3; ++stride) {
+      for (int pad = 0; pad <= kernel; ++pad) {
+        for (int channels : kParityChannels) {
+          for (double density : kParityDensities) {
+            visit(kernel, stride, pad, channels, density, ++seed);
+          }
+        }
+      }
+    }
+  }
+}
+
+std::string parity_case_name(int kernel, int stride, int pad, int channels,
+                             double density) {
+  return "k" + std::to_string(kernel) + " s" + std::to_string(stride) +
+         " p" + std::to_string(pad) + " c" + std::to_string(channels) +
+         " density " + (density < 0 ? "none" : std::to_string(density));
+}
+
+TEST(RefKernelParity, ConvMatchesBruteForceOnEveryWindowAndColumnRange) {
+  int cases = 0;
+  for_each_parity_case([&](int kernel, int stride, int pad, int channels,
+                           double density, uint64_t seed) {
+    ConvGeom g;
+    g.in_h = 5; g.in_w = 6; g.in_c = channels;
+    g.out_c = 3; g.kernel = kernel; g.stride = stride; g.pad = pad;
+    const QConv2D conv = make_random_qconv(g, seed, /*folded_relu=*/false);
+    const auto in = make_random_input(
+        static_cast<int64_t>(g.in_h) * g.in_w * g.in_c, seed + 1);
+    const std::vector<uint8_t> mask =
+        density < 0 ? std::vector<uint8_t>{}
+                    : make_random_skip(g, density, seed + 2);
+    const uint8_t* skip = density < 0 ? nullptr : mask.data();
+    const std::string name =
+        parity_case_name(kernel, stride, pad, channels, density);
+
+    const std::vector<int8_t> want = brute_force_conv(conv, in, skip);
+    std::vector<int8_t> got(want.size());
+    conv2d_ref(conv, in, got, skip);
+    ASSERT_EQ(got, want) << name;
+    ASSERT_EQ(first_column_range_mismatch(
+                  [&](ColumnRange cols, std::span<int8_t> out) {
+                    conv2d_ref(conv, in, out, skip, cols);
+                  },
+                  want, g.out_w(), g.out_c),
+              "")
+        << name;
+    ++cases;
+  });
+  EXPECT_EQ(cases, 3 * (2 + 4 + 6) * 7 * 4);
+}
+
+TEST(RefKernelParity, DepthwiseMatchesBruteForceOnEveryWindowAndColumnRange) {
+  int cases = 0;
+  for_each_parity_case([&](int kernel, int stride, int pad, int channels,
+                           double density, uint64_t seed) {
+    const QDepthwiseConv2D dw =
+        make_random_qdw(5, 6, channels, kernel, stride, pad, seed);
+    const auto in = make_random_input(
+        static_cast<int64_t>(dw.in_h) * dw.in_w * channels, seed + 1);
+    std::vector<uint8_t> mask;
+    if (density >= 0) {
+      Rng rng(seed + 2);
+      mask.resize(static_cast<size_t>(dw.weight_count()));
+      for (auto& m : mask) m = rng.next_bool(density) ? 1 : 0;
+    }
+    const uint8_t* skip = density < 0 ? nullptr : mask.data();
+    const std::string name =
+        parity_case_name(kernel, stride, pad, channels, density);
+
+    const std::vector<int8_t> want = brute_force_depthwise(dw, in, skip);
+    std::vector<int8_t> got(want.size());
+    depthwise_conv2d_ref(dw, in, got, skip);
+    ASSERT_EQ(got, want) << name;
+    ASSERT_EQ(first_column_range_mismatch(
+                  [&](ColumnRange cols, std::span<int8_t> out) {
+                    depthwise_conv2d_ref(dw, in, out, skip, cols);
+                  },
+                  want, dw.out_w(), channels),
+              "")
+        << name;
+    ++cases;
+  });
+  EXPECT_EQ(cases, 3 * (2 + 4 + 6) * 7 * 4);
 }
 
 TEST(MaxPoolRef, SelectsWindowMaximum) {
