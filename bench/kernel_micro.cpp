@@ -24,17 +24,20 @@ QConv2D bench_conv() {
 }
 
 void BM_ConvReference(benchmark::State& state) {
+  // state.range(0): percent of operands skipped (0: no mask).
   const QConv2D conv = bench_conv();
+  const auto skip = ataman::testing::make_random_skip(
+      conv.geom, state.range(0) / 100.0, 77);
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 1);
   std::vector<int8_t> out(static_cast<size_t>(conv.geom.positions()) *
                           conv.geom.out_c);
   for (auto _ : state) {
-    conv2d_ref(conv, in, out);
+    conv2d_ref(conv, in, out, state.range(0) > 0 ? skip.data() : nullptr);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["macs"] = static_cast<double>(conv.geom.macs());
 }
-BENCHMARK(BM_ConvReference);
+BENCHMARK(BM_ConvReference)->Arg(0)->Arg(50);
 
 void BM_ConvPackedCmsis(benchmark::State& state) {
   const QConv2D conv = bench_conv();
@@ -137,17 +140,29 @@ QDepthwiseConv2D bench_depthwise() {
                                           /*stride=*/1, /*pad=*/1, 4343);
 }
 
+// Skip mask over the (channel, tap) operands with `percent` of them set.
+std::vector<uint8_t> bench_depthwise_skip(const QDepthwiseConv2D& dw,
+                                          int64_t percent) {
+  Rng rng(177);
+  std::vector<uint8_t> skip(static_cast<size_t>(dw.weight_count()));
+  for (auto& m : skip) m = rng.next_bool(percent / 100.0) ? 1 : 0;
+  return skip;
+}
+
 void BM_DepthwiseReference(benchmark::State& state) {
+  // state.range(0): percent of (channel, tap) operands skipped (0: no mask).
   const QDepthwiseConv2D dw = bench_depthwise();
+  const auto skip = bench_depthwise_skip(dw, state.range(0));
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 11);
   std::vector<int8_t> out(static_cast<size_t>(dw.positions()) * dw.channels);
   for (auto _ : state) {
-    depthwise_conv2d_ref(dw, in, out);
+    depthwise_conv2d_ref(dw, in, out,
+                         state.range(0) > 0 ? skip.data() : nullptr);
     benchmark::DoNotOptimize(out.data());
   }
   state.counters["macs"] = static_cast<double>(dw.macs());
 }
-BENCHMARK(BM_DepthwiseReference);
+BENCHMARK(BM_DepthwiseReference)->Arg(0)->Arg(50);
 
 void BM_DepthwisePackedCmsis(benchmark::State& state) {
   const QDepthwiseConv2D dw = bench_depthwise();
@@ -165,9 +180,7 @@ BENCHMARK(BM_DepthwisePackedCmsis);
 void BM_DepthwiseUnpacked(benchmark::State& state) {
   // state.range(0): percent of (channel, tap) operands skipped.
   const QDepthwiseConv2D dw = bench_depthwise();
-  Rng rng(177);
-  std::vector<uint8_t> skip(static_cast<size_t>(dw.weight_count()));
-  for (auto& m : skip) m = rng.next_bool(state.range(0) / 100.0) ? 1 : 0;
+  const auto skip = bench_depthwise_skip(dw, state.range(0));
   const UnpackedLayer u = UnpackedLayer::build(
       dw, state.range(0) > 0 ? skip.data() : nullptr);
   const auto in = ataman::testing::make_random_input(16 * 16 * 16, 13);

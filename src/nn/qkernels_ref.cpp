@@ -5,34 +5,50 @@
 
 namespace ataman {
 
-int32_t conv_accumulate_ref(const QConv2D& layer, std::span<const int8_t> in,
-                            int oy, int ox, int oc, const uint8_t* skip) {
-  const ConvGeom& g = layer.geom;
-  const int patch = g.patch_size();
-  const int8_t* w =
-      layer.weights.data() + static_cast<size_t>(oc) * patch;
-  const uint8_t* sk =
-      skip != nullptr ? skip + static_cast<size_t>(oc) * patch : nullptr;
+namespace {
 
-  int32_t acc = layer.bias[static_cast<size_t>(oc)];
-  int idx = 0;
-  for (int ky = 0; ky < g.kernel; ++ky) {
-    const int iy = oy * g.stride - g.pad + ky;
-    for (int kx = 0; kx < g.kernel; ++kx) {
-      const int ix = ox * g.stride - g.pad + kx;
-      const bool inside = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
-      for (int c = 0; c < g.in_c; ++c, ++idx) {
-        if (sk != nullptr && sk[idx]) continue;
-        // Padding taps read the zero-point, i.e. real value 0.
-        const int32_t x =
-            inside ? in[(static_cast<size_t>(iy) * g.in_w + ix) * g.in_c + c]
-                   : layer.in.zero_point;
-        acc += (x - layer.in.zero_point) * static_cast<int32_t>(w[idx]);
-      }
-    }
+// Kernel taps [k0, k1) of output coordinate `o` whose input coordinate
+// o * stride - pad + k lies inside [0, extent). The other taps read
+// padding: their input is the zero point, so each adds exactly 0.
+struct TapRange {
+  int k0, k1;
+};
+
+TapRange in_image_taps(int o, int stride, int pad, int kernel, int extent) {
+  const int base = o * stride - pad;
+  const int k0 = std::clamp(-base, 0, kernel);
+  return {k0, std::clamp(extent - base, k0, kernel)};
+}
+
+int8_t requantize(int32_t acc, const QuantizedMultiplier& m, int32_t out_zp,
+                  int32_t act_min, int32_t act_max) {
+  const int32_t scaled = multiply_by_quantized_multiplier(acc, m) + out_zp;
+  return static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
+}
+
+// Weight `w` of an operand, or 0 if `skipped` is nonzero: a byte mask, so
+// the loops below stay branch-free and vectorize.
+int8_t kept(int8_t w, uint8_t skipped) {
+  return static_cast<int8_t>(w & (skipped == 0 ? -1 : 0));
+}
+
+// Sum of (x[i] - zp) * w[i] over n contiguous operands, leaving out those
+// with sk[i] set (sk may be nullptr).
+int32_t dot_run(const int8_t* x, const int8_t* w, const uint8_t* sk, int n,
+                int32_t zp) {
+  int32_t acc = 0;
+  if (sk == nullptr) {
+    for (int i = 0; i < n; ++i) acc += (x[i] - zp) * w[i];
+  } else {
+    for (int i = 0; i < n; ++i) acc += (x[i] - zp) * kept(w[i], sk[i]);
   }
   return acc;
 }
+
+// Depthwise channels accumulated together per window pass, on the stack.
+constexpr int kDepthwiseBlock = 64;
+
+}  // namespace
 
 void conv2d_ref(const QConv2D& layer, std::span<const int8_t> in,
                 std::span<int8_t> out, const uint8_t* skip, ColumnRange cols) {
@@ -47,50 +63,35 @@ void conv2d_ref(const QConv2D& layer, std::span<const int8_t> in,
   check(cols.begin >= 0 && cols.begin <= ox_end,
         "conv column range out of bounds");
 
+  // Weights are [oc][ky][kx][c] and the input HWC, so the in-image taps
+  // of one kernel row are one contiguous run of operands in both.
+  const size_t patch = static_cast<size_t>(g.patch_size());
+  const int32_t zp = layer.in.zero_point;
   for (int oy = 0; oy < oh; ++oy) {
+    const TapRange ty = in_image_taps(oy, g.stride, g.pad, g.kernel, g.in_h);
     for (int ox = cols.begin; ox < ox_end; ++ox) {
+      const TapRange tx =
+          in_image_taps(ox, g.stride, g.pad, g.kernel, g.in_w);
+      const int run = (tx.k1 - tx.k0) * g.in_c;
+      const int ix0 = ox * g.stride - g.pad + tx.k0;
       int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * g.out_c;
       for (int oc = 0; oc < g.out_c; ++oc) {
-        const int32_t acc = conv_accumulate_ref(layer, in, oy, ox, oc, skip);
-        const int32_t scaled =
-            multiply_by_quantized_multiplier(
-                acc, layer.requant[static_cast<size_t>(oc)]) +
-            layer.out.zero_point;
-        orow[oc] = static_cast<int8_t>(
-            std::clamp(scaled, layer.act_min, layer.act_max));
+        int32_t acc = layer.bias[static_cast<size_t>(oc)];
+        for (int ky = ty.k0; ky < ty.k1; ++ky) {
+          const int iy = oy * g.stride - g.pad + ky;
+          const size_t op = static_cast<size_t>(oc) * patch +
+                            static_cast<size_t>(ky * g.kernel + tx.k0) * g.in_c;
+          acc += dot_run(
+              in.data() + (static_cast<size_t>(iy) * g.in_w + ix0) * g.in_c,
+              layer.weights.data() + op, skip != nullptr ? skip + op : nullptr,
+              run, zp);
+        }
+        orow[oc] = requantize(acc, layer.requant[static_cast<size_t>(oc)],
+                              layer.out.zero_point, layer.act_min,
+                              layer.act_max);
       }
     }
   }
-}
-
-int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
-                                 std::span<const int8_t> in, int oy, int ox,
-                                 int ch, const uint8_t* skip) {
-  const int patch = layer.patch_size();
-  const uint8_t* sk =
-      skip != nullptr ? skip + static_cast<size_t>(ch) * patch : nullptr;
-
-  int32_t acc = layer.bias[static_cast<size_t>(ch)];
-  int p = 0;
-  for (int ky = 0; ky < layer.kernel; ++ky) {
-    const int iy = oy * layer.stride - layer.pad + ky;
-    for (int kx = 0; kx < layer.kernel; ++kx, ++p) {
-      if (sk != nullptr && sk[p]) continue;
-      const int ix = ox * layer.stride - layer.pad + kx;
-      const bool inside =
-          iy >= 0 && iy < layer.in_h && ix >= 0 && ix < layer.in_w;
-      // Padding taps read the zero-point, i.e. real value 0.
-      const int32_t x =
-          inside ? in[(static_cast<size_t>(iy) * layer.in_w + ix) *
-                          layer.channels +
-                      ch]
-                 : layer.in.zero_point;
-      acc += (x - layer.in.zero_point) *
-             static_cast<int32_t>(
-                 layer.weights[dw_weight_index(ch, p, layer.channels)]);
-    }
-  }
-  return acc;
 }
 
 void depthwise_conv2d_ref(const QDepthwiseConv2D& layer,
@@ -107,19 +108,48 @@ void depthwise_conv2d_ref(const QDepthwiseConv2D& layer,
   check(cols.begin >= 0 && cols.begin <= ox_end,
         "depthwise column range out of bounds");
 
+  // Weights are [tap][ch] and the input HWC, so with the channels
+  // innermost both operands of a tap are contiguous. The skip mask is
+  // [ch][tap]: a block's flags for one tap lie `patch` apart.
+  const int c_n = layer.channels, patch = layer.patch_size();
+  const int32_t zp = layer.in.zero_point;
+  int32_t acc[kDepthwiseBlock];
   for (int oy = 0; oy < oh; ++oy) {
+    const TapRange ty =
+        in_image_taps(oy, layer.stride, layer.pad, layer.kernel, layer.in_h);
     for (int ox = cols.begin; ox < ox_end; ++ox) {
-      int8_t* orow =
-          out.data() + (static_cast<size_t>(oy) * ow + ox) * layer.channels;
-      for (int ch = 0; ch < layer.channels; ++ch) {
-        const int32_t acc =
-            depthwise_accumulate_ref(layer, in, oy, ox, ch, skip);
-        const int32_t scaled =
-            multiply_by_quantized_multiplier(
-                acc, layer.requant[static_cast<size_t>(ch)]) +
-            layer.out.zero_point;
-        orow[ch] = static_cast<int8_t>(
-            std::clamp(scaled, layer.act_min, layer.act_max));
+      const TapRange tx = in_image_taps(ox, layer.stride, layer.pad,
+                                        layer.kernel, layer.in_w);
+      int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * c_n;
+      for (int c0 = 0; c0 < c_n; c0 += kDepthwiseBlock) {
+        const int n = std::min(kDepthwiseBlock, c_n - c0);
+        for (int j = 0; j < n; ++j)
+          acc[j] = layer.bias[static_cast<size_t>(c0 + j)];
+        for (int ky = ty.k0; ky < ty.k1; ++ky) {
+          const int iy = oy * layer.stride - layer.pad + ky;
+          for (int kx = tx.k0; kx < tx.k1; ++kx) {
+            const int ix = ox * layer.stride - layer.pad + kx;
+            const int p = ky * layer.kernel + kx;
+            const int8_t* x =
+                in.data() +
+                (static_cast<size_t>(iy) * layer.in_w + ix) * c_n + c0;
+            const int8_t* w =
+                layer.weights.data() + dw_weight_index(c0, p, c_n);
+            if (skip == nullptr) {
+              for (int j = 0; j < n; ++j) acc[j] += (x[j] - zp) * w[j];
+            } else {
+              const uint8_t* sk =
+                  skip + static_cast<size_t>(c0) * patch + p;
+              for (int j = 0; j < n; ++j)
+                acc[j] += (x[j] - zp) *
+                          kept(w[j], sk[static_cast<size_t>(j) * patch]);
+            }
+          }
+        }
+        for (int j = 0; j < n; ++j)
+          orow[c0 + j] = requantize(
+              acc[j], layer.requant[static_cast<size_t>(c0 + j)],
+              layer.out.zero_point, layer.act_min, layer.act_max);
       }
     }
   }
@@ -195,17 +225,12 @@ void dense_ref(const QDense& layer, std::span<const int8_t> in,
   for (int o = 0; o < layer.out_dim; ++o) {
     const int8_t* w =
         layer.weights.data() + static_cast<size_t>(o) * layer.in_dim;
-    int32_t acc = layer.bias[static_cast<size_t>(o)];
-    for (int i = 0; i < layer.in_dim; ++i) {
-      acc += (static_cast<int32_t>(in[static_cast<size_t>(i)]) -
-              layer.in.zero_point) *
-             static_cast<int32_t>(w[i]);
-    }
-    const int32_t scaled =
-        multiply_by_quantized_multiplier(acc, layer.requant) +
-        layer.out.zero_point;
+    const int32_t acc =
+        layer.bias[static_cast<size_t>(o)] +
+        dot_run(in.data(), w, nullptr, layer.in_dim, layer.in.zero_point);
     out[static_cast<size_t>(o)] =
-        static_cast<int8_t>(std::clamp(scaled, layer.act_min, layer.act_max));
+        requantize(acc, layer.requant, layer.out.zero_point, layer.act_min,
+                   layer.act_max);
   }
 }
 

@@ -1,8 +1,11 @@
 // Reference (golden) int8 kernels.
 //
-// Straightforward nested loops with explicit zero-point handling; every
-// optimized engine in the repo (CMSIS-like packed, unpacked/approximate,
-// generated C) is tested bit-exact against these.
+// Plain nested loops with explicit zero-point handling; every optimized
+// engine in the repo (CMSIS-like packed, unpacked/approximate, generated
+// C) is tested bit-exact against these. Conv and depthwise visit only the
+// kernel taps that lie inside the image: a padding tap reads the input
+// zero point, so its term (zp - zp) * w is exactly 0 and leaving it out
+// changes no sum.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +48,6 @@ void dense_ref(const QDense& layer, std::span<const int8_t> in,
 // inputs and the output have identical shape.
 void qadd_ref(const QAdd& layer, std::span<const int8_t> in_a,
               std::span<const int8_t> in_b, std::span<int8_t> out);
-
-// Single-channel accumulator for one conv output position — shared by the
-// reference kernel and the significance brute-force tests.
-int32_t conv_accumulate_ref(const QConv2D& layer, std::span<const int8_t> in,
-                            int oy, int ox, int oc, const uint8_t* skip);
-
-// As above for one depthwise output position/channel.
-int32_t depthwise_accumulate_ref(const QDepthwiseConv2D& layer,
-                                 std::span<const int8_t> in, int oy, int ox,
-                                 int ch, const uint8_t* skip);
 
 // Dispatch any QLayer through its reference kernel into `out` (sized
 // describe_layer(layer).out_elems by the caller). `in_b` is the second
