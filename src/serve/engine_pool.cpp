@@ -24,12 +24,19 @@ std::unique_ptr<InferenceEngine> EnginePool::make_instance(const Key& key) {
   const std::lock_guard<std::mutex> lock(proto_mutex_);
   auto it = prototypes_.find(key);
   if (it == prototypes_.end()) {
+    if (const auto failed = failures_.find(key); failed != failures_.end())
+      throw Error(failed->second);
     EngineConfig cfg;
     cfg.model = model_;
     cfg.mask = key.second;
-    it = prototypes_
-             .emplace(key, EngineRegistry::instance().create(key.first, cfg))
-             .first;
+    std::unique_ptr<InferenceEngine> prototype;
+    try {
+      prototype = EngineRegistry::instance().create(key.first, cfg);
+    } catch (const std::exception& e) {
+      failures_.emplace(key, e.what());
+      throw Error(e.what());
+    }
+    it = prototypes_.emplace(key, std::move(prototype)).first;
     ++stats_.prototypes_built;
   }
   ++stats_.engines_cloned;

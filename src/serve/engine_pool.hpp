@@ -48,7 +48,9 @@ class EnginePool {
   // Thread contract: any number of workers may call concurrently, but
   // each worker id must have at most one caller — the returned reference
   // is only safe to use on that worker's thread, and it stays valid
-  // until the pool dies.
+  // until the pool dies. Throws ataman::Error with the registry's
+  // message when the key's engine cannot be built; a failed key is not
+  // built again.
   InferenceEngine& engine_for(int worker, const std::string& backend,
                               const SkipMask* mask);
 
@@ -64,8 +66,9 @@ class EnginePool {
 
   const QModel* model_;
 
-  mutable std::mutex proto_mutex_;  // guards the two members below
+  mutable std::mutex proto_mutex_;  // guards the three members below
   EngineMap prototypes_;
+  std::map<Key, std::string> failures_;  // build error message per key
   EnginePoolStats stats_;
 
   // per_worker_[w] is touched only by worker w (no lock needed).

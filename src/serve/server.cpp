@@ -145,7 +145,7 @@ void InferenceServer::worker_main(int worker_id) {
       fail_all(std::string("engine setup failed: ") + e.what());
     }
 
-    int64_t incremental = 0;
+    int64_t frames = 0, incremental = 0;  // session frames that completed
     if (engine != nullptr && session != nullptr) {
       // The queue guarantees exclusivity (no other worker holds this
       // session until session_done), so the session's cross-frame state
@@ -156,6 +156,7 @@ void InferenceServer::worker_main(int worker_id) {
         try {
           InferResult r = session->execute_frame(*engine, job.request.image);
           const auto end = std::chrono::steady_clock::now();
+          ++frames;
           if (session->last_frame_spliced()) ++incremental;
           complete(job, std::move(r), start, end);
         } catch (const std::exception& e) {
@@ -213,10 +214,8 @@ void InferenceServer::worker_main(int worker_id) {
       ++stats_.batches;
       if (n > 1) stats_.coalesced += n;
       stats_.max_batch_seen = std::max(stats_.max_batch_seen, n);
-      if (session != nullptr) {
-        stats_.session_frames += n;
-        stats_.incremental_frames += incremental;
-      }
+      stats_.session_frames += frames;
+      stats_.incremental_frames += incremental;
       stats_.per_worker[static_cast<size_t>(worker_id)] += n;
     }
     drain_cv_.notify_all();

@@ -56,7 +56,7 @@ struct ServeStats {
   int64_t coalesced = 0;       // requests that rode a batch of size > 1
   int64_t max_batch_seen = 0;  // largest micro-batch executed
   int64_t sessions = 0;            // streaming sessions opened
-  int64_t session_frames = 0;      // frames executed across all sessions
+  int64_t session_frames = 0;      // session frames that completed
   int64_t incremental_frames = 0;  // of those, spliced at least one element
   EnginePoolStats pool{};
   std::vector<int64_t> per_worker;  // requests executed per worker

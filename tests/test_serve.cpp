@@ -491,10 +491,51 @@ TEST(ServeErrors, EngineSetupFailureFailsItsBatchesAndTheServerKeepsServing) {
   EXPECT_EQ(stats.submitted, 20);
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.cancelled, 0);
+  // Only frames that completed count as session frames; none did.
+  EXPECT_EQ(session->stats().frames, 0);
+  EXPECT_EQ(stats.session_frames, session->stats().frames);
 
   // Later tests may create every registered backend.
   EngineRegistry::instance().register_engine(
       "serve-broken", [](const EngineConfig& cfg) {
+        return std::make_unique<RefEngine>(cfg.model);
+      });
+}
+
+// The pool remembers a key whose engine failed to build: later batches of
+// that key fail with the same message without calling the factory again.
+TEST(ServeErrors, FailedEngineBuildIsNotRetriedByLaterBatches) {
+  static std::atomic<int> builds{0};
+  builds = 0;
+  EngineRegistry::instance().register_engine(
+      "serve-counted-broken",
+      [](const EngineConfig&) -> std::unique_ptr<InferenceEngine> {
+        ++builds;
+        throw Error("serve-counted-broken: engine refused to build");
+      });
+  const QModel m = make_tiny_qmodel(635);
+  InferenceServer server(&m, ServeOptions{.workers = 1, .max_batch = 1});
+
+  std::vector<InferFuture> futures;
+  for (int i = 0; i < 4; ++i) {
+    InferRequest r;
+    r.engine = "serve-counted-broken";
+    r.image = make_random_image(kImagePixels, 6490 + i);
+    futures.push_back(server.submit(std::move(r)));
+  }
+  server.drain();
+
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const std::string error = error_of(futures[i]);
+    EXPECT_TRUE(error.ends_with("engine setup failed: serve-counted-broken: "
+                                "engine refused to build"))
+        << "job " << i << ": " << error;
+  }
+  EXPECT_EQ(server.stats().batches, 4);
+  EXPECT_EQ(builds, 1);
+
+  EngineRegistry::instance().register_engine(
+      "serve-counted-broken", [](const EngineConfig& cfg) {
         return std::make_unique<RefEngine>(cfg.model);
       });
 }
