@@ -74,10 +74,13 @@ void conv2d_ref(const QConv2D& layer, std::span<const int8_t> in,
           in_image_taps(ox, g.stride, g.pad, g.kernel, g.in_w);
       const int run = (tx.k1 - tx.k0) * g.in_c;
       const int ix0 = ox * g.stride - g.pad + tx.k0;
+      // A window wholly left or right of the image (pad > kernel) visits
+      // no row, so no pointer is formed from an ix0 outside the row.
+      const int ky_end = run > 0 ? ty.k1 : ty.k0;
       int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * g.out_c;
       for (int oc = 0; oc < g.out_c; ++oc) {
         int32_t acc = layer.bias[static_cast<size_t>(oc)];
-        for (int ky = ty.k0; ky < ty.k1; ++ky) {
+        for (int ky = ty.k0; ky < ky_end; ++ky) {
           const int iy = oy * g.stride - g.pad + ky;
           const size_t op = static_cast<size_t>(oc) * patch +
                             static_cast<size_t>(ky * g.kernel + tx.k0) * g.in_c;

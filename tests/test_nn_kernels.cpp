@@ -220,8 +220,8 @@ std::vector<int8_t> brute_force_depthwise(const QDepthwiseConv2D& layer,
   return out;
 }
 
-// Kernels 1, 3 and 5 at strides 1-3 and every pad from 0 to the kernel
-// (pad == kernel puts the corner windows wholly in padding), over channel
+// Kernels 1, 3 and 5 at strides 1-3 and every pad from 0 to kernel + 1
+// (pad >= kernel puts the edge windows wholly in padding), over channel
 // counts on both sides of 64, with no mask and with masks of density 0,
 // 0.3 and 1. Each case runs the full map and every column range against
 // the oracle; the columns outside a range must stay untouched.
@@ -233,7 +233,7 @@ void for_each_parity_case(const Visit& visit) {
   uint64_t seed = 4000;
   for (int kernel : {1, 3, 5}) {
     for (int stride = 1; stride <= 3; ++stride) {
-      for (int pad = 0; pad <= kernel; ++pad) {
+      for (int pad = 0; pad <= kernel + 1; ++pad) {
         for (int channels : kParityChannels) {
           for (double density : kParityDensities) {
             visit(kernel, stride, pad, channels, density, ++seed);
@@ -281,7 +281,7 @@ TEST(RefKernelParity, ConvMatchesBruteForceOnEveryWindowAndColumnRange) {
         << name;
     ++cases;
   });
-  EXPECT_EQ(cases, 3 * (2 + 4 + 6) * 7 * 4);
+  EXPECT_EQ(cases, 3 * (3 + 5 + 7) * 7 * 4);
 }
 
 TEST(RefKernelParity, DepthwiseMatchesBruteForceOnEveryWindowAndColumnRange) {
@@ -315,7 +315,7 @@ TEST(RefKernelParity, DepthwiseMatchesBruteForceOnEveryWindowAndColumnRange) {
         << name;
     ++cases;
   });
-  EXPECT_EQ(cases, 3 * (2 + 4 + 6) * 7 * 4);
+  EXPECT_EQ(cases, 3 * (3 + 5 + 7) * 7 * 4);
 }
 
 TEST(MaxPoolRef, SelectsWindowMaximum) {
