@@ -151,12 +151,24 @@ inline void planar_copy_q15(const ConvGeom& g, const PlanarLayout& p,
   }
 }
 
-// The requantize epilogue of every packed/unpacked kernel.
+// The requantize epilogue of every packed/unpacked kernel. The zero point
+// is added in int64: a scaled value within |out_zp| of an int32 limit
+// would overflow int32.
 inline int8_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
                             int32_t out_zp, int32_t act_min, int32_t act_max) {
-  const int32_t scaled =
-      multiply_by_quantized_multiplier(acc, requant) + out_zp;
-  return static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
+  const int64_t scaled =
+      int64_t{multiply_by_quantized_multiplier(acc, requant)} + out_zp;
+  return static_cast<int8_t>(std::clamp<int64_t>(scaled, act_min, act_max));
+}
+
+// requant_clamp on each of the eight accumulators of a block step.
+inline void requant8(const Acc8& acc, const QuantizedMultiplier& requant,
+                     int32_t out_zp, int32_t act_min, int32_t act_max,
+                     int8_t out[kPosBlock]) {
+  int32_t sums[kPosBlock];
+  acc8_store(acc, sums);
+  for (int p = 0; p < kPosBlock; ++p)
+    out[p] = requant_clamp(sums[p], requant, out_zp, act_min, act_max);
 }
 
 // The accumulators of one block step: `Lanes` images x kPosBlock output

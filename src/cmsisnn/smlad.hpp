@@ -121,6 +121,11 @@ inline void smlad8(uint32_t w, const int16_t* a, const int16_t* b,
       _mm_add_epi32(acc.hi, _mm_madd_epi16(_mm_unpackhi_epi16(va, vb), wv));
 }
 
+inline Acc8 acc8_load(const int32_t* in) {
+  return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 4))};
+}
+
 inline void acc8_store(const Acc8& acc, int32_t* out) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out), acc.lo);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4), acc.hi);
@@ -157,6 +162,12 @@ inline Acc8 acc8_splat(int32_t v) {
 inline void smlad8(uint32_t w, const int16_t* a, const int16_t* b,
                    Acc8& acc) {
   smlad8_scalar(w, a, b, acc.lane);
+}
+
+inline Acc8 acc8_load(const int32_t* in) {
+  Acc8 acc{};
+  for (int p = 0; p < kPosBlock; ++p) acc.lane[p] = in[p];
+  return acc;
 }
 
 inline void acc8_store(const Acc8& acc, int32_t* out) {

@@ -7,6 +7,7 @@
 #include <array>
 
 #include "src/cmsisnn/cmsis_engine.hpp"
+#include "src/cmsisnn/packed_kernels.hpp"
 #include "src/core/exec_plan.hpp"
 #include "src/data/synth_cifar.hpp"
 #include "src/cmsisnn/smlad.hpp"
@@ -101,12 +102,11 @@ TEST(Smlad, BlockStepMatchesScalarOnRandomOperands) {
 }
 
 TEST(Smlad, BlockStepMatchesScalarOnExtremeOperands) {
-  const int16_t extremes[] = {-32768, -32767, -1, 0, 1, 32767};
-  const int32_t accs[] = {0, 1, -1, 2147483647, -2147483647 - 1};
+  const auto& extremes = testing::kQ15Extremes;
   std::array<int16_t, kPosBlock> a{}, b{};
-  for (const int8_t hi : {int8_t{-128}, int8_t{127}, int8_t{0}}) {
-    for (const int8_t lo : {int8_t{-128}, int8_t{127}, int8_t{0}}) {
-      for (const int32_t acc0 : accs) {
+  for (const int8_t hi : testing::kWeightExtremes) {
+    for (const int8_t lo : testing::kWeightExtremes) {
+      for (const int32_t acc0 : testing::kAccExtremes) {
         // -32768 in both lanes of every position, then mixed extremes.
         a.fill(-32768);
         b.fill(-32768);
@@ -127,6 +127,35 @@ TEST(Smlad, BlockStepMatchesScalarOnExtremeOperands) {
   b.fill(-32768);
   expect_block_step_matches_smlad(pack_q15_pair(-32768, -32768), a.data(),
                                   b.data(), 5);
+}
+
+// requant8 against its definition, requant_clamp, on every lane of the
+// requant operand table: the SSE2 branch on x86, the scalar loop on the
+// portable build and for shifts above 0.
+TEST(Requant8, MatchesScalarDefinitionOnOperandTable) {
+  for (const testing::RequantOperands& row :
+       testing::requant_operand_table(8)) {
+    const size_t n = row.accs.size();
+    for (const auto& [act_min, act_max] : testing::kRequantActRanges) {
+      for (int32_t zp = -128; zp <= 127; ++zp) {
+        // Rotating the accumulators by zp puts each one in every lane.
+        for (size_t g = 0; g < n; g += kPosBlock) {
+          std::array<int32_t, kPosBlock> lanes{};
+          std::array<int8_t, kPosBlock> want{}, got{};
+          for (size_t p = 0; p < kPosBlock; ++p) {
+            lanes[p] = row.accs[(g + p + static_cast<size_t>(zp + 128)) % n];
+            want[p] = requant_clamp(lanes[p], row.qm, zp, act_min, act_max);
+          }
+          requant8(acc8_load(lanes.data()), row.qm, zp, act_min, act_max,
+                   got.data());
+          ASSERT_EQ(got, want)
+              << "mult=" << row.qm.mult << " shift=" << row.qm.shift
+              << " zp=" << zp << " act=[" << act_min << ", " << act_max
+              << "] accs from " << lanes[0];
+        }
+      }
+    }
+  }
 }
 
 TEST(Smlad, DotMatchesScalarOnEveryTailLength) {

@@ -4,9 +4,12 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -171,6 +174,89 @@ inline std::vector<uint8_t> make_random_image(int64_t n, uint64_t seed) {
   std::vector<uint8_t> v(static_cast<size_t>(n));
   for (auto& x : v) x = static_cast<uint8_t>(rng.next_int(0, 255));
   return v;
+}
+
+// Extreme operands of the SMLAD tests: weight bytes, q15 activations and
+// int32 accumulators. The host block step and the emitted prelude's
+// _smlad/_smlabb are both checked on them.
+inline constexpr int8_t kWeightExtremes[] = {-128, 127, 0};
+inline constexpr int16_t kQ15Extremes[] = {-32768, -32767, -1, 0, 1, 32767};
+inline constexpr int32_t kAccExtremes[] = {0, 1, -1, 2147483647,
+                                           -2147483647 - 1};
+
+// One multiplier of the requant operand table and the accumulators that
+// pin an epilogue to multiply_by_quantized_multiplier under it.
+struct RequantOperands {
+  QuantizedMultiplier qm;
+  std::vector<int32_t> accs;
+};
+
+// The output ranges every row of the table is checked over, each with
+// every out_zp in -128..127.
+inline constexpr std::pair<int32_t, int32_t> kRequantActRanges[] = {
+    {-128, 127}, {0, 127}, {-3, 5}};
+
+// The smallest a with saturating_rounding_doubling_high_mul(a, m) >= x,
+// for m > 0: ceil((x * 2^31 - 2^30) / m). The high mul steps by at most
+// 1 per a, so it equals x there whenever a fits int32.
+inline int64_t high_mul_preimage(int64_t x, int64_t m) {
+  const int64_t num = x * (int64_t{1} << 31) - (int64_t{1} << 30);
+  return num / m + (num % m > 0 ? 1 : 0);
+}
+
+// Every shift from -31 to 30, each with mult 0, 2^30, INT32_MAX, three
+// seeded ones in quantize_multiplier's range [2^30, 2^31) and one below
+// it. Per multiplier the accumulators are INT32_MIN/MAX, 0, +-1, +-2^30,
+// seeded random ones, and, with their neighbours:
+//   - the exact ties of the doubling high mul, a * m = k * 2^31 +- 2^30;
+//   - for shift < 0, accumulators whose high mul x makes the
+//     rounding_divide_by_pot remainder equal its threshold, both signs.
+// Shared by the requant8 test and the emitted-prelude check.
+inline std::vector<RequantOperands> requant_operand_table(uint64_t seed) {
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  Rng rng(seed);
+  std::vector<RequantOperands> table;
+  for (int shift = -31; shift <= 30; ++shift) {
+    std::vector<int32_t> mults = {0, 1 << 30, kMax};
+    for (int i = 0; i < 3; ++i) mults.push_back(rng.next_int(1 << 30, kMax));
+    mults.push_back(rng.next_int(1, (1 << 30) - 1));
+    for (const int32_t m : mults) {
+      RequantOperands row{{m, shift},
+                          {kMin, kMax, 0, 1, -1, 1 << 30, -(1 << 30)}};
+      const auto add = [&row](int64_t a) {
+        if (a >= kMin && a <= kMax) row.accs.push_back(static_cast<int32_t>(a));
+      };
+      if (m > 0) {
+        // a * m = 2^30 (mod 2^31). With m = 2^t * odd, that is
+        // a = 2^(30-t) * odd^-1 (mod 2^(31-t)); Newton's step doubles
+        // the correct low bits of the inverse (3 to start).
+        const int t = std::countr_zero(static_cast<uint32_t>(m));
+        const uint32_t odd = static_cast<uint32_t>(m) >> t;
+        uint32_t inv = odd;
+        for (int i = 0; i < 4; ++i) inv *= 2 - odd * inv;
+        const int64_t period = int64_t{1} << (31 - t);
+        const auto a0 = static_cast<int64_t>((uint64_t{inv} << (30 - t)) &
+                                             static_cast<uint64_t>(period - 1));
+        for (int64_t j = -2; j <= 2; ++j)
+          for (int d = -1; d <= 1; ++d) add(a0 + j * period + d);
+        // Remainder == threshold: x = k * 2^e + 2^(e-1) - 1 for x >= 0,
+        // x = -(k + 1) * 2^e + 2^(e-1) for x < 0.
+        if (shift < 0) {
+          const int64_t unit = int64_t{1} << -shift;
+          const int64_t half = unit / 2;
+          for (int64_t k = 0; k <= 2; ++k) {
+            for (const int64_t x : {k * unit + half - 1, -(k + 1) * unit + half})
+              for (int d = -1; d <= 1; ++d) add(high_mul_preimage(x + d, m));
+          }
+        }
+      }
+      for (int i = 0; i < 16; ++i) add(static_cast<int32_t>(rng.next_u64()));
+      for (int i = 0; i < 8; ++i) add(rng.next_int(-(1 << 20), 1 << 20));
+      table.push_back(std::move(row));
+    }
+  }
+  return table;
 }
 
 // Random skip mask for one conv layer with approximately `density`
