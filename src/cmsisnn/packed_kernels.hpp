@@ -161,10 +161,70 @@ inline int8_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
   return static_cast<int8_t>(std::clamp<int64_t>(scaled, act_min, act_max));
 }
 
+#if defined(__SSE2__)
+// multiply_by_quantized_multiplier on four lanes for 0 <= mult and
+// -31 <= shift <= 0 (`mult` broadcast). For mult >= 0 both nudge branches
+// of saturating_rounding_doubling_high_mul equal (a * mult + 2^30) >> 31
+// (floor), and its one saturating case needs mult = INT32_MIN.
+inline __m128i requant4(__m128i a, __m128i mult, int shift) {
+  // _mm_mul_epu32 reads a < 0 as a + 2^32, so its product is mult * 2^32
+  // too large: 2 * mult after the shift by 31. The nudged unsigned
+  // product stays below 2^63, so bits 31..62 fill the low half.
+  const __m128i nudge = _mm_set1_epi64x(int64_t{1} << 30);
+  const __m128i even = _mm_srli_epi64(
+      _mm_add_epi64(_mm_mul_epu32(a, mult), nudge), 31);
+  const __m128i odd = _mm_srli_epi64(
+      _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a, 32), mult), nudge), 31);
+  const __m128i x = _mm_sub_epi32(
+      _mm_or_si128(even, _mm_slli_epi64(odd, 32)),
+      _mm_and_si128(_mm_srai_epi32(a, 31), _mm_add_epi32(mult, mult)));
+  // rounding_divide_by_pot(x, -shift): +1 where the remainder exceeds
+  // mask / 2, plus 1 for x < 0.
+  const int32_t mask = static_cast<int32_t>((int64_t{1} << -shift) - 1);
+  const __m128i threshold =
+      _mm_sub_epi32(_mm_set1_epi32(mask >> 1), _mm_srai_epi32(x, 31));
+  const __m128i round_up = _mm_cmpgt_epi32(
+      _mm_and_si128(x, _mm_set1_epi32(mask)), threshold);
+  return _mm_sub_epi32(_mm_sra_epi32(x, _mm_cvtsi32_si128(-shift)), round_up);
+}
+
+// Lane-wise min(max(x, lo), hi): SSE2 has no _mm_max_epi32/_mm_min_epi32.
+inline __m128i clamp4(__m128i x, __m128i lo, __m128i hi) {
+  const __m128i below = _mm_cmplt_epi32(x, lo);
+  x = _mm_or_si128(_mm_and_si128(below, lo), _mm_andnot_si128(below, x));
+  const __m128i above = _mm_cmpgt_epi32(x, hi);
+  return _mm_or_si128(_mm_and_si128(above, hi), _mm_andnot_si128(above, x));
+}
+#endif
+
 // requant_clamp on each of the eight accumulators of a block step.
+// On SSE2 hosts eight lanes at a time, bit-exact, wherever requant4
+// applies and out_zp and the activation range lie in int8 (as every
+// calibrated layer's do: the saturating packs then narrow like the
+// cast). requant_clamp stays the definition and runs everywhere else.
 inline void requant8(const Acc8& acc, const QuantizedMultiplier& requant,
                      int32_t out_zp, int32_t act_min, int32_t act_max,
                      int8_t out[kPosBlock]) {
+#if defined(__SSE2__)
+  if (requant.mult >= 0 && requant.shift <= 0 && requant.shift >= -31 &&
+      out_zp >= -128 && out_zp <= 127 && act_min >= -128 &&
+      act_min <= act_max && act_max <= 127) {
+    // clamp(x + zp, act_min, act_max) == clamp(x, act_min - zp,
+    // act_max - zp) + zp, and no int32 add overflows on this side.
+    const __m128i lo = _mm_set1_epi32(act_min - out_zp);
+    const __m128i hi = _mm_set1_epi32(act_max - out_zp);
+    const __m128i mult = _mm_set1_epi32(requant.mult);
+    const __m128i zp = _mm_set1_epi32(out_zp);
+    const __m128i q0 = _mm_add_epi32(
+        clamp4(requant4(acc.lo, mult, requant.shift), lo, hi), zp);
+    const __m128i q1 = _mm_add_epi32(
+        clamp4(requant4(acc.hi, mult, requant.shift), lo, hi), zp);
+    const __m128i q16 = _mm_packs_epi32(q0, q1);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
+                     _mm_packs_epi16(q16, q16));
+    return;
+  }
+#endif
   int32_t sums[kPosBlock];
   acc8_store(acc, sums);
   for (int p = 0; p < kPosBlock; ++p)
@@ -207,8 +267,9 @@ struct BlockAcc {
 // the columns the blocks inside `range` read), then per output row and
 // block of up to kPosBlock columns calls `channel(oc, block)` per output
 // channel; `channel` accumulates into `block` and returns the channel's
-// requant multiplier, and the loop requantizes and stores the live
-// positions of the live images. Ragged blocks compute every lane (a dead
+// requant multiplier, and the loop requantizes each image's eight
+// positions at once (requant8) and stores the live positions of the
+// live images. Ragged blocks compute every lane (a dead
 // image lane rereads lane 0, a dead column reads a written padding or
 // input value) and store only the live ones; int32 accumulation wraps,
 // so the walk order never changes a bit.
@@ -254,7 +315,6 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
   BlockAcc<Lanes> block;
   block.offsets = buf.data();
   std::array<const int16_t*, Lanes> lane_planes{};
-  int32_t sums[kPosBlock] = {};
   for (int b0 = 0; b0 < batch; b0 += Lanes) {
     const int bn = std::min(Lanes, batch - b0);
     for (int j = 0; j < Lanes; ++j) {
@@ -279,14 +339,14 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
         for (int oc = 0; oc < g.out_c; ++oc) {
           const QuantizedMultiplier& requant = channel(oc, block);
           for (int j = 0; j < bn; ++j) {
-            acc8_store(block.acc[static_cast<size_t>(j)], sums);
+            int8_t q[kPosBlock];
+            requant8(block.acc[static_cast<size_t>(j)], requant, out_zp,
+                     act_min, act_max, q);
             int8_t* dst = out.data() +
                           static_cast<size_t>(b0 + j) * out_elems + block_off +
                           static_cast<size_t>(oc);
-            for (int p = 0; p < n; ++p) {
-              dst[static_cast<size_t>(p) * g.out_c] =
-                  requant_clamp(sums[p], requant, out_zp, act_min, act_max);
-            }
+            for (int p = 0; p < n; ++p)
+              dst[static_cast<size_t>(p) * g.out_c] = q[p];
           }
         }
       }
