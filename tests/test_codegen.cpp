@@ -6,9 +6,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/cmsisnn/packed_kernels.hpp"
+#include "src/cmsisnn/smlad.hpp"
 #include "src/codegen/c_emitter.hpp"
 #include "src/common/error.hpp"
 #include "src/core/exec_plan.hpp"
@@ -293,6 +296,147 @@ int main(void) {
     }
     EXPECT_EQ(got, engine.run(images[i])) << "image " << i;
   }
+  std::filesystem::remove_all(dir);
+}
+
+// The emitted prelude's hand-written helpers against their C++
+// definitions, on the operand tables the host kernels are pinned with:
+// _requant and _clamp8 on requant_operand_table (the requant8 test's),
+// _smlad and _smlabb on the extreme operands of the SMLAD block-step test
+// plus seeded random ones. The helpers are static, so the harness
+// #includes an emitted model.c. Each requant row takes the next out_zp
+// and activation range in turn, so the table covers them all.
+TEST_F(CodegenCompile, PreludeHelpersMatchDefinitionsOnOperandTables) {
+  if (!have_cc()) GTEST_SKIP() << "no host C compiler";
+  const std::string dir = "/tmp/ataman_codegen_prelude";
+  std::filesystem::remove_all(dir);
+  write_text_file(dir + "/model.c", emit_model_c(make_tiny_qmodel(88)));
+  // "r acc mult shift zp lo hi" prints _requant and the emitted epilogue
+  // _clamp8(_requant + zp, lo, hi), or "ovf" where that int32 add would
+  // overflow; "s x y acc" prints _smlad and _smlabb.
+  const std::string harness = R"(
+#include <stdio.h>
+#include "model.c"
+int main(void) {
+  char op;
+  long long a, b, c, zp, lo, hi;
+  while (scanf(" %c %lld %lld %lld", &op, &a, &b, &c) == 4) {
+    if (op == 's') {
+      printf("%ld %ld\n", (long)ataman_smlad((uint32_t)a, (uint32_t)b, (int32_t)c),
+             (long)ataman_smlabb((uint32_t)a, (uint32_t)b, (int32_t)c));
+      continue;
+    }
+    if (scanf("%lld %lld %lld", &zp, &lo, &hi) != 3) return 1;
+    int32_t r = ataman_requant((int32_t)a, (int32_t)b, (int32_t)c);
+    if (r + zp < INT32_MIN || r + zp > INT32_MAX) {
+      printf("%ld ovf\n", (long)r);
+    } else {
+      printf("%ld %d\n", (long)r,
+             (int)ataman_clamp8(r + (int32_t)zp, (int32_t)lo, (int32_t)hi));
+    }
+  }
+  return 0;
+}
+)";
+  write_text_file(dir + "/main.c", harness);
+
+  struct RequantRow {
+    int32_t acc;
+    QuantizedMultiplier qm;
+    int32_t zp, lo, hi;
+  };
+  std::vector<RequantRow> requant_rows;
+  for (const testing::RequantOperands& row :
+       testing::requant_operand_table(8)) {
+    for (const int32_t acc : row.accs) {
+      const size_t k = requant_rows.size();
+      const auto [lo, hi] = testing::kRequantActRanges[k % 3];
+      requant_rows.push_back(
+          {acc, row.qm, static_cast<int32_t>(k * 37 % 256) - 128, lo, hi});
+    }
+  }
+  struct SmladRow {
+    uint32_t x, y;
+    int32_t acc;
+  };
+  std::vector<SmladRow> smlad_rows;
+  for (const int8_t whi : testing::kWeightExtremes)
+    for (const int8_t wlo : testing::kWeightExtremes)
+      for (const int32_t acc : testing::kAccExtremes)
+        for (const int16_t a : testing::kQ15Extremes)
+          for (const int16_t b : testing::kQ15Extremes)
+            smlad_rows.push_back(
+                {pack_weight_pair(whi, wlo), pack_q15_pair(b, a), acc});
+  smlad_rows.push_back({pack_q15_pair(-32768, -32768),
+                        pack_q15_pair(-32768, -32768), 5});
+  Rng rng(89);
+  for (int i = 0; i < 1000; ++i) {
+    smlad_rows.push_back({static_cast<uint32_t>(rng.next_u64()),
+                          static_cast<uint32_t>(rng.next_u64()),
+                          static_cast<int32_t>(rng.next_u64())});
+  }
+  {
+    std::ofstream table(dir + "/table.txt");
+    for (const RequantRow& r : requant_rows) {
+      table << "r " << r.acc << " " << r.qm.mult << " " << r.qm.shift << " "
+            << r.zp << " " << r.lo << " " << r.hi << "\n";
+    }
+    for (const SmladRow& s : smlad_rows)
+      table << "s " << s.x << " " << s.y << " " << s.acc << "\n";
+  }
+  ASSERT_EQ(std::system(("cc -std=c99 -O2 " + dir + "/main.c -o " + dir +
+                         "/harness 2> " + dir + "/cc.log")
+                            .c_str()),
+            0)
+      << "prelude harness failed to compile";
+  ASSERT_EQ(std::system((dir + "/harness < " + dir + "/table.txt > " + dir +
+                         "/out.txt")
+                            .c_str()),
+            0);
+
+  std::ifstream in(dir + "/out.txt");
+  std::string first_mismatch;
+  int overflows = 0;
+  for (const RequantRow& r : requant_rows) {
+    int64_t got_requant = 0;
+    std::string got_clamp;
+    ASSERT_TRUE(in >> got_requant >> got_clamp);
+    const int32_t want_requant = multiply_by_quantized_multiplier(r.acc, r.qm);
+    const int64_t sum = int64_t{want_requant} + r.zp;
+    const bool overflow = sum < std::numeric_limits<int32_t>::min() ||
+                          sum > std::numeric_limits<int32_t>::max();
+    overflows += overflow;
+    const std::string want_clamp =
+        overflow ? "ovf"
+                 : std::to_string(
+                       requant_clamp(r.acc, r.qm, r.zp, r.lo, r.hi));
+    if (first_mismatch.empty() &&
+        (got_requant != want_requant || got_clamp != want_clamp)) {
+      first_mismatch = "requant acc=" + std::to_string(r.acc) +
+                       " mult=" + std::to_string(r.qm.mult) +
+                       " shift=" + std::to_string(r.qm.shift) +
+                       " zp=" + std::to_string(r.zp) + ": got " +
+                       std::to_string(got_requant) + " " + got_clamp +
+                       ", want " + std::to_string(want_requant) + " " +
+                       want_clamp;
+    }
+  }
+  for (const SmladRow& s : smlad_rows) {
+    int64_t got_smlad = 0, got_smlabb = 0;
+    ASSERT_TRUE(in >> got_smlad >> got_smlabb);
+    if (first_mismatch.empty() && (got_smlad != smlad(s.x, s.y, s.acc) ||
+                                   got_smlabb != smlabb(s.x, s.y, s.acc))) {
+      first_mismatch = "smlad x=" + std::to_string(s.x) +
+                       " y=" + std::to_string(s.y) +
+                       " acc=" + std::to_string(s.acc);
+    }
+  }
+  EXPECT_EQ(first_mismatch, "");
+  // The emitted epilogue adds the zero point in int32, so a row whose
+  // scaled value lies within |zp| of an int32 limit (shift >= 0 and a
+  // large accumulator) would overflow there: those rows check _requant
+  // only. requant_clamp adds in int64.
+  RecordProperty("epilogue_overflow_rows", overflows);
   std::filesystem::remove_all(dir);
 }
 
