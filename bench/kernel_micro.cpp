@@ -233,6 +233,52 @@ void BM_PlanarCopyQ15(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanarCopyQ15);
 
+void BM_RequantEpilogue(benchmark::State& state) {
+  // The requant epilogue of one 16x16x16 output map of bench_conv(), in
+  // the block loop's order (row, block of kPosBlock columns, channel) and
+  // with its strided int8 store. state.range(0): 0 = requant_clamp per
+  // output, 1 = requant8 per block. items/s counts outputs.
+  const QConv2D conv = bench_conv();
+  const ConvGeom& g = conv.geom;
+  const bool blocked = state.range(0) == 1;
+  Rng rng(6);
+  // Accumulators of one (block, channel) are contiguous.
+  std::vector<int32_t> accs(static_cast<size_t>(g.positions()) * g.out_c);
+  for (int32_t& a : accs) a = rng.next_int(-(1 << 16), 1 << 16);
+  std::vector<int8_t> out(accs.size());
+  const size_t out_c = static_cast<size_t>(g.out_c);
+  for (auto _ : state) {
+    for (int oy = 0; oy < g.out_h(); ++oy) {
+      for (int ox0 = 0; ox0 < g.out_w(); ox0 += kPosBlock) {
+        const size_t block = (static_cast<size_t>(oy) * g.out_w() + ox0) *
+                             out_c;
+        for (size_t oc = 0; oc < out_c; ++oc) {
+          const int32_t* sums = accs.data() + block + oc * kPosBlock;
+          int8_t* dst = out.data() + block + oc;
+          if (blocked) {
+            int8_t q[kPosBlock];
+            requant8(acc8_load(sums), conv.requant[oc], conv.out.zero_point,
+                     conv.act_min, conv.act_max, q);
+            for (size_t p = 0; p < kPosBlock; ++p) dst[p * out_c] = q[p];
+          } else {
+            for (size_t p = 0; p < kPosBlock; ++p) {
+              dst[p * out_c] =
+                  requant_clamp(sums[p], conv.requant[oc],
+                                conv.out.zero_point, conv.act_min,
+                                conv.act_max);
+            }
+          }
+        }
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_RequantEpilogue)->Arg(0)->Arg(1);
+
 void BM_SmladSemantics(benchmark::State& state) {
   Rng rng(5);
   std::vector<uint32_t> xs(1024), ys(1024);

@@ -178,8 +178,8 @@ inline __m128i requant4(__m128i a, __m128i mult, int shift) {
   const __m128i x = _mm_sub_epi32(
       _mm_or_si128(even, _mm_slli_epi64(odd, 32)),
       _mm_and_si128(_mm_srai_epi32(a, 31), _mm_add_epi32(mult, mult)));
-  // rounding_divide_by_pot(x, -shift): +1 where the remainder exceeds
-  // mask / 2, plus 1 for x < 0.
+  // rounding_divide_by_pot(x, -shift): x >> -shift, plus 1 where the
+  // remainder x & mask exceeds the threshold (mask >> 1, + 1 for x < 0).
   const int32_t mask = static_cast<int32_t>((int64_t{1} << -shift) - 1);
   const __m128i threshold =
       _mm_sub_epi32(_mm_set1_epi32(mask >> 1), _mm_srai_epi32(x, 31));
