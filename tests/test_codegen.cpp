@@ -322,7 +322,8 @@ int main(void) {
   long long a, b, c, zp, lo, hi;
   while (scanf(" %c %lld %lld %lld", &op, &a, &b, &c) == 4) {
     if (op == 's') {
-      printf("%ld %ld\n", (long)ataman_smlad((uint32_t)a, (uint32_t)b, (int32_t)c),
+      printf("%ld %ld\n",
+             (long)ataman_smlad((uint32_t)a, (uint32_t)b, (int32_t)c),
              (long)ataman_smlabb((uint32_t)a, (uint32_t)b, (int32_t)c));
       continue;
     }

@@ -197,8 +197,8 @@ inline constexpr std::pair<int32_t, int32_t> kRequantActRanges[] = {
     {-128, 127}, {0, 127}, {-3, 5}};
 
 // The smallest a with saturating_rounding_doubling_high_mul(a, m) >= x,
-// for m > 0: ceil((x * 2^31 - 2^30) / m). The high mul steps by at most
-// 1 per a, so it equals x there whenever a fits int32.
+// for m > 0 and x in int32: ceil((x * 2^31 - 2^30) / m). The high mul
+// steps by at most 1 per a, so it equals x there whenever a fits int32.
 inline int64_t high_mul_preimage(int64_t x, int64_t m) {
   const int64_t num = x * (int64_t{1} << 31) - (int64_t{1} << 30);
   return num / m + (num % m > 0 ? 1 : 0);
@@ -246,8 +246,12 @@ inline std::vector<RequantOperands> requant_operand_table(uint64_t seed) {
           const int64_t unit = int64_t{1} << -shift;
           const int64_t half = unit / 2;
           for (int64_t k = 0; k <= 2; ++k) {
-            for (const int64_t x : {k * unit + half - 1, -(k + 1) * unit + half})
-              for (int d = -1; d <= 1; ++d) add(high_mul_preimage(x + d, m));
+            for (const int64_t x :
+                 {k * unit + half - 1, -(k + 1) * unit + half}) {
+              for (int64_t y = x - 1; y <= x + 1; ++y) {
+                if (y >= kMin && y <= kMax) add(high_mul_preimage(y, m));
+              }
+            }
           }
         }
       }
