@@ -9,15 +9,22 @@
 // weight or bias tensor, or a zero conv or pool stride, must fail to load,
 // and so must a scored head on a model that cannot reconstruct its input.
 //
+// The saved bytes are pinned too: resaving the golden file keeps its bytes
+// as the prefix of the new file, four fixtures (all six layer kinds, a DAG
+// trailer, a scored head, spread per-channel scales) save to a recorded
+// size and FNV-1a digest, and load followed by save reproduces every file.
+//
 // The golden logits were recorded with the pre-change library on four
 // deterministic formula images (no RNG involved, so the inputs are
 // regenerable forever): img[k][i] = uint8((i*31 + k*97 + 13) & 0xFF).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -76,6 +83,36 @@ GoldenLogits load_golden_logits(const std::string& path) {
     g.logits.push_back(std::move(row));
   }
   return g;
+}
+
+std::vector<uint8_t> read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+uint64_t fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+  return h;
+}
+
+std::string temp_qm(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+// Saves `m`, then loads that file and saves it again; returns the first
+// file's bytes and expects the second to match them.
+std::vector<uint8_t> save_and_resave(const QModel& m, const char* label) {
+  const std::string first = temp_qm("ataman_bytepin_a.qm");
+  const std::string second = temp_qm("ataman_bytepin_b.qm");
+  save_qmodel(m, first);
+  save_qmodel(load_qmodel(first), second);
+  const std::vector<uint8_t> bytes = read_bytes(first);
+  EXPECT_EQ(read_bytes(second), bytes) << label << ": load + save drifted";
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+  return bytes;
 }
 
 TEST(GoldenCompat, PerTensorArtifactLoadsAsBroadcastVectors) {
@@ -144,6 +181,49 @@ TEST(GoldenCompat, ReserializedArtifactStaysBitCompatible) {
     EXPECT_EQ(engine->run(formula_image(k, elems)),
               golden.logits[static_cast<size_t>(k)])
         << "image " << k;
+  }
+}
+
+// The golden file ends after its DAG and head trailers, so a resave only
+// appends the per-channel trailer: one row per conv/depthwise layer.
+TEST(GoldenCompat, ResaveKeepsTheGoldenBytesAsItsPrefix) {
+  const std::string path = kGoldenDir + "/micronet_pertensor_pr8.qm";
+  const std::vector<uint8_t> golden = read_bytes(path);
+  ASSERT_EQ(golden.size(), 9250u);
+  const QModel m = load_qmodel(path);
+  size_t trailer = 4;
+  for (const QLayer& layer : m.layers)
+    if (const OpDescriptor d = describe_layer(layer); d.skippable)
+      trailer += 4 + 12 * static_cast<size_t>(d.channels);
+
+  const std::vector<uint8_t> resaved = save_and_resave(m, "golden");
+  ASSERT_EQ(resaved.size(), golden.size() + trailer);
+  EXPECT_TRUE(std::equal(golden.begin(), golden.end(), resaved.begin()));
+}
+
+// Sizes and digests recorded from the saver the format was defined by.
+TEST(GoldenCompat, FixtureBytesArePinned) {
+  struct Pin {
+    const char* name;
+    QModel model;
+    size_t size;
+    uint64_t fnv;
+  };
+  Pin pins[] = {
+      {"tiny", testing::make_tiny_qmodel(5), 4097, 0x83be64d35125af24ULL},
+      {"residual", testing::make_residual_qmodel(6), 3838,
+       0xc7f984e968aa6229ULL},
+      {"tiny-vww", testing::make_tiny_vww_qmodel(7), 969,
+       0x234fd540027ef519ULL},
+      {"tiny-scored", testing::make_tiny_scored_qmodel(8), 2020,
+       0x2ad81d8822f75da9ULL},
+  };
+  for (Pin& pin : pins) {
+    testing::spread_model_wscales(pin.model, 99);
+    const std::vector<uint8_t> bytes = save_and_resave(pin.model, pin.name);
+    EXPECT_EQ(bytes.size(), pin.size) << pin.name;
+    EXPECT_EQ(fnv1a64(bytes), pin.fnv)
+        << pin.name << std::hex << " digest 0x" << fnv1a64(bytes);
   }
 }
 
