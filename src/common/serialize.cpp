@@ -41,6 +41,9 @@ void BinaryWriter::close() {
 BinaryReader::BinaryReader(const std::string& path, const std::string& magic)
     : in_(path, std::ios::binary), path_(path) {
   check(in_.good(), "cannot open file for reading: " + path);
+  std::error_code ec;
+  size_ = std::filesystem::file_size(path, ec);
+  check(!ec, "cannot size file: " + path);
   const std::string got = str();
   check(got == magic, "bad magic in " + path + " (expected " + magic +
                           ", got " + got + ")");
@@ -81,7 +84,7 @@ double BinaryReader::f64() {
 
 std::string BinaryReader::str() {
   const uint64_t n = u64();
-  check(n < (1ULL << 24), "implausible string size in " + path_);
+  check_count(n, 1);
   std::string s(static_cast<size_t>(n), '\0');
   bytes(s.data(), s.size());
   return s;
@@ -91,10 +94,13 @@ void BinaryReader::bytes(void* data, size_t n) {
   in_.read(static_cast<char*>(data), static_cast<std::streamsize>(n));
   check(in_.gcount() == static_cast<std::streamsize>(n),
         "unexpected end of file: " + path_);
+  pos_ += n;
 }
 
-bool BinaryReader::at_end() {
-  return in_.peek() == std::ifstream::traits_type::eof();
+void BinaryReader::check_count(uint64_t n, size_t elem_bytes) const {
+  const uint64_t left = size_ > pos_ ? size_ - pos_ : 0;
+  check(n <= left / elem_bytes,
+        "count exceeds the bytes left in " + path_);
 }
 
 bool file_exists(const std::string& path) {

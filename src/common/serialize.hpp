@@ -1,10 +1,12 @@
-// Tagged binary serialization for model artifacts.
+// Binary serialization for model artifacts.
 //
 // Trained float models, quantized models and calibration statistics are
 // cached on disk between runs (training the AlexNet-class model takes
-// minutes; benches and examples share one artifact). The format is a
-// sequence of (tag, payload) records with explicit sizes, little-endian,
-// guarded by a magic header and format version.
+// minutes; benches and examples share one artifact). After a magic string
+// and a format version, an artifact is a list of fields in a fixed order,
+// in host byte order, with no per-field tags or sizes: only vectors and
+// strings carry a length, and only .qm layer records carry a kind tag
+// (src/quant/qmodel_io.cpp).
 #pragma once
 
 #include <cstdint>
@@ -59,17 +61,23 @@ class BinaryReader {
   std::vector<T> vec() {
     static_assert(std::is_trivially_copyable_v<T>);
     const uint64_t n = u64();
-    check(n < (1ULL << 32), "implausible vector size in " + path_);
+    check_count(n, sizeof(T));
     std::vector<T> v(static_cast<size_t>(n));
     bytes(v.data(), v.size() * sizeof(T));
     return v;
   }
 
-  bool at_end();
+  // Throws unless `n` elements of at least `elem_bytes` each fit in the
+  // bytes left, so a corrupt count fails before anything is allocated.
+  void check_count(uint64_t n, size_t elem_bytes) const;
+
+  bool at_end() const { return pos_ >= size_; }
 
  private:
   std::ifstream in_;
   std::string path_;
+  uint64_t size_ = 0;  // file size, taken at open
+  uint64_t pos_ = 0;   // bytes read so far
 };
 
 bool file_exists(const std::string& path);

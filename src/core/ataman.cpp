@@ -9,6 +9,7 @@
 #include "src/core/engine_iface.hpp"
 #include "src/core/eval.hpp"
 #include "src/nn/engine.hpp"
+#include "src/quant/qmodel_io.hpp"
 
 namespace ataman {
 

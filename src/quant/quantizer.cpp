@@ -4,14 +4,11 @@
 #include <numeric>
 
 #include "src/common/math_util.hpp"
-#include "src/common/serialize.hpp"
 #include "src/quant/calibrate.hpp"
 
 namespace ataman {
 
 namespace {
-
-constexpr const char* kQModelMagic = "ATAMAN.QMODEL";
 
 // Quantize one weight tensor symmetrically; returns the scale.
 float quantize_weights(const std::vector<float>& w, std::vector<int8_t>& out) {
@@ -316,373 +313,6 @@ QModel quantize_model(Network& net, const Dataset& calib,
     qm.validate_dag();
   }
   return qm;
-}
-
-void save_qmodel(const QModel& m, const std::string& path) {
-  BinaryWriter w(path, kQModelMagic);
-  w.str(m.name);
-  w.str(m.topology);
-  w.i32(m.in_h);
-  w.i32(m.in_w);
-  w.i32(m.in_c);
-  w.f32(m.input.scale);
-  w.i32(m.input.zero_point);
-  w.u32(static_cast<uint32_t>(m.layers.size()));
-  for (const QLayer& layer : m.layers) {
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      w.u32(0);
-      w.i32(conv->geom.in_h);
-      w.i32(conv->geom.in_w);
-      w.i32(conv->geom.in_c);
-      w.i32(conv->geom.out_c);
-      w.i32(conv->geom.kernel);
-      w.i32(conv->geom.stride);
-      w.i32(conv->geom.pad);
-      w.vec(conv->weights);
-      w.vec(conv->bias);
-      w.f32(conv->in.scale);
-      w.i32(conv->in.zero_point);
-      w.f32(conv->out.scale);
-      w.i32(conv->out.zero_point);
-      // Legacy inline slots carry channel 0; the full per-channel vectors
-      // live in the trailer (see below) so pre-PR-9 readers still parse.
-      w.f32(conv->w_scales.at(0));
-      w.i32(conv->requant.at(0).mult);
-      w.i32(conv->requant.at(0).shift);
-      w.i32(conv->act_min);
-      w.i32(conv->act_max);
-    } else if (const auto* pool = std::get_if<QMaxPool>(&layer)) {
-      w.u32(1);
-      w.i32(pool->in_h);
-      w.i32(pool->in_w);
-      w.i32(pool->channels);
-      w.i32(pool->kernel);
-      w.i32(pool->stride);
-    } else if (const auto* fc = std::get_if<QDense>(&layer)) {
-      w.u32(2);
-      w.i32(fc->in_dim);
-      w.i32(fc->out_dim);
-      w.vec(fc->weights);
-      w.vec(fc->bias);
-      w.f32(fc->in.scale);
-      w.i32(fc->in.zero_point);
-      w.f32(fc->out.scale);
-      w.i32(fc->out.zero_point);
-      w.f32(fc->w_scale);
-      w.i32(fc->requant.mult);
-      w.i32(fc->requant.shift);
-      w.i32(fc->act_min);
-      w.i32(fc->act_max);
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      w.u32(3);
-      w.i32(dw->in_h);
-      w.i32(dw->in_w);
-      w.i32(dw->channels);
-      w.i32(dw->kernel);
-      w.i32(dw->stride);
-      w.i32(dw->pad);
-      w.vec(dw->weights);
-      w.vec(dw->bias);
-      w.f32(dw->in.scale);
-      w.i32(dw->in.zero_point);
-      w.f32(dw->out.scale);
-      w.i32(dw->out.zero_point);
-      w.f32(dw->w_scales.at(0));
-      w.i32(dw->requant.at(0).mult);
-      w.i32(dw->requant.at(0).shift);
-      w.i32(dw->act_min);
-      w.i32(dw->act_max);
-    } else if (const auto* pool = std::get_if<QAvgPool>(&layer)) {
-      w.u32(4);
-      w.i32(pool->in_h);
-      w.i32(pool->in_w);
-      w.i32(pool->channels);
-      w.i32(pool->kernel);
-      w.i32(pool->stride);
-    } else if (const auto* add = std::get_if<QAdd>(&layer)) {
-      w.u32(5);
-      w.i32(add->h);
-      w.i32(add->w);
-      w.i32(add->channels);
-      w.f32(add->in_a.scale);
-      w.i32(add->in_a.zero_point);
-      w.f32(add->in_b.scale);
-      w.i32(add->in_b.zero_point);
-      w.f32(add->out.scale);
-      w.i32(add->out.zero_point);
-      w.i32(add->requant_a.mult);
-      w.i32(add->requant_a.shift);
-      w.i32(add->requant_b.mult);
-      w.i32(add->requant_b.shift);
-      w.i32(add->act_min);
-      w.i32(add->act_max);
-    }
-  }
-  // DAG trailer: per-layer input tensor ids (row count 0 = pure chain).
-  // Readers that predate the trailer never reach it on chain files they
-  // understand; the loader treats a missing trailer as a chain.
-  w.u32(static_cast<uint32_t>(m.layer_inputs.size()));
-  for (const std::vector<int>& row : m.layer_inputs) {
-    w.u32(static_cast<uint32_t>(row.size()));
-    for (const int t : row) w.i32(t);
-  }
-  // Head trailer (appended after the DAG trailer, same compatibility
-  // scheme): absent means the pre-scored default, an argmax head.
-  w.u32(static_cast<uint32_t>(m.head));
-  w.f32(m.score_threshold);
-  // Per-channel requant trailer (append-only versioning, PR 9): one row
-  // per conv/depthwise layer in stored order — u32 channel count, then
-  // (f32 scale, i32 mult, i32 shift) per channel. Absent (pre-PR-9
-  // artifacts) means the inline per-tensor scalars broadcast.
-  uint32_t pc_rows = 0;
-  for (const QLayer& layer : m.layers)
-    if (std::holds_alternative<QConv2D>(layer) ||
-        std::holds_alternative<QDepthwiseConv2D>(layer))
-      ++pc_rows;
-  w.u32(pc_rows);
-  for (const QLayer& layer : m.layers) {
-    const std::vector<float>* scales = nullptr;
-    const std::vector<QuantizedMultiplier>* rq = nullptr;
-    if (const auto* conv = std::get_if<QConv2D>(&layer)) {
-      scales = &conv->w_scales;
-      rq = &conv->requant;
-    } else if (const auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-      scales = &dw->w_scales;
-      rq = &dw->requant;
-    }
-    if (scales == nullptr) continue;
-    check(scales->size() == rq->size(),
-          "w_scales / requant length mismatch while saving " + m.name);
-    w.u32(static_cast<uint32_t>(scales->size()));
-    for (size_t c = 0; c < scales->size(); ++c) {
-      w.f32((*scales)[c]);
-      w.i32((*rq)[c].mult);
-      w.i32((*rq)[c].shift);
-    }
-  }
-  w.close();
-}
-
-namespace {
-
-// A weight or bias vector read from `path` must hold exactly the product
-// of its layer's shape fields; a negative field or an overflowing
-// product (a corrupt header) never matches.
-void check_tensor_length(size_t length, std::initializer_list<int32_t> dims,
-                         const char* what, const std::string& path) {
-  int64_t want = 1;
-  bool ok = true;
-  for (const int32_t d : dims)
-    ok = ok && d >= 0 && !__builtin_mul_overflow(want, int64_t{d}, &want);
-  check(ok && static_cast<uint64_t>(want) == length,
-        std::string(what) + " length does not match its layer in " + path);
-}
-
-// A conv or pool window with a kernel or stride below 1 has no output
-// extent (conv_out_extent divides by the stride).
-void check_window(int32_t kernel, int32_t stride, const char* what,
-                  const std::string& path) {
-  check(kernel >= 1 && stride >= 1,
-        std::string(what) + " kernel and stride must be >= 1 in " + path);
-}
-
-}  // namespace
-
-QModel load_qmodel(const std::string& path) {
-  BinaryReader r(path, kQModelMagic);
-  QModel m;
-  m.name = r.str();
-  m.topology = r.str();
-  m.in_h = r.i32();
-  m.in_w = r.i32();
-  m.in_c = r.i32();
-  m.input.scale = r.f32();
-  m.input.zero_point = r.i32();
-  const uint32_t n = r.u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t kind = r.u32();
-    if (kind == 0) {
-      QConv2D conv;
-      conv.geom.in_h = r.i32();
-      conv.geom.in_w = r.i32();
-      conv.geom.in_c = r.i32();
-      conv.geom.out_c = r.i32();
-      conv.geom.kernel = r.i32();
-      conv.geom.stride = r.i32();
-      conv.geom.pad = r.i32();
-      conv.weights = r.vec<int8_t>();
-      conv.bias = r.vec<int32_t>();
-      const ConvGeom& g = conv.geom;
-      check_window(g.kernel, g.stride, "conv", path);
-      check_tensor_length(conv.weights.size(),
-                          {g.out_c, g.kernel, g.kernel, g.in_c},
-                          "conv weight", path);
-      check_tensor_length(conv.bias.size(), {g.out_c}, "conv bias", path);
-      conv.in.scale = r.f32();
-      conv.in.zero_point = r.i32();
-      conv.out.scale = r.f32();
-      conv.out.zero_point = r.i32();
-      // Inline per-tensor scalars broadcast across channels; the
-      // per-channel trailer (when present) overrides them below. The
-      // stored multiplier is reused verbatim — never recomputed — so
-      // pre-PR-9 artifacts stay bitwise-identical.
-      const float w_scale = r.f32();
-      QuantizedMultiplier rq;
-      rq.mult = r.i32();
-      rq.shift = r.i32();
-      conv.w_scales.assign(static_cast<size_t>(conv.geom.out_c), w_scale);
-      conv.requant.assign(static_cast<size_t>(conv.geom.out_c), rq);
-      conv.act_min = r.i32();
-      conv.act_max = r.i32();
-      m.layers.emplace_back(std::move(conv));
-    } else if (kind == 1) {
-      QMaxPool pool;
-      pool.in_h = r.i32();
-      pool.in_w = r.i32();
-      pool.channels = r.i32();
-      pool.kernel = r.i32();
-      pool.stride = r.i32();
-      check_window(pool.kernel, pool.stride, "maxpool", path);
-      m.layers.emplace_back(pool);
-    } else if (kind == 2) {
-      QDense fc;
-      fc.in_dim = r.i32();
-      fc.out_dim = r.i32();
-      fc.weights = r.vec<int8_t>();
-      fc.bias = r.vec<int32_t>();
-      check_tensor_length(fc.weights.size(), {fc.out_dim, fc.in_dim},
-                          "dense weight", path);
-      check_tensor_length(fc.bias.size(), {fc.out_dim}, "dense bias", path);
-      fc.in.scale = r.f32();
-      fc.in.zero_point = r.i32();
-      fc.out.scale = r.f32();
-      fc.out.zero_point = r.i32();
-      fc.w_scale = r.f32();
-      fc.requant.mult = r.i32();
-      fc.requant.shift = r.i32();
-      fc.act_min = r.i32();
-      fc.act_max = r.i32();
-      m.layers.emplace_back(std::move(fc));
-    } else if (kind == 3) {
-      QDepthwiseConv2D dw;
-      dw.in_h = r.i32();
-      dw.in_w = r.i32();
-      dw.channels = r.i32();
-      dw.kernel = r.i32();
-      dw.stride = r.i32();
-      dw.pad = r.i32();
-      dw.weights = r.vec<int8_t>();
-      dw.bias = r.vec<int32_t>();
-      check_window(dw.kernel, dw.stride, "depthwise", path);
-      check_tensor_length(dw.weights.size(),
-                          {dw.kernel, dw.kernel, dw.channels},
-                          "depthwise weight", path);
-      check_tensor_length(dw.bias.size(), {dw.channels}, "depthwise bias",
-                          path);
-      dw.in.scale = r.f32();
-      dw.in.zero_point = r.i32();
-      dw.out.scale = r.f32();
-      dw.out.zero_point = r.i32();
-      const float w_scale = r.f32();
-      QuantizedMultiplier rq;
-      rq.mult = r.i32();
-      rq.shift = r.i32();
-      dw.w_scales.assign(static_cast<size_t>(dw.channels), w_scale);
-      dw.requant.assign(static_cast<size_t>(dw.channels), rq);
-      dw.act_min = r.i32();
-      dw.act_max = r.i32();
-      m.layers.emplace_back(std::move(dw));
-    } else if (kind == 4) {
-      QAvgPool pool;
-      pool.in_h = r.i32();
-      pool.in_w = r.i32();
-      pool.channels = r.i32();
-      pool.kernel = r.i32();
-      pool.stride = r.i32();
-      check_window(pool.kernel, pool.stride, "avgpool", path);
-      m.layers.emplace_back(pool);
-    } else if (kind == 5) {
-      QAdd add;
-      add.h = r.i32();
-      add.w = r.i32();
-      add.channels = r.i32();
-      add.in_a.scale = r.f32();
-      add.in_a.zero_point = r.i32();
-      add.in_b.scale = r.f32();
-      add.in_b.zero_point = r.i32();
-      add.out.scale = r.f32();
-      add.out.zero_point = r.i32();
-      add.requant_a.mult = r.i32();
-      add.requant_a.shift = r.i32();
-      add.requant_b.mult = r.i32();
-      add.requant_b.shift = r.i32();
-      add.act_min = r.i32();
-      add.act_max = r.i32();
-      m.layers.emplace_back(add);
-    } else {
-      fail("unknown layer kind in " + path);
-    }
-  }
-  // DAG trailer (absent in pre-DAG artifacts: those are pure chains).
-  if (!r.at_end()) {
-    const uint32_t rows = r.u32();
-    m.layer_inputs.resize(rows);
-    for (uint32_t i = 0; i < rows; ++i) {
-      const uint32_t len = r.u32();
-      m.layer_inputs[i].resize(len);
-      for (uint32_t k = 0; k < len; ++k) m.layer_inputs[i][k] = r.i32();
-    }
-    if (!m.layer_inputs.empty()) m.validate_dag();
-  }
-  if (!r.at_end()) {
-    const uint32_t head = r.u32();
-    check(head <= 1, "bad head tag in " + path);
-    m.head = static_cast<TaskHead>(head);
-    m.score_threshold = r.f32();
-    // A scored head reconstructs the input through a final dense layer
-    // (reconstruction_score).
-    const auto* last =
-        m.layers.empty() ? nullptr : std::get_if<QDense>(&m.layers.back());
-    check(m.head != TaskHead::kScore ||
-              (last != nullptr &&
-               static_cast<int64_t>(last->out_dim) ==
-                   static_cast<int64_t>(m.in_h) * m.in_w * m.in_c),
-          "scored head needs a final dense layer as wide as the input in " +
-              path);
-  }
-  // Per-channel requant trailer (absent in pre-PR-9 artifacts: the inline
-  // broadcast above already holds).
-  if (!r.at_end()) {
-    uint32_t expect_rows = 0;
-    for (const QLayer& layer : m.layers)
-      if (std::holds_alternative<QConv2D>(layer) ||
-          std::holds_alternative<QDepthwiseConv2D>(layer))
-        ++expect_rows;
-    const uint32_t rows = r.u32();
-    check(rows == expect_rows, "per-channel trailer row count mismatch in " +
-                                   path);
-    for (QLayer& layer : m.layers) {
-      std::vector<float>* scales = nullptr;
-      std::vector<QuantizedMultiplier>* rq = nullptr;
-      if (auto* conv = std::get_if<QConv2D>(&layer)) {
-        scales = &conv->w_scales;
-        rq = &conv->requant;
-      } else if (auto* dw = std::get_if<QDepthwiseConv2D>(&layer)) {
-        scales = &dw->w_scales;
-        rq = &dw->requant;
-      }
-      if (scales == nullptr) continue;
-      const uint32_t channels = r.u32();
-      check(channels == scales->size(),
-            "per-channel trailer channel count mismatch in " + path);
-      for (uint32_t c = 0; c < channels; ++c) {
-        (*scales)[c] = r.f32();
-        (*rq)[c].mult = r.i32();
-        (*rq)[c].shift = r.i32();
-      }
-    }
-  }
-  return m;
 }
 
 }  // namespace ataman

@@ -28,8 +28,4 @@ struct QuantizerConfig {
 QModel quantize_model(Network& net, const Dataset& calib,
                       const QuantizerConfig& config = {});
 
-// QModel artifact cache (same directory scheme as the float model zoo).
-void save_qmodel(const QModel& model, const std::string& path);
-QModel load_qmodel(const std::string& path);
-
 }  // namespace ataman

@@ -28,6 +28,7 @@
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
 #include "src/nn/skip_mask.hpp"
+#include "src/quant/qmodel_io.hpp"
 #include "src/serve/server.hpp"
 #include "src/sig/act_stats.hpp"
 #include "src/unpack/layer_selection.hpp"

@@ -15,6 +15,7 @@
 #include "src/core/engine_iface.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
+#include "src/quant/qmodel_io.hpp"
 #include "src/quant/quantizer.hpp"
 #include "src/sig/act_stats.hpp"
 #include "src/sig/significance.hpp"

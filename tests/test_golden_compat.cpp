@@ -9,6 +9,9 @@
 // weight or bias tensor, or a zero conv or pool stride, must fail to load,
 // and so must a scored head on a model that cannot reconstruct its input.
 //
+// A count larger than the bytes left in the file must throw before anything
+// is allocated.
+//
 // The saved bytes are pinned too: resaving the golden file keeps its bytes
 // as the prefix of the new file, four fixtures (all six layer kinds, a DAG
 // trailer, a scored head, spread per-channel scales) save to a recorded
@@ -22,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -30,7 +34,7 @@
 
 #include "src/common/error.hpp"
 #include "src/core/engine_iface.hpp"
-#include "src/quant/quantizer.hpp"
+#include "src/quant/qmodel_io.hpp"
 #include "tests/test_util.hpp"
 
 #ifndef ATAMAN_TEST_DATA_DIR
@@ -225,6 +229,77 @@ TEST(GoldenCompat, FixtureBytesArePinned) {
     EXPECT_EQ(fnv1a64(bytes), pin.fnv)
         << pin.name << std::hex << " digest 0x" << fnv1a64(bytes);
   }
+}
+
+template <class T>
+void patch(std::vector<uint8_t>& bytes, size_t at, T value) {
+  ASSERT_LE(at + sizeof value, bytes.size());
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+void expect_load_rejects(const std::vector<uint8_t>& bytes,
+                         const char* label) {
+  const std::string path = temp_qm("ataman_forged_count.qm");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)load_qmodel(path);
+    ADD_FAILURE() << label << ": loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("count exceeds the bytes left"),
+              std::string::npos)
+        << label << ": " << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+// Forged counts: the loader bounds each by the bytes left in the file, so
+// none of them allocates before it throws.
+TEST(GoldenCompat, CountsBeyondTheFileAreRejected) {
+  const QModel m = testing::make_residual_qmodel(6);
+  ASSERT_FALSE(m.layer_inputs.empty());
+  const std::vector<uint8_t> good = save_and_resave(m, "residual");
+
+  // Header: magic string (u64 length + 13 bytes), u32 version, then the
+  // name string; the first layer's weight count follows the name,
+  // topology, input shape and scale, layer count, kind tag and geometry.
+  const size_t name_at = 8 + 13 + 4;
+  const size_t weights_at =
+      name_at + 8 + m.name.size() + 8 + m.topology.size() + 5 * 4 + 4 + 4 +
+      7 * 4;
+  // Trailers at the end: DAG, head (8 bytes), per-channel.
+  size_t tail = 8 + 4;
+  for (const QLayer& layer : m.layers)
+    if (const OpDescriptor d = describe_layer(layer); d.skippable)
+      tail += 4 + 12 * static_cast<size_t>(d.channels);
+  size_t dag = 4;
+  for (const std::vector<int>& row : m.layer_inputs)
+    dag += 4 + 4 * row.size();
+  const size_t dag_at = good.size() - tail - dag;
+
+  std::vector<uint8_t> bytes = good;
+  const auto& conv = std::get<QConv2D>(m.layers[0]);
+  patch<uint64_t>(bytes, weights_at, conv.weights.size());
+  ASSERT_EQ(bytes, good) << "weight count offset";
+  patch<uint32_t>(bytes, dag_at, static_cast<uint32_t>(m.layer_inputs.size()));
+  patch<uint32_t>(bytes, dag_at + 4, 1);
+  ASSERT_EQ(bytes, good) << "DAG trailer offset";
+
+  bytes = good;
+  patch<uint32_t>(bytes, dag_at, 0xFFFFFFFFu);
+  expect_load_rejects(bytes, "DAG row count");
+  bytes = good;
+  patch<uint32_t>(bytes, dag_at + 4, 0xFFFFFFFFu);
+  expect_load_rejects(bytes, "DAG row length");
+  bytes = good;
+  patch<uint64_t>(bytes, weights_at, good.size());
+  expect_load_rejects(bytes, "weight count");
+  bytes = good;
+  patch<uint64_t>(bytes, name_at, good.size() - name_at - 8 + 1);
+  expect_load_rejects(bytes, "name length");
 }
 
 // A .qm whose first conv has a truncated weight or bias vector must be

@@ -9,6 +9,7 @@
 #include "src/core/exec_plan.hpp"
 #include "src/nn/engine.hpp"
 #include "src/quant/calibrate.hpp"
+#include "src/quant/qmodel_io.hpp"
 #include "src/quant/quantizer.hpp"
 #include "src/train/model_zoo.hpp"
 

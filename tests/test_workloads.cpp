@@ -17,7 +17,7 @@
 #include "src/dse/config_space.hpp"
 #include "src/dse/dse_runner.hpp"
 #include "src/nn/engine.hpp"
-#include "src/quant/quantizer.hpp"
+#include "src/quant/qmodel_io.hpp"
 #include "src/serve/server.hpp"
 #include "src/sig/act_stats.hpp"
 #include "src/sig/significance.hpp"
