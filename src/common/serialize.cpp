@@ -99,8 +99,7 @@ void BinaryReader::bytes(void* data, size_t n) {
 
 void BinaryReader::check_count(uint64_t n, size_t elem_bytes) const {
   const uint64_t left = size_ > pos_ ? size_ - pos_ : 0;
-  check(n <= left / elem_bytes,
-        "count exceeds the bytes left in " + path_);
+  if (n > left / elem_bytes) fail("count exceeds the bytes left in " + path_);
 }
 
 bool file_exists(const std::string& path) {

@@ -195,20 +195,20 @@ class Loader {
   }
   void kind(QLayer& layer) {
     const uint32_t kind = r_.u32();
-    check(kind < std::variant_size_v<QLayer>,
-          "unknown layer kind in " + path_);
+    if (kind >= std::variant_size_v<QLayer>)
+      fail("unknown layer kind in " + path_);
     [&]<size_t... I>(std::index_sequence<I...>) {
       ((kind == I ? void(layer.emplace<I>()) : void()), ...);
     }(std::make_index_sequence<std::variant_size_v<QLayer>>{});
   }
   void expect(int n, const char* what) {
-    check(r_.u32() == static_cast<uint32_t>(n),
-          std::string(what) + " mismatch in " + path_);
+    if (r_.u32() != static_cast<uint32_t>(n))
+      fail(std::string(what) + " mismatch in " + path_);
   }
   bool more() const { return !r_.at_end(); }
 
-  // Load-time checks, run after each record is read. A per-channel
-  // trailer row reruns its layer's check.
+  // Load-time checks, run after each record is read; a passing check
+  // builds no message. A per-channel trailer row reruns its layer's check.
   void checked(const QModel&, const QConv2D& c) {
     const ConvGeom& g = c.geom;
     check_window(g.kernel, g.stride, "conv");
@@ -272,20 +272,20 @@ class Loader {
     bool ok = true;
     for (const int32_t d : dims)
       ok = ok && d >= 0 && !__builtin_mul_overflow(want, int64_t{d}, &want);
-    check(ok && static_cast<uint64_t>(want) == length,
-          std::string(what) + " length does not match its layer in " + path_);
+    if (!ok || static_cast<uint64_t>(want) != length)
+      fail(std::string(what) + " length does not match its layer in " + path_);
   }
   // A kernel or stride below 1 has no output extent (conv_out_extent
   // divides by the stride).
   void check_window(int32_t kernel, int32_t stride, const char* what) {
-    check(kernel >= 1 && stride >= 1,
-          std::string(what) + " kernel and stride must be >= 1 in " + path_);
+    if (kernel < 1 || stride < 1)
+      fail(std::string(what) + " kernel and stride must be >= 1 in " + path_);
   }
   // One (scale, requant) per bias: trivially true after the layer record,
   // which broadcasts channel 0; a per-channel trailer row may differ.
   void check_channels(size_t scales, size_t biases) {
-    check(scales == biases,
-          "per-channel trailer channel count mismatch in " + path_);
+    if (scales != biases)
+      fail("per-channel trailer channel count mismatch in " + path_);
   }
 
   BinaryReader& r_;

@@ -9,13 +9,12 @@
 // weight or bias tensor, or a zero conv or pool stride, must fail to load,
 // and so must a scored head on a model that cannot reconstruct its input.
 //
-// A count larger than the bytes left in the file must throw before anything
-// is allocated.
-//
 // The saved bytes are pinned too: resaving the golden file keeps its bytes
 // as the prefix of the new file, four fixtures (all six layer kinds, a DAG
 // trailer, a scored head, spread per-channel scales) save to a recorded
 // size and FNV-1a digest, and load followed by save reproduces every file.
+// A forged count larger than the bytes left in the file must throw before
+// anything is allocated.
 //
 // The golden logits were recorded with the pre-change library on four
 // deterministic formula images (no RNG involved, so the inputs are
