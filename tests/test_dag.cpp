@@ -425,6 +425,17 @@ TEST_F(DagDseFixture, PrefixCacheStatsOfOneFullPassArePinned) {
   EXPECT_EQ(stats.segments_reused, 3300);
 }
 
+// Staggered per-config ranges: trie nodes where only some siblings cover
+// an image, inside the residual fixture's shared stage too.
+TEST_F(DagDseFixture, StaggeredRangesMatchAFullPass) {
+  DseOptions grid;
+  grid.tau_step = 0.02;
+  const PrefixCache cache(
+      model_, sig_, eval_,
+      generate_configs(model_->approx_layer_count(), grid), -1);
+  EXPECT_EQ(testing::first_staggered_range_mismatch(cache, 82, 6), "");
+}
+
 TEST_F(DagDseFixture, AdaptiveSweepDeterministicAcrossThreadCounts) {
   const ConfigEvaluator ev(model_, sig_, eval_, -1);
   DseOptions o;

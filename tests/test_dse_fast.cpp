@@ -1,8 +1,9 @@
 // Fast DSE path: RefEngine::run_from layer-boundary resume, bitwise
 // parity of the prefix-cached exact sweep with the per-config evaluator
-// (chain and depthwise fixtures), the prefix cache's segment counters, the
-// adaptive early-exit invariants (all-exact config and every Pareto
-// member fully evaluated), and determinism across thread counts.
+// (chain and depthwise fixtures), the prefix cache's segment counters and
+// staggered per-config image ranges, the adaptive early-exit invariants
+// (all-exact config and every Pareto member fully evaluated), and
+// determinism across thread counts.
 //
 // This suite carries the `dse-smoke` ctest label: it is the tiny
 // fast-vs-exact sweep CI runs in the OMP_NUM_THREADS={1,4} matrix. It
@@ -77,6 +78,26 @@ class DseFastFixture : public ::testing::Test {
 QModel* DseFastFixture::model_ = nullptr;
 Dataset* DseFastFixture::eval_ = nullptr;
 std::vector<LayerSignificance>* DseFastFixture::sig_ = nullptr;
+
+// The depthwise fixture: make_tiny_vww_qmodel (conv -> depthwise ->
+// avgpool -> fc) with 60 random binary-labelled images.
+struct DepthwiseCase {
+  QModel model = testing::make_tiny_vww_qmodel(101);
+  Dataset eval{ImageShape{model.in_h, model.in_w, model.in_c}, 2};
+  std::vector<LayerSignificance> sig;
+
+  DepthwiseCase() {
+    Rng rng(94);
+    for (int i = 0; i < 60; ++i) {
+      std::vector<uint8_t> img(static_cast<size_t>(model.in_h) * model.in_w *
+                               model.in_c);
+      for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
+      eval.add(img, rng.next_int(0, 1));
+    }
+    sig = compute_model_significance(model,
+                                     capture_activation_stats(model, eval, 24));
+  }
+};
 
 // --- RefEngine::run_from -------------------------------------------------
 
@@ -189,16 +210,10 @@ TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
   // unpacked variants and packed exact layers cover a depthwise layer
   // too.
   SCOPED_TRACE("depthwise");
-  const QModel dw = testing::make_tiny_vww_qmodel(101);
-  Dataset eval(ImageShape{dw.in_h, dw.in_w, dw.in_c}, 2);
-  Rng rng(94);
-  for (int i = 0; i < 60; ++i) {
-    std::vector<uint8_t> img(static_cast<size_t>(dw.in_h) * dw.in_w * dw.in_c);
-    for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
-    eval.add(img, rng.next_int(0, 1));
-  }
-  const std::vector<LayerSignificance> sig = compute_model_significance(
-      dw, capture_activation_stats(dw, eval, 24));
+  const DepthwiseCase dw_case;
+  const QModel& dw = dw_case.model;
+  const Dataset& eval = dw_case.eval;
+  const std::vector<LayerSignificance>& sig = dw_case.sig;
   const auto configs = sweep_configs();
   expect_exact_sweep_matches_legacy(
       dw, sig, eval, with_full_skips(configs, dw.approx_layer_count()));
@@ -228,6 +243,24 @@ TEST_F(DseFastFixture, PrefixCacheStatsOfOneFullPassArePinned) {
   const PrefixCacheStats stats = cache.evaluate_ranges(begin, end, hits);
   EXPECT_EQ(stats.segments_run, 4800);
   EXPECT_EQ(stats.segments_reused, 2040);
+}
+
+// Staggered ranges reach trie nodes where only some siblings cover an
+// image; each range must get exactly its share of a full pass's flags.
+TEST_F(DseFastFixture, StaggeredRangesMatchAFullPass) {
+  {
+    SCOPED_TRACE("chain");
+    const PrefixCache cache(
+        model_, sig_, eval_,
+        with_full_skips(sweep_configs(), model_->approx_layer_count()), -1);
+    EXPECT_EQ(testing::first_staggered_range_mismatch(cache, 95, 6), "");
+  }
+  SCOPED_TRACE("depthwise");
+  const DepthwiseCase dw;
+  const PrefixCache cache(
+      &dw.model, &dw.sig, &dw.eval,
+      with_full_skips(sweep_configs(), dw.model.approx_layer_count()), -1);
+  EXPECT_EQ(testing::first_staggered_range_mismatch(cache, 96, 6), "");
 }
 
 // --- adaptive early exit ------------------------------------------------

@@ -162,6 +162,61 @@ std::string first_column_range_mismatch(const Run& run,
   return "";
 }
 
+// Calls cache.evaluate_ranges (a PrefixCache) with seeded random
+// per-config [begin, end) image ranges — empty, single-image, whole and
+// arbitrary ones mixed, so trie nodes where only some siblings cover an
+// image are common — over `trials` draws. Each call must write exactly
+// the hit flags a full-range pass writes inside the ranges and nothing
+// outside them. Returns the first mismatch, or "" when there is none.
+template <typename Cache>
+std::string first_staggered_range_mismatch(const Cache& cache, uint64_t seed,
+                                           int trials) {
+  constexpr uint8_t kSentinel = 0xA5;
+  const int n_cfg = cache.config_count();
+  const int n_img = cache.eval_images();
+  const size_t cells = static_cast<size_t>(n_cfg) * n_img;
+  std::vector<uint8_t> full(cells);
+  cache.evaluate_ranges(std::vector<int>(static_cast<size_t>(n_cfg), 0),
+                        std::vector<int>(static_cast<size_t>(n_cfg), n_img),
+                        full);
+  Rng rng(seed);
+  std::vector<int> begin(static_cast<size_t>(n_cfg));
+  std::vector<int> end(static_cast<size_t>(n_cfg));
+  std::vector<uint8_t> hits(cells);
+  for (int t = 0; t < trials; ++t) {
+    for (int c = 0; c < n_cfg; ++c) {
+      int b = rng.next_int(0, n_img);
+      int e = rng.next_int(0, n_img);
+      if (b > e) std::swap(b, e);
+      switch (rng.next_int(0, 5)) {
+        case 0: e = b; break;                         // empty
+        case 1: b = std::min(b, n_img - 1); e = b + 1; break;  // one image
+        case 2: b = 0; e = n_img; break;              // whole set
+        default: break;                               // arbitrary
+      }
+      begin[static_cast<size_t>(c)] = b;
+      end[static_cast<size_t>(c)] = e;
+    }
+    std::fill(hits.begin(), hits.end(), kSentinel);
+    cache.evaluate_ranges(begin, end, hits);
+    for (int c = 0; c < n_cfg; ++c) {
+      for (int i = 0; i < n_img; ++i) {
+        const size_t at = static_cast<size_t>(c) * n_img + i;
+        const bool inside = i >= begin[static_cast<size_t>(c)] &&
+                            i < end[static_cast<size_t>(c)];
+        const uint8_t want = inside ? full[at] : kSentinel;
+        if (hits[at] != want) {
+          return "trial " + std::to_string(t) + " config " +
+                 std::to_string(c) + " image " + std::to_string(i) +
+                 ": got " + std::to_string(hits[at]) + ", want " +
+                 std::to_string(want);
+        }
+      }
+    }
+  }
+  return "";
+}
+
 inline std::vector<int8_t> make_random_input(int64_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<int8_t> v(static_cast<size_t>(n));
