@@ -151,16 +151,6 @@ inline void planar_copy_q15(const ConvGeom& g, const PlanarLayout& p,
   }
 }
 
-// The requantize epilogue of every packed/unpacked kernel. The zero point
-// is added in int64: a scaled value within |out_zp| of an int32 limit
-// would overflow int32.
-inline int8_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
-                            int32_t out_zp, int32_t act_min, int32_t act_max) {
-  const int64_t scaled =
-      int64_t{multiply_by_quantized_multiplier(acc, requant)} + out_zp;
-  return static_cast<int8_t>(std::clamp<int64_t>(scaled, act_min, act_max));
-}
-
 #if defined(__SSE2__)
 // multiply_by_quantized_multiplier on four lanes for 0 <= mult and
 // -31 <= shift <= 0 (`mult` broadcast). For mult >= 0 both nudge branches

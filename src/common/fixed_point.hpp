@@ -10,6 +10,7 @@
 // M * 2^shift with M an int32 in [2^30, 2^31).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 namespace ataman {
@@ -33,5 +34,15 @@ int32_t rounding_divide_by_pot(int32_t x, int exponent);
 // Apply the decomposed multiplier: round(x * real_multiplier) in integer
 // arithmetic, bit-exact with the TFLite reference implementation.
 int32_t multiply_by_quantized_multiplier(int32_t x, QuantizedMultiplier qm);
+
+// The requantize epilogue of every conv, depthwise and dense kernel
+// (reference, packed and unpacked). The zero point is added in int64: a
+// scaled value within |out_zp| of an int32 limit would overflow int32.
+inline int8_t requant_clamp(int32_t acc, const QuantizedMultiplier& requant,
+                            int32_t out_zp, int32_t act_min, int32_t act_max) {
+  const int64_t scaled =
+      int64_t{multiply_by_quantized_multiplier(acc, requant)} + out_zp;
+  return static_cast<int8_t>(std::clamp<int64_t>(scaled, act_min, act_max));
+}
 
 }  // namespace ataman

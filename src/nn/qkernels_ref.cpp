@@ -20,12 +20,6 @@ TapRange in_image_taps(int o, int stride, int pad, int kernel, int extent) {
   return {k0, std::clamp(extent - base, k0, kernel)};
 }
 
-int8_t requantize(int32_t acc, const QuantizedMultiplier& m, int32_t out_zp,
-                  int32_t act_min, int32_t act_max) {
-  const int32_t scaled = multiply_by_quantized_multiplier(acc, m) + out_zp;
-  return static_cast<int8_t>(std::clamp(scaled, act_min, act_max));
-}
-
 // Weight `w` of an operand, or 0 if `skipped` is nonzero: a byte mask, so
 // the loops below stay branch-free and vectorize.
 int8_t kept(int8_t w, uint8_t skipped) {
@@ -89,9 +83,9 @@ void conv2d_ref(const QConv2D& layer, std::span<const int8_t> in,
               layer.weights.data() + op, skip != nullptr ? skip + op : nullptr,
               run, zp);
         }
-        orow[oc] = requantize(acc, layer.requant[static_cast<size_t>(oc)],
-                              layer.out.zero_point, layer.act_min,
-                              layer.act_max);
+        orow[oc] = requant_clamp(acc, layer.requant[static_cast<size_t>(oc)],
+                                 layer.out.zero_point, layer.act_min,
+                                 layer.act_max);
       }
     }
   }
@@ -150,7 +144,7 @@ void depthwise_conv2d_ref(const QDepthwiseConv2D& layer,
           }
         }
         for (int j = 0; j < n; ++j)
-          orow[c0 + j] = requantize(
+          orow[c0 + j] = requant_clamp(
               acc[j], layer.requant[static_cast<size_t>(c0 + j)],
               layer.out.zero_point, layer.act_min, layer.act_max);
       }
@@ -232,8 +226,8 @@ void dense_ref(const QDense& layer, std::span<const int8_t> in,
         layer.bias[static_cast<size_t>(o)] +
         dot_run(in.data(), w, nullptr, layer.in_dim, layer.in.zero_point);
     out[static_cast<size_t>(o)] =
-        requantize(acc, layer.requant, layer.out.zero_point, layer.act_min,
-                   layer.act_max);
+        requant_clamp(acc, layer.requant, layer.out.zero_point,
+                      layer.act_min, layer.act_max);
   }
 }
 

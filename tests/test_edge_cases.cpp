@@ -3,7 +3,9 @@
 // worst-case quantization parameters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 
 #include "src/cmsisnn/packed_kernels.hpp"
 #include "src/cmsisnn/smlad.hpp"
@@ -128,6 +130,56 @@ TEST(EdgeCases, RequantSaturationClampsToActRange) {
   std::vector<int8_t> out(9);
   conv2d_ref(conv, in, out);
   for (const int8_t v : out) EXPECT_EQ(v, 100);  // act_max clamp
+}
+
+// The epilogue's zero-point add at the int32 limit: a scaled accumulator
+// just below INT32_MAX plus out_zp 127 overflows int32. Every kernel
+// family must clamp it to act_max instead of wrapping to act_min.
+TEST(EdgeCases, EpilogueZeroPointAddAtInt32LimitClampsToActMax) {
+  constexpr int32_t kBias = std::numeric_limits<int32_t>::max() - 10;
+  const QuantizedMultiplier kMult{std::numeric_limits<int32_t>::max(), 0};
+  const auto all_127 = [](const std::vector<int8_t>& v) {
+    return std::all_of(v.begin(), v.end(), [](int8_t x) { return x == 127; });
+  };
+  ConvGeom g;
+  g.in_h = 3; g.in_w = 3; g.in_c = 2;
+  g.out_c = 2; g.kernel = 1; g.stride = 1; g.pad = 0;
+  QConv2D conv = make_random_qconv(g, 14);
+  std::fill(conv.weights.begin(), conv.weights.end(), int8_t{0});
+  std::fill(conv.bias.begin(), conv.bias.end(), kBias);
+  std::fill(conv.requant.begin(), conv.requant.end(), kMult);
+  conv.out.zero_point = 127;
+  const auto in = make_random_input(18, 15);
+  std::vector<int8_t> out(18);
+  conv2d_ref(conv, in, out);
+  EXPECT_TRUE(all_127(out)) << "conv2d_ref";
+  packed_conv2d(conv, PackedWeights::pack(conv.weights, 2, 2), in, out);
+  EXPECT_TRUE(all_127(out)) << "packed_conv2d";
+  UnpackedLayer::build(conv).run(in, out);
+  EXPECT_TRUE(all_127(out)) << "unpacked conv";
+
+  QDepthwiseConv2D dw = testing::make_random_qdw(3, 3, 2, 1, 1, 0, 16);
+  std::fill(dw.weights.begin(), dw.weights.end(), int8_t{0});
+  std::fill(dw.bias.begin(), dw.bias.end(), kBias);
+  std::fill(dw.requant.begin(), dw.requant.end(), kMult);
+  dw.out.zero_point = 127;
+  depthwise_conv2d_ref(dw, in, out);
+  EXPECT_TRUE(all_127(out)) << "depthwise_conv2d_ref";
+  packed_depthwise_conv2d(dw, in, out);
+  EXPECT_TRUE(all_127(out)) << "packed_depthwise_conv2d";
+  UnpackedLayer::build(dw).run(in, out);
+  EXPECT_TRUE(all_127(out)) << "unpacked depthwise";
+
+  QDense fc = testing::make_random_qdense(18, 3, 17);
+  std::fill(fc.weights.begin(), fc.weights.end(), int8_t{0});
+  std::fill(fc.bias.begin(), fc.bias.end(), kBias);
+  fc.requant = kMult;
+  fc.out.zero_point = 127;
+  std::vector<int8_t> logits(3);
+  dense_ref(fc, in, logits);
+  EXPECT_TRUE(all_127(logits)) << "dense_ref";
+  packed_dense(fc, PackedWeights::pack(fc.weights, 3, 18), in, logits);
+  EXPECT_TRUE(all_127(logits)) << "packed_dense";
 }
 
 TEST(EdgeCases, SingleChannelSingleOperandLayer) {
