@@ -38,7 +38,7 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
   check(packed.patch == layer.geom.patch_size() &&
             packed.out_c == layer.geom.out_c,
         "packed weights do not match layer");
-  const auto channel = [&](int oc, auto& block) -> const QuantizedMultiplier& {
+  const auto channel = [&](int oc, auto& block, const auto& store) {
     block.reset(layer.bias[static_cast<size_t>(oc)]);
     const uint32_t* wp = packed.pair_constants.data() +
                          static_cast<size_t>(oc) * packed.pairs_per_chan;
@@ -49,11 +49,12 @@ void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
       block.mac_single(packed.single_weights[static_cast<size_t>(oc)],
                        static_cast<size_t>(packed.patch - 1));
     }
-    return layer.requant[static_cast<size_t>(oc)];
+    store(0, layer.requant[static_cast<size_t>(oc)]);
   };
   run_conv_blocks(layer.geom, layer.in.zero_point, layer.out.zero_point,
-                  layer.act_min, layer.act_max, in, out, batch, scratch, range,
-                  channel);
+                  layer.act_min, layer.act_max, in,
+                  std::span<const std::span<int8_t>>(&out, 1), batch, scratch,
+                  range, channel);
 }
 
 void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
@@ -64,7 +65,7 @@ void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
   const size_t c = static_cast<size_t>(layer.channels);
   // Tap t of channel ch is operand (and weight) t * c + ch; two taps of
   // one channel share its accumulator, so they pair into one SMLAD.
-  const auto channel = [&](int ch, auto& block) -> const QuantizedMultiplier& {
+  const auto channel = [&](int ch, auto& block, const auto& store) {
     block.reset(layer.bias[static_cast<size_t>(ch)]);
     const int8_t* w = layer.weights.data();
     size_t a = static_cast<size_t>(ch);
@@ -72,11 +73,12 @@ void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
     for (; t + 1 < taps; t += 2, a += 2 * c)
       block.mac(pack_weight_pair(/*hi=*/w[a + c], /*lo=*/w[a]), a, a + c);
     if (t < taps) block.mac_single(w[a], a);
-    return layer.requant[static_cast<size_t>(ch)];
+    store(0, layer.requant[static_cast<size_t>(ch)]);
   };
   run_conv_blocks(layer.expansion_geom(), layer.in.zero_point,
-                  layer.out.zero_point, layer.act_min, layer.act_max, in, out,
-                  batch, scratch, range, channel);
+                  layer.out.zero_point, layer.act_min, layer.act_max, in,
+                  std::span<const std::span<int8_t>>(&out, 1), batch, scratch,
+                  range, channel);
 }
 
 void packed_dense(const QDense& layer, const PackedWeights& packed,

@@ -252,21 +252,24 @@ struct BlockAcc {
 
 // The one loop of every conv-shaped host kernel (packed conv, packed
 // depthwise, unpacked programs) over a contiguous batch: image b at
-// in + b * in_elems and out + b * out_elems of geometry `g`. Per lane
-// block of `Lanes` images it writes each image's planar copy once (only
-// the columns the blocks inside `range` read), then per output row and
-// block of up to kPosBlock columns calls `channel(oc, block)` per output
-// channel; `channel` accumulates into `block` and returns the channel's
-// requant multiplier, and the loop requantizes each image's eight
-// positions at once (requant8) and stores the live positions of the
-// live images. Ragged blocks compute every lane (a dead
-// image lane rereads lane 0, a dead column reads a written padding or
-// input value) and store only the live ones; int32 accumulation wraps,
-// so the walk order never changes a bit.
+// in + b * in_elems and outs[k] + b * out_elems of geometry `g`. An
+// empty outs[k] is never written. Per lane block of `Lanes` images it
+// writes each image's planar copy once (only the columns the blocks
+// inside `range` read), then per output row and block of up to kPosBlock
+// columns calls `channel(oc, block, store)` per output channel;
+// `channel` accumulates into `block` and calls `store(k, requant)` to
+// store the accumulators into outs[k] under the multiplier `requant` —
+// once at the end, or once per rung of a rung program. `store`
+// requantizes each image's eight positions at once (requant8) and
+// writes the live positions of the live images. Ragged blocks compute
+// every lane (a dead image lane rereads lane 0, a dead column reads a
+// written padding or input value) and store only the live ones; int32
+// accumulation wraps, so the walk order never changes a bit.
 template <int Lanes, typename Channel>
 void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
                            int32_t out_zp, int32_t act_min, int32_t act_max,
-                           std::span<const int8_t> in, std::span<int8_t> out,
+                           std::span<const int8_t> in,
+                           std::span<const std::span<int8_t>> outs,
                            int batch, std::span<int16_t> scratch,
                            ColumnRange range, const Channel& channel) {
   check(batch >= 1, "conv kernel: batch must be >= 1");
@@ -274,8 +277,10 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
   const size_t out_elems = static_cast<size_t>(g.positions()) * g.out_c;
   check(in.size() == in_elems * static_cast<size_t>(batch),
         "batched conv input size mismatch");
-  check(out.size() == out_elems * static_cast<size_t>(batch),
-        "batched conv output size mismatch");
+  for (const std::span<int8_t> out : outs) {
+    check(out.empty() || out.size() == out_elems * static_cast<size_t>(batch),
+          "batched conv output size mismatch");
+  }
   const int ow = g.out_w();
   const int ox_end = range.end_within(ow);
   if (range.begin >= ox_end) return;
@@ -327,17 +332,20 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
         const size_t block_off =
             (static_cast<size_t>(oy) * ow + ox0) * g.out_c;
         for (int oc = 0; oc < g.out_c; ++oc) {
-          const QuantizedMultiplier& requant = channel(oc, block);
-          for (int j = 0; j < bn; ++j) {
-            int8_t q[kPosBlock];
-            requant8(block.acc[static_cast<size_t>(j)], requant, out_zp,
-                     act_min, act_max, q);
-            int8_t* dst = out.data() +
-                          static_cast<size_t>(b0 + j) * out_elems + block_off +
-                          static_cast<size_t>(oc);
-            for (int p = 0; p < n; ++p)
-              dst[static_cast<size_t>(p) * g.out_c] = q[p];
-          }
+          const auto store = [&](size_t k,
+                                 const QuantizedMultiplier& requant) {
+            for (int j = 0; j < bn; ++j) {
+              int8_t q[kPosBlock];
+              requant8(block.acc[static_cast<size_t>(j)], requant, out_zp,
+                       act_min, act_max, q);
+              int8_t* dst = outs[k].data() +
+                            static_cast<size_t>(b0 + j) * out_elems +
+                            block_off + static_cast<size_t>(oc);
+              for (int p = 0; p < n; ++p)
+                dst[static_cast<size_t>(p) * g.out_c] = q[p];
+            }
+          };
+          channel(oc, block, store);
         }
       }
     }
@@ -348,15 +356,16 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
 template <typename Channel>
 void run_conv_blocks(const ConvGeom& g, int32_t in_zp, int32_t out_zp,
                      int32_t act_min, int32_t act_max,
-                     std::span<const int8_t> in, std::span<int8_t> out,
-                     int batch, std::span<int16_t> scratch, ColumnRange range,
+                     std::span<const int8_t> in,
+                     std::span<const std::span<int8_t>> outs, int batch,
+                     std::span<int16_t> scratch, ColumnRange range,
                      const Channel& channel) {
   if (batch == 1) {
     return run_conv_blocks_lanes<1>(g, in_zp, out_zp, act_min, act_max, in,
-                                    out, batch, scratch, range, channel);
+                                    outs, batch, scratch, range, channel);
   }
   run_conv_blocks_lanes<kBatchLanes>(g, in_zp, out_zp, act_min, act_max, in,
-                                     out, batch, scratch, range, channel);
+                                     outs, batch, scratch, range, channel);
 }
 
 // Every kernel below runs a contiguous batch of `batch` images: image b

@@ -12,33 +12,51 @@ namespace ataman {
 
 namespace {
 
-// The cache's kernel table: an approximable step whose config row
-// (`slots`) names a variant runs that variant's unpacked program; every
-// other step — exact approximable layers, pools, adds, dense — runs the
-// model's packed kernels. Both families are bit-exact with the reference
-// kernels under the same mask.
-class VariantKernels final : public KernelTable {
+// The cache's kernel table for one config and stage: approximable step
+// k runs the config's rung `row[k]` of its rung program, except the
+// stage's first approximable step, which copies its rung from
+// `first_outs` after computing every rung spanned there when `fresh`
+// (the stage input is new). Every other step runs the model's packed
+// kernels. Both families are bit-exact with the reference kernels under
+// the same mask.
+class RungKernels final : public KernelTable {
  public:
-  VariantKernels(const PackedKernels& packed,
-                 const std::vector<std::vector<UnpackedLayer>>& masked,
-                 const std::vector<int>& slots)
-      : packed_(packed), masked_(masked), slots_(slots) {}
+  RungKernels(const PackedKernels& packed,
+              const std::vector<UnpackedLayer>& rungs,
+              const std::vector<int>& row, int first,
+              std::span<const std::span<int8_t>> first_outs, bool fresh)
+      : packed_(packed),
+        rungs_(rungs),
+        row_(row),
+        first_(first),
+        first_outs_(first_outs),
+        fresh_(fresh) {}
 
   void run_step(const ExecStep& step, const StepIO& io) const override {
-    if (step.approx_ordinal >= 0) {
-      const auto k = static_cast<size_t>(step.approx_ordinal);
-      const int slot = slots_[k];
-      if (slot >= 0)
-        return masked_[k][static_cast<size_t>(slot)].run(
-            io.in_a, io.out, io.batch, io.scratch, io.cols);
+    const int k = step.approx_ordinal;
+    if (k < 0) return packed_.run_step(step, io);
+    const UnpackedLayer& layer = rungs_[static_cast<size_t>(k)];
+    const auto r = static_cast<size_t>(row_[static_cast<size_t>(k)]);
+    if (k == first_) {
+      if (fresh_)
+        layer.run_rungs(io.in_a, first_outs_, io.batch, io.scratch, io.cols);
+      const std::span<const int8_t> mine = first_outs_[r];
+      check(mine.size() == io.out.size(), "prefix cache: rung not computed");
+      std::copy(mine.begin(), mine.end(), io.out.begin());
+      return;
     }
-    packed_.run_step(step, io);
+    std::vector<std::span<int8_t>> outs(static_cast<size_t>(layer.rung_count));
+    outs[r] = io.out;
+    layer.run_rungs(io.in_a, outs, io.batch, io.scratch, io.cols);
   }
 
  private:
   const PackedKernels& packed_;
-  const std::vector<std::vector<UnpackedLayer>>& masked_;
-  const std::vector<int>& slots_;
+  const std::vector<UnpackedLayer>& rungs_;
+  const std::vector<int>& row_;
+  int first_;
+  std::span<const std::span<int8_t>> first_outs_;
+  bool fresh_;
 };
 
 // The constructor's argument check, run before the packed kernels read
@@ -99,57 +117,47 @@ PrefixCache::PrefixCache(const QModel* model,
   stage_begin_.push_back(static_cast<int>(model_->layers.size()));
 
   const int n_cfg = static_cast<int>(configs.size());
-  masked_.resize(static_cast<size_t>(approx_count_));
-  key_slot_.resize(static_cast<size_t>(approx_count_));
-  keys_.assign(static_cast<size_t>(n_cfg),
-               std::vector<int64_t>(static_cast<size_t>(approx_count_), 0));
-  slots_.assign(static_cast<size_t>(n_cfg),
-                std::vector<int>(static_cast<size_t>(approx_count_), -1));
+  for (const ApproxConfig& config : configs) {
+    check(static_cast<int>(config.tau.size()) == approx_count_,
+          "config does not match model");
+  }
+  rung_.assign(static_cast<size_t>(n_cfg),
+               std::vector<int>(static_cast<size_t>(approx_count_), 0));
 
-  // Build one unpacked program per distinct (layer, skip set).
-  // The per-layer key is the skipped-operand count: skip sets are nested
-  // in tau (skip_plan.hpp), so equal cardinality implies equal set and
-  // one tau per distinct count suffices.
-  std::vector<uint8_t> layer_mask;
+  // One rung program per approximable layer. The per-layer key is the
+  // skipped-operand count: skip sets are nested in tau (skip_plan.hpp),
+  // so equal cardinality implies equal set, one tau per distinct count
+  // suffices, and the rungs in ascending key order nest. The count uses
+  // make_skip_mask's comparison (kAlwaysRetain operands never satisfy
+  // <= tau), so each rung matches the legacy mask.
   for (int k = 0; k < approx_count_; ++k) {
-    const QLayer& layer =
-        model_->layers[static_cast<size_t>(approx_pos_[static_cast<size_t>(k)])];
-    const int64_t operand_count =
-        describe_layer(layer).skippable_operand_count();
     const LayerSignificance& sig = (*significance)[static_cast<size_t>(k)];
-    std::map<double, std::pair<int64_t, int>> by_tau;  // tau -> (key, slot)
+    std::map<double, int64_t> key_of_tau;
+    std::map<int64_t, double> tau_of_key{{0, -1.0}};  // key 0: exact rung 0
+    for (const ApproxConfig& config : configs) {
+      const double tau = config.tau[static_cast<size_t>(k)];
+      if (tau < 0.0 || key_of_tau.count(tau) != 0) continue;
+      const int64_t key =
+          std::count_if(sig.S.begin(), sig.S.end(), [&](float v) {
+            return v <= static_cast<float>(tau);
+          });
+      key_of_tau.emplace(tau, key);
+      tau_of_key.emplace(key, tau);
+    }
+    std::vector<double> rung_taus;
+    std::map<int64_t, int> rung_of_key;
+    for (const auto& [key, tau] : tau_of_key) {
+      rung_of_key.emplace(key, static_cast<int>(rung_of_key.size()));
+      if (key > 0) rung_taus.push_back(tau);
+    }
+    rungs_.push_back(UnpackedLayer::build_rungs(
+        model_->layers[static_cast<size_t>(approx_pos_[static_cast<size_t>(k)])],
+        sig, rung_taus));
     for (int c = 0; c < n_cfg; ++c) {
-      check(static_cast<int>(configs[static_cast<size_t>(c)].tau.size()) ==
-                approx_count_,
-            "config does not match model");
       const double tau = configs[static_cast<size_t>(c)].tau[static_cast<size_t>(k)];
-      if (tau < 0.0) continue;  // exact layer: key 0, slot -1
-      auto it = by_tau.find(tau);
-      if (it == by_tau.end()) {
-        // Same comparison make_skip_mask uses (kAlwaysRetain channels
-        // never satisfy <= tau), so the variant matches the legacy mask.
-        layer_mask.assign(static_cast<size_t>(operand_count), 0);
-        int64_t skipped = 0;
-        for (size_t i = 0; i < layer_mask.size(); ++i) {
-          layer_mask[i] = sig.S[i] <= static_cast<float>(tau) ? 1 : 0;
-          skipped += layer_mask[i];
-        }
-        int slot = -1;
-        if (skipped > 0) {
-          auto slot_it = key_slot_[static_cast<size_t>(k)].find(skipped);
-          if (slot_it == key_slot_[static_cast<size_t>(k)].end()) {
-            slot = static_cast<int>(masked_[static_cast<size_t>(k)].size());
-            masked_[static_cast<size_t>(k)].push_back(
-                UnpackedLayer::build(layer, layer_mask.data()));
-            key_slot_[static_cast<size_t>(k)].emplace(skipped, slot);
-          } else {
-            slot = slot_it->second;
-          }
-        }
-        it = by_tau.emplace(tau, std::make_pair(skipped, slot)).first;
-      }
-      keys_[static_cast<size_t>(c)][static_cast<size_t>(k)] = it->second.first;
-      slots_[static_cast<size_t>(c)][static_cast<size_t>(k)] = it->second.second;
+      if (tau >= 0.0)
+        rung_[static_cast<size_t>(c)][static_cast<size_t>(k)] =
+            rung_of_key.at(key_of_tau.at(tau));
     }
   }
 
@@ -158,20 +166,30 @@ PrefixCache::PrefixCache(const QModel* model,
   order_.resize(static_cast<size_t>(n_cfg));
   for (int c = 0; c < n_cfg; ++c) order_[static_cast<size_t>(c)] = c;
   std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-    const auto& ka = keys_[static_cast<size_t>(a)];
-    const auto& kb = keys_[static_cast<size_t>(b)];
+    const auto& ka = rung_[static_cast<size_t>(a)];
+    const auto& kb = rung_[static_cast<size_t>(b)];
     if (ka != kb) return ka < kb;
     return a < b;
   });
 
   lcp_.assign(static_cast<size_t>(n_cfg), 0);
   for (int p = 1; p < n_cfg; ++p) {
-    const auto& ka = keys_[static_cast<size_t>(order_[static_cast<size_t>(p - 1)])];
-    const auto& kb = keys_[static_cast<size_t>(order_[static_cast<size_t>(p)])];
+    const auto& ka = rung_[static_cast<size_t>(order_[static_cast<size_t>(p - 1)])];
+    const auto& kb = rung_[static_cast<size_t>(order_[static_cast<size_t>(p)])];
     int l = 0;
     while (l < approx_count_ && ka[static_cast<size_t>(l)] == kb[static_cast<size_t>(l)])
       ++l;
     lcp_[static_cast<size_t>(p)] = l;
+  }
+
+  for (const int first : stage_first_ordinal_) {
+    std::vector<int> end(static_cast<size_t>(n_cfg), n_cfg);
+    for (int p = n_cfg - 2; p >= 0; --p) {
+      end[static_cast<size_t>(p)] = lcp_[static_cast<size_t>(p + 1)] >= first
+                                        ? end[static_cast<size_t>(p + 1)]
+                                        : p + 1;
+    }
+    subtree_end_.push_back(std::move(end));
   }
 }
 
@@ -212,6 +230,21 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
     // logits.
     std::vector<std::vector<int8_t>> boundary(
         static_cast<size_t>(n_stages) + 1);
+    // rung_out[s][r]: rung r's output of stage s's first approximable
+    // step for the current boundary[s]; needed[s] spans the rungs
+    // computed when that boundary was new (empty: not computed).
+    std::vector<std::vector<std::vector<int8_t>>> rung_out(
+        static_cast<size_t>(n_stages));
+    std::vector<std::vector<std::span<int8_t>>> needed(
+        static_cast<size_t>(n_stages));
+    for (size_t s = 0; s < rung_out.size(); ++s) {
+      const UnpackedLayer& u =
+          rungs_[static_cast<size_t>(stage_first_ordinal_[s])];
+      rung_out[s].assign(static_cast<size_t>(u.rung_count),
+                         std::vector<int8_t>(static_cast<size_t>(
+                             u.geom.positions() * u.geom.out_c)));
+      needed[s].resize(static_cast<size_t>(u.rung_count));
+    }
     std::vector<int8_t> q_input;
     int64_t run = 0, reuse = 0;
     for (int64_t img = lo; img < hi; ++img) {
@@ -249,10 +282,28 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
           const int s0 = stage_for_depth(depth);
           const int resume_ordinal =
               stage_first_ordinal_[static_cast<size_t>(s0)];
-          const VariantKernels kernels(packed_, masked_,
-                                       slots_[static_cast<size_t>(c)]);
+          const std::vector<int>& row = rung_[static_cast<size_t>(c)];
           for (size_t s = static_cast<size_t>(s0);
                s < static_cast<size_t>(n_stages); ++s) {
+            const int k = stage_first_ordinal_[s];
+            // boundary[s] is new for the image's first config and behind
+            // the resume stage. Its rungs are then the keys at ordinal k
+            // of every config below p in the trie that covers image i:
+            // those are exactly the configs that resume from it.
+            const bool fresh = first || s > static_cast<size_t>(s0);
+            if (fresh) {
+              std::fill(needed[s].begin(), needed[s].end(),
+                        std::span<int8_t>());
+              for (int q = p; q < subtree_end_[s][static_cast<size_t>(p)];
+                   ++q) {
+                const auto cq = static_cast<size_t>(order_[static_cast<size_t>(q)]);
+                if (i < img_begin[cq] || i >= img_end[cq]) continue;
+                const auto r = static_cast<size_t>(rung_[cq][static_cast<size_t>(k)]);
+                needed[s][r] = rung_out[s][r];
+              }
+            }
+            const RungKernels kernels(packed_, rungs_, row, k, needed[s],
+                                      fresh);
             boundary[s + 1] = plan_.run_range(stage_begin_[s],
                                               stage_begin_[s + 1],
                                               boundary[s], kernels);

@@ -18,19 +18,29 @@
 //  * the per-layer key is the skipped-operand count, which uniquely
 //    identifies the layer's skip set because skip sets are nested in tau
 //    (skip_plan.hpp) — equal cardinality implies equal set;
-//  * each distinct (layer, key) pair is built once as an unpacked
-//    program under that skip set (UnpackedLayer::build), and every other
-//    step runs the model's packed kernels. Both kernel families are
-//    bit-exact with the reference kernels under the same mask, so a
-//    segment computes the legacy path's bits — and a skipped operand
-//    removes host work, as it removes MCU instructions.
+//  * each approximable layer is built once as a rung program
+//    (UnpackedLayer::build_rungs): rung 0 is the exact layer and rung j
+//    the layer under the j-th smallest non-empty skip set the config
+//    space uses there, so rungs are the layer's keys in ascending order.
+//    Every other step runs the model's packed kernels. Both kernel
+//    families are bit-exact with the reference kernels under the same
+//    mask, so a segment computes the legacy path's bits — and a skipped
+//    operand removes host work, as it removes MCU instructions.
+//
+// Sibling configs (same prefix, different key at one layer) share that
+// layer's input, and a rung program computes every rung of it in one
+// pass: per image, when a stage's input is new, its first approximable
+// step runs once for every rung that any config of the trie subtree
+// below needs (among those whose image range covers the image), and
+// each config then copies its rung's output and runs the rest of the
+// stage. The pass costs the retained products of the lowest rung
+// needed; every other sibling costs only its requantize epilogue.
 //
 // Execution is the model's compiled ExecPlan: each stage (below) is one
-// step range (ExecPlan::run_range) through a kernel table that swaps in
-// the config's unpacked variant for each approximable step. The last
-// stage runs to the end of the model, so the exact tail behind the last
-// approximable layer (pool/dense — never approximated) is part of its
-// range.
+// step range (ExecPlan::run_range) through a kernel table that runs each
+// approximable step as the config's rung. The last stage runs to the
+// end of the model, so the exact tail behind the last approximable
+// layer (pool/dense — never approximated) is part of its range.
 //
 // DAG models (residual QAdd edges): a cached boundary is a single
 // tensor, so the trie can only cut the model at *linear boundaries* —
@@ -39,17 +49,17 @@
 // starts at the deepest linear boundary at or before its first
 // approximable layer (the *dominating boundary*), and a config resumes
 // from the deepest stage start at or below its trie lcp. Ordinals that
-// share keys but sit inside a partially-shared stage are re-run, which
-// is why prefix-cache hit rates drop on residual models (docs/DSE.md).
-// On a pure chain every boundary is linear, every ordinal starts its
-// own stage, and the walk is bitwise identical to the pre-DAG cache.
+// share keys but sit inside a partially-shared stage are re-run (each
+// config runs its own rung of them), which is why prefix-cache hit
+// rates drop on residual models (docs/DSE.md). On a pure chain every
+// boundary is linear, every ordinal starts its own stage, and the walk
+// is bitwise identical to the pre-DAG cache.
 //
 // See docs/DSE.md for the sweep-level picture (adaptive early exit,
 // exact-mode escape hatch, reproduction commands).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/cmsisnn/cmsis_engine.hpp"
@@ -84,7 +94,7 @@ class PrefixCache {
   PrefixCache(const PrefixCache&) = delete;
   PrefixCache& operator=(const PrefixCache&) = delete;
 
-  int config_count() const { return static_cast<int>(keys_.size()); }
+  int config_count() const { return static_cast<int>(rung_.size()); }
   // Approximable (conv + depthwise) layer count — the trie depth.
   int conv_count() const { return approx_count_; }
   int eval_images() const { return n_images_; }
@@ -138,19 +148,19 @@ class PrefixCache {
   std::vector<int> stage_first_ordinal_;
   ExecPlan plan_;  // the model's compiled plan every stage walks
 
-  // Every step a config does not swap out, on the packed kernels.
+  // Every non-approximable step, on the packed kernels.
   PackedKernels packed_;
-  // Per approximable ordinal: the layer's unpacked program (conv or
-  // depthwise) under each distinct non-empty skip set seen in the config
-  // space; key_slot_ maps the skipped-operand count to its variant index
-  // (key 0 / slot -1 means "run the exact layer on packed_").
-  std::vector<std::vector<UnpackedLayer>> masked_;
-  std::vector<std::map<int64_t, int>> key_slot_;
+  // Per approximable ordinal: the layer's rung program (header comment).
+  std::vector<UnpackedLayer> rungs_;
 
-  std::vector<std::vector<int64_t>> keys_;  // [config][ordinal] skip count
-  std::vector<std::vector<int>> slots_;     // [config][ordinal] variant
-  std::vector<int> order_;                  // configs, trie leaf order
-  std::vector<int> lcp_;                    // lcp_[p] = lcp(order[p-1],order[p])
+  // [config][ordinal] rung index. Rungs ascend with the skipped-operand
+  // count, so rung rows order and compare exactly like the key rows.
+  std::vector<std::vector<int>> rung_;
+  std::vector<int> order_;  // configs, trie leaf order
+  std::vector<int> lcp_;    // lcp_[p] = lcp(order[p-1],order[p])
+  // subtree_end_[s][p]: the end of position p's trie subtree at stage
+  // s's first ordinal — the first q > p with lcp_[q] below it.
+  std::vector<std::vector<int>> subtree_end_;
 };
 
 }  // namespace ataman
