@@ -9,6 +9,7 @@
 #include "src/cmsisnn/smlad.hpp"
 #include "src/mcu/cost_model.hpp"
 #include "src/nn/qkernels_ref.hpp"
+#include "src/sig/significance.hpp"
 #include "src/unpack/unpacked_layer.hpp"
 #include "tests/test_util.hpp"
 
@@ -76,6 +77,50 @@ void BM_ConvUnpacked(benchmark::State& state) {
   state.counters["retained_macs"] = static_cast<double>(u.retained_macs());
 }
 BENCHMARK(BM_ConvUnpacked)->Arg(0)->Arg(25)->Arg(50)->Arg(75);
+
+// Every sibling skip set of one layer, as the DSE prefix cache needs
+// them: LeNet conv3's geometry (8x8x20 -> 32, 5x5, pad 2) with rungs
+// skipping 0/25/46/72/92% of the operands (S uniform in [0, 1), so each
+// rung tau is its skipped fraction). state.range(0): 0 = one five-rung
+// pass (UnpackedLayer::run_rungs), 1 = five one-rung run() calls.
+void BM_ConvRungs(benchmark::State& state) {
+  ConvGeom g;
+  g.in_h = 8; g.in_w = 8; g.in_c = 20;
+  g.out_c = 32; g.kernel = 5; g.stride = 1; g.pad = 2;
+  const QConv2D conv = ataman::testing::make_random_qconv(g, 4343);
+  const std::vector<double> taus = {0.25, 0.46, 0.72, 0.92};
+  LayerSignificance sig;
+  sig.out_c = g.out_c;
+  sig.patch = g.patch_size();
+  Rng rng(78);
+  sig.S.resize(static_cast<size_t>(g.weight_count()));
+  for (float& v : sig.S) v = rng.next_float();
+  const UnpackedLayer rungs = UnpackedLayer::build_rungs(conv, sig, taus);
+  std::vector<UnpackedLayer> singles;
+  for (size_t r = 0; r <= taus.size(); ++r) {
+    std::vector<uint8_t> skip(sig.S.size(), 0);
+    for (size_t op = 0; op < skip.size(); ++op)
+      skip[op] = r > 0 && sig.S[op] <= static_cast<float>(taus[r - 1]);
+    singles.push_back(UnpackedLayer::build(conv, skip.data()));
+  }
+  const auto in = ataman::testing::make_random_input(8 * 8 * 20, 4);
+  std::vector<std::vector<int8_t>> out(
+      singles.size(),
+      std::vector<int8_t>(static_cast<size_t>(g.positions()) * g.out_c));
+  const std::vector<std::span<int8_t>> outs(out.begin(), out.end());
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      rungs.run_rungs(in, outs);
+    } else {
+      for (size_t r = 0; r < singles.size(); ++r) singles[r].run(in, outs[r]);
+    }
+    benchmark::DoNotOptimize(out[0].data());
+  }
+  int64_t retained = 0;
+  for (const UnpackedLayer& u : singles) retained += u.retained_macs();
+  state.counters["retained_macs_sum"] = static_cast<double>(retained);
+}
+BENCHMARK(BM_ConvRungs)->Arg(0)->Arg(1);
 
 // Batched GEMM rows: state.range(0) = batch size. items/s counts images,
 // so the per-image amortization of streaming each weight pair (or each

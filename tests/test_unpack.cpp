@@ -1,6 +1,7 @@
 // Code unpacking of conv and depthwise layers: bit-exactness (exact and
-// skipped, batched, column ranges), offline re-pairing, static
-// instruction counts, flash/cycle monotonicity.
+// skipped, batched, column ranges), rung programs against one-rung
+// programs per rung, offline re-pairing, static instruction counts,
+// flash/cycle monotonicity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "src/mcu/memory_model.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
+#include "src/sig/significance.hpp"
 #include "src/unpack/unpacked_engine.hpp"
 #include "src/unpack/unpacked_layer.hpp"
 #include "tests/test_util.hpp"
@@ -119,6 +121,100 @@ INSTANTIATE_TEST_SUITE_P(
                       UnpackCase{kDw, 10, 13, 4, 0, 3, 3, 0, 0.4},
                       UnpackCase{kDw, 9, 25, 3, 0, 5, 3, 2, 0.6},
                       UnpackCase{kDw, 5, 16, 3, 0, 3, 1, 1, 0.2}));
+
+// A rung program over rung taus {0.1, 0.3, 0.55, 0.8}: every subset of
+// its five rungs, emitted in one pass, must write per emitted rung the
+// bits of a one-rung program under that rung's mask and leave the other
+// outputs untouched. S is random in [0, 1) with some kAlwaysRetain
+// operands; channel 0 is skipped whole at the top rung.
+TEST(UnpackedLayer, RungProgramMatchesOneRungProgramPerRung) {
+  const std::vector<double> taus = {0.1, 0.3, 0.55, 0.8};
+  const int rungs = static_cast<int>(taus.size()) + 1;
+  const UnpackCase cases[] = {
+      {kConv, 7, 9, 3, 5, 3, 1, 1, 0},  // stride 1
+      {kConv, 9, 9, 2, 4, 3, 2, 1, 0},  // stride 2
+      {kConv, 8, 8, 4, 6, 5, 1, 2, 0},  // LeNet-like 5x5, pad 2
+      {kDw, 7, 10, 6, 0, 3, 1, 1, 0},
+      {kDw, 9, 9, 5, 0, 5, 2, 2, 0},
+  };
+  constexpr int8_t kSentinel = 0x5A;
+  constexpr int kBatch = 5;
+  for (const UnpackCase& c : cases) {
+    const QLayer layer = make_case_layer(c);
+    const OpDescriptor d = describe_layer(layer);
+    LayerSignificance sig;
+    sig.out_c = d.channels;
+    sig.patch = d.patch;
+    Rng rng(700 + c.kernel * 10 + c.stride);
+    for (int64_t op = 0; op < d.skippable_operand_count(); ++op) {
+      float v = rng.next_bool(0.1) ? kAlwaysRetain : rng.next_float();
+      if (op < d.patch) v = 0.8f * rng.next_float();  // channel 0
+      sig.S.push_back(v);
+    }
+    const UnpackedLayer u = UnpackedLayer::build_rungs(layer, sig, taus);
+    ASSERT_EQ(u.rung_count, rungs);
+
+    // One-rung programs under each rung's mask give the expected bits.
+    const size_t out_elems = static_cast<size_t>(d.out_elems) * kBatch;
+    const auto in = make_random_input(d.in_elems * kBatch, 701);
+    std::vector<std::vector<int8_t>> want(static_cast<size_t>(rungs),
+                                          std::vector<int8_t>(out_elems));
+    for (int r = 0; r < rungs; ++r) {
+      std::vector<uint8_t> skip(sig.S.size(), 0);
+      for (size_t op = 0; op < skip.size(); ++op) {
+        skip[op] = r > 0 && sig.S[op] <= static_cast<float>(
+                                              taus[static_cast<size_t>(r - 1)]);
+      }
+      UnpackedLayer::build(layer, skip.data())
+          .run(in, want[static_cast<size_t>(r)], kBatch);
+    }
+    // Not vacuous: some band above rung 0 is odd (it ends in a pair whose
+    // two operands are one), and channel 0's top band is empty.
+    bool odd_band = false;
+    for (const ChannelProgram& ch : u.channels) {
+      for (int r = 1; r < rungs; ++r) {
+        const uint32_t end = ch.band_end[static_cast<size_t>(r)];
+        const uint32_t begin =
+            r + 1 < rungs ? ch.band_end[static_cast<size_t>(r + 1)] : 0;
+        odd_band |= end > begin && ch.pairs[end - 1].operand_a ==
+                                       ch.pairs[end - 1].operand_b;
+      }
+    }
+    EXPECT_TRUE(odd_band);
+    EXPECT_EQ(u.channels[0].band_end[static_cast<size_t>(rungs - 1)], 0u);
+
+    // One image (one lane) and five (a lane block and a ragged tail).
+    for (const int batch : {1, kBatch}) {
+      const auto in_b = std::span(in).first(
+          static_cast<size_t>(d.in_elems) * batch);
+      const size_t n = static_cast<size_t>(d.out_elems) * batch;
+      for (int subset = 0; subset < (1 << rungs); ++subset) {
+        std::vector<std::vector<int8_t>> got(
+            static_cast<size_t>(rungs), std::vector<int8_t>(n, kSentinel));
+        std::vector<std::span<int8_t>> outs(static_cast<size_t>(rungs));
+        for (int r = 0; r < rungs; ++r) {
+          if (subset & (1 << r))
+            outs[static_cast<size_t>(r)] = got[static_cast<size_t>(r)];
+        }
+        u.run_rungs(in_b, outs, batch);
+        for (int r = 0; r < rungs; ++r) {
+          const auto& g = got[static_cast<size_t>(r)];
+          if (subset & (1 << r)) {
+            EXPECT_TRUE(std::equal(g.begin(), g.end(),
+                                   want[static_cast<size_t>(r)].begin()))
+                << "kind " << static_cast<int>(c.kind) << " k" << c.kernel
+                << " s" << c.stride << " batch " << batch << " subset "
+                << subset << " rung " << r;
+          } else {
+            EXPECT_TRUE(std::all_of(g.begin(), g.end(),
+                                    [](int8_t v) { return v == kSentinel; }))
+                << "subset " << subset << " wrote rung " << r;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(UnpackedLayer, ExactBuildCountsEveryWeight) {
   ConvGeom g;
