@@ -79,8 +79,9 @@ QModel* DseFastFixture::model_ = nullptr;
 Dataset* DseFastFixture::eval_ = nullptr;
 std::vector<LayerSignificance>* DseFastFixture::sig_ = nullptr;
 
-// The depthwise fixture: make_tiny_vww_qmodel (conv -> depthwise ->
-// avgpool -> fc) with 60 random binary-labelled images.
+// The depthwise fixture of ExactSweepBitwiseMatchesPerConfigEvaluate:
+// make_tiny_vww_qmodel (conv -> depthwise -> avgpool -> fc) with 60
+// random binary-labelled images.
 struct DepthwiseCase {
   QModel model = testing::make_tiny_vww_qmodel(101);
   Dataset eval{ImageShape{model.in_h, model.in_w, model.in_c}, 2};
@@ -210,10 +211,16 @@ TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
   // unpacked variants and packed exact layers cover a depthwise layer
   // too.
   SCOPED_TRACE("depthwise");
-  const DepthwiseCase dw_case;
-  const QModel& dw = dw_case.model;
-  const Dataset& eval = dw_case.eval;
-  const std::vector<LayerSignificance>& sig = dw_case.sig;
+  const QModel dw = testing::make_tiny_vww_qmodel(101);
+  Dataset eval(ImageShape{dw.in_h, dw.in_w, dw.in_c}, 2);
+  Rng rng(94);
+  for (int i = 0; i < 60; ++i) {
+    std::vector<uint8_t> img(static_cast<size_t>(dw.in_h) * dw.in_w * dw.in_c);
+    for (auto& p : img) p = static_cast<uint8_t>(rng.next_int(0, 255));
+    eval.add(img, rng.next_int(0, 1));
+  }
+  const std::vector<LayerSignificance> sig = compute_model_significance(
+      dw, capture_activation_stats(dw, eval, 24));
   const auto configs = sweep_configs();
   expect_exact_sweep_matches_legacy(
       dw, sig, eval, with_full_skips(configs, dw.approx_layer_count()));
