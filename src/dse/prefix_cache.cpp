@@ -117,10 +117,6 @@ PrefixCache::PrefixCache(const QModel* model,
   stage_begin_.push_back(static_cast<int>(model_->layers.size()));
 
   const int n_cfg = static_cast<int>(configs.size());
-  for (const ApproxConfig& config : configs) {
-    check(static_cast<int>(config.tau.size()) == approx_count_,
-          "config does not match model");
-  }
   rung_.assign(static_cast<size_t>(n_cfg),
                std::vector<int>(static_cast<size_t>(approx_count_), 0));
 
@@ -135,6 +131,8 @@ PrefixCache::PrefixCache(const QModel* model,
     std::map<double, int64_t> key_of_tau;
     std::map<int64_t, double> tau_of_key{{0, -1.0}};  // key 0: exact rung 0
     for (const ApproxConfig& config : configs) {
+      check(static_cast<int>(config.tau.size()) == approx_count_,
+            "config does not match model");
       const double tau = config.tau[static_cast<size_t>(k)];
       if (tau < 0.0 || key_of_tau.count(tau) != 0) continue;
       const int64_t key =
@@ -145,19 +143,19 @@ PrefixCache::PrefixCache(const QModel* model,
       tau_of_key.emplace(key, tau);
     }
     std::vector<double> rung_taus;
-    std::map<int64_t, int> rung_of_key;
-    for (const auto& [key, tau] : tau_of_key) {
-      rung_of_key.emplace(key, static_cast<int>(rung_of_key.size()));
+    for (const auto& [key, tau] : tau_of_key)
       if (key > 0) rung_taus.push_back(tau);
-    }
     rungs_.push_back(UnpackedLayer::build_rungs(
         model_->layers[static_cast<size_t>(approx_pos_[static_cast<size_t>(k)])],
         sig, rung_taus));
+    // A config's rung is its key's rank; tau < 0 keeps rung 0.
     for (int c = 0; c < n_cfg; ++c) {
       const double tau = configs[static_cast<size_t>(c)].tau[static_cast<size_t>(k)];
-      if (tau >= 0.0)
+      if (tau >= 0.0) {
         rung_[static_cast<size_t>(c)][static_cast<size_t>(k)] =
-            rung_of_key.at(key_of_tau.at(tau));
+            static_cast<int>(std::distance(
+                tau_of_key.begin(), tau_of_key.find(key_of_tau.at(tau))));
+      }
     }
   }
 
@@ -237,14 +235,6 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
         static_cast<size_t>(n_stages));
     std::vector<std::vector<std::span<int8_t>>> needed(
         static_cast<size_t>(n_stages));
-    for (size_t s = 0; s < rung_out.size(); ++s) {
-      const UnpackedLayer& u =
-          rungs_[static_cast<size_t>(stage_first_ordinal_[s])];
-      rung_out[s].assign(static_cast<size_t>(u.rung_count),
-                         std::vector<int8_t>(static_cast<size_t>(
-                             u.geom.positions() * u.geom.out_c)));
-      needed[s].resize(static_cast<size_t>(u.rung_count));
-    }
     std::vector<int8_t> q_input;
     int64_t run = 0, reuse = 0;
     for (int64_t img = lo; img < hi; ++img) {
@@ -285,24 +275,30 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
           const std::vector<int>& row = rung_[static_cast<size_t>(c)];
           for (size_t s = static_cast<size_t>(s0);
                s < static_cast<size_t>(n_stages); ++s) {
-            const int k = stage_first_ordinal_[s];
+            const auto k = static_cast<size_t>(stage_first_ordinal_[s]);
             // boundary[s] is new for the image's first config and behind
             // the resume stage. Its rungs are then the keys at ordinal k
             // of every config below p in the trie that covers image i:
             // those are exactly the configs that resume from it.
             const bool fresh = first || s > static_cast<size_t>(s0);
             if (fresh) {
-              std::fill(needed[s].begin(), needed[s].end(),
-                        std::span<int8_t>());
+              const auto elems = static_cast<size_t>(
+                  plan_.steps[static_cast<size_t>(approx_pos_[k])].out.elems);
+              needed[s].assign(static_cast<size_t>(rungs_[k].rung_count),
+                               std::span<int8_t>());
+              rung_out[s].resize(needed[s].size());
               for (int q = p; q < subtree_end_[s][static_cast<size_t>(p)];
                    ++q) {
-                const auto cq = static_cast<size_t>(order_[static_cast<size_t>(q)]);
+                const auto cq =
+                    static_cast<size_t>(order_[static_cast<size_t>(q)]);
                 if (i < img_begin[cq] || i >= img_end[cq]) continue;
-                const auto r = static_cast<size_t>(rung_[cq][static_cast<size_t>(k)]);
+                const auto r = static_cast<size_t>(rung_[cq][k]);
+                rung_out[s][r].resize(elems);
                 needed[s][r] = rung_out[s][r];
               }
             }
-            const RungKernels kernels(packed_, rungs_, row, k, needed[s],
+            const RungKernels kernels(packed_, rungs_, row,
+                                      stage_first_ordinal_[s], needed[s],
                                       fresh);
             boundary[s + 1] = plan_.run_range(stage_begin_[s],
                                               stage_begin_[s + 1],

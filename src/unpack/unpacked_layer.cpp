@@ -31,10 +31,9 @@ int64_t UnpackedLayer::retained_macs() const {
 namespace {
 
 // Offline re-pairing over expansion geometry `g`: collect each channel's
-// operands per band in skip-mask order as expansion offsets
-// (`band(op)` is the band of skip-mask operand op, or -1 when every rung
-// skips it),
-// then emit the bands from the top rung down, one SMLAD per pair and an
+// operands per band in skip-mask order as expansion offsets (`band(op)`
+// is skip-mask operand op's band, or -1 when every rung skips it), then
+// emit the bands from the top rung down, one SMLAD per pair and an
 // SMLABB for a band's odd leftover.
 template <typename Layer, typename Band>
 UnpackedLayer unpack(const Layer& layer, const ConvGeom& g, bool depthwise,
@@ -117,16 +116,14 @@ UnpackedLayer UnpackedLayer::build_rungs(const QLayer& layer,
   check(static_cast<int64_t>(sig.S.size()) ==
             describe_layer(layer).skippable_operand_count(),
         "UnpackedLayer::build_rungs: significance does not match layer");
-  // Operand i lies in the band of the highest rung that retains it; the
-  // skip sets nest because the taus ascend.
+  // An operand lies in the band of the highest rung that retains it: the
+  // skip sets nest, so that is the number of rungs above 0 retaining it.
   return unpack_layer(
       layer, static_cast<int>(rung_taus.size()) + 1, [&](size_t op) {
-        const float s = sig.S[op];
-        int band = 0;
-        while (band < static_cast<int>(rung_taus.size()) &&
-               !(s <= static_cast<float>(rung_taus[static_cast<size_t>(band)])))
-          ++band;
-        return band;
+        return static_cast<int>(
+            std::count_if(rung_taus.begin(), rung_taus.end(), [&](double t) {
+              return !(sig.S[op] <= static_cast<float>(t));
+            }));
       });
 }
 
