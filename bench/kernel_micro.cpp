@@ -115,6 +115,7 @@ void BM_ConvRungs(benchmark::State& state) {
       for (size_t r = 0; r < singles.size(); ++r) singles[r].run(in, outs[r]);
     }
     benchmark::DoNotOptimize(out[0].data());
+    benchmark::ClobberMemory();
   }
   int64_t retained = 0;
   for (const UnpackedLayer& u : singles) retained += u.retained_macs();

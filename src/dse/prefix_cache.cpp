@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <numeric>
 
 #include "src/common/error.hpp"
@@ -180,15 +181,6 @@ PrefixCache::PrefixCache(const QModel* model,
     lcp_[static_cast<size_t>(p)] = l;
   }
 
-  for (const int first : stage_first_ordinal_) {
-    std::vector<int> end(static_cast<size_t>(n_cfg), n_cfg);
-    for (int p = n_cfg - 2; p >= 0; --p) {
-      end[static_cast<size_t>(p)] = lcp_[static_cast<size_t>(p + 1)] >= first
-                                        ? end[static_cast<size_t>(p + 1)]
-                                        : p + 1;
-    }
-    subtree_end_.push_back(std::move(end));
-  }
 }
 
 int PrefixCache::stage_for_depth(int depth) const {
@@ -228,11 +220,10 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
     // logits.
     std::vector<std::vector<int8_t>> boundary(
         static_cast<size_t>(n_stages) + 1);
-    // rung_out[s][r]: rung r's output of stage s's first approximable
-    // step for the current boundary[s]; needed[s] spans the rungs
-    // computed when that boundary was new (empty: not computed).
-    std::vector<std::vector<std::vector<int8_t>>> rung_out(
-        static_cast<size_t>(n_stages));
+    // needed[s][r]: rung r's output of stage s's first approximable step
+    // for the current boundary[s], in rung_out[s] (empty: not computed
+    // when that boundary was new).
+    std::vector<std::vector<int8_t>> rung_out(static_cast<size_t>(n_stages));
     std::vector<std::vector<std::span<int8_t>>> needed(
         static_cast<size_t>(n_stages));
     std::vector<int8_t> q_input;
@@ -275,30 +266,33 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
           const std::vector<int>& row = rung_[static_cast<size_t>(c)];
           for (size_t s = static_cast<size_t>(s0);
                s < static_cast<size_t>(n_stages); ++s) {
-            const auto k = static_cast<size_t>(stage_first_ordinal_[s]);
+            const int k = stage_first_ordinal_[s];
+            const UnpackedLayer& layer = rungs_[static_cast<size_t>(k)];
             // boundary[s] is new for the image's first config and behind
             // the resume stage. Its rungs are then the keys at ordinal k
             // of every config below p in the trie that covers image i:
             // those are exactly the configs that resume from it.
             const bool fresh = first || s > static_cast<size_t>(s0);
             if (fresh) {
-              const auto elems = static_cast<size_t>(
-                  plan_.steps[static_cast<size_t>(approx_pos_[k])].out.elems);
-              needed[s].assign(static_cast<size_t>(rungs_[k].rung_count),
+              const auto elems = static_cast<size_t>(layer.geom.positions() *
+                                                     layer.geom.out_c);
+              needed[s].assign(static_cast<size_t>(layer.rung_count),
                                std::span<int8_t>());
-              rung_out[s].resize(needed[s].size());
-              for (int q = p; q < subtree_end_[s][static_cast<size_t>(p)];
+              rung_out[s].resize(needed[s].size() * elems);
+              // p's subtree: p and the positions after it that share its
+              // first k keys.
+              for (int q = p;
+                   q < n_cfg && (q == p || lcp_[static_cast<size_t>(q)] >= k);
                    ++q) {
                 const auto cq =
                     static_cast<size_t>(order_[static_cast<size_t>(q)]);
                 if (i < img_begin[cq] || i >= img_end[cq]) continue;
-                const auto r = static_cast<size_t>(rung_[cq][k]);
-                rung_out[s][r].resize(elems);
-                needed[s][r] = rung_out[s][r];
+                const auto r =
+                    static_cast<size_t>(rung_[cq][static_cast<size_t>(k)]);
+                needed[s][r] = std::span(rung_out[s]).subspan(r * elems, elems);
               }
             }
-            const RungKernels kernels(packed_, rungs_, row,
-                                      stage_first_ordinal_[s], needed[s],
+            const RungKernels kernels(packed_, rungs_, row, k, needed[s],
                                       fresh);
             boundary[s + 1] = plan_.run_range(stage_begin_[s],
                                               stage_begin_[s + 1],

@@ -158,9 +158,6 @@ class PrefixCache {
   std::vector<std::vector<int>> rung_;
   std::vector<int> order_;  // configs, trie leaf order
   std::vector<int> lcp_;    // lcp_[p] = lcp(order[p-1],order[p])
-  // subtree_end_[s][p]: the end of position p's trie subtree at stage
-  // s's first ordinal — the first q > p with lcp_[q] below it.
-  std::vector<std::vector<int>> subtree_end_;
 };
 
 }  // namespace ataman

@@ -1,6 +1,7 @@
 #include "src/unpack/unpacked_layer.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "src/common/error.hpp"
 #include "src/cmsisnn/packed_kernels.hpp"  // run_conv_blocks
@@ -147,22 +148,36 @@ void UnpackedLayer::run_rungs(std::span<const int8_t> in,
   // input copy purely as a host-speed optimization: the *priced*
   // instruction stream (add_step_cycles on the unpacked price list)
   // models one position at a time with direct activation loads and no
-  // such buffer, and the numerics are identical.
-  const auto channel = [&](int oc, auto& block, const auto& store) {
-    const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
-    block.reset(prog.bias);
-    const MacPairOp* op = prog.pairs.data();
-    for (size_t r = outs.size(); r-- > lowest;) {
-      for (const MacPairOp* end = prog.pairs.data() + prog.band_end[r];
-           op < end; ++op)
-        block.mac(op->weight_const, op->operand_a, op->operand_b);
-      if (r == 0 && prog.has_single)
-        block.mac_single(prog.single.weight, prog.single.operand);
-      if (!outs[r].empty()) store(r, prog.requant);
-    }
+  // such buffer, and the numerics are identical. `upper` compiles the
+  // stores above the lowest rung in: without them no store interrupts
+  // the pass, so the accumulators stay in registers.
+  const auto pass = [&](auto upper) {
+    run_conv_blocks(
+        geom, in_q.zero_point, out_q.zero_point, act_min, act_max, in, outs,
+        batch, scratch, range, [&](int oc, auto& block, const auto& store) {
+          const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
+          block.reset(prog.bias);
+          const MacPairOp* op = prog.pairs.data();
+          const auto band = [&](size_t r) {
+            for (const MacPairOp* end = prog.pairs.data() + prog.band_end[r];
+                 op < end; ++op)
+              block.mac(op->weight_const, op->operand_a, op->operand_b);
+          };
+          for (size_t r = outs.size() - 1; upper && r > lowest; --r) {
+            band(r);
+            if (!outs[r].empty()) store(r, prog.requant);
+          }
+          // Only rung 0 has the single.
+          band(lowest);
+          if (lowest == 0 && prog.has_single)
+            block.mac_single(prog.single.weight, prog.single.operand);
+          store(lowest, prog.requant);
+        });
   };
-  run_conv_blocks(geom, in_q.zero_point, out_q.zero_point, act_min, act_max,
-                  in, outs, batch, scratch, range, channel);
+  if (std::count_if(outs.begin(), outs.end(),
+                    [](std::span<int8_t> out) { return !out.empty(); }) == 1)
+    return pass(std::false_type{});
+  pass(std::true_type{});
 }
 
 }  // namespace ataman
