@@ -1,7 +1,6 @@
 #include "src/unpack/unpacked_layer.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "src/common/error.hpp"
 #include "src/cmsisnn/packed_kernels.hpp"  // run_conv_blocks
@@ -101,6 +100,21 @@ UnpackedLayer unpack_layer(const QLayer& layer, int rungs, const Band& band) {
   return unpack(*dw, dw->expansion_geom(), /*depthwise=*/true, rungs, band);
 }
 
+// Runs the SMLAD steps [op, end) of one band on `block`. The steps
+// accumulate into a local copy, kept out of line: GCC then holds its
+// accumulators in registers, where the caller's block, which a rung's
+// store reads between two bands, stays in memory on every step.
+template <typename Block>
+[[gnu::noinline]] const MacPairOp* accumulate(Block& block,
+                                              const MacPairOp* op,
+                                              const MacPairOp* end) {
+  Block local = block;
+  for (; op < end; ++op)
+    local.mac(op->weight_const, op->operand_a, op->operand_b);
+  block.acc = local.acc;
+  return op;
+}
+
 }  // namespace
 
 UnpackedLayer UnpackedLayer::build(const QLayer& layer, const uint8_t* skip) {
@@ -148,36 +162,20 @@ void UnpackedLayer::run_rungs(std::span<const int8_t> in,
   // input copy purely as a host-speed optimization: the *priced*
   // instruction stream (add_step_cycles on the unpacked price list)
   // models one position at a time with direct activation loads and no
-  // such buffer, and the numerics are identical. `upper` compiles the
-  // stores above the lowest rung in: without them no store interrupts
-  // the pass, so the accumulators stay in registers.
-  const auto pass = [&](auto upper) {
-    run_conv_blocks(
-        geom, in_q.zero_point, out_q.zero_point, act_min, act_max, in, outs,
-        batch, scratch, range, [&](int oc, auto& block, const auto& store) {
-          const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
-          block.reset(prog.bias);
-          const MacPairOp* op = prog.pairs.data();
-          const auto band = [&](size_t r) {
-            for (const MacPairOp* end = prog.pairs.data() + prog.band_end[r];
-                 op < end; ++op)
-              block.mac(op->weight_const, op->operand_a, op->operand_b);
-          };
-          for (size_t r = outs.size() - 1; upper && r > lowest; --r) {
-            band(r);
-            if (!outs[r].empty()) store(r, prog.requant);
-          }
-          // Only rung 0 has the single.
-          band(lowest);
-          if (lowest == 0 && prog.has_single)
-            block.mac_single(prog.single.weight, prog.single.operand);
-          store(lowest, prog.requant);
-        });
+  // such buffer, and the numerics are identical.
+  const auto channel = [&](int oc, auto& block, const auto& store) {
+    const ChannelProgram& prog = channels[static_cast<size_t>(oc)];
+    block.reset(prog.bias);
+    const MacPairOp* op = prog.pairs.data();
+    for (size_t r = outs.size(); r-- > lowest;) {
+      op = accumulate(block, op, prog.pairs.data() + prog.band_end[r]);
+      if (r == 0 && prog.has_single)
+        block.mac_single(prog.single.weight, prog.single.operand);
+      if (!outs[r].empty()) store(r, prog.requant);
+    }
   };
-  if (std::count_if(outs.begin(), outs.end(),
-                    [](std::span<int8_t> out) { return !out.empty(); }) == 1)
-    return pass(std::false_type{});
-  pass(std::true_type{});
+  run_conv_blocks(geom, in_q.zero_point, out_q.zero_point, act_min, act_max,
+                  in, outs, batch, scratch, range, channel);
 }
 
 }  // namespace ataman
