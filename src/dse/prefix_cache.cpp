@@ -180,7 +180,6 @@ PrefixCache::PrefixCache(const QModel* model,
       ++l;
     lcp_[static_cast<size_t>(p)] = l;
   }
-
 }
 
 int PrefixCache::stage_for_depth(int depth) const {

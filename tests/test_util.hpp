@@ -189,10 +189,19 @@ std::string first_staggered_range_mismatch(const Cache& cache, uint64_t seed,
       int e = rng.next_int(0, n_img);
       if (b > e) std::swap(b, e);
       switch (rng.next_int(0, 5)) {
-        case 0: e = b; break;                         // empty
-        case 1: b = std::min(b, n_img - 1); e = b + 1; break;  // one image
-        case 2: b = 0; e = n_img; break;              // whole set
-        default: break;                               // arbitrary
+        case 0:  // empty
+          e = b;
+          break;
+        case 1:  // one image
+          b = std::min(b, n_img - 1);
+          e = b + 1;
+          break;
+        case 2:  // the whole set
+          b = 0;
+          e = n_img;
+          break;
+        default:  // arbitrary
+          break;
       }
       begin[static_cast<size_t>(c)] = b;
       end[static_cast<size_t>(c)] = e;
