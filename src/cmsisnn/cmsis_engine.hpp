@@ -23,8 +23,8 @@ namespace ataman {
 
 // The packed kernel table: conv and fc on offline-packed weight streams,
 // depthwise on the loop kernel, pools and adds on the reference kernels.
-// The host kernels stream each packed conv weight pair once per block of
-// kPosBlock output columns (times kBatchLanes images for a batch); the
+// The host kernels stream each packed conv weight pair once per
+// kBatchLanes blocks of kPosBlock output columns (of any row or image); the
 // priced cycles model the MCU's one-position stream. `unpacked` (by
 // approximable ordinal, 1 = executed elsewhere) skips packing those conv
 // streams — the hybrid unpacked engine's fallback table.

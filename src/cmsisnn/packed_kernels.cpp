@@ -1,5 +1,7 @@
 #include "src/cmsisnn/packed_kernels.hpp"
 
+#include <algorithm>
+
 #include "src/common/error.hpp"
 #include "src/cmsisnn/smlad.hpp"
 
@@ -95,28 +97,48 @@ void packed_dense(const QDense& layer, const PackedWeights& packed,
         "batched dense output size mismatch");
 
   // Expand each input once to zero-point-corrected q15 (CMSIS expands the
-  // activation vector for its q7 FC kernels the same way).
-  const Q15Scratch x(scratch, in_elems);
+  // activation vector for its q7 FC kernels the same way), kBatchLanes
+  // images at a time.
+  const Q15Scratch x(scratch,
+                     static_cast<size_t>(std::min(batch, kBatchLanes)) *
+                         in_elems);
   const size_t pairs = static_cast<size_t>(packed.pairs_per_chan);
-  for (int b = 0; b < batch; ++b) {
-    const int8_t* img = in.data() + static_cast<size_t>(b) * in_elems;
-    for (size_t i = 0; i < in_elems; ++i) {
-      x[i] = static_cast<int16_t>(static_cast<int32_t>(img[i]) -
-                                  layer.in.zero_point);
+  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
+    const int bn = std::min(kBatchLanes, batch - b0);
+    const int16_t* lanes[kBatchLanes];
+    for (int j = 0; j < kBatchLanes; ++j) {
+      // A dead lane rereads the last live image's vector.
+      lanes[j] = x.data() + static_cast<size_t>(std::min(j, bn - 1)) * in_elems;
+      if (j >= bn) continue;
+      const int8_t* img = in.data() + static_cast<size_t>(b0 + j) * in_elems;
+      int16_t* xj = x.data() + static_cast<size_t>(j) * in_elems;
+      for (size_t i = 0; i < in_elems; ++i) {
+        xj[i] = static_cast<int16_t>(static_cast<int32_t>(img[i]) -
+                                     layer.in.zero_point);
+      }
     }
     for (int oc = 0; oc < layer.out_dim; ++oc) {
-      int32_t acc = smlad_dot(packed.pair_constants.data() +
-                                  static_cast<size_t>(oc) * pairs,
-                              x.data(), pairs,
-                              layer.bias[static_cast<size_t>(oc)]);
-      if (packed.has_single) {
-        acc = smlabb(pack_q15_pair(
-                         0, packed.single_weights[static_cast<size_t>(oc)]),
-                     pack_q15_pair(0, x[in_elems - 1]), acc);
+      const uint32_t* w =
+          packed.pair_constants.data() + static_cast<size_t>(oc) * pairs;
+      int32_t acc[kBatchLanes];
+      std::fill_n(acc, kBatchLanes, layer.bias[static_cast<size_t>(oc)]);
+      // A lone image takes the one-vector dot: no dead lane to compute.
+      if (bn == 1) {
+        acc[0] = smlad_dot(w, lanes[0], pairs, acc[0]);
+      } else {
+        smlad_dot_lanes(w, lanes, pairs, acc);
       }
-      out[static_cast<size_t>(b) * out_elems + static_cast<size_t>(oc)] =
-          requant_clamp(acc, layer.requant, layer.out.zero_point,
-                        layer.act_min, layer.act_max);
+      for (int j = 0; j < bn; ++j) {
+        if (packed.has_single) {
+          acc[j] = smlabb(
+              pack_q15_pair(0, packed.single_weights[static_cast<size_t>(oc)]),
+              pack_q15_pair(0, lanes[j][in_elems - 1]), acc[j]);
+        }
+        out[static_cast<size_t>(b0 + j) * out_elems +
+            static_cast<size_t>(oc)] =
+            requant_clamp(acc[j], layer.requant, layer.out.zero_point,
+                          layer.act_min, layer.act_max);
+      }
     }
   }
 }

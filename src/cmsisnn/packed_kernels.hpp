@@ -62,12 +62,6 @@ class Q15Scratch {
   std::span<int16_t> buf_;
 };
 
-// Image lanes of a batched call. The host kernels block kPosBlock
-// output columns per SMLAD step (smlad8, one SSE2 register pair per
-// image); a batch adds kBatchLanes images on top, so each weight constant
-// is broadcast once for 4 x 8 positions.
-inline constexpr int kBatchLanes = 4;
-
 // The planar q15 copy every conv-shaped host kernel reads its operands
 // from in place: one zero-point-corrected, zero-padded copy of each
 // image, channel-planar and split by stride phase,
@@ -103,10 +97,11 @@ struct PlanarLayout {
   }
 };
 
-// q15 scratch of one conv-shaped kernel call over `lanes` images: the
-// operand offset table (one 32-bit offset per patch operand, in two q15
-// slots) followed by `lanes` planar copies. The plan sizes its arena
-// scratch from this, so warm runs never allocate.
+// q15 scratch of one conv-shaped kernel call that copies `lanes` images
+// (min(batch, kBatchLanes)): the operand offset table (one 32-bit
+// offset per patch operand, in two q15 slots) followed by `lanes`
+// planar copies. The plan sizes its arena scratch from this, so warm
+// runs never allocate.
 inline size_t conv_scratch_elems(const ConvGeom& g, int lanes) {
   return 2 * static_cast<size_t>(g.patch_size()) +
          static_cast<size_t>(lanes) * PlanarLayout(g).lane_elems;
@@ -157,17 +152,19 @@ inline void planar_copy_q15(const ConvGeom& g, const PlanarLayout& p,
 // of saturating_rounding_doubling_high_mul equal (a * mult + 2^30) >> 31
 // (floor), and its one saturating case needs mult = INT32_MIN.
 inline __m128i requant4(__m128i a, __m128i mult, int shift) {
-  // _mm_mul_epu32 reads a < 0 as a + 2^32, so its product is mult * 2^32
-  // too large: 2 * mult after the shift by 31. The nudged unsigned
-  // product stays below 2^63, so bits 31..62 fill the low half.
+  // _mm_mul_epu32 is unsigned: a ^ INT32_MIN reads as a + 2^31 >= 0, so
+  // the product is a * mult + 2^31 * mult, mult too large after the
+  // shift by 31, whatever a's sign. The nudged product stays below 2^63
+  // and its bits 31..62 fit in the low half.
   const __m128i nudge = _mm_set1_epi64x(int64_t{1} << 30);
+  const __m128i biased = _mm_xor_si128(a, _mm_set1_epi32(INT32_MIN));
   const __m128i even = _mm_srli_epi64(
-      _mm_add_epi64(_mm_mul_epu32(a, mult), nudge), 31);
+      _mm_add_epi64(_mm_mul_epu32(biased, mult), nudge), 31);
   const __m128i odd = _mm_srli_epi64(
-      _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(a, 32), mult), nudge), 31);
-  const __m128i x = _mm_sub_epi32(
-      _mm_or_si128(even, _mm_slli_epi64(odd, 32)),
-      _mm_and_si128(_mm_srai_epi32(a, 31), _mm_add_epi32(mult, mult)));
+      _mm_add_epi64(_mm_mul_epu32(_mm_srli_epi64(biased, 32), mult), nudge),
+      31);
+  const __m128i x =
+      _mm_sub_epi32(_mm_or_si128(even, _mm_slli_epi64(odd, 32)), mult);
   // rounding_divide_by_pot(x, -shift): x >> -shift, plus 1 where the
   // remainder x & mask exceeds the threshold (mask >> 1, + 1 for x < 0).
   const int32_t mask = static_cast<int32_t>((int64_t{1} << -shift) - 1);
@@ -177,21 +174,13 @@ inline __m128i requant4(__m128i a, __m128i mult, int shift) {
       _mm_and_si128(x, _mm_set1_epi32(mask)), threshold);
   return _mm_sub_epi32(_mm_sra_epi32(x, _mm_cvtsi32_si128(-shift)), round_up);
 }
-
-// Lane-wise min(max(x, lo), hi): SSE2 has no _mm_max_epi32/_mm_min_epi32.
-inline __m128i clamp4(__m128i x, __m128i lo, __m128i hi) {
-  const __m128i below = _mm_cmplt_epi32(x, lo);
-  x = _mm_or_si128(_mm_and_si128(below, lo), _mm_andnot_si128(below, x));
-  const __m128i above = _mm_cmpgt_epi32(x, hi);
-  return _mm_or_si128(_mm_and_si128(above, hi), _mm_andnot_si128(above, x));
-}
 #endif
 
 // requant_clamp on each of the eight accumulators of a block step.
 // On SSE2 hosts eight lanes at a time, bit-exact, wherever requant4
 // applies and out_zp and the activation range lie in int8 (as every
-// calibrated layer's do: the saturating packs then narrow like the
-// cast). requant_clamp stays the definition and runs everywhere else.
+// calibrated layer's do). requant_clamp stays the definition and runs
+// everywhere else.
 inline void requant8(const Acc8& acc, const QuantizedMultiplier& requant,
                      int32_t out_zp, int32_t act_min, int32_t act_max,
                      int8_t out[kPosBlock]) {
@@ -199,17 +188,16 @@ inline void requant8(const Acc8& acc, const QuantizedMultiplier& requant,
   if (requant.mult >= 0 && requant.shift <= 0 && requant.shift >= -31 &&
       out_zp >= -128 && out_zp <= 127 && act_min >= -128 &&
       act_min <= act_max && act_max <= 127) {
-    // clamp(x + zp, act_min, act_max) == clamp(x, act_min - zp,
-    // act_max - zp) + zp, and no int32 add overflows on this side.
-    const __m128i lo = _mm_set1_epi32(act_min - out_zp);
-    const __m128i hi = _mm_set1_epi32(act_max - out_zp);
+    // The clamp runs on int16 lanes: a scaled value beyond int16
+    // saturates there, and so does its sum with the zero point, both on
+    // the side the activation range clamps them to.
     const __m128i mult = _mm_set1_epi32(requant.mult);
-    const __m128i zp = _mm_set1_epi32(out_zp);
-    const __m128i q0 = _mm_add_epi32(
-        clamp4(requant4(acc.lo, mult, requant.shift), lo, hi), zp);
-    const __m128i q1 = _mm_add_epi32(
-        clamp4(requant4(acc.hi, mult, requant.shift), lo, hi), zp);
-    const __m128i q16 = _mm_packs_epi32(q0, q1);
+    __m128i q16 = _mm_packs_epi32(requant4(acc.lo, mult, requant.shift),
+                                  requant4(acc.hi, mult, requant.shift));
+    q16 = _mm_adds_epi16(q16, _mm_set1_epi16(static_cast<int16_t>(out_zp)));
+    q16 = _mm_min_epi16(
+        _mm_max_epi16(q16, _mm_set1_epi16(static_cast<int16_t>(act_min))),
+        _mm_set1_epi16(static_cast<int16_t>(act_max)));
     _mm_storel_epi64(reinterpret_cast<__m128i*>(out),
                      _mm_packs_epi16(q16, q16));
     return;
@@ -221,22 +209,21 @@ inline void requant8(const Acc8& acc, const QuantizedMultiplier& requant,
     out[p] = requant_clamp(sums[p], requant, out_zp, act_min, act_max);
 }
 
-// The accumulators of one block step: `Lanes` images x kPosBlock output
-// columns. lane[j] is the block's base in image lane j's planar copy and
-// `offsets` the call's operand offset table (32-bit words in q15
-// storage, read through memcpy).
-template <int Lanes>
+// The accumulators of one block step: kBatchLanes lanes of kPosBlock
+// output columns each. lane[j] is lane j's block base in its image's
+// planar copy and `offsets` the call's operand offset table (32-bit
+// words in q15 storage, read through memcpy).
 struct BlockAcc {
-  std::array<const int16_t*, Lanes> lane{};
+  std::array<const int16_t*, kBatchLanes> lane{};
   const int16_t* offsets = nullptr;
-  std::array<Acc8, Lanes> acc{};
+  std::array<Acc8, kBatchLanes> acc{};
 
   void reset(int32_t bias) { acc.fill(acc8_splat(bias)); }
   // One SMLAD step on operands a (low lane) and b (high lane).
   void mac(uint32_t w, size_t a, size_t b) {
     const uint32_t oa = offset(a);
     const uint32_t ob = offset(b);
-    for (int j = 0; j < Lanes; ++j)
+    for (int j = 0; j < kBatchLanes; ++j)
       smlad8(w, lane[j] + oa, lane[j] + ob, acc[j]);
   }
   // One SMLABB step: a zero high weight lane makes SMLAD SMLABB.
@@ -253,25 +240,28 @@ struct BlockAcc {
 // The one loop of every conv-shaped host kernel (packed conv, packed
 // depthwise, unpacked programs) over a contiguous batch: image b at
 // in + b * in_elems and outs[k] + b * out_elems of geometry `g`. An
-// empty outs[k] is never written. Per lane block of `Lanes` images it
-// writes each image's planar copy once (only the columns the blocks
-// inside `range` read), then per output row and block of up to kPosBlock
-// columns calls `channel(oc, block, store)` per output channel;
-// `channel` accumulates into `block` and calls `store(k, requant)` to
-// store the accumulators into outs[k] under the multiplier `requant` —
-// once at the end, or once per rung of a rung program. `store`
-// requantizes each image's eight positions at once (requant8) and
-// writes the live positions of the live images. Ragged blocks compute
-// every lane (a dead image lane rereads lane 0, a dead column reads a
-// written padding or input value) and store only the live ones; int32
+// empty outs[k] is never written. Per chunk of up to kBatchLanes images
+// it writes each image's planar copy once (only the columns the blocks
+// inside `range` read). A *block* is one (image, output row, block of
+// up to kPosBlock columns) of the chunk; blocks run kBatchLanes at a
+// time as the lanes of one BlockAcc, so one image's rows and column
+// blocks fill the lanes as readily as a batch's images. Per lane group
+// it calls `channel(oc, block, store)` per output channel; `channel`
+// accumulates into `block` and calls `store(k, requant)` to store the
+// accumulators into outs[k] under the multiplier `requant` — once at
+// the end, or once per rung of a rung program. `store` requantizes each
+// lane's eight positions at once (requant8) and writes the live
+// positions of the live lanes. A ragged group computes every lane (a
+// dead lane rereads lane 0's block, a dead column reads a written
+// padding or input value) and stores only the live ones; int32
 // accumulation wraps, so the walk order never changes a bit.
-template <int Lanes, typename Channel>
-void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
-                           int32_t out_zp, int32_t act_min, int32_t act_max,
-                           std::span<const int8_t> in,
-                           std::span<const std::span<int8_t>> outs,
-                           int batch, std::span<int16_t> scratch,
-                           ColumnRange range, const Channel& channel) {
+template <typename Channel>
+void run_conv_blocks(const ConvGeom& g, int32_t in_zp, int32_t out_zp,
+                     int32_t act_min, int32_t act_max,
+                     std::span<const int8_t> in,
+                     std::span<const std::span<int8_t>> outs, int batch,
+                     std::span<int16_t> scratch, ColumnRange range,
+                     const Channel& channel) {
   check(batch >= 1, "conv kernel: batch must be >= 1");
   const size_t in_elems = static_cast<size_t>(g.in_h) * g.in_w * g.in_c;
   const size_t out_elems = static_cast<size_t>(g.positions()) * g.out_c;
@@ -286,7 +276,8 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
   if (range.begin >= ox_end) return;
 
   const PlanarLayout layout(g);
-  const Q15Scratch buf(scratch, conv_scratch_elems(g, Lanes));
+  const Q15Scratch buf(
+      scratch, conv_scratch_elems(g, std::min(batch, kBatchLanes)));
   // The operand offset table (operand i = (ky * k + kx) * in_c + c, the
   // patch order), then the planar copies.
   int16_t* planes = buf.data();
@@ -303,79 +294,63 @@ void run_conv_blocks_lanes(const ConvGeom& g, int32_t in_zp,
   // the kernel's reach: q1 <= out_w + kPosBlock - 1 + (k - 1) / stride,
   // which is layout.cols.
   const int q0 = range.begin;
-  const int q1 =
-      q0 + static_cast<int>(ceil_div(ox_end - q0, kPosBlock)) * kPosBlock +
-      (g.kernel - 1) / g.stride;
+  const int col_blocks = static_cast<int>(ceil_div(ox_end - q0, kPosBlock));
+  const int q1 = q0 + col_blocks * kPosBlock + (g.kernel - 1) / g.stride;
 
-  BlockAcc<Lanes> block;
+  BlockAcc block;
   block.offsets = buf.data();
-  std::array<const int16_t*, Lanes> lane_planes{};
-  for (int b0 = 0; b0 < batch; b0 += Lanes) {
-    const int bn = std::min(Lanes, batch - b0);
-    for (int j = 0; j < Lanes; ++j) {
-      int16_t* dst = planes + static_cast<size_t>(j) * layout.lane_elems;
-      if (j < bn) {
-        planar_copy_q15(
-            g, layout, in_zp,
-            in.data() + static_cast<size_t>(b0 + j) * in_elems, q0, q1, dst);
-      }
-      lane_planes[static_cast<size_t>(j)] = j < bn ? dst : planes;
+  std::array<size_t, kBatchLanes> out_off{};  // lane's first output
+  std::array<int, kBatchLanes> width{};       // lane's live columns
+  for (int b0 = 0; b0 < batch; b0 += kBatchLanes) {
+    const int bn = std::min(kBatchLanes, batch - b0);
+    for (int j = 0; j < bn; ++j) {
+      planar_copy_q15(g, layout, in_zp,
+                      in.data() + static_cast<size_t>(b0 + j) * in_elems, q0,
+                      q1, planes + static_cast<size_t>(j) * layout.lane_elems);
     }
-    for (int oy = 0; oy < g.out_h(); ++oy) {
-      for (int ox0 = range.begin; ox0 < ox_end; ox0 += kPosBlock) {
-        const int n = std::min(kPosBlock, ox_end - ox0);
-        const size_t base = layout.block_base(oy, ox0);
-        for (int j = 0; j < Lanes; ++j) {
-          block.lane[static_cast<size_t>(j)] =
-              lane_planes[static_cast<size_t>(j)] + base;
-        }
-        const size_t block_off =
-            (static_cast<size_t>(oy) * ow + ox0) * g.out_c;
-        for (int oc = 0; oc < g.out_c; ++oc) {
-          const auto store = [&](size_t k,
-                                 const QuantizedMultiplier& requant) {
-            for (int j = 0; j < bn; ++j) {
-              int8_t q[kPosBlock];
-              requant8(block.acc[static_cast<size_t>(j)], requant, out_zp,
-                       act_min, act_max, q);
-              int8_t* dst = outs[k].data() +
-                            static_cast<size_t>(b0 + j) * out_elems +
-                            block_off + static_cast<size_t>(oc);
-              for (int p = 0; p < n; ++p)
-                dst[static_cast<size_t>(p) * g.out_c] = q[p];
-            }
-          };
-          channel(oc, block, store);
-        }
+    // Blocks in (row, column block, image) order, the image innermost:
+    // a full chunk's lanes share one position, one image's lanes are
+    // neighbouring column blocks and rows.
+    const int blocks = g.out_h() * col_blocks * bn;
+    for (int t0 = 0; t0 < blocks; t0 += kBatchLanes) {
+      const int live = std::min(kBatchLanes, blocks - t0);
+      for (int j = 0; j < kBatchLanes; ++j) {
+        const int t = t0 + (j < live ? j : 0);
+        const int img = t % bn;
+        const int oy = t / bn / col_blocks;
+        const int ox0 = q0 + t / bn % col_blocks * kPosBlock;
+        const auto lane = static_cast<size_t>(j);
+        block.lane[lane] = planes +
+                           static_cast<size_t>(img) * layout.lane_elems +
+                           layout.block_base(oy, ox0);
+        out_off[lane] = static_cast<size_t>(b0 + img) * out_elems +
+                        (static_cast<size_t>(oy) * ow + ox0) * g.out_c;
+        width[lane] = std::min(kPosBlock, ox_end - ox0);
+      }
+      for (int oc = 0; oc < g.out_c; ++oc) {
+        const auto store = [&](size_t k, const QuantizedMultiplier& requant) {
+          for (size_t j = 0; j < static_cast<size_t>(live); ++j) {
+            int8_t q[kPosBlock];
+            requant8(block.acc[j], requant, out_zp, act_min, act_max, q);
+            int8_t* dst = outs[k].data() + out_off[j] + static_cast<size_t>(oc);
+            for (int p = 0; p < width[j]; ++p)
+              dst[static_cast<size_t>(p) * g.out_c] = q[p];
+          }
+        };
+        channel(oc, block, store);
       }
     }
   }
-}
-
-// A single image runs one lane; a batch runs lane blocks of kBatchLanes.
-template <typename Channel>
-void run_conv_blocks(const ConvGeom& g, int32_t in_zp, int32_t out_zp,
-                     int32_t act_min, int32_t act_max,
-                     std::span<const int8_t> in,
-                     std::span<const std::span<int8_t>> outs, int batch,
-                     std::span<int16_t> scratch, ColumnRange range,
-                     const Channel& channel) {
-  if (batch == 1) {
-    return run_conv_blocks_lanes<1>(g, in_zp, out_zp, act_min, act_max, in,
-                                    outs, batch, scratch, range, channel);
-  }
-  run_conv_blocks_lanes<kBatchLanes>(g, in_zp, out_zp, act_min, act_max, in,
-                                     outs, batch, scratch, range, channel);
 }
 
 // Every kernel below runs a contiguous batch of `batch` images: image b
 // lives at in + b * in_elems and out + b * out_elems. Numerics are
 // bitwise identical to running each image alone and to the reference
-// kernels. Conv and depthwise run through run_conv_blocks: one image
-// (batch 1) or lane blocks of kBatchLanes images, each over blocks of
-// kPosBlock output columns, and compute only the output columns in
-// `range`. `scratch` is optional q15 working memory (see Q15Scratch;
-// results never depend on it). The host blocking changes no priced
+// kernels. Conv and depthwise run through run_conv_blocks: kBatchLanes
+// blocks of kPosBlock output columns per SMLAD step, drawn from any
+// image and row, and compute only the output columns in `range`.
+// `scratch` is optional q15 working memory (see Q15Scratch; results
+// never depend on it). The host blocking changes no priced
 // number: the cost model prices the MCU's one-position instruction
 // stream.
 void packed_conv2d(const QConv2D& layer, const PackedWeights& packed,
@@ -401,8 +376,10 @@ void packed_depthwise_conv2d(const QDepthwiseConv2D& layer,
                              int batch = 1, std::span<int16_t> scratch = {},
                              ColumnRange range = {});
 
-// One image at a time: the expanded input vector against each packed
-// weight row (smlad_dot).
+// The expanded input vectors of up to kBatchLanes images against each
+// packed weight row (smlad_dot_lanes; smlad_dot for a lone image), so a
+// batch loads each row once per kBatchLanes images. `scratch` holds
+// min(batch, kBatchLanes) expanded vectors, as for the conv kernels.
 void packed_dense(const QDense& layer, const PackedWeights& packed,
                   std::span<const int8_t> in, std::span<int8_t> out,
                   int batch = 1, std::span<int16_t> scratch = {});

@@ -74,6 +74,12 @@ constexpr uint32_t sxtb16(uint32_t x) {
 // instruction count changes, never a bit or a priced cycle.
 inline constexpr int kPosBlock = 8;
 
+// Lanes per step: the conv-shaped kernels run kBatchLanes blocks of
+// kPosBlock positions (of any image, row or column block) on each
+// broadcast weight constant, so it serves 4 x 8 positions; the dense
+// kernel runs one weight row over kBatchLanes images.
+inline constexpr int kBatchLanes = 4;
+
 // Eight int32 accumulators, one per position of a block.
 struct Acc8 {
 #if defined(__SSE2__)
@@ -131,6 +137,13 @@ inline void acc8_store(const Acc8& acc, int32_t* out) {
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4), acc.hi);
 }
 
+// Horizontal sum of four int32 lanes, wrapping.
+inline int32_t hsum4(__m128i v) {
+  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
+  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm_cvtsi128_si32(v);
+}
+
 // The int16 view of a packed row is the weight row (lo lane first), read
 // only through vector loads. Four pairs per madd, then the scalar tail.
 inline int32_t smlad_dot(const uint32_t* w, const int16_t* x, size_t pairs,
@@ -144,11 +157,35 @@ inline int32_t smlad_dot(const uint32_t* w, const int16_t* x, size_t pairs,
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 2 * i));
     sum = _mm_add_epi32(sum, _mm_madd_epi16(wv, xv));
   }
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
   acc = static_cast<int32_t>(static_cast<uint32_t>(acc) +
-                             static_cast<uint32_t>(_mm_cvtsi128_si32(sum)));
+                             static_cast<uint32_t>(hsum4(sum)));
   return smlad_dot_scalar(w + i, x + 2 * i, pairs - i, acc);
+}
+
+// acc[j] = smlad_dot(w, x[j], pairs, acc[j]) for j < kBatchLanes: one
+// weight row against kBatchLanes vectors, each load of four weight
+// pairs feeding one madd per vector.
+inline void smlad_dot_lanes(const uint32_t* w,
+                            const int16_t* const x[kBatchLanes],
+                            size_t pairs, int32_t acc[kBatchLanes]) {
+  __m128i sum[kBatchLanes];
+  for (__m128i& v : sum) v = _mm_setzero_si128();
+  size_t i = 0;
+  for (; i + 4 <= pairs; i += 4) {
+    const __m128i wv =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + i));
+    for (int j = 0; j < kBatchLanes; ++j) {
+      const __m128i xv =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(x[j] + 2 * i));
+      sum[j] = _mm_add_epi32(sum[j], _mm_madd_epi16(wv, xv));
+    }
+  }
+  for (int j = 0; j < kBatchLanes; ++j) {
+    acc[j] = smlad_dot_scalar(
+        w + i, x[j] + 2 * i, pairs - i,
+        static_cast<int32_t>(static_cast<uint32_t>(acc[j]) +
+                             static_cast<uint32_t>(hsum4(sum[j]))));
+  }
 }
 
 #else
@@ -177,6 +214,13 @@ inline void acc8_store(const Acc8& acc, int32_t* out) {
 inline int32_t smlad_dot(const uint32_t* w, const int16_t* x, size_t pairs,
                          int32_t acc) {
   return smlad_dot_scalar(w, x, pairs, acc);
+}
+
+inline void smlad_dot_lanes(const uint32_t* w,
+                            const int16_t* const x[kBatchLanes],
+                            size_t pairs, int32_t acc[kBatchLanes]) {
+  for (int j = 0; j < kBatchLanes; ++j)
+    acc[j] = smlad_dot_scalar(w, x[j], pairs, acc[j]);
 }
 
 #endif

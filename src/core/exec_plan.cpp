@@ -33,7 +33,7 @@ class Arena {
  public:
   Arena(const ExecPlan& plan, int batch)
       : scratch_elems_(static_cast<size_t>(plan.scratch_elems) *
-                       (batch == 1 ? 1 : kBatchLanes)),
+                       static_cast<size_t>(std::min(batch, kBatchLanes))),
         batch_(batch) {
     const size_t act =
         static_cast<size_t>(plan.arena_elems) * static_cast<size_t>(batch);
@@ -190,19 +190,21 @@ void ExecPlan::run_batch(std::span<const std::span<const uint8_t>> images,
 
 std::vector<int8_t> ExecPlan::run_range(int first, int end,
                                         std::span<const int8_t> activations,
-                                        const KernelTable& kernels) const {
+                                        const KernelTable& kernels,
+                                        int batch) const {
   check(first >= 0 && first <= end && end <= static_cast<int>(steps.size()),
         "run_range step range out of bounds");
+  check(batch >= 1, "run_range: batch must be >= 1");
   const PlanTensor& entry = tensors[static_cast<size_t>(first)];
-  if (static_cast<int64_t>(activations.size()) != entry.elems)
+  if (static_cast<int64_t>(activations.size()) != entry.elems * batch)
     fail("run_range activation size mismatch at layer " +
          std::to_string(first));
-  Arena arena(*this, 1);
+  Arena arena(*this, batch);
   std::copy(activations.begin(), activations.end(),
             arena.tensor(entry).begin());
   run_steps(std::span(steps).subspan(static_cast<size_t>(first),
                                      static_cast<size_t>(end - first)),
-            arena, 1, kernels);
+            arena, batch, kernels);
   const std::span<const int8_t> out =
       arena.tensor(tensors[static_cast<size_t>(end)]);
   return {out.begin(), out.end()};

@@ -144,13 +144,15 @@ struct ExecPlan {
   void run_batch(std::span<const std::span<const uint8_t>> images,
                  const KernelTable& kernels,
                  std::vector<std::vector<int8_t>>& logits_out) const;
-  // A step range: `activations` is tensor `first`, steps [first, end)
-  // run and tensor `end` is returned (`first == end` returns the input).
-  // The caller guarantees `first` is a linear boundary
+  // A step range over a contiguous batch: `activations` is tensor
+  // `first` of `batch` images, steps [first, end) run and tensor `end`
+  // of the batch is returned (`first == end` returns the input). The
+  // caller guarantees `first` is a linear boundary
   // (QModel::linear_boundary), so one tensor carries the whole frontier.
   std::vector<int8_t> run_range(int first, int end,
                                 std::span<const int8_t> activations,
-                                const KernelTable& kernels) const;
+                                const KernelTable& kernels,
+                                int batch = 1) const;
   // One streaming frame (InferenceEngine::run_incremental): shifts the
   // previous input by the pushed columns, then runs every step into the
   // ring's free slot — a spliced step copies its proven-equal band from

@@ -13,51 +13,56 @@ namespace ataman {
 
 namespace {
 
-// The cache's kernel table for one config and stage: approximable step
-// k runs the config's rung `row[k]` of its rung program, except the
-// stage's first approximable step, which copies its rung from
-// `first_outs` after computing every rung spanned there when `fresh`
-// (the stage input is new). Every other step runs the model's packed
-// kernels. Both families are bit-exact with the reference kernels under
-// the same mask.
-class RungKernels final : public KernelTable {
+// The cache's kernel table for one batched stage: lane j runs the
+// configs with rung row *rows[j]. The stage's first approximable step
+// (ordinal `first`) reads lane 0's input, which every lane shares, and
+// writes each lane's rung in one rung-program pass; a later
+// approximable step (residual stages only) runs each lane's own rung.
+// Every other step runs the model's packed kernels over the batch. Both
+// families are bit-exact with the reference kernels under the same
+// mask.
+class StageKernels final : public KernelTable {
  public:
-  RungKernels(const PackedKernels& packed,
-              const std::vector<UnpackedLayer>& rungs,
-              const std::vector<int>& row, int first,
-              std::span<const std::span<int8_t>> first_outs, bool fresh)
-      : packed_(packed),
-        rungs_(rungs),
-        row_(row),
-        first_(first),
-        first_outs_(first_outs),
-        fresh_(fresh) {}
+  StageKernels(const PackedKernels& packed,
+               const std::vector<UnpackedLayer>& rungs,
+               std::span<const std::vector<int>* const> rows, int first)
+      : packed_(packed), rungs_(rungs), rows_(rows), first_(first) {}
 
   void run_step(const ExecStep& step, const StepIO& io) const override {
     const int k = step.approx_ordinal;
     if (k < 0) return packed_.run_step(step, io);
     const UnpackedLayer& layer = rungs_[static_cast<size_t>(k)];
-    const auto r = static_cast<size_t>(row_[static_cast<size_t>(k)]);
+    std::vector<std::span<int8_t>> outs(
+        static_cast<size_t>(layer.rung_count));
+    const auto rung = [&](int j) {
+      const std::vector<int>& row = *rows_[static_cast<size_t>(j)];
+      return static_cast<size_t>(row[static_cast<size_t>(k)]);
+    };
     if (k == first_) {
-      if (fresh_)
-        layer.run_rungs(io.in_a, first_outs_, io.batch, io.scratch, io.cols);
-      const std::span<const int8_t> mine = first_outs_[r];
-      check(mine.size() == io.out.size(), "prefix cache: rung not computed");
-      std::copy(mine.begin(), mine.end(), io.out.begin());
+      for (int j = 0; j < io.batch; ++j)
+        if (outs[rung(j)].empty()) outs[rung(j)] = io.image(j).out;
+      layer.run_rungs(io.image(0).in_a, outs, 1, io.scratch, io.cols);
+      // Lanes that differ only at later ordinals share this rung.
+      for (int j = 0; j < io.batch; ++j) {
+        const std::span<int8_t> mine = io.image(j).out;
+        if (outs[rung(j)].data() != mine.data())
+          std::ranges::copy(outs[rung(j)], mine.begin());
+      }
       return;
     }
-    std::vector<std::span<int8_t>> outs(static_cast<size_t>(layer.rung_count));
-    outs[r] = io.out;
-    layer.run_rungs(io.in_a, outs, io.batch, io.scratch, io.cols);
+    for (int j = 0; j < io.batch; ++j) {
+      const StepIO one = io.image(j);
+      std::ranges::fill(outs, std::span<int8_t>());
+      outs[rung(j)] = one.out;
+      layer.run_rungs(one.in_a, outs, 1, io.scratch, io.cols);
+    }
   }
 
  private:
   const PackedKernels& packed_;
   const std::vector<UnpackedLayer>& rungs_;
-  const std::vector<int>& row_;
+  std::span<const std::vector<int>* const> rows_;
   int first_;
-  std::span<const std::span<int8_t>> first_outs_;
-  bool fresh_;
 };
 
 // The constructor's argument check, run before the packed kernels read
@@ -214,18 +219,20 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
   const bool scored = model_->head == TaskHead::kScore;
   std::atomic<int64_t> run_total{0}, reuse_total{0};
   parallel_for_chunked(lo_img, hi_img, [&](int64_t lo, int64_t hi) {
-    // boundary[s] holds tensor stage_begin_[s] (the single-tensor linear
-    // cut opening stage s) for the current image; boundary[n_stages] the
-    // logits.
-    std::vector<std::vector<int8_t>> boundary(
-        static_cast<size_t>(n_stages) + 1);
-    // needed[s][r]: rung r's output of stage s's first approximable step
-    // for the current boundary[s], in rung_out[s] (empty: not computed
-    // when that boundary was new).
-    std::vector<std::vector<int8_t>> rung_out(static_cast<size_t>(n_stages));
-    std::vector<std::vector<std::span<int8_t>>> needed(
-        static_cast<size_t>(n_stages));
-    std::vector<int8_t> q_input;
+    // entry: tensor stage_begin_[0] of the current image. out[s]: stage
+    // s's output for every lane of its current batch, lanes[s] of them,
+    // and lane[s] the current config's lane. Stage s > 0 reads its input
+    // from lane[s - 1] of out[s - 1].
+    std::vector<int8_t> entry, q_input, batch_in;
+    std::vector<std::vector<int8_t>> out(static_cast<size_t>(n_stages));
+    std::vector<int> lane(static_cast<size_t>(n_stages), 0);
+    std::vector<int> lanes(static_cast<size_t>(n_stages), 0);
+    std::vector<const std::vector<int>*> rows;
+    const auto lane_of = [&](size_t s) {
+      const size_t elems = out[s].size() / static_cast<size_t>(lanes[s]);
+      return std::span<const int8_t>(out[s]).subspan(
+          static_cast<size_t>(lane[s]) * elems, elems);
+    };
     int64_t run = 0, reuse = 0;
     for (int64_t img = lo; img < hi; ++img) {
       const int i = static_cast<int>(img);  // position; hits row offset
@@ -235,8 +242,8 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
       q_input.resize(image.size());
       plan_.quantize_input(image, q_input);
       // Layers before the first stage (normally none) hold no
-      // approximable layer; run them once into the depth-0 boundary.
-      boundary[0] = plan_.run_range(0, stage_begin_[0], q_input, packed_);
+      // approximable layer; run them once.
+      entry = plan_.run_range(0, stage_begin_[0], q_input, packed_);
 
       // One trie walk per image over every config whose range covers it.
       // The resume depth over a gap of skipped configs is the min of the
@@ -262,43 +269,52 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
           const int s0 = stage_for_depth(depth);
           const int resume_ordinal =
               stage_first_ordinal_[static_cast<size_t>(s0)];
-          const std::vector<int>& row = rung_[static_cast<size_t>(c)];
           for (size_t s = static_cast<size_t>(s0);
                s < static_cast<size_t>(n_stages); ++s) {
-            const int k = stage_first_ordinal_[s];
-            const UnpackedLayer& layer = rungs_[static_cast<size_t>(k)];
-            // boundary[s] is new for the image's first config and behind
-            // the resume stage. Its rungs are then the keys at ordinal k
-            // of every config below p in the trie that covers image i:
-            // those are exactly the configs that resume from it.
-            const bool fresh = first || s > static_cast<size_t>(s0);
-            if (fresh) {
-              const auto elems = static_cast<size_t>(layer.geom.positions() *
-                                                     layer.geom.out_c);
-              needed[s].assign(static_cast<size_t>(layer.rung_count),
-                               std::span<int8_t>());
-              rung_out[s].resize(needed[s].size() * elems);
-              // p's subtree: p and the positions after it that share its
-              // first k keys.
-              for (int q = p;
-                   q < n_cfg && (q == p || lcp_[static_cast<size_t>(q)] >= k);
-                   ++q) {
-                const auto cq =
-                    static_cast<size_t>(order_[static_cast<size_t>(q)]);
-                if (i < img_begin[cq] || i >= img_end[cq]) continue;
-                const auto r =
-                    static_cast<size_t>(rung_[cq][static_cast<size_t>(k)]);
-                needed[s][r] = std::span(rung_out[s]).subspan(r * elems, elems);
-              }
+            // Stage s's input is new for the image's first config and
+            // behind the resume stage. Otherwise the previous covering
+            // config shares it and differs inside stage s, and the
+            // batch run on that input holds this config's stage key as
+            // the next lane: lanes follow the walk's order.
+            if (!first && s == static_cast<size_t>(s0)) {
+              check(++lane[s] < lanes[s], "prefix cache: stage lane missing");
+              continue;
             }
-            const RungKernels kernels(packed_, rungs_, row, k, needed[s],
-                                      fresh);
-            boundary[s + 1] = plan_.run_range(stage_begin_[s],
-                                              stage_begin_[s + 1],
-                                              boundary[s], kernels);
+            // The batch: one lane per distinct stage key among the
+            // configs that resume from this input, i.e. those of p's
+            // subtree (p and the positions after it sharing its first k
+            // keys) that cover image i. Sorted order keeps equal stage
+            // keys adjacent.
+            const int k = stage_first_ordinal_[s];
+            const int k_end = s + 1 < static_cast<size_t>(n_stages)
+                                  ? stage_first_ordinal_[s + 1]
+                                  : approx_count_;
+            rows.clear();
+            int gap = approx_count_;
+            for (int q = p;
+                 q < n_cfg && (q == p || lcp_[static_cast<size_t>(q)] >= k);
+                 ++q) {
+              gap = std::min(gap, lcp_[static_cast<size_t>(q)]);
+              const auto cq =
+                  static_cast<size_t>(order_[static_cast<size_t>(q)]);
+              if (i < img_begin[cq] || i >= img_end[cq]) continue;
+              if (q == p || gap < k_end) rows.push_back(&rung_[cq]);
+              gap = approx_count_;
+            }
+            const std::span<const int8_t> in =
+                s == 0 ? std::span<const int8_t>(entry) : lane_of(s - 1);
+            const auto batch = static_cast<int>(rows.size());
+            batch_in.resize(in.size() * rows.size());
+            for (size_t j = 0; j < rows.size(); ++j)
+              std::ranges::copy(in, batch_in.data() + j * in.size());
+            const StageKernels kernels(packed_, rungs_, rows, k);
+            out[s] = plan_.run_range(stage_begin_[s], stage_begin_[s + 1],
+                                     batch_in, kernels, batch);
+            lanes[s] = batch;
+            lane[s] = 0;
           }
-          const std::vector<int8_t>& logits =
-              boundary[static_cast<size_t>(n_stages)];
+          const std::span<const int8_t> logits =
+              lane_of(static_cast<size_t>(n_stages) - 1);
           const int pred =
               scored ? scored_class(*model_, reconstruction_score(
                                                  *model_, q_input, logits))

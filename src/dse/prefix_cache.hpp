@@ -29,16 +29,17 @@
 //
 // Sibling configs (same prefix, different key at one layer) share that
 // layer's input, and a rung program computes every rung of it in one
-// pass: per image, when a stage's input is new, its first approximable
-// step runs once for every rung that any config of the trie subtree
-// below needs (among those whose image range covers the image), and
-// each config then copies its rung's output and runs the rest of the
-// stage. The pass costs the retained products of the lowest rung
-// needed; every other sibling costs only its requantize epilogue.
+// pass. Per image, when a stage's input is new, the stage runs once as
+// one batch: one lane per distinct stage key (the rungs at the stage's
+// ordinals) among the configs of the trie subtree below that cover the
+// image. Its first approximable step writes every lane's rung in one
+// pass, which costs the retained products of the lowest rung needed;
+// every other sibling costs only its requantize epilogue. The rest of
+// the stage runs batched, and each config reads its lane's output.
 //
 // Execution is the model's compiled ExecPlan: each stage (below) is one
-// step range (ExecPlan::run_range) through a kernel table that runs each
-// approximable step as the config's rung. The last stage runs to the
+// batched step range (ExecPlan::run_range) through a kernel table that
+// runs each approximable step as each lane's rung. The last stage runs to the
 // end of the model, so the exact tail behind the last approximable
 // layer (pool/dense — never approximated) is part of its range.
 //
@@ -50,7 +51,7 @@
 // approximable layer (the *dominating boundary*), and a config resumes
 // from the deepest stage start at or below its trie lcp. Ordinals that
 // share keys but sit inside a partially-shared stage are re-run (each
-// config runs its own rung of them), which is why prefix-cache hit
+// lane runs its own rung of them), which is why prefix-cache hit
 // rates drop on residual models (docs/DSE.md). On a pure chain every
 // boundary is linear, every ordinal starts its own stage, and the walk
 // is bitwise identical to the pre-DAG cache.

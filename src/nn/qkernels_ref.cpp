@@ -1,5 +1,8 @@
 #include "src/nn/qkernels_ref.hpp"
 
+#include <array>
+#include <vector>
+
 #include "src/common/error.hpp"
 #include "src/common/math_util.hpp"
 
@@ -41,6 +44,9 @@ int32_t dot_run(const int8_t* x, const int8_t* w, const uint8_t* sk, int n,
 
 // Depthwise channels accumulated together per window pass, on the stack.
 constexpr int kDepthwiseBlock = 64;
+// Taps of a masked depthwise block whose weights fit the stack copy (a
+// kernel up to 11 x 11); a larger kernel copies to the heap.
+constexpr int kDepthwiseStackTaps = 121;
 
 }  // namespace
 
@@ -107,44 +113,58 @@ void depthwise_conv2d_ref(const QDepthwiseConv2D& layer,
 
   // Weights are [tap][ch] and the input HWC, so with the channels
   // innermost both operands of a tap are contiguous. The skip mask is
-  // [ch][tap]: a block's flags for one tap lie `patch` apart.
+  // [ch][tap], its flags for one tap `patch` apart: a masked call first
+  // copies each block's weights to [tap][ch] on the stack with the
+  // skipped ones zeroed, so its tap loop is the unmasked one.
   const int c_n = layer.channels, patch = layer.patch_size();
   const int32_t zp = layer.in.zero_point;
+  std::array<int8_t, kDepthwiseBlock * kDepthwiseStackTaps> stack_w;
+  std::vector<int8_t> heap_w(
+      skip != nullptr && patch > kDepthwiseStackTaps
+          ? static_cast<size_t>(patch) * kDepthwiseBlock
+          : 0);
+  int8_t* masked = heap_w.empty() ? stack_w.data() : heap_w.data();
   int32_t acc[kDepthwiseBlock];
-  for (int oy = 0; oy < oh; ++oy) {
-    const TapRange ty =
-        in_image_taps(oy, layer.stride, layer.pad, layer.kernel, layer.in_h);
-    for (int ox = cols.begin; ox < ox_end; ++ox) {
-      const TapRange tx = in_image_taps(ox, layer.stride, layer.pad,
-                                        layer.kernel, layer.in_w);
-      int8_t* orow = out.data() + (static_cast<size_t>(oy) * ow + ox) * c_n;
-      for (int c0 = 0; c0 < c_n; c0 += kDepthwiseBlock) {
-        const int n = std::min(kDepthwiseBlock, c_n - c0);
+  for (int c0 = 0; c0 < c_n; c0 += kDepthwiseBlock) {
+    const int n = std::min(kDepthwiseBlock, c_n - c0);
+    // Tap p's weights for the block: w + p * w_stride.
+    const int8_t* w = layer.weights.data() + c0;
+    size_t w_stride = static_cast<size_t>(c_n);
+    if (skip != nullptr) {
+      for (int p = 0; p < patch; ++p) {
+        for (int j = 0; j < n; ++j) {
+          const size_t op = static_cast<size_t>(c0 + j) * patch + p;
+          masked[static_cast<size_t>(p) * kDepthwiseBlock + j] =
+              kept(layer.weights[dw_weight_index(c0 + j, p, c_n)], skip[op]);
+        }
+      }
+      w = masked;
+      w_stride = kDepthwiseBlock;
+    }
+    for (int oy = 0; oy < oh; ++oy) {
+      const TapRange ty = in_image_taps(oy, layer.stride, layer.pad,
+                                        layer.kernel, layer.in_h);
+      for (int ox = cols.begin; ox < ox_end; ++ox) {
+        const TapRange tx = in_image_taps(ox, layer.stride, layer.pad,
+                                          layer.kernel, layer.in_w);
         for (int j = 0; j < n; ++j)
           acc[j] = layer.bias[static_cast<size_t>(c0 + j)];
         for (int ky = ty.k0; ky < ty.k1; ++ky) {
           const int iy = oy * layer.stride - layer.pad + ky;
           for (int kx = tx.k0; kx < tx.k1; ++kx) {
             const int ix = ox * layer.stride - layer.pad + kx;
-            const int p = ky * layer.kernel + kx;
             const int8_t* x =
                 in.data() +
                 (static_cast<size_t>(iy) * layer.in_w + ix) * c_n + c0;
-            const int8_t* w =
-                layer.weights.data() + dw_weight_index(c0, p, c_n);
-            if (skip == nullptr) {
-              for (int j = 0; j < n; ++j) acc[j] += (x[j] - zp) * w[j];
-            } else {
-              const uint8_t* sk =
-                  skip + static_cast<size_t>(c0) * patch + p;
-              for (int j = 0; j < n; ++j)
-                acc[j] += (x[j] - zp) *
-                          kept(w[j], sk[static_cast<size_t>(j) * patch]);
-            }
+            const int8_t* wp =
+                w + static_cast<size_t>(ky * layer.kernel + kx) * w_stride;
+            for (int j = 0; j < n; ++j) acc[j] += (x[j] - zp) * wp[j];
           }
         }
+        int8_t* orow =
+            out.data() + (static_cast<size_t>(oy) * ow + ox) * c_n + c0;
         for (int j = 0; j < n; ++j)
-          orow[c0 + j] = requant_clamp(
+          orow[j] = requant_clamp(
               acc[j], layer.requant[static_cast<size_t>(c0 + j)],
               layer.out.zero_point, layer.act_min, layer.act_max);
       }
@@ -163,20 +183,21 @@ void maxpool_ref(const QMaxPool& layer, std::span<const int8_t> in,
   check(static_cast<int64_t>(out.size()) ==
             static_cast<int64_t>(oh) * ow * c,
         "pool output size mismatch");
+  // Channels innermost: each tap is one contiguous run of `c` values in
+  // the HWC input, maxed into the output position's run.
   for (int oy = 0; oy < oh; ++oy) {
     for (int ox = 0; ox < ow; ++ox) {
-      for (int ch = 0; ch < c; ++ch) {
-        // Covering geometry is validated above, so every tap is inside.
-        int8_t best = -128;
-        for (int ky = 0; ky < layer.kernel; ++ky) {
-          const int iy = oy * layer.stride + ky;
-          for (int kx = 0; kx < layer.kernel; ++kx) {
-            const int ix = ox * layer.stride + kx;
-            best = std::max(
-                best, in[(static_cast<size_t>(iy) * layer.in_w + ix) * c + ch]);
-          }
+      int8_t* best = out.data() + (static_cast<size_t>(oy) * ow + ox) * c;
+      std::fill_n(best, c, int8_t{-128});
+      // Covering geometry is validated above, so every tap is inside.
+      for (int ky = 0; ky < layer.kernel; ++ky) {
+        const int iy = oy * layer.stride + ky;
+        for (int kx = 0; kx < layer.kernel; ++kx) {
+          const int ix = ox * layer.stride + kx;
+          const int8_t* x =
+              in.data() + (static_cast<size_t>(iy) * layer.in_w + ix) * c;
+          for (int ch = 0; ch < c; ++ch) best[ch] = std::max(best[ch], x[ch]);
         }
-        out[(static_cast<size_t>(oy) * ow + ox) * c + ch] = best;
       }
     }
   }
@@ -243,11 +264,14 @@ void qadd_ref(const QAdd& layer, std::span<const int8_t> in_a,
                       layer.in_a.zero_point;
     const int32_t b = static_cast<int32_t>(in_b[static_cast<size_t>(i)]) -
                       layer.in_b.zero_point;
-    const int32_t sum = multiply_by_quantized_multiplier(a, layer.requant_a) +
-                        multiply_by_quantized_multiplier(b, layer.requant_b) +
-                        layer.out.zero_point;
+    // Summed in int64: two requantized operands near an int32 limit (a
+    // large QAdd ratio saturates them there) overflow an int32 sum.
+    const int64_t sum =
+        int64_t{multiply_by_quantized_multiplier(a, layer.requant_a)} +
+        multiply_by_quantized_multiplier(b, layer.requant_b) +
+        layer.out.zero_point;
     out[static_cast<size_t>(i)] = static_cast<int8_t>(
-        std::clamp(sum, layer.act_min, layer.act_max));
+        std::clamp<int64_t>(sum, layer.act_min, layer.act_max));
   }
 }
 

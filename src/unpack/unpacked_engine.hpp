@@ -51,8 +51,8 @@ class UnpackedEngine : public InferenceEngine, private KernelTable {
  private:
   // Kernel table: unpacked programs where they exist, the packed kernels
   // (FC, pools, adds, hybrid packed fallbacks) everywhere else. Each
-  // unpacked channel program streams once per block of kPosBlock output
-  // columns, and once per kBatchLanes images of a batch; the priced
+  // unpacked channel program streams once per kBatchLanes blocks of
+  // kPosBlock output columns (of any row or image); the priced
   // cycles model the MCU's one-position stream.
   const KernelTable& kernels() const override { return *this; }
   void run_step(const ExecStep& step, const StepIO& io) const override;

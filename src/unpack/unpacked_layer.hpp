@@ -107,9 +107,9 @@ struct UnpackedLayer {
   // Execute on a contiguous batch of `batch` input feature maps (image b
   // at b * in_elems / b * out_elems). Bit-exact with the reference kernel
   // under the same skip mask (tests assert this). On the host each
-  // channel program is streamed once per block of kPosBlock output
-  // columns (and, for batches, kBatchLanes images): each hardwired weight
-  // constant multiplies into all of the block's accumulators
+  // channel program is streamed once per kBatchLanes blocks of kPosBlock
+  // output columns (of any row or image): each hardwired weight
+  // constant multiplies into all of the lanes' accumulators
   // (run_conv_blocks). `scratch` as for the packed kernels (Q15Scratch);
   // only the output columns in `range` are computed.
   void run(std::span<const int8_t> in, std::span<int8_t> out, int batch = 1,

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
+#include <vector>
 
 #include "src/cmsisnn/cmsis_engine.hpp"
 #include "src/cmsisnn/packed_kernels.hpp"
@@ -13,6 +15,7 @@
 #include "src/cmsisnn/smlad.hpp"
 #include "src/nn/engine.hpp"
 #include "src/nn/qkernels_ref.hpp"
+#include "src/sig/significance.hpp"
 #include "src/unpack/unpacked_engine.hpp"
 #include "src/unpack/unpacked_layer.hpp"
 #include "tests/test_util.hpp"
@@ -373,6 +376,183 @@ TEST(PoisonedScratch, ConvDepthwiseAndUnpackedMatchReference) {
                     g.out_c),
                 "")
           << "unpacked " << where;
+    }
+  }
+}
+
+// Row lanes: the conv block loop fills its kBatchLanes lanes with any
+// (image, output row, column block) of a call, so lane groups straddle
+// rows and images and the last group of a call is ragged. Packed conv,
+// packed depthwise and a rung program emitting all three rungs (a store
+// between bands) over out_h 1-5 and out_w 1-17 at strides 1 and 2, at
+// batch 1, 2, 3 and 5, every column range against the reference
+// kernels, with the output pre-filled by the column-range sentinel and a
+// poisoned scratch of exactly the plan's size for min(batch, kBatchLanes)
+// image copies.
+TEST(RowLanes, RaggedGroupsMatchReferenceOnEveryColumnRange) {
+  constexpr int16_t kPoison = 0x7FFF;
+  const std::vector<double> taus = {0.3, 0.6};
+  const int rungs = static_cast<int>(taus.size()) + 1;
+  for (const int out_h : {1, 2, 3, 5}) {
+    for (const int out_w : {1, 7, 9, 17}) {
+      for (const int stride : {1, 2}) {
+        // 3x3, pad 1: in = (out - 1) * stride + 1.
+        const int in_h = (out_h - 1) * stride + 1;
+        const int in_w = (out_w - 1) * stride + 1;
+        ConvGeom cg;
+        cg.in_h = in_h; cg.in_w = in_w; cg.in_c = 3;
+        cg.out_c = 5; cg.kernel = 3; cg.stride = stride; cg.pad = 1;
+        const uint64_t seed = static_cast<uint64_t>(100 * out_h + 10 * out_w + stride);
+        const std::vector<QLayer> layers = {
+            make_random_qconv(cg, seed),
+            make_random_qdw(in_h, in_w, 3, 3, stride, 1, seed + 1)};
+        for (const QLayer& layer : layers) {
+          const OpDescriptor d = describe_layer(layer);
+          ASSERT_EQ(d.out_elems, static_cast<int64_t>(out_h) * out_w * d.channels);
+          const auto* conv = std::get_if<QConv2D>(&layer);
+          const auto* dw = std::get_if<QDepthwiseConv2D>(&layer);
+          LayerSignificance sig;
+          sig.out_c = d.channels;
+          sig.patch = d.patch;
+          Rng rng(seed + 2);
+          for (int64_t op = 0; op < d.skippable_operand_count(); ++op)
+            sig.S.push_back(rng.next_float());
+          const UnpackedLayer u = UnpackedLayer::build_rungs(layer, sig, taus);
+          const PackedWeights packed =
+              conv != nullptr ? PackedWeights::pack(conv->weights, cg.out_c,
+                                                    cg.patch_size())
+                              : PackedWeights{};
+
+          constexpr int kMaxBatch = 5;
+          const size_t in_elems = static_cast<size_t>(d.in_elems);
+          const size_t out_elems = static_cast<size_t>(d.out_elems);
+          const auto in = make_random_input(
+              static_cast<int64_t>(in_elems) * kMaxBatch, seed + 3);
+          for (const int batch : {1, 2, 3, kMaxBatch}) {
+            const size_t n = out_elems * static_cast<size_t>(batch);
+            const auto in_b = std::span(in).first(batch * in_elems);
+            // want: the exact reference, then the reference under each
+            // rung's mask, rung after rung.
+            std::vector<int8_t> want(n), want_rungs(n * rungs);
+            for (size_t b = 0; b < static_cast<size_t>(batch); ++b) {
+              const auto img = in_b.subspan(b * in_elems, in_elems);
+              run_layer_ref(layer, img, {},
+                            std::span(want).subspan(b * out_elems, out_elems));
+              for (int r = 0; r < rungs; ++r) {
+                std::vector<uint8_t> skip(sig.S.size(), 0);
+                for (size_t op = 0; op < skip.size(); ++op) {
+                  skip[op] = r > 0 && sig.S[op] <= static_cast<float>(
+                                                      taus[static_cast<size_t>(r - 1)]);
+                }
+                run_layer_ref(layer, img, {},
+                              std::span(want_rungs)
+                                  .subspan(static_cast<size_t>(r) * n +
+                                               b * out_elems,
+                                           out_elems),
+                              skip.data());
+              }
+            }
+            std::vector<int16_t> scratch(
+                static_cast<size_t>(plan_scratch_elems(layer)) *
+                static_cast<size_t>(std::min(batch, kBatchLanes)));
+            const auto poisoned = [&](auto run) {
+              return [&, run](ColumnRange range, std::span<int8_t> out) {
+                std::ranges::fill(scratch, kPoison);
+                run(range, out);
+              };
+            };
+            const std::string where =
+                (conv != nullptr ? "conv" : "depthwise") +
+                std::string(" out ") + std::to_string(out_h) + "x" +
+                std::to_string(out_w) + " stride " + std::to_string(stride) +
+                " batch " + std::to_string(batch);
+            EXPECT_EQ(testing::first_column_range_mismatch(
+                          poisoned([&](ColumnRange r, std::span<int8_t> out) {
+                            if (conv != nullptr) {
+                              packed_conv2d(*conv, packed, in_b, out, batch,
+                                            scratch, r);
+                            } else {
+                              packed_depthwise_conv2d(*dw, in_b, out, batch,
+                                                      scratch, r);
+                            }
+                          }),
+                          want, out_w, d.channels),
+                      "")
+                << "packed " << where;
+            EXPECT_EQ(testing::first_column_range_mismatch(
+                          poisoned([&](ColumnRange r, std::span<int8_t> out) {
+                            std::vector<std::span<int8_t>> outs;
+                            for (int k = 0; k < rungs; ++k)
+                              outs.push_back(out.subspan(static_cast<size_t>(k) * n, n));
+                            u.run_rungs(in_b, outs, batch, scratch, r);
+                          }),
+                          want_rungs, out_w, d.channels),
+                      "")
+                << "rung program " << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// packed_dense over kBatchLanes images per weight row: every batch from
+// 1 to 9 (whole lane groups, ragged tails, a lone image), odd and even
+// in_dim, against dense_ref per image.
+TEST(PackedDense, BatchMatchesReferencePerImage) {
+  for (const int in_dim : {7, 8, 33, 64}) {
+    const QDense fc = make_random_qdense(in_dim, 6, 500 + in_dim);
+    const PackedWeights packed =
+        PackedWeights::pack(fc.weights, fc.out_dim, fc.in_dim);
+    for (int batch = 1; batch <= 9; ++batch) {
+      const auto in = make_random_input(in_dim * batch, 501 + in_dim + batch);
+      std::vector<int8_t> want(static_cast<size_t>(fc.out_dim) * batch);
+      for (int b = 0; b < batch; ++b) {
+        dense_ref(fc, std::span(in).subspan(static_cast<size_t>(b) * in_dim,
+                                            static_cast<size_t>(in_dim)),
+                  std::span(want).subspan(static_cast<size_t>(b) * fc.out_dim,
+                                          static_cast<size_t>(fc.out_dim)));
+      }
+      std::vector<int16_t> scratch(static_cast<size_t>(in_dim) *
+                                   std::min(batch, kBatchLanes));
+      std::ranges::fill(scratch, int16_t{0x7FFF});
+      std::vector<int8_t> got(want.size(), 0x5A);
+      packed_dense(fc, packed, in, got, batch, scratch);
+      EXPECT_EQ(got, want) << "in_dim " << in_dim << " batch " << batch;
+    }
+  }
+}
+
+// smlad_dot_lanes against smlad_dot_scalar per lane, on every tail
+// length, with extreme and random operands.
+TEST(Smlad, DotLanesMatchScalarOnEveryTailLength) {
+  Rng rng(5);
+  for (size_t pairs = 0; pairs <= 33; ++pairs) {
+    std::vector<uint32_t> w(pairs);
+    std::vector<std::vector<int16_t>> x(kBatchLanes,
+                                        std::vector<int16_t>(2 * pairs));
+    for (int trial = 0; trial < 10; ++trial) {
+      const bool extreme = trial == 0;
+      for (uint32_t& v : w) {
+        v = extreme ? pack_weight_pair(-128, -128)
+                    : pack_weight_pair(
+                          static_cast<int8_t>(rng.next_int(-128, 127)),
+                          static_cast<int8_t>(rng.next_int(-128, 127)));
+      }
+      const int16_t* lanes[kBatchLanes];
+      int32_t acc[kBatchLanes], want[kBatchLanes];
+      for (int j = 0; j < kBatchLanes; ++j) {
+        for (int16_t& v : x[static_cast<size_t>(j)]) {
+          v = extreme ? int16_t{-32768}
+                      : static_cast<int16_t>(rng.next_int(-32768, 32767));
+        }
+        lanes[j] = x[static_cast<size_t>(j)].data();
+        acc[j] = static_cast<int32_t>(rng.next_u64());
+        want[j] = smlad_dot_scalar(w.data(), lanes[j], pairs, acc[j]);
+      }
+      smlad_dot_lanes(w.data(), lanes, pairs, acc);
+      for (int j = 0; j < kBatchLanes; ++j)
+        ASSERT_EQ(acc[j], want[j]) << "pairs=" << pairs << " lane " << j;
     }
   }
 }

@@ -182,6 +182,51 @@ TEST(EdgeCases, EpilogueZeroPointAddAtInt32LimitClampsToActMax) {
   EXPECT_TRUE(all_127(logits)) << "packed_dense";
 }
 
+// QAdd's sum at the int32 limits: requant_a at shift 30 saturates its
+// requantized operand at INT32_MAX or INT32_MIN, requant_b runs at shift
+// 0 or 30 too, and every zero point sits at an int8 limit, so an int32
+// sum of the two operands and the output zero point overflows. qadd_ref
+// must return what the sum clamps to in int64.
+TEST(EdgeCases, QAddSumAtInt32LimitsClampsLikeInt64) {
+  const QuantizedMultiplier kShift30{std::numeric_limits<int32_t>::max(), 30};
+  const QuantizedMultiplier kUnit{1 << 30, 1};
+  // Every (a, b) pair of int8 values once: a = i % 256, b = i / 256.
+  std::vector<int8_t> in_a(256 * 256), in_b(in_a.size()), out(in_a.size());
+  for (size_t i = 0; i < in_a.size(); ++i) {
+    in_a[i] = static_cast<int8_t>(static_cast<int>(i % 256) - 128);
+    in_b[i] = static_cast<int8_t>(static_cast<int>(i / 256) - 128);
+  }
+  bool overflowed = false;
+  for (const int32_t za : {-128, 127}) {
+    for (const int32_t zb : {-128, 127}) {
+      for (const int32_t zo : {-128, 127}) {
+        for (const QuantizedMultiplier& rb : {kUnit, kShift30}) {
+          QAdd add = testing::make_qadd(256, 256, 1, {0.1f, za}, {0.1f, zb},
+                                        {0.1f, zo});
+          add.requant_a = kShift30;
+          add.requant_b = rb;
+          qadd_ref(add, in_a, in_b, out);
+          for (size_t i = 0; i < out.size(); ++i) {
+            const int64_t sum =
+                int64_t{multiply_by_quantized_multiplier(in_a[i] - za,
+                                                         add.requant_a)} +
+                multiply_by_quantized_multiplier(in_b[i] - zb, rb) + zo;
+            overflowed |= sum > std::numeric_limits<int32_t>::max() ||
+                          sum < std::numeric_limits<int32_t>::min();
+            const auto want = static_cast<int8_t>(
+                std::clamp<int64_t>(sum, add.act_min, add.act_max));
+            ASSERT_EQ(out[i], want)
+                << "a " << int{in_a[i]} << " b " << int{in_b[i]} << " za "
+                << za << " zb " << zb << " zo " << zo << " rb.shift "
+                << rb.shift;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(overflowed);
+}
+
 TEST(EdgeCases, SingleChannelSingleOperandLayer) {
   // 1x1 conv, 1 input channel: patch of exactly one operand (no pairs,
   // one single) — the smallest possible unpacked program.

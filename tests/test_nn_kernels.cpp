@@ -339,6 +339,59 @@ TEST(MaxPoolRef, OddExtentDropsTail) {
   EXPECT_EQ(pool.out_w(), 2);
 }
 
+// maxpool_ref (channels innermost) against a copy of its earlier loop,
+// which visits each channel's window in turn: kernels 2 and 3, strides 1
+// and 2, 1 to 65 channels, over extents the windows tile exactly.
+TEST(MaxPoolRef, MatchesPerChannelWindowLoop) {
+  const auto per_channel = [](const QMaxPool& layer,
+                              std::span<const int8_t> in,
+                              std::span<int8_t> out) {
+    const int oh = layer.out_h(), ow = layer.out_w(), c = layer.channels;
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        for (int ch = 0; ch < c; ++ch) {
+          int8_t best = -128;
+          for (int ky = 0; ky < layer.kernel; ++ky) {
+            const int iy = oy * layer.stride + ky;
+            for (int kx = 0; kx < layer.kernel; ++kx) {
+              const int ix = ox * layer.stride + kx;
+              best = std::max(
+                  best,
+                  in[(static_cast<size_t>(iy) * layer.in_w + ix) * c + ch]);
+            }
+          }
+          out[(static_cast<size_t>(oy) * ow + ox) * c + ch] = best;
+        }
+      }
+    }
+  };
+  int cases = 0;
+  for (const int kernel : {2, 3}) {
+    for (const int stride : {1, 2}) {
+      for (int channels = 1; channels <= 65; ++channels) {
+        QMaxPool pool;
+        pool.in_h = kernel + stride * (1 + channels % 2);
+        pool.in_w = kernel + stride * (2 + channels % 3);
+        pool.channels = channels;
+        pool.kernel = kernel;
+        pool.stride = stride;
+        const auto in = make_random_input(
+            static_cast<int64_t>(pool.in_h) * pool.in_w * channels,
+            static_cast<uint64_t>(1000 + 100 * kernel + 10 * stride + channels));
+        const size_t n = static_cast<size_t>(pool.out_h()) * pool.out_w() *
+                         static_cast<size_t>(channels);
+        std::vector<int8_t> want(n), got(n, 0x5A);
+        per_channel(pool, in, want);
+        maxpool_ref(pool, in, got);
+        ASSERT_EQ(got, want) << "kernel " << kernel << " stride " << stride
+                             << " channels " << channels;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * 2 * 65);
+}
+
 TEST(DenseRef, MatchesManualDotProduct) {
   QDense fc = make_random_qdense(6, 3, 200);
   const auto in = make_random_input(6, 201);

@@ -183,7 +183,8 @@ TEST(UnpackedLayer, RungProgramMatchesOneRungProgramPerRung) {
     EXPECT_TRUE(odd_band);
     EXPECT_EQ(u.channels[0].band_end[static_cast<size_t>(rungs - 1)], 0u);
 
-    // One image (one lane) and five (a lane block and a ragged tail).
+    // One image (its blocks fill the lanes) and five (a lane block and a
+    // ragged tail).
     for (const int batch : {1, kBatch}) {
       const auto in_b = std::span(in).first(
           static_cast<size_t>(d.in_elems) * batch);
