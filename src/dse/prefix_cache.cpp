@@ -277,7 +277,8 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
             // batch run on that input holds this config's stage key as
             // the next lane: lanes follow the walk's order.
             if (!first && s == static_cast<size_t>(s0)) {
-              check(++lane[s] < lanes[s], "prefix cache: stage lane missing");
+              ++lane[s];
+              check(lane[s] < lanes[s], "prefix cache: stage lane missing");
               continue;
             }
             // The batch: one lane per distinct stage key among the
