@@ -38,16 +38,11 @@ const std::vector<LayerSignificance>& AtamanPipeline::significance() const {
 
 DseOutcome AtamanPipeline::explore(const DseProgress& progress) {
   analyze();
-  return explore(
-      generate_configs(model_->approx_layer_count(), options_.dse), progress);
-}
-
-DseOutcome AtamanPipeline::explore(const std::vector<ApproxConfig>& configs,
-                                   const DseProgress& progress) {
-  analyze();
   const ConfigEvaluator evaluator(model_, &significance_, eval_,
                                   options_.dse.eval_images);
-  return run_dse(evaluator, configs, options_.dse, progress);
+  return run_dse(evaluator,
+                 generate_configs(model_->approx_layer_count(), options_.dse),
+                 options_.dse, progress);
 }
 
 int AtamanPipeline::select(const DseOutcome& outcome,

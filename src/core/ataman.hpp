@@ -43,10 +43,8 @@ class AtamanPipeline {
   bool analyzed() const { return analyzed_; }
   const std::vector<LayerSignificance>& significance() const;
 
-  // Step 4: sweep the configured design space (or an explicit list).
+  // Step 4: sweep the configured design space.
   DseOutcome explore(const DseProgress& progress = nullptr);
-  DseOutcome explore(const std::vector<ApproxConfig>& configs,
-                     const DseProgress& progress = nullptr);
 
   // Step 5: pick the latency-optimal design within `max_accuracy_loss`
   // (absolute Top-1 fraction, e.g. 0.05) that fits the board's flash.

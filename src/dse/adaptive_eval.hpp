@@ -16,16 +16,17 @@
 //    evaluated: after the block loop, any front member with a partial
 //    sample is completed and the front recomputed until it is stable.
 //
-// With exact_sweep = true the block loop degenerates to one full pass
-// and the result is bitwise identical to the legacy per-config sweep.
-// See docs/DSE.md for when fast-mode results can differ from it.
+// With exact_sweep = true the exit test is off: every config advances
+// block by block to the full budget, the completion step finds nothing to
+// do, and the result is bitwise identical to the per-config sweep
+// (ConfigEvaluator::evaluate). See docs/DSE.md for when fast-mode results
+// can differ from it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "src/dse/config_space.hpp"
+#include "src/dse/dse_runner.hpp"
 #include "src/dse/prefix_cache.hpp"
 
 namespace ataman {
@@ -35,37 +36,33 @@ namespace ataman {
 double wilson_lower(int64_t hits, int64_t n, double z);
 double wilson_upper(int64_t hits, int64_t n, double z);
 
-struct AdaptiveSweepResult {
-  std::vector<double> accuracy;       // per config; partial for early exits
-  std::vector<int> images_evaluated;  // per config
-  int64_t cache_hits = 0;             // prefix segments reused
-  int64_t total_images = 0;           // sum of images_evaluated
-  int early_exits = 0;                // configs left with a partial sample
-};
-
-using SweepProgress = std::function<void(int done, int total)>;
-
-// Per-config static metrics the exit test needs (from the static
-// evaluator). A config is only abandoned in favour of a dominator with
-// >= MAC reduction AND <= cycles (and provably higher accuracy), so an
+// Blockwise accuracy sweep over `cache`'s config space, in place on
+// `outcome`, whose results already hold every config's static metrics
+// (ConfigEvaluator::evaluate_static); config 0 must be the all-exact
+// baseline. Writes each result's accuracy and partial_eval and the
+// outcome's cache_hits, images_evaluated and early_exits. Reads the
+// fast-sweep fields of `options` (exact_sweep, eval_block, exit_z,
+// exit_margin). Deterministic for any thread count.
+//
+// A config is only abandoned in favour of a dominator with >= MAC
+// reduction AND <= cycles (and provably higher accuracy), so an
 // abandoned config is irrelevant to the Fig. 2 front and to
-// select_design at any accuracy-loss budget: whenever it would
-// qualify, its dominator qualifies with <= cycles. The one deliberate
-// exception is a *binding* flash capacity — a pruned config could have
-// been a smaller-flash fallback; select_design never returns partial
-// results (so no budget is ever violated), and flash-constrained
-// selection should use DseOptions::exact_sweep.
-struct SweepStatics {
-  std::vector<double> mac_reduction;  // Fig. 2 x-axis, maximize
-  std::vector<int64_t> cycles;        // selection objective, minimize
-};
-
-// Blockwise accuracy sweep over `cache`'s config space; config 0 must
-// be the all-exact baseline. Reads the fast-sweep fields of `options`
-// (exact_sweep, eval_block, exit_z, exit_margin). Deterministic for any
-// thread count.
-AdaptiveSweepResult adaptive_accuracy_sweep(
-    const PrefixCache& cache, const SweepStatics& statics,
-    const DseOptions& options, const SweepProgress& progress = nullptr);
+// select_design at any accuracy-loss budget: whenever it would qualify,
+// its dominator qualifies with <= cycles. The one deliberate exception
+// is a *binding* flash capacity — a pruned config could have been a
+// smaller-flash fallback; select_design never returns partial results
+// (so no budget is ever violated), and flash-constrained selection
+// should use DseOptions::exact_sweep.
+//
+// `progress` gets (done, total) after every block but the last and once
+// at the end. `total` is the config count; `done` counts configs' worth
+// of settled images (a config with its full budget or an early exit
+// counts whole, a pending one by the share it has evaluated), so it
+// never decreases and an exact sweep moves block by block. The last
+// call is (total, total).
+void adaptive_accuracy_sweep(const PrefixCache& cache,
+                             const DseOptions& options,
+                             const DseProgress& progress,
+                             DseOutcome& outcome);
 
 }  // namespace ataman

@@ -38,25 +38,16 @@ struct DseOutcome {
 
 using DseProgress = std::function<void(int done, int total)>;
 
-// Sweep an explicit config list. The sweep runs through the layer-prefix
-// activation cache with adaptive early exit by default;
+// Sweep an explicit config list (configs[0] must be the all-exact
+// baseline): static metrics per config from the evaluator, then every
+// accuracy through the layer-prefix activation cache
+// (src/dse/prefix_cache) with adaptive early exit by default.
 // options.exact_sweep = true keeps the cache but evaluates every config
-// on the full image budget (bitwise identical to per-config
-// ConfigEvaluator::evaluate). Only a model with no approximable layer,
-// which gives the cache no trie to build, runs the per-config sweep
-// (ConfigEvaluator::evaluate per config).
+// on the full image budget, bitwise identical to per-config
+// ConfigEvaluator::evaluate. A model with no approximable layer takes the
+// same path: its cache is one stage with no rungs.
 DseOutcome run_dse(const ConfigEvaluator& evaluator,
                    const std::vector<ApproxConfig>& configs,
-                   const DseOptions& options,
-                   const DseProgress& progress = nullptr);
-
-// As above with default DseOptions (fast adaptive sweep).
-DseOutcome run_dse(const ConfigEvaluator& evaluator,
-                   const std::vector<ApproxConfig>& configs,
-                   const DseProgress& progress = nullptr);
-
-// Convenience: generate + sweep in one call.
-DseOutcome run_dse(const ConfigEvaluator& evaluator, int conv_count,
                    const DseOptions& options,
                    const DseProgress& progress = nullptr);
 

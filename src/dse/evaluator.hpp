@@ -1,9 +1,11 @@
 // Per-configuration evaluation: the static deployment metrics (retained
-// MACs, predicted cycles, flash) from the MCU models, plus — for the
-// per-config path only — classification accuracy through the reference
-// engine on the zeroed-weight model (numerically identical to running
-// the skipped unpacked code). run_dse measures the accuracies of a whole
-// config space through the prefix cache instead (src/dse/prefix_cache).
+// MACs, predicted cycles, flash) from the MCU models, plus — in
+// evaluate(), the oracle the tests check the sweep against —
+// classification accuracy through the reference engine on the
+// zeroed-weight model (numerically identical to running the skipped
+// unpacked code). run_dse measures the accuracies of a whole config
+// space, for every model, through the prefix cache instead
+// (src/dse/prefix_cache).
 #pragma once
 
 #include <cstdint>
@@ -64,15 +66,14 @@ class ConfigEvaluator {
 
   // Static metrics plus the accuracy of the reference engine on the
   // zeroed-weight model: the per-config oracle the cached sweep is
-  // tested against, and run_dse's path for a model with no approximable
-  // layers.
+  // tested against (and the legacy sweep bench/dse_scaling times).
   DseResult evaluate(const ApproxConfig& config) const;
 
   // The static (per-inference) deployment metrics only — everything in
   // DseResult except accuracy, which is left 0. The prefix-cached sweep
   // (src/dse/prefix_cache + src/dse/adaptive_eval) measures accuracy for
   // the whole config space at once and fills it in afterwards; evaluate()
-  // is evaluate_static() plus the legacy per-config accuracy measurement.
+  // is evaluate_static() plus the per-config accuracy measurement.
   DseResult evaluate_static(const ApproxConfig& config) const;
 
   // Cycle count of the packed exact baseline (latency_reduction reference).

@@ -87,8 +87,6 @@ PrefixCache::PrefixCache(const QModel* model,
       packed_(checked_model(model, significance, eval)) {
   check(!configs.empty(), "prefix cache needs at least one config");
   approx_count_ = model_->approx_layer_count();
-  check(approx_count_ > 0,
-        "prefix cache needs at least one approximable layer");
   check(static_cast<int>(significance->size()) == approx_count_,
         "significance does not match model");
   plan_ = ExecPlan::compile(*model_);
@@ -102,18 +100,19 @@ PrefixCache::PrefixCache(const QModel* model,
   approx_pos_.resize(static_cast<size_t>(approx_count_));
   for (int k = 0; k < approx_count_; ++k)
     approx_pos_[static_cast<size_t>(k)] = model_->approx_layer_index(k);
-  // Stage partition (header comment): ordinal k opens a new stage when
-  // the deepest linear boundary at or before its layer — the dominating
-  // boundary — falls behind ordinal k-1's layer, i.e. the model can be
-  // cut between the two with a single cached tensor. On chains every
-  // ordinal opens its own stage.
-  for (int k = 0; k < approx_count_; ++k) {
+  // Stage partition (header comment): stage 0 starts at ordinal 0's
+  // dominating boundary (the deepest linear boundary at or before its
+  // layer), and ordinal k opens a new stage when its dominating boundary
+  // falls behind ordinal k-1's layer, i.e. the model can be cut between
+  // the two with a single cached tensor. On chains every ordinal opens
+  // its own stage; a model with no approximable layer is one stage.
+  stage_begin_.push_back(
+      approx_count_ > 0 ? model_->dominating_boundary(approx_pos_[0]) : 0);
+  stage_first_ordinal_.push_back(0);
+  for (int k = 1; k < approx_count_; ++k) {
     const int cut =
         model_->dominating_boundary(approx_pos_[static_cast<size_t>(k)]);
-    if (k == 0) {
-      stage_begin_.push_back(cut);
-      stage_first_ordinal_.push_back(0);
-    } else if (cut > approx_pos_[static_cast<size_t>(k - 1)]) {
+    if (cut > approx_pos_[static_cast<size_t>(k - 1)]) {
       stage_begin_.push_back(cut);
       stage_first_ordinal_.push_back(k);
     }
@@ -123,6 +122,9 @@ PrefixCache::PrefixCache(const QModel* model,
   stage_begin_.push_back(static_cast<int>(model_->layers.size()));
 
   const int n_cfg = static_cast<int>(configs.size());
+  for (const ApproxConfig& config : configs)
+    check(static_cast<int>(config.tau.size()) == approx_count_,
+          "config does not match model");
   rung_.assign(static_cast<size_t>(n_cfg),
                std::vector<int>(static_cast<size_t>(approx_count_), 0));
 
@@ -130,21 +132,17 @@ PrefixCache::PrefixCache(const QModel* model,
   // skipped-operand count: skip sets are nested in tau (skip_plan.hpp),
   // so equal cardinality implies equal set, one tau per distinct count
   // suffices, and the rungs in ascending key order nest. The count uses
-  // make_skip_mask's comparison (kAlwaysRetain operands never satisfy
-  // <= tau), so each rung matches the legacy mask.
+  // the skips() rule make_skip_mask uses, so each rung matches the
+  // legacy mask.
   for (int k = 0; k < approx_count_; ++k) {
     const LayerSignificance& sig = (*significance)[static_cast<size_t>(k)];
     std::map<double, int64_t> key_of_tau;
     std::map<int64_t, double> tau_of_key{{0, -1.0}};  // key 0: exact rung 0
     for (const ApproxConfig& config : configs) {
-      check(static_cast<int>(config.tau.size()) == approx_count_,
-            "config does not match model");
       const double tau = config.tau[static_cast<size_t>(k)];
       if (tau < 0.0 || key_of_tau.count(tau) != 0) continue;
-      const int64_t key =
-          std::count_if(sig.S.begin(), sig.S.end(), [&](float v) {
-            return v <= static_cast<float>(tau);
-          });
+      const int64_t key = std::count_if(
+          sig.S.begin(), sig.S.end(), [&](float v) { return skips(v, tau); });
       key_of_tau.emplace(tau, key);
       tau_of_key.emplace(key, tau);
     }
@@ -260,8 +258,11 @@ PrefixCacheStats PrefixCache::evaluate_ranges(
           continue;
         const int depth = first ? 0 : pending;
         uint8_t hit;
-        if (depth == approx_count_) {
-          hit = prev_hit;  // identical config key: identical logits
+        // An identical config key gives identical logits. The image's first
+        // config has no predecessor, even where depth 0 is the full key
+        // (a model with no approximable layer).
+        if (!first && depth == approx_count_) {
+          hit = prev_hit;
           reuse += approx_count_ + 1;
         } else {
           // Resume from the dominating stage boundary: the deepest

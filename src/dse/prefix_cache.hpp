@@ -54,7 +54,10 @@
 // lane runs its own rung of them), which is why prefix-cache hit
 // rates drop on residual models (docs/DSE.md). On a pure chain every
 // boundary is linear, every ordinal starts its own stage, and the walk
-// is bitwise identical to the pre-DAG cache.
+// is bitwise identical to the pre-DAG cache. A model with no approximable
+// layer is one stage, [0, layers), with no rungs: each image's first
+// config runs the whole model on the packed kernels, and every config
+// sharing its (empty) key copies that hit.
 //
 // See docs/DSE.md for the sweep-level picture (adaptive early exit,
 // exact-mode escape hatch, reproduction commands).

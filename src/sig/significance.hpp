@@ -53,4 +53,11 @@ std::vector<LayerSignificance> compute_model_significance(
 
 constexpr float kAlwaysRetain = std::numeric_limits<float>::infinity();
 
+// The skip rule of Eq. (3): an operand of significance `s` is skipped at
+// threshold `tau` iff tau >= 0 and s <= (float)tau, compared in float as
+// S is stored. kAlwaysRetain never satisfies it; tau < 0 skips nothing.
+inline bool skips(float s, double tau) {
+  return tau >= 0.0 && s <= static_cast<float>(tau);
+}
+
 }  // namespace ataman

@@ -60,17 +60,12 @@ SkipMask make_skip_mask(const QModel& model,
   SkipMask mask = SkipMask::none(model);
   for (int ordinal = 0; ordinal < approx_count; ++ordinal) {
     const double tau = config.tau[static_cast<size_t>(ordinal)];
-    if (tau < 0.0) continue;
     const LayerSignificance& sig =
         significance[static_cast<size_t>(ordinal)];
     auto& m = mask.masks[static_cast<size_t>(ordinal)];
     ATAMAN_ASSERT(m.size() ==
                   static_cast<size_t>(sig.out_c) * sig.patch);
-    for (size_t i = 0; i < m.size(); ++i) {
-      // kAlwaysRetain (+inf) never satisfies <= tau: zero-sum channels
-      // keep everything.
-      m[i] = sig.S[i] <= static_cast<float>(tau) ? 1 : 0;
-    }
+    for (size_t i = 0; i < m.size(); ++i) m[i] = skips(sig.S[i], tau) ? 1 : 0;
   }
   return mask;
 }

@@ -137,7 +137,7 @@ UnpackedLayer UnpackedLayer::build_rungs(const QLayer& layer,
       layer, static_cast<int>(rung_taus.size()) + 1, [&](size_t op) {
         return static_cast<int>(
             std::count_if(rung_taus.begin(), rung_taus.end(), [&](double t) {
-              return !(sig.S[op] <= static_cast<float>(t));
+              return !skips(sig.S[op], t);
             }));
       });
 }

@@ -96,7 +96,7 @@ struct UnpackedLayer {
   static UnpackedLayer build(const QLayer& layer,
                              const uint8_t* skip = nullptr);
   // The rung program: rung 0 is exact and rung r >= 1 skips the
-  // operands with S <= rung_taus[r - 1] (make_skip_mask's comparison),
+  // operands skips() marks at rung_taus[r - 1], as make_skip_mask does,
   // so rung_taus must ascend. Each band's odd leftover is one SMLABB
   // step: rung 0's is the channel's single, a higher band's a pair with
   // a zero high weight.

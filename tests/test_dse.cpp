@@ -187,7 +187,7 @@ TEST_F(DseFixture, RunnerProducesValidFrontAndBaseline) {
   const ConfigEvaluator ev(model_, sig_, eval_, 30);
   DseOptions o;
   o.tau_step = 0.02;
-  const DseOutcome outcome = run_dse(ev, 2, o);
+  const DseOutcome outcome = run_dse(ev, generate_configs(2, o), o);
   ASSERT_FALSE(outcome.results.empty());
   EXPECT_FALSE(outcome.results[0].config.approximates_anything());
   EXPECT_EQ(outcome.exact_accuracy, outcome.results[0].accuracy);
@@ -210,7 +210,7 @@ TEST_F(DseFixture, SelectRespectsAccuracyFloor) {
   const ConfigEvaluator ev(model_, sig_, eval_, 30);
   DseOptions o;
   o.tau_step = 0.02;
-  const DseOutcome outcome = run_dse(ev, 2, o);
+  const DseOutcome outcome = run_dse(ev, generate_configs(2, o), o);
 
   const int strict = select_design(outcome, 0.0);
   ASSERT_GE(strict, 0);
@@ -227,7 +227,7 @@ TEST_F(DseFixture, SelectHonorsFlashCapacity) {
   const ConfigEvaluator ev(model_, sig_, eval_, 30);
   DseOptions o;
   o.tau_step = 0.05;
-  const DseOutcome outcome = run_dse(ev, 2, o);
+  const DseOutcome outcome = run_dse(ev, generate_configs(2, o), o);
   // Impossibly small capacity -> nothing qualifies.
   EXPECT_EQ(select_design(outcome, 0.5, 1), -1);
 }
@@ -238,9 +238,9 @@ TEST_F(DseFixture, DeterministicAcrossThreadCounts) {
   o.tau_step = 0.05;
   const auto configs = generate_configs(2, o);
   set_num_threads(1);
-  const DseOutcome a = run_dse(ev, configs);
+  const DseOutcome a = run_dse(ev, configs, DseOptions{});
   set_num_threads(8);
-  const DseOutcome b = run_dse(ev, configs);
+  const DseOutcome b = run_dse(ev, configs, DseOptions{});
   set_num_threads(0);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (size_t i = 0; i < a.results.size(); ++i) {
@@ -252,7 +252,8 @@ TEST_F(DseFixture, DeterministicAcrossThreadCounts) {
 
 TEST_F(DseFixture, RunnerRejectsNonExactFirstConfig) {
   const ConfigEvaluator ev(model_, sig_, eval_, 10);
-  EXPECT_THROW(run_dse(ev, {ApproxConfig::uniform(2, 0.05)}), Error);
+  EXPECT_THROW(
+      run_dse(ev, {ApproxConfig::uniform(2, 0.05)}, DseOptions{}), Error);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Fast DSE path: RefEngine::run_from layer-boundary resume, bitwise
 // parity of the prefix-cached exact sweep with the per-config evaluator
-// (chain and depthwise fixtures), the prefix cache's segment counters and
-// staggered per-config image ranges, the adaptive early-exit invariants
-// (all-exact config and every Pareto member fully evaluated), and
-// determinism across thread counts.
+// (chain and depthwise fixtures, and operands on the skip boundary), the
+// prefix cache's segment counters and staggered per-config image ranges,
+// the adaptive early-exit invariants (all-exact config and every Pareto
+// member fully evaluated), determinism across thread counts, and the
+// sweep's progress contract.
 //
 // This suite carries the `dse-smoke` ctest label: it is the tiny
 // fast-vs-exact sweep CI runs in the OMP_NUM_THREADS={1,4} matrix. It
@@ -11,6 +12,8 @@
 // packed kernels, which the ASan+UBSan job then checks against the
 // reference oracle.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "src/common/error.hpp"
 #include "src/common/parallel.hpp"
@@ -237,6 +240,30 @@ TEST_F(DseFastFixture, ExactSweepBitwiseMatchesPerConfigEvaluate) {
   EXPECT_TRUE(depthwise_matters);
 }
 
+// Operands sitting exactly on a config's tau as float: the cache's rung
+// keys must count them by make_skip_mask's rule. A third of layer 0's
+// operands get S == (float)0.3, which lies above 0.3, so a comparison
+// in double would give taus 0.2 and 0.3 one key and so one rung.
+TEST_F(DseFastFixture, ExactSweepMatchesPerConfigEvaluateAtTheSkipBoundary) {
+  ASSERT_GT(static_cast<double>(static_cast<float>(0.3)), 0.3);
+  std::vector<LayerSignificance> sig = *sig_;
+  std::vector<float>& s0 = sig[0].S;
+  for (size_t i = 0; i < s0.size(); ++i)
+    s0[i] = i % 3 == 0 ? static_cast<float>(0.3) : i % 3 == 1 ? 0.05f : 0.9f;
+  std::vector<ApproxConfig> configs = {ApproxConfig::exact(2)};
+  for (const double t0 : {0.2, 0.3}) {
+    for (const double t1 : {-1.0, 0.02}) {
+      ApproxConfig c;
+      c.tau = {t0, t1};
+      configs.push_back(c);
+    }
+  }
+  expect_exact_sweep_matches_legacy(*model_, sig, *eval_, configs);
+  // Not vacuous: the boundary operands change the accuracy.
+  const ConfigEvaluator ev(model_, &sig, eval_, -1);
+  EXPECT_NE(ev.evaluate(configs[1]).accuracy, ev.evaluate(configs[3]).accuracy);
+}
+
 // One full exact pass over the chain fixture's sweep: the prefix cache's
 // segment counters, recorded.
 TEST_F(DseFastFixture, PrefixCacheStatsOfOneFullPassArePinned) {
@@ -334,6 +361,39 @@ TEST_F(DseFastFixture, AdaptiveSweepDeterministicAcrossThreadCounts) {
   EXPECT_EQ(a.cache_hits, b.cache_hits);
   EXPECT_EQ(a.images_evaluated, b.images_evaluated);
   EXPECT_EQ(a.early_exits, b.early_exits);
+}
+
+// The progress contract in both modes: `total` is always the config
+// count, `done` never decreases, and the last call is (n, n). An exact
+// sweep reports configs' worth of evaluated images after every block
+// but the last, so a long sweep keeps moving.
+TEST_F(DseFastFixture, SweepProgressIsMonotoneAndEndsAtTheConfigCount) {
+  const ConfigEvaluator ev(model_, sig_, eval_, -1);
+  const auto configs = sweep_configs();
+  const int n = static_cast<int>(configs.size());
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact sweep" : "adaptive sweep");
+    DseOptions o = aggressive_adaptive_options();
+    o.exact_sweep = exact;
+    std::vector<std::pair<int, int>> calls;
+    run_dse(ev, configs, o,
+            [&](int done, int total) { calls.emplace_back(done, total); });
+    ASSERT_FALSE(calls.empty());
+    for (size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].second, n) << "call " << i;
+      if (i > 0) {
+        EXPECT_GE(calls[i].first, calls[i - 1].first) << "call " << i;
+      }
+    }
+    EXPECT_EQ(calls.back(), std::make_pair(n, n));
+    if (exact) {
+      std::vector<std::pair<int, int>> blocks;
+      for (int end = o.eval_block; end < eval_->size(); end += o.eval_block)
+        blocks.emplace_back(n * end / eval_->size(), n);
+      blocks.emplace_back(n, n);
+      EXPECT_EQ(calls, blocks);
+    }
+  }
 }
 
 }  // namespace

@@ -187,6 +187,38 @@ TEST(SkipPlan, PerLayerTauTargetsOnlySelectedLayers) {
   EXPECT_GT(skipped1, 0);
 }
 
+// The skip rule compares in float, as S is stored: an operand at
+// S == (float)tau is skipped and one a float step above it is kept, even
+// though (float)0.3 lies above 0.3, where a double compare would keep
+// it. kAlwaysRetain is never skipped and tau < 0 skips nothing.
+TEST(SkipPlan, OperandAtFloatTauIsSkipped) {
+  const double tau = 0.3;
+  const float at = static_cast<float>(tau);
+  ASSERT_GT(static_cast<double>(at), tau);
+  const float above = std::nextafter(at, kAlwaysRetain);
+  EXPECT_TRUE(skips(at, tau));
+  EXPECT_FALSE(skips(above, tau));
+  EXPECT_FALSE(skips(kAlwaysRetain, 1e30));
+  EXPECT_FALSE(skips(0.0f, -1.0));
+
+  ConvGeom g;
+  g.in_h = 3; g.in_w = 3; g.in_c = 4;
+  g.out_c = 1; g.kernel = 1; g.stride = 1; g.pad = 0;  // patch 4
+  QModel m;
+  m.name = "skip-boundary";
+  m.in_h = 3; m.in_w = 3; m.in_c = 4;
+  m.input = {1.0f / 255.0f, -128};
+  m.layers.emplace_back(make_random_qconv(g, 52));
+  LayerSignificance sig;
+  sig.out_c = 1;
+  sig.patch = 4;
+  sig.S = {at, above, kAlwaysRetain, 0.0f};
+  EXPECT_EQ(make_skip_mask(m, {sig}, ApproxConfig::uniform(1, tau)).masks[0],
+            (std::vector<uint8_t>{1, 0, 0, 1}));
+  EXPECT_TRUE(
+      make_skip_mask(m, {sig}, ApproxConfig::uniform(1, -1.0)).empty());
+}
+
 TEST(ApproxConfig, ToJsonIsATauArray) {
   ApproxConfig cfg;
   cfg.tau = {-1.0, 0.05, 0.001};

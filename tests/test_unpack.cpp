@@ -126,7 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
 // its five rungs, emitted in one pass, must write per emitted rung the
 // bits of a one-rung program under that rung's mask and leave the other
 // outputs untouched. S is random in [0, 1) with some kAlwaysRetain
-// operands; channel 0 is skipped whole at the top rung.
+// operands and every seventh on a rung's (float)tau; channel 0 is skipped
+// whole at the top rung.
 TEST(UnpackedLayer, RungProgramMatchesOneRungProgramPerRung) {
   const std::vector<double> taus = {0.1, 0.3, 0.55, 0.8};
   const int rungs = static_cast<int>(taus.size()) + 1;
@@ -149,6 +150,9 @@ TEST(UnpackedLayer, RungProgramMatchesOneRungProgramPerRung) {
     for (int64_t op = 0; op < d.skippable_operand_count(); ++op) {
       float v = rng.next_bool(0.1) ? kAlwaysRetain : rng.next_float();
       if (op < d.patch) v = 0.8f * rng.next_float();  // channel 0
+      // On a rung's boundary: (float)tau lies above each tau here, so a
+      // band compare in double would retain what the mask skips.
+      if (op % 7 == 3) v = static_cast<float>(taus[(op / 7) % taus.size()]);
       sig.S.push_back(v);
     }
     const UnpackedLayer u = UnpackedLayer::build_rungs(layer, sig, taus);

@@ -186,7 +186,8 @@ TEST(Workloads, DseSmokeVwwRunsThroughPrefixCache) {
   o.tau_step = 0.02;
   o.eval_images = 32;
   const ConfigEvaluator ev(&m, &significance, &eval, o.eval_images);
-  const DseOutcome outcome = run_dse(ev, m.approx_layer_count(), o);
+  const DseOutcome outcome =
+      run_dse(ev, generate_configs(m.approx_layer_count(), o), o);
 
   ASSERT_GT(outcome.results.size(), 1u);
   EXPECT_FALSE(outcome.pareto.empty());
@@ -198,13 +199,13 @@ TEST(Workloads, DseSmokeVwwRunsThroughPrefixCache) {
   EXPECT_LE(outcome.exact_accuracy, 1.0);
 }
 
-TEST(Workloads, DseSmokeScoredModelFallsBackToSingleExactConfig) {
+TEST(Workloads, DseSmokeScoredModelRunsThroughPrefixCache) {
   const QModel m = make_tiny_scored_qmodel(kSeed + 5);
   ASSERT_EQ(m.approx_layer_count(), 0);  // dense-only: nothing to skip
   const Dataset eval = make_eval_set(m, 40, 2, kSeed + 67);
   // Zero approximable layers: stats are empty, significance is empty,
-  // the config space is the single exact config, and the runner falls
-  // back to per-config evaluation.
+  // the config space is the single exact config, and the prefix cache
+  // runs it as one stage over the whole model.
   const auto stats = capture_activation_stats(m, eval, 16);
   EXPECT_TRUE(stats.empty());
   const std::vector<LayerSignificance> significance =
@@ -213,15 +214,28 @@ TEST(Workloads, DseSmokeScoredModelFallsBackToSingleExactConfig) {
   DseOptions o;
   o.eval_images = 32;
   const ConfigEvaluator ev(&m, &significance, &eval, o.eval_images);
-  const DseOutcome outcome = run_dse(ev, m.approx_layer_count(), o);
+  const std::vector<ApproxConfig> configs =
+      generate_configs(m.approx_layer_count(), o);
+  const double per_config = ev.evaluate(configs[0]).accuracy;
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact sweep" : "adaptive sweep");
+    o.exact_sweep = exact;
+    const DseOutcome outcome = run_dse(ev, configs, o);
 
-  ASSERT_EQ(outcome.results.size(), 1u);
-  EXPECT_FALSE(outcome.results[0].config.approximates_anything());
-  EXPECT_GT(outcome.images_evaluated, 0);
-  // Accuracy of the scored model is thresholded-classification accuracy
-  // over the eval labels — a probability, not a raw MSE.
-  EXPECT_GE(outcome.exact_accuracy, 0.0);
-  EXPECT_LE(outcome.exact_accuracy, 1.0);
+    ASSERT_EQ(outcome.results.size(), 1u);
+    EXPECT_FALSE(outcome.results[0].config.approximates_anything());
+    // Bitwise the per-config reference-engine accuracy, on the full
+    // budget, with nothing to reuse or abandon.
+    EXPECT_EQ(outcome.results[0].accuracy, per_config);
+    EXPECT_FALSE(outcome.results[0].partial_eval);
+    EXPECT_EQ(outcome.images_evaluated, 32);
+    EXPECT_EQ(outcome.cache_hits, 0);
+    EXPECT_EQ(outcome.early_exits, 0);
+    // Accuracy of the scored model is thresholded-classification
+    // accuracy over the eval labels — a probability, not a raw MSE.
+    EXPECT_GE(outcome.exact_accuracy, 0.0);
+    EXPECT_LE(outcome.exact_accuracy, 1.0);
+  }
 }
 
 // --- serve determinism ---------------------------------------------------
